@@ -65,8 +65,8 @@
 //! contract, and `METIS_NO_GATHER=1` disables it along with the gather
 //! walks.
 
-use crate::tree::{CompiledTree, DecisionTree, Prediction, TreeKind};
-use serde::{Deserialize, Serialize};
+use crate::tree::{CompiledTree, DecisionTree, Prediction, TreeError, TreeKind};
+use serde::Serialize;
 
 /// Rows walked together per block. 16 keeps a 143-feature block (the
 /// repo's widest serving schema) inside L1 alongside the hot node
@@ -84,7 +84,7 @@ pub const INREG_NODES: usize = 64;
 /// the AVX-512 walk can keep the whole table register-resident (see the
 /// module docs). Entries past the real node count are self-loop leaves
 /// with `thr = +inf`, so a stray lookup behaves like a settled lane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub(crate) struct InRegTable {
     /// Split thresholds, `+inf` padded (64 × f64 — eight zmm).
     pub(crate) thr: Vec<f64>,
@@ -117,7 +117,7 @@ impl InRegTable {
 }
 
 /// The quantized structure-of-arrays node layout (see module docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub(crate) struct NodeTable {
     /// Feature ids, padded with one trailing 0 so a 32-bit gather at the
     /// last node id stays in bounds (the gather lanes read 4 bytes each).
@@ -623,6 +623,8 @@ pub enum ForestError {
     MixedKind,
     /// All member trees must take the same feature width.
     MixedFeatures,
+    /// Member `tree` failed [`DecisionTree::validate`].
+    Invalid { tree: usize, error: TreeError },
 }
 
 impl std::fmt::Display for ForestError {
@@ -631,6 +633,7 @@ impl std::fmt::Display for ForestError {
             ForestError::Empty => write!(f, "forest needs at least one tree"),
             ForestError::MixedKind => write!(f, "forest trees disagree on kind"),
             ForestError::MixedFeatures => write!(f, "forest trees disagree on feature width"),
+            ForestError::Invalid { tree, error } => write!(f, "forest tree {tree}: {error}"),
         }
     }
 }
@@ -651,7 +654,10 @@ impl std::error::Error for ForestError {}
 ///   classes; ties break toward the lowest class index.
 /// * **Regression** — the mean `(v_0 + v_1 + … + v_{k-1}) / k`, summed in
 ///   tree-index order, one division at the end.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Like [`CompiledTree`] it is not `Deserialize`: rebuild it from source
+/// trees with [`Forest::from_trees`].
+#[derive(Debug, Clone, Serialize)]
 pub struct Forest {
     trees: Vec<CompiledTree>,
     kind: TreeKind,
@@ -659,9 +665,13 @@ pub struct Forest {
 }
 
 impl Forest {
-    /// Compile a forest from source trees. Fails unless all trees agree
-    /// on kind and feature width.
+    /// Compile a forest from source trees. Fails unless every tree passes
+    /// [`DecisionTree::validate`] and all agree on kind and feature width.
     pub fn from_trees(trees: &[DecisionTree]) -> Result<Forest, ForestError> {
+        for (i, tree) in trees.iter().enumerate() {
+            tree.validate()
+                .map_err(|error| ForestError::Invalid { tree: i, error })?;
+        }
         Forest::from_compiled(trees.iter().map(CompiledTree::compile).collect())
     }
 

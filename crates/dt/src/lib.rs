@@ -38,5 +38,5 @@ pub use kernel::{Forest, ForestError, INREG_NODES, LANES};
 pub use prune::{alpha_sequence, prune_alpha, prune_to_leaves, truncate_depth, PruneStep};
 pub use tree::{
     diff_predictions, BatchDiff, CompiledTree, DecisionTree, Node, NodeStats, Prediction, Split,
-    TreeKind,
+    TreeError, TreeKind,
 };

@@ -123,6 +123,72 @@ pub enum TreeKind {
     Regressor,
 }
 
+/// Why a tree failed [`DecisionTree::validate`]. Node indices refer to
+/// the tree's arena.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TreeError {
+    /// The arena has no root node.
+    Empty,
+    /// A split names a child outside the arena.
+    ChildOutOfRange { node: usize, child: usize },
+    /// A node is reached twice from the root: the splits form a cycle or
+    /// share a subtree.
+    ReachedTwice { node: usize },
+    /// A node is never reached from the root.
+    Unreachable { node: usize },
+    /// A split tests a feature the tree's schema does not have.
+    FeatureOutOfRange {
+        node: usize,
+        feature: usize,
+        n_features: usize,
+    },
+    /// A classifier leaf predicts a class the tree does not have.
+    ClassOutOfRange {
+        node: usize,
+        class: usize,
+        n_classes: usize,
+    },
+    /// A leaf's statistics are of the other tree kind (class histogram in
+    /// a regressor, or value sums in a classifier).
+    KindMismatch { node: usize },
+}
+
+impl std::fmt::Display for TreeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TreeError::Empty => write!(f, "tree has no nodes"),
+            TreeError::ChildOutOfRange { node, child } => {
+                write!(f, "node {node} names child {child} outside the arena")
+            }
+            TreeError::ReachedTwice { node } => {
+                write!(f, "node {node} is reached twice from the root")
+            }
+            TreeError::Unreachable { node } => write!(f, "node {node} is unreachable"),
+            TreeError::FeatureOutOfRange {
+                node,
+                feature,
+                n_features,
+            } => write!(
+                f,
+                "node {node} splits on feature {feature} of a {n_features}-feature tree"
+            ),
+            TreeError::ClassOutOfRange {
+                node,
+                class,
+                n_classes,
+            } => write!(
+                f,
+                "leaf {node} predicts class {class} of a {n_classes}-class tree"
+            ),
+            TreeError::KindMismatch { node } => {
+                write!(f, "leaf {node} carries statistics of the other tree kind")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TreeError {}
+
 /// A trained CART decision tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionTree {
@@ -190,6 +256,63 @@ impl DecisionTree {
             }
             Some(idx)
         })
+    }
+
+    /// Check that the tree is well formed: every child index is inside
+    /// the arena, every node is reached exactly once from the root (no
+    /// cycles, shared subtrees or orphans), every split tests a feature
+    /// `< n_features`, and every leaf carries statistics of the tree's
+    /// kind — for classifiers, predicting a class `< n_classes`. Trees from
+    /// [`crate::fit`] and the pruners always pass; a deserialized tree may
+    /// not. [`CompiledTree::compile`] and [`crate::Forest::from_trees`]
+    /// call this first, because the kernel walk trusts these invariants.
+    pub fn validate(&self) -> Result<(), TreeError> {
+        let n = self.nodes.len();
+        if n == 0 {
+            return Err(TreeError::Empty);
+        }
+        let mut seen = vec![false; n];
+        let mut stack = vec![ROOT];
+        while let Some(idx) = stack.pop() {
+            if std::mem::replace(&mut seen[idx], true) {
+                return Err(TreeError::ReachedTwice { node: idx });
+            }
+            let node = &self.nodes[idx];
+            if let Some(s) = &node.split {
+                if s.feature >= self.n_features {
+                    return Err(TreeError::FeatureOutOfRange {
+                        node: idx,
+                        feature: s.feature,
+                        n_features: self.n_features,
+                    });
+                }
+                for child in [s.right, s.left] {
+                    if child >= n {
+                        return Err(TreeError::ChildOutOfRange { node: idx, child });
+                    }
+                    stack.push(child);
+                }
+                continue;
+            }
+            match (self.kind, &node.stats) {
+                (TreeKind::Classifier { n_classes }, NodeStats::Class { .. }) => {
+                    let class = node.stats.prediction().class();
+                    if class >= n_classes {
+                        return Err(TreeError::ClassOutOfRange {
+                            node: idx,
+                            class,
+                            n_classes,
+                        });
+                    }
+                }
+                (TreeKind::Regressor, NodeStats::Value { .. }) => {}
+                _ => return Err(TreeError::KindMismatch { node: idx }),
+            }
+        }
+        match seen.iter().position(|&s| !s) {
+            Some(node) => Err(TreeError::Unreachable { node }),
+            None => Ok(()),
+        }
     }
 
     /// Walk the tree for a feature vector, returning the leaf node index.
@@ -313,7 +436,11 @@ impl DecisionTree {
 /// It backs both the latency benchmarks and the `metis_serve` online
 /// serving engine, whose micro-batches walk row blocks through the
 /// lane-vectorized [`CompiledTree::predict_batch`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// It is deliberately not `Deserialize`: the kernel walk trusts the table's
+/// child and feature indices, so the only way in is [`CompiledTree::compile`]
+/// on a validated tree. Load a [`DecisionTree`] and recompile it instead.
+#[derive(Debug, Clone, Serialize)]
 pub struct CompiledTree {
     table: crate::kernel::NodeTable,
     values: Vec<f64>,
@@ -324,7 +451,14 @@ pub struct CompiledTree {
 impl CompiledTree {
     /// Flatten a [`DecisionTree`] into the kernel's quantized node table
     /// (breadth-first order, so the hot top levels are contiguous).
+    ///
+    /// Panics, in the calling (publishing) thread, when the tree fails
+    /// [`DecisionTree::validate`]: a malformed table would send the
+    /// unchecked kernel walk out of bounds.
     pub fn compile(tree: &DecisionTree) -> Self {
+        if let Err(e) = tree.validate() {
+            panic!("compile: malformed tree: {e}");
+        }
         let tree = tree.compact();
         let (table, values) = crate::kernel::NodeTable::build(&tree);
         CompiledTree {
@@ -908,5 +1042,96 @@ mod tests {
         let compiled = CompiledTree::compile(&tree);
         let mut out = vec![Prediction::Class(0); 2];
         compiled.predict_batch_into(&[0.0; 7], &mut out);
+    }
+
+    /// Rewrite the first `key` field of a tree's JSON to `value` — the
+    /// shape of a corrupted or hostile model file.
+    fn with_json_edit(tree: &DecisionTree, key: &str, value: usize) -> DecisionTree {
+        let json = serde_json::to_string(tree).unwrap();
+        let at = json.find(&format!("\"{key}\":")).expect("key present") + key.len() + 3;
+        let end = at + json[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        serde_json::from_str(&format!("{}{value}{}", &json[..at], &json[end..])).unwrap()
+    }
+
+    fn two_feature_tree() -> DecisionTree {
+        let x: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, (i % 3) as f64]).collect();
+        let y: Vec<usize> = (0..40).map(|i| (i / 8) % 3).collect();
+        let ds = Dataset::classification(x, y, 3).unwrap();
+        fit(&ds, &TreeConfig::default()).unwrap()
+    }
+
+    /// The crash validation closes: a 2-feature tree whose root split was
+    /// edited to test feature 40000 used to compile, and the unchecked
+    /// kernel walk then read far out of bounds (SIGSEGV). Now `compile`
+    /// panics with the validation error in its caller and the forest
+    /// builder returns `Err`: the kernel is never reached.
+    #[test]
+    fn malformed_tree_never_reaches_the_kernel() {
+        use crate::kernel::{Forest, ForestError};
+        let tree = two_feature_tree();
+        assert_eq!(tree.validate(), Ok(()));
+        let bad = with_json_edit(&tree, "feature", 40000);
+        let error = TreeError::FeatureOutOfRange {
+            node: 0,
+            feature: 40000,
+            n_features: 2,
+        };
+        assert_eq!(bad.validate(), Err(error.clone()));
+        let walked = std::panic::catch_unwind(|| {
+            let compiled = CompiledTree::compile(&bad);
+            let mut out = vec![Prediction::Class(0); 20];
+            compiled.predict_batch_into(&[0.5; 40], &mut out);
+        });
+        let panic = walked.expect_err("compile must refuse the tree");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(message.contains("feature 40000"), "{message}");
+        assert_eq!(
+            Forest::from_trees(&[tree, bad]).err(),
+            Some(ForestError::Invalid { tree: 1, error })
+        );
+    }
+
+    #[test]
+    fn validate_names_each_structural_fault() {
+        let tree = two_feature_tree();
+        assert!(tree.node(0).split.is_some() && tree.node_count() > 3);
+        let left = tree.node(0).split.as_ref().unwrap().left;
+        assert_eq!(
+            with_json_edit(&tree, "left", 999).validate(),
+            Err(TreeError::ChildOutOfRange {
+                node: 0,
+                child: 999
+            })
+        );
+        assert_eq!(
+            with_json_edit(&tree, "right", left).validate(),
+            Err(TreeError::ReachedTwice { node: left }),
+            "shared subtree"
+        );
+        assert_eq!(
+            with_json_edit(&tree, "left", 0).validate(),
+            Err(TreeError::ReachedTwice { node: 0 }),
+            "cycle through the root"
+        );
+        let mut orphans = tree.clone();
+        orphans.nodes[0].split = None;
+        assert_eq!(orphans.validate(), Err(TreeError::Unreachable { node: 1 }));
+        let mut one_class = tree.clone();
+        one_class.kind = TreeKind::Classifier { n_classes: 1 };
+        assert!(matches!(
+            one_class.validate(),
+            Err(TreeError::ClassOutOfRange { n_classes: 1, .. })
+        ));
+        let mut regressor = tree.clone();
+        regressor.kind = TreeKind::Regressor;
+        assert!(matches!(
+            regressor.validate(),
+            Err(TreeError::KindMismatch { .. })
+        ));
+        let mut empty = tree;
+        empty.nodes.clear();
+        assert_eq!(empty.validate(), Err(TreeError::Empty));
     }
 }

@@ -400,12 +400,7 @@ impl Router {
                 .iter()
                 .map(|s| vec![Vec::new(); s.shards.len()])
                 .collect(),
-            local_base: self
-                .scenarios
-                .iter()
-                .map(|s| vec![0u64; s.shards.len()])
-                .collect(),
-            submissions: Vec::new(),
+            sessions: Vec::new(),
             global_base: 0,
             mirror_buf: vec![Vec::new(); self.scenarios.len()],
             mirror_gen: vec![0; self.scenarios.len()],
@@ -484,7 +479,8 @@ impl Router {
 /// One fabric answer: the engine's [`Response`] plus where it was routed.
 #[derive(Debug, Clone)]
 pub struct FabricResponse {
-    /// Handle-global submission id ([`FabricHandle::collect`] sorts by it).
+    /// Handle-global submission id ([`FabricHandle::collect`] returns
+    /// answers in this order).
     pub id: u64,
     /// Scenario index the request named.
     pub scenario: usize,
@@ -505,16 +501,14 @@ pub struct FabricHandle<'r> {
     router: &'r Router,
     /// `[scenario][shard]` engine handles.
     lanes: Vec<Vec<ServerHandle>>,
-    /// `[scenario][shard][shard-local id - local_base] -> global id`.
-    /// Rebased (emptied) whenever a collect leaves nothing outstanding,
-    /// so a long-lived handle's memory is bounded by its in-flight
-    /// window, not its lifetime request count.
+    /// `[scenario][shard]` global ids of the lane's outstanding requests,
+    /// in the lane's submission order — the order its answers come back
+    /// in. Emptied by every collect, so a long-lived handle's memory is
+    /// bounded by its in-flight window, not its lifetime request count.
     id_maps: Vec<Vec<Vec<u64>>>,
-    /// `[scenario][shard]` shard-local id each `id_maps` entry starts at.
-    local_base: Vec<Vec<u64>>,
-    /// `[global id - global_base] -> (scenario, shard, session)`.
-    submissions: Vec<(u32, u32, u64)>,
-    /// Global id the `submissions` window starts at.
+    /// `[global id - global_base] -> session` of each outstanding request.
+    sessions: Vec<u64>,
+    /// Global id the `sessions` window starts at.
     global_base: u64,
     /// Per-scenario mirrored rows awaiting a shadow flush…
     mirror_buf: Vec<Vec<f64>>,
@@ -548,15 +542,10 @@ impl FabricHandle<'_> {
             }
         }
         let shard = shard_for_session(session, self.lanes[scenario].len());
-        let global = self.global_base + self.submissions.len() as u64;
-        let local = self.lanes[scenario][shard].submit(features);
-        debug_assert_eq!(
-            local,
-            self.local_base[scenario][shard] + self.id_maps[scenario][shard].len() as u64
-        );
+        let global = self.global_base + self.sessions.len() as u64;
+        self.lanes[scenario][shard].submit(features);
         self.id_maps[scenario][shard].push(global);
-        self.submissions
-            .push((scenario as u32, shard as u32, session));
+        self.sessions.push(session);
         self.outstanding += 1;
         global
     }
@@ -579,41 +568,43 @@ impl FabricHandle<'_> {
     }
 
     /// Block until every outstanding request is answered; returns the
-    /// responses **sorted by global id** (deterministic regardless of
-    /// scenario, shard, or batching interleavings). Internal id windows
-    /// are rebased afterwards, so long-lived handles stay lean.
+    /// responses **in global id order** (deterministic regardless of
+    /// scenario, shard, or batching interleavings). Each lane answers in
+    /// its own submission order, so every answer is placed straight at
+    /// `id - global_base`; the id windows then slide forward, so
+    /// long-lived handles stay lean.
     pub fn collect(&mut self) -> Vec<FabricResponse> {
         self.flush_mirrors();
-        let mut out = Vec::with_capacity(self.outstanding);
+        let mut placed: Vec<Option<FabricResponse>> = Vec::new();
+        placed.resize_with(self.sessions.len(), || None);
         for (scenario, shard_handles) in self.lanes.iter_mut().enumerate() {
             for (shard, handle) in shard_handles.iter_mut().enumerate() {
-                for response in handle.collect() {
-                    let local = (response.id - self.local_base[scenario][shard]) as usize;
-                    let id = self.id_maps[scenario][shard][local];
-                    let (_, _, session) = self.submissions[(id - self.global_base) as usize];
-                    out.push(FabricResponse {
+                let ids = &mut self.id_maps[scenario][shard];
+                let responses = handle.collect();
+                assert_eq!(
+                    responses.len(),
+                    ids.len(),
+                    "lane answered a different count"
+                );
+                for (response, id) in responses.into_iter().zip(ids.drain(..)) {
+                    let slot = (id - self.global_base) as usize;
+                    placed[slot] = Some(FabricResponse {
                         id,
                         scenario,
                         shard,
-                        session,
+                        session: self.sessions[slot],
                         response,
                     });
                 }
             }
         }
         self.outstanding = 0;
-        // Everything in the window is answered: slide the id windows
-        // forward and drop the dead mapping entries.
-        for (scenario, shard_maps) in self.id_maps.iter_mut().enumerate() {
-            for (shard, map) in shard_maps.iter_mut().enumerate() {
-                self.local_base[scenario][shard] += map.len() as u64;
-                map.clear();
-            }
-        }
-        self.global_base += self.submissions.len() as u64;
-        self.submissions.clear();
-        out.sort_by_key(|r| r.id);
-        out
+        self.global_base += self.sessions.len() as u64;
+        self.sessions.clear();
+        placed
+            .into_iter()
+            .map(|r| r.expect("every outstanding request answered by its lane"))
+            .collect()
     }
 }
 
@@ -772,7 +763,7 @@ mod tests {
                 );
             }
             // The window is drained: the dead mappings must be gone.
-            assert!(handle.submissions.is_empty(), "submissions not rebased");
+            assert!(handle.sessions.is_empty(), "session window not rebased");
             assert!(
                 handle.id_maps.iter().flatten().all(|m| m.is_empty()),
                 "id maps not rebased"

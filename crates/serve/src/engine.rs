@@ -1,26 +1,39 @@
-//! The request engine: MPSC ingest → micro-batcher → striped compiled-tree
-//! execution on the shared worker pool.
+//! The request engine: page ingest → micro-batcher → striped
+//! compiled-tree execution on the shared worker pool.
 //!
-//! One long-lived **batcher thread** owns the ingest queue. It opens a
-//! batch at the first queued request and flushes when either `max_batch`
-//! requests are queued or `max_delay` has elapsed since the batch opened —
-//! the classic size-or-deadline micro-batching rule. Each flush:
+//! Requests travel **by the batch**. Each server owns one ingest queue of
+//! *pages*: a page holds the row-major features of its requests plus,
+//! per row, the request id, its submit stamp and the reply slot of the
+//! handle that sent it. [`ServerHandle::submit`] appends to the open page
+//! under one mutex and frees the caller's `Vec` on the submitting thread.
+//! A page closes when it holds `max_batch` rows, when `max_delay` has
+//! passed since its first row, or at a flush or shutdown marker — the
+//! classic size-or-deadline micro-batching rule, applied where requests
+//! arrive. A closed page **is** the micro-batch: one long-lived **batcher
+//! thread**, woken per page rather than per request, takes closed pages
+//! in order and for each:
 //!
 //! 1. pins the live model epoch ([`crate::ModelRegistry::current`]) — a
 //!    concurrent hot swap never retroactively changes a dispatched batch,
-//! 2. walks the batch through the epoch's [`crate::ServedModel`] — a
-//!    single lane-vectorized compiled tree or a block-major
-//!    [`metis_dt::Forest`] ensemble — into a scratch buffer reused
-//!    across flushes ([`crate::ServedModel::predict_batch_into`]),
-//!    striping row chunks across
-//!    [`metis_nn::par::parallel_map_indexed`] under the engine's
-//!    **dedicated pool group** (so serving shares the process-wide pool
-//!    fairly with concurrently running conversion pipelines),
-//! 3. answers every request with its prediction, the serving epoch, and
-//!    its measured queue+service latency — latency is additionally
-//!    bucketed by the serving model's ensemble width, so a registry that
-//!    hot-swaps between tree and forest epochs reports each shape's
-//!    percentiles separately ([`EngineReport::per_width`]).
+//! 2. walks the page's rows in place (no gather copy) through the epoch's
+//!    [`crate::ServedModel`] — a single lane-vectorized compiled tree or
+//!    a block-major [`metis_dt::Forest`] ensemble — into a scratch buffer
+//!    reused across batches ([`crate::ServedModel::predict_batch_into`]),
+//!    striping row chunks across [`metis_nn::par::parallel_map_indexed`]
+//!    under the engine's **dedicated pool group** (so serving shares the
+//!    process-wide pool fairly with concurrently running conversion
+//!    pipelines),
+//! 3. stamps completion once for the whole batch and answers each run of
+//!    same-handle rows with **one** `Vec<Response>` through that handle's
+//!    reply slot — one message per (handle, batch). Pages are answered in
+//!    order and a handle's ids follow page order, so a handle's answers
+//!    arrive in id order and [`ServerHandle::collect`] never sorts.
+//!    Latency (queue + batching + service) is additionally bucketed by
+//!    the serving model's ensemble width, so a registry that hot-swaps
+//!    between tree and forest epochs reports each shape's percentiles
+//!    separately ([`EngineReport::per_width`]),
+//!
+//! and then returns the page to a small free list.
 //!
 //! Results are merged by row index, so every response is bit-identical to
 //! the sequential oracle on the reported epoch's source trees (single
@@ -28,33 +41,37 @@
 //! size, deadline, thread count, or swap interleaving.
 //!
 //! **Time** comes from a [`Clock`]: [`TreeServer::start`] runs on the
-//! real clock (wall-time stamps and the deadline flush, exactly the
-//! pre-clock behavior), while [`TreeServer::start_clocked`] with a
-//! virtual clock turns the engine into a discrete-event component — no
-//! wall deadline at all (batches close on size, an explicit
-//! [`ServerHandle`] flush, or shutdown), and per-request latency is the
-//! batch's virtual close time minus the request's virtual submit stamp,
-//! a pure function of the event schedule. That is what lets `metis_sim`
-//! run millions of virtual sessions through this exact hot path with
-//! bit-identical reports for any thread count.
+//! real clock (wall-time stamps and the deadline close), while
+//! [`TreeServer::start_clocked`] with a virtual clock turns the engine
+//! into a discrete-event component — no wall deadline at all (pages close
+//! on size, an explicit [`ServerHandle`] flush, or shutdown), and
+//! per-request latency is the batch's virtual close time minus the
+//! request's virtual submit stamp, a pure function of the event schedule.
+//! That is what lets `metis_sim` run millions of virtual sessions through
+//! this exact hot path with bit-identical reports for any thread count.
 
 use crate::clock::Clock;
 use crate::latency::{LatencyRecorder, LatencySummary};
 use crate::registry::ModelRegistry;
 use metis_dt::Prediction;
 use metis_telemetry::{FlushStamps, ShardTelemetry};
-use std::collections::BTreeMap;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Emptied pages a server keeps for reuse. A steady stream cycles through
+/// two or three; a burst that queued more frees the surplus.
+const FREE_PAGES: usize = 4;
 
 /// Micro-batching and execution knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Flush a batch as soon as it holds this many requests.
+    /// Close a page (a micro-batch) as soon as it holds this many
+    /// requests.
     pub max_batch: usize,
-    /// Flush an incomplete batch this long after it opened.
+    /// Close an incomplete page this long after its first request.
     pub max_delay: Duration,
     /// Worker threads a flush stripes across (0 = all cores). Results are
     /// identical for any value.
@@ -95,17 +112,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// One in-flight request. `submitted` is a [`Clock`] reading (seconds),
-/// so the same struct carries wall stamps under the real clock and event
-/// stamps under a virtual one.
-pub struct Request {
-    pub id: u64,
-    pub features: Vec<f64>,
-    submitted: f64,
-    reply: Sender<Response>,
-}
-
-/// The engine's answer to one [`Request`].
+/// The engine's answer to one submitted request.
 #[derive(Debug, Clone)]
 pub struct Response {
     /// Id the submitting [`ServerHandle`] assigned.
@@ -120,13 +127,316 @@ pub struct Response {
     pub batch_size: usize,
 }
 
-enum Msg {
-    Req(Request),
-    /// Close the open batch now (no-op when none is open). Virtual-clock
-    /// collectors send this instead of relying on a wall deadline, so
-    /// batch composition is a function of submission order alone.
-    Flush,
-    Shutdown,
+/// One micro-batch: the row-major features of its requests and, per row,
+/// the request id, submit stamp (a [`Clock`] reading, so wall stamps
+/// under the real clock and event stamps under a virtual one) and the
+/// reply slot of the submitting handle.
+#[derive(Default)]
+struct Page {
+    rows: Vec<f64>,
+    ids: Vec<u64>,
+    stamps: Vec<f64>,
+    slots: Vec<SlotKey>,
+}
+
+impl Page {
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn push(&mut self, features: &[f64], id: u64, stamp: f64, slot: SlotKey) {
+        self.rows.extend_from_slice(features);
+        self.ids.push(id);
+        self.stamps.push(stamp);
+        self.slots.push(slot);
+    }
+
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.ids.clear();
+        self.stamps.clear();
+        self.slots.clear();
+    }
+}
+
+/// A handle's reply slot: its index in [`ReplySlots`] plus the generation
+/// it was issued under, so a slot freed by a dropped handle and reissued
+/// to a new one never receives the old handle's answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlotKey {
+    index: u32,
+    generation: u32,
+}
+
+/// Every live handle's reply sender. The batcher is the only sender: a
+/// handle keeps just the receiving end, so once the batcher drops the
+/// senders a waiting `collect` wakes instead of blocking forever.
+#[derive(Default)]
+struct ReplySlots {
+    /// `(generation, sender)` per slot; `None` once the handle dropped or
+    /// the batcher exited.
+    slots: Vec<(u32, Option<Sender<Vec<Response>>>)>,
+    free: Vec<u32>,
+}
+
+impl ReplySlots {
+    fn open(&mut self, tx: Sender<Vec<Response>>) -> SlotKey {
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.slots.push((0, None));
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 live handles")
+        });
+        let slot = &mut self.slots[index as usize];
+        slot.1 = Some(tx);
+        SlotKey {
+            index,
+            generation: slot.0,
+        }
+    }
+
+    /// Free a dropped handle's slot. Rows it left in flight now miss the
+    /// generation check and count as delivery failures.
+    fn close(&mut self, key: SlotKey) {
+        let slot = &mut self.slots[key.index as usize];
+        slot.0 = slot.0.wrapping_add(1);
+        slot.1 = None;
+        self.free.push(key.index);
+    }
+
+    fn sender(&self, key: SlotKey) -> Option<&Sender<Vec<Response>>> {
+        match &self.slots[key.index as usize] {
+            (generation, Some(tx)) if *generation == key.generation => Some(tx),
+            _ => None,
+        }
+    }
+}
+
+#[derive(Default)]
+struct PageQueue {
+    /// The page submits append to; `None` until the next submit opens one.
+    open: Option<Page>,
+    /// Closed pages in close order: the batcher's work list.
+    closed: VecDeque<Page>,
+    free: Vec<Page>,
+    /// Rows in `open` and `closed`.
+    queued: usize,
+    /// The batcher waits on the condvar. Submitters signal it only then:
+    /// a busy batcher finds closed pages when it comes back.
+    asleep: bool,
+    /// `Some` once a shutdown marker arrived: the open page closes at
+    /// once and the batcher exits when nothing is queued. Counts the
+    /// closed pages still ahead of the first marker; whatever is queued
+    /// once the batcher has taken them arrived behind it (the drain).
+    shutdown: Option<usize>,
+    /// The drain behind the shutdown marker has been reported.
+    drain_seen: bool,
+    /// The batcher has exited: submits panic in their client.
+    dead: bool,
+}
+
+impl PageQueue {
+    /// Move the open page, if any, onto the work list.
+    fn close_open(&mut self) -> bool {
+        let page = self.open.take();
+        let closed = page.is_some();
+        self.closed.extend(page);
+        closed
+    }
+
+    /// Latest submit stamp among the queued rows.
+    fn latest_stamp(&self) -> f64 {
+        self.closed
+            .iter()
+            .chain(&self.open)
+            .flat_map(|page| page.stamps.iter().copied())
+            .fold(0.0, f64::max)
+    }
+}
+
+/// The shared ingest of one server: its page queue, the condvar the
+/// batcher sleeps on, and the handles' reply slots.
+struct Ingest {
+    queue: Mutex<PageQueue>,
+    wake: Condvar,
+    replies: RwLock<ReplySlots>,
+    max_batch: usize,
+    /// `max_delay` in seconds under the real clock; `None` under a
+    /// virtual one, where pages close only on size or a marker.
+    max_delay_s: Option<f64>,
+}
+
+impl Ingest {
+    fn new(cfg: &ServeConfig, clock: &Clock) -> Self {
+        Ingest {
+            queue: Mutex::default(),
+            wake: Condvar::new(),
+            replies: RwLock::default(),
+            max_batch: cfg.max_batch,
+            max_delay_s: (!clock.is_virtual()).then_some(cfg.max_delay.as_secs_f64()),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PageQueue> {
+        self.queue
+            .lock()
+            .expect("serve ingest poisoned: a thread panicked mid-update")
+    }
+
+    /// Append one request to the open page, opening one if needed.
+    fn push(&self, features: &[f64], id: u64, stamp: f64, slot: SlotKey) {
+        let mut guard = self.lock();
+        let q = &mut *guard;
+        if q.dead {
+            drop(guard);
+            panic!("TreeServer ingest queue closed while submitting");
+        }
+        let opened = q.open.is_none();
+        let page = q
+            .open
+            .get_or_insert_with(|| q.free.pop().unwrap_or_default());
+        page.push(features, id, stamp, slot);
+        q.queued += 1;
+        let wake = if page.len() >= self.max_batch {
+            q.close_open();
+            q.asleep
+        } else {
+            // A sleeping real-clock batcher must arm the new page's deadline.
+            opened && self.max_delay_s.is_some() && q.asleep
+        };
+        drop(guard);
+        if wake {
+            self.wake.notify_one();
+        }
+    }
+
+    /// A flush marker closes the open page now — a no-op when none is
+    /// open. A shutdown marker does the same, then lets the batcher exit
+    /// once every row queued before or after it is answered.
+    fn mark(&self, shutdown: bool) {
+        // Only a panic under the lock poisons it, and no critical section
+        // panics; a poisoned queue has no batcher left to signal.
+        let Ok(mut q) = self.queue.lock() else {
+            return;
+        };
+        let closed = q.close_open();
+        if shutdown && q.shutdown.is_none() {
+            q.shutdown = Some(q.closed.len());
+        }
+        let wake = (closed || shutdown) && q.asleep;
+        drop(q);
+        if wake {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Return the batcher's finished page to the free list and block until
+    /// the next page closes. `None` once a shutdown marker has arrived and
+    /// nothing is queued. Sets the telemetry queue-depth gauge once per
+    /// page, and records the drain when the batcher reaches the first
+    /// shutdown marker.
+    fn next_page(
+        &self,
+        done: Option<Page>,
+        clock: &Clock,
+        scope: Option<&ShardTelemetry>,
+    ) -> Option<Page> {
+        let mut q = self.lock();
+        let mut surplus = done;
+        if q.free.len() < FREE_PAGES {
+            q.free.extend(surplus.take());
+        }
+        let next = self.await_page(q, clock, scope);
+        // A page the free list had no room for is freed outside the lock.
+        drop(surplus);
+        next
+    }
+
+    fn await_page(
+        &self,
+        mut q: MutexGuard<'_, PageQueue>,
+        clock: &Clock,
+        scope: Option<&ShardTelemetry>,
+    ) -> Option<Page> {
+        loop {
+            if q.shutdown == Some(0) && !q.drain_seen {
+                // Every page ahead of the marker is taken: what is still
+                // queued arrived behind it. Counting from the marker, not
+                // from whenever the batcher notices it, keeps the event a
+                // function of the schedule under a virtual clock.
+                q.drain_seen = true;
+                if let Some(scope) = scope.filter(|_| q.queued > 0) {
+                    // Virtual stamp: the latest queued submit stamp
+                    // (schedule-pure); real stamp: the wall drain time.
+                    let stamp_s = if clock.is_virtual() {
+                        q.latest_stamp()
+                    } else {
+                        clock.now_s()
+                    };
+                    scope.on_drain(stamp_s, q.queued);
+                }
+            }
+            if let Some(page) = q.closed.pop_front() {
+                q.queued -= page.len();
+                if let Some(ahead) = q.shutdown.as_mut() {
+                    *ahead = ahead.saturating_sub(1);
+                }
+                if let Some(scope) = scope {
+                    scope.queue_depth.set(q.queued as i64);
+                }
+                return Some(page);
+            }
+            // Real clock: how much longer the open page may wait.
+            let wait_s = match (&q.open, self.max_delay_s) {
+                (Some(page), Some(delay_s)) => Some(page.stamps[0] + delay_s - clock.now_s()),
+                _ => None,
+            };
+            if q.open.is_some() && (q.shutdown.is_some() || wait_s.is_some_and(|w| w <= 0.0)) {
+                q.close_open();
+                continue;
+            }
+            if q.shutdown.is_some() {
+                return None;
+            }
+            q.asleep = true;
+            q = match wait_s {
+                Some(wait_s) => {
+                    let wait = Duration::try_from_secs_f64(wait_s).unwrap_or(Duration::MAX);
+                    self.wake
+                        .wait_timeout(q, wait)
+                        .expect("serve ingest poisoned: a thread panicked mid-update")
+                        .0
+                }
+                None => self
+                    .wake
+                    .wait(q)
+                    .expect("serve ingest poisoned: a thread panicked mid-update"),
+            };
+            q.asleep = false;
+        }
+    }
+}
+
+/// Runs when the batcher exits, normally or by unwinding: marks the
+/// ingest dead (a later submit panics in its client) and drops every
+/// reply sender, so a handle waiting in `collect` receives what was
+/// answered and then panics instead of blocking forever.
+struct BatcherExit<'a>(&'a Ingest);
+
+impl Drop for BatcherExit<'_> {
+    fn drop(&mut self) {
+        let ingest = self.0;
+        ingest
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .dead = true;
+        let mut replies = ingest
+            .replies
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        for (_, tx) in &mut replies.slots {
+            *tx = None;
+        }
+    }
 }
 
 /// What the batcher thread accumulated over its lifetime.
@@ -143,11 +453,10 @@ struct EngineLog {
     per_width: BTreeMap<usize, LatencyRecorder>,
 }
 
-/// Row and prediction buffers a batcher reuses across flushes, so the
-/// steady-state flush path allocates nothing per batch.
+/// Buffers a batcher reuses across batches, so the steady-state flush
+/// path allocates nothing but the replies.
 #[derive(Default)]
 struct FlushScratch {
-    rows: Vec<f64>,
     predictions: Vec<Prediction>,
     /// Per-request latency / queue-wait of the batch in flight, staged
     /// here so telemetry records them in one amortized pass before any
@@ -184,22 +493,40 @@ pub struct EngineReport {
     pub per_width: Vec<(usize, LatencySummary)>,
 }
 
-/// A per-client submission handle with its own response channel. Submit
+/// A per-client submission handle with its own reply slot. Submit
 /// open-loop with [`ServerHandle::submit`]; gather everything outstanding
 /// with [`ServerHandle::collect`]. Handles are independent — one per
-/// client thread.
+/// client thread. Dropping a handle frees its reply slot; answers still
+/// in flight for it count as [`EngineReport::delivery_failures`].
 pub struct ServerHandle {
-    tx: Sender<Msg>,
-    reply_tx: Sender<Response>,
-    reply_rx: Receiver<Response>,
+    ingest: Arc<Ingest>,
+    slot: SlotKey,
+    replies: Receiver<Vec<Response>>,
     next_id: u64,
     outstanding: usize,
     n_features: usize,
     clock: Arc<Clock>,
-    telemetry: Option<Arc<ShardTelemetry>>,
 }
 
 impl ServerHandle {
+    fn new(ingest: &Arc<Ingest>, n_features: usize, clock: &Arc<Clock>) -> Self {
+        let (tx, replies) = channel();
+        let slot = ingest
+            .replies
+            .write()
+            .expect("serve reply slots poisoned: a thread panicked mid-update")
+            .open(tx);
+        ServerHandle {
+            ingest: Arc::clone(ingest),
+            slot,
+            replies,
+            next_id: 0,
+            outstanding: 0,
+            n_features,
+            clock: Arc::clone(clock),
+        }
+    }
+
     /// Feature width every request must carry (invariant across hot
     /// swaps — the registry rejects trees with a different schema).
     pub fn n_features(&self) -> usize {
@@ -212,7 +539,8 @@ impl ServerHandle {
     }
 
     /// Enqueue one request and return its (per-handle) id. Never blocks on
-    /// the server: ingest is an unbounded MPSC queue. A malformed request
+    /// the server beyond the ingest mutex: the features are copied into
+    /// the open page and `features` is freed here. A malformed request
     /// panics **here**, in the submitting client's thread — the shared
     /// batcher never sees it, so one bad client cannot take the engine
     /// down for its neighbours.
@@ -225,19 +553,10 @@ impl ServerHandle {
             self.n_features
         );
         let id = self.next_id;
+        self.ingest
+            .push(&features, id, self.clock.now_s(), self.slot);
         self.next_id += 1;
         self.outstanding += 1;
-        if let Some(scope) = &self.telemetry {
-            scope.queue_depth.inc();
-        }
-        self.tx
-            .send(Msg::Req(Request {
-                id,
-                features,
-                submitted: self.clock.now_s(),
-                reply: self.reply_tx.clone(),
-            }))
-            .expect("TreeServer ingest queue closed while submitting");
         id
     }
 
@@ -247,40 +566,57 @@ impl ServerHandle {
     }
 
     /// Block until every outstanding request is answered; returns the
-    /// responses **sorted by id** (deterministic regardless of batching).
+    /// responses in id order (deterministic regardless of batching: pages
+    /// are answered in order and ids follow page order).
     ///
-    /// On a virtual-clock server there is no deadline flush, so a partial
-    /// batch would otherwise wait forever: collecting first sends an
-    /// explicit flush marker (a no-op when nothing is open). The real
+    /// On a virtual-clock server there is no deadline close, so a partial
+    /// page would otherwise wait forever: collecting first places an
+    /// explicit flush marker (a no-op when no page is open). The real
     /// clock path is untouched — the deadline does the closing there.
+    /// Panics if the server's batcher has exited with requests of this
+    /// handle unanswered.
     pub fn collect(&mut self) -> Vec<Response> {
-        if self.clock.is_virtual() && self.outstanding > 0 {
-            self.tx
-                .send(Msg::Flush)
-                .expect("TreeServer ingest queue closed while flushing");
+        if self.outstanding == 0 {
+            return Vec::new();
         }
-        let mut out = Vec::with_capacity(self.outstanding);
-        for _ in 0..self.outstanding {
-            out.push(
-                self.reply_rx
-                    .recv()
-                    .expect("TreeServer dropped with requests in flight"),
-            );
+        if self.clock.is_virtual() {
+            self.ingest.mark(false);
         }
+        let mut out: Vec<Response> = Vec::new();
+        while out.len() < self.outstanding {
+            let batch = self
+                .replies
+                .recv()
+                .expect("TreeServer dropped with requests in flight");
+            if out.is_empty() {
+                out = batch;
+            } else {
+                out.extend(batch);
+            }
+        }
+        debug_assert!(out.windows(2).all(|w| w[0].id < w[1].id));
         self.outstanding = 0;
-        out.sort_by_key(|r| r.id);
         out
+    }
+}
+
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        self.ingest
+            .replies
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .close(self.slot);
     }
 }
 
 /// The serving engine: spawn with [`TreeServer::start`], mint client
 /// handles with [`TreeServer::handle`], stop with [`TreeServer::shutdown`].
 pub struct TreeServer {
-    tx: Sender<Msg>,
+    ingest: Arc<Ingest>,
     thread: Option<JoinHandle<EngineLog>>,
     registry: Arc<ModelRegistry>,
     clock: Arc<Clock>,
-    telemetry: Option<Arc<ShardTelemetry>>,
 }
 
 impl TreeServer {
@@ -300,20 +636,19 @@ impl TreeServer {
     ) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         assert!(cfg.stripe_rows >= 1, "stripe_rows must be at least 1");
-        let (tx, rx) = channel();
+        let ingest = Arc::new(Ingest::new(&cfg, &clock));
+        let batcher_ingest = Arc::clone(&ingest);
         let reg = Arc::clone(&registry);
         let batcher_clock = Arc::clone(&clock);
-        let telemetry = cfg.telemetry.clone();
         let thread = std::thread::Builder::new()
             .name("metis-serve-batcher".into())
-            .spawn(move || batcher_loop(rx, reg, cfg, batcher_clock))
+            .spawn(move || batcher_loop(batcher_ingest, reg, cfg, batcher_clock))
             .expect("spawn serve batcher");
         TreeServer {
-            tx,
+            ingest,
             thread: Some(thread),
             registry,
             clock,
-            telemetry,
         }
     }
 
@@ -329,24 +664,14 @@ impl TreeServer {
 
     /// Mint an independent client handle.
     pub fn handle(&self) -> ServerHandle {
-        let (reply_tx, reply_rx) = channel();
-        ServerHandle {
-            tx: self.tx.clone(),
-            reply_tx,
-            reply_rx,
-            next_id: 0,
-            outstanding: 0,
-            n_features: self.registry.n_features(),
-            clock: Arc::clone(&self.clock),
-            telemetry: self.telemetry.clone(),
-        }
+        ServerHandle::new(&self.ingest, self.registry.n_features(), &self.clock)
     }
 
     /// Stop the engine: already-queued requests are drained and answered
     /// (zero drops for clients that finished submitting), then the batcher
     /// exits and its lifetime report is returned.
     pub fn shutdown(mut self) -> EngineReport {
-        let _ = self.tx.send(Msg::Shutdown);
+        self.ingest.mark(true);
         let log = self
             .thread
             .take()
@@ -372,140 +697,49 @@ impl TreeServer {
     }
 }
 
+impl Drop for TreeServer {
+    /// A server dropped without [`TreeServer::shutdown`] still drains its
+    /// queue and stops its batcher; the report is discarded.
+    fn drop(&mut self) {
+        if let Some(thread) = self.thread.take() {
+            self.ingest.mark(true);
+            let _ = thread.join();
+        }
+    }
+}
+
 fn batcher_loop(
-    rx: Receiver<Msg>,
+    ingest: Arc<Ingest>,
     registry: Arc<ModelRegistry>,
     cfg: ServeConfig,
     clock: Arc<Clock>,
 ) -> EngineLog {
+    let _exit = BatcherExit(&ingest);
     // Pool submissions carry this server's group (its own fresh one by
     // default), so the pool's scheduler treats the serving path as one
     // tenant — or as part of a shared tenant when the config says so.
     let group = cfg.group.unwrap_or_else(metis_nn::par::fresh_group);
-    // Virtual time has no wall deadline: batches close on size, an
-    // explicit flush marker, or shutdown — nothing else, so batch
-    // composition is deterministic in submission order.
-    let use_deadline = !clock.is_virtual();
     let scope = cfg.telemetry.clone();
     let scope = scope.as_deref();
     let mut log = EngineLog::default();
     let mut scratch = FlushScratch::default();
-    loop {
-        // Open a batch at the first request (block indefinitely — an idle
-        // server costs nothing).
-        let first = match rx.recv() {
-            Ok(Msg::Req(r)) => r,
-            // A flush with no open batch: nothing to do.
-            Ok(Msg::Flush) => continue,
-            // Shutdown can land exactly on a batch boundary: break into
-            // the drain below rather than exiting — requests queued
-            // behind the marker must still be answered.
-            Ok(Msg::Shutdown) | Err(_) => break,
-        };
-        if let Some(scope) = scope {
-            scope.on_batch_open();
-        }
-        // Wall stamp of the batch opening, for the batch-form span. Only
-        // read under a real clock — virtual stamps derive from the
-        // batch's submit stamps inside `flush`, never from a live read.
-        let wall_open_s = (scope.is_some() && use_deadline).then(|| clock.now_s());
-        let mut batch = vec![first];
-        let deadline = use_deadline.then(|| Instant::now() + cfg.max_delay);
-        let mut shutting_down = false;
-        while batch.len() < cfg.max_batch {
-            let msg = if let Some(deadline) = deadline {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match rx.recv_timeout(deadline - now) {
-                    Ok(msg) => msg,
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        shutting_down = true;
-                        break;
-                    }
-                }
-            } else {
-                match rx.recv() {
-                    Ok(msg) => msg,
-                    Err(_) => {
-                        shutting_down = true;
-                        break;
-                    }
-                }
-            };
-            match msg {
-                Msg::Req(r) => batch.push(r),
-                Msg::Flush => break,
-                Msg::Shutdown => {
-                    shutting_down = true;
-                    break;
-                }
-            }
-        }
-        if let Some(scope) = scope {
-            // One balance update per batch, not one RMW per request —
-            // the gauge is monitoring-only, never digested.
-            scope.queue_depth.add(-(batch.len() as i64));
-        }
-        flush(
-            &mut log,
-            &mut scratch,
-            &registry,
-            &cfg,
-            group,
-            &clock,
-            batch,
-            wall_open_s,
-        );
-        if shutting_down {
-            break;
-        }
-    }
-    // Shutdown drain: answer everything still queued so no
-    // already-submitted request is dropped, whichever path saw the
-    // marker. Extra shutdown markers mid-queue (a fabric broadcasting
-    // shutdown to shards, or two owners racing) must not truncate the
-    // drain: skip markers, keep draining until the queue is empty.
-    let mut rest: Vec<Request> = Vec::new();
-    loop {
-        match rx.try_recv() {
-            Ok(Msg::Req(r)) => rest.push(r),
-            Ok(Msg::Flush) | Ok(Msg::Shutdown) => continue,
-            Err(_) => break,
-        }
-    }
-    if let Some(scope) = scope {
-        scope.queue_depth.add(-(rest.len() as i64));
-        if !rest.is_empty() {
-            // Virtual stamp: the latest drained submit stamp (schedule-
-            // pure); real stamp: the wall drain time.
-            let stamp_s = if clock.is_virtual() {
-                rest.iter().map(|r| r.submitted).fold(0.0, f64::max)
-            } else {
-                clock.now_s()
-            };
-            scope.on_drain(stamp_s, rest.len());
-        }
-    }
-    let mut rest = rest.into_iter().peekable();
-    while rest.peek().is_some() {
-        let chunk: Vec<Request> = rest.by_ref().take(cfg.max_batch).collect();
-        let wall_open_s = (scope.is_some() && use_deadline).then(|| clock.now_s());
+    let mut done = None;
+    while let Some(mut page) = ingest.next_page(done.take(), &clock, scope) {
         if let Some(scope) = scope {
             scope.on_batch_open();
         }
         flush(
             &mut log,
             &mut scratch,
+            &ingest,
             &registry,
             &cfg,
             group,
             &clock,
-            chunk,
-            wall_open_s,
+            &page,
         );
+        page.clear();
+        done = Some(page);
     }
     log
 }
@@ -514,68 +748,55 @@ fn batcher_loop(
 fn flush(
     log: &mut EngineLog,
     scratch: &mut FlushScratch,
+    ingest: &Ingest,
     registry: &ModelRegistry,
     cfg: &ServeConfig,
     group: u64,
     clock: &Clock,
-    batch: Vec<Request>,
-    // Wall stamp of the batch opening (real clock + telemetry only).
-    wall_open_s: Option<f64>,
+    page: &Page,
 ) {
-    if batch.is_empty() {
-        return;
-    }
     // Virtual-clock latency must not read the clock here: concurrent
     // drivers may have pushed the high-water mark past this batch's
     // events, and a racy read would leak host scheduling into the
     // report. The batch closes at its **latest submit stamp** — a pure
     // function of the event schedule — so latency_i = close - stamp_i,
-    // the virtual batching delay. The real clock keeps the historical
-    // wall measurement (now - stamp) per request.
+    // the virtual batching delay. The real clock stamps completion with
+    // one wall read after the kernel.
     let virtual_close_s = clock
         .is_virtual()
-        .then(|| batch.iter().map(|r| r.submitted).fold(0.0, f64::max));
-    // Telemetry stamps follow the same discipline: under a virtual clock
-    // the batch "opens" at its earliest submit stamp and the kernel/close
-    // stamps collapse onto the batch close — all pure functions of the
-    // schedule, so the span stream digests identically for any thread
-    // count. Under a real clock they are wall reads around the work.
+        .then(|| page.stamps.iter().copied().fold(0.0, f64::max));
+    // Telemetry stamps follow the same discipline: the batch opens at its
+    // earliest submit stamp (under the real clock that is when the page
+    // opened, so the batch-form span covers the page filling) and under a
+    // virtual clock the kernel/close stamps collapse onto the batch close
+    // — all pure functions of the schedule, so the span stream digests
+    // identically for any thread count. Under a real clock they are wall
+    // reads around the work.
     let scope = cfg.telemetry.as_deref();
-    let open_s = scope.map(|_| match virtual_close_s {
-        Some(_) => batch
-            .iter()
-            .map(|r| r.submitted)
-            .fold(f64::INFINITY, f64::min),
-        None => wall_open_s.unwrap_or_else(|| clock.now_s()),
-    });
+    let open_s = scope.map(|_| page.stamps.iter().copied().fold(f64::INFINITY, f64::min));
     // Pin the epoch for the whole batch: in-flight work finishes on the
     // model it started with even if a publish lands mid-execution.
     let epoch_model = registry.current();
     let model = &epoch_model.model;
     let n_features = model.n_features();
-    let n = batch.len();
-    scratch.rows.clear();
-    scratch.rows.reserve(n * n_features);
-    for req in &batch {
-        // Unreachable for well-typed use: submit() validates width and
-        // publish() keeps it invariant across epochs.
-        debug_assert_eq!(req.features.len(), n_features);
-        scratch.rows.extend_from_slice(&req.features);
-    }
+    let n = page.len();
+    // Unreachable for well-typed use: submit() validates width and
+    // publish() keeps it invariant across epochs.
+    debug_assert_eq!(page.rows.len(), n * n_features);
     let chunks = n.div_ceil(cfg.stripe_rows);
     let kernel_start_s = scope.map(|_| virtual_close_s.unwrap_or_else(|| clock.now_s()));
     scratch.predictions.clear();
     if chunks <= 1 {
-        // The steady-state micro-batch path: evaluate straight into the
-        // reused scratch buffer — no allocation per flush.
+        // The steady-state micro-batch path: evaluate the page in place
+        // into the reused scratch buffer.
         scratch.predictions.resize(n, Prediction::Class(0));
-        model.predict_batch_into(&scratch.rows, &mut scratch.predictions);
+        model.predict_batch_into(&page.rows, &mut scratch.predictions);
     } else {
         // Contiguous row chunks across the pool, merged in chunk order —
         // identical to the single-chunk walk for any thread count. The
         // deadline class steers which tenant's chunks the pool's helpers
         // pick up first under contention; it never touches results.
-        let rows = &scratch.rows;
+        let rows = &page.rows;
         let chunked = metis_nn::par::with_deadline_class(cfg.deadline_class, || {
             metis_nn::par::with_group(group, || {
                 metis_nn::par::parallel_map_indexed(chunks, cfg.threads, |c| {
@@ -589,27 +810,27 @@ fn flush(
             scratch.predictions.extend_from_slice(&chunk);
         }
     }
-    let kernel_end_s = scope.map(|_| virtual_close_s.unwrap_or_else(|| clock.now_s()));
+    // One completion stamp for the whole batch.
+    let completed_s = virtual_close_s.unwrap_or_else(|| clock.now_s());
     log.batches += 1;
+    log.served += n as u64;
     log.max_batch_seen = log.max_batch_seen.max(n);
     *log.per_epoch.entry(epoch_model.epoch).or_insert(0) += n as u64;
-    // Accounting pass: stamp every request and stage its latency (and,
-    // with telemetry on, queue-wait) before anything is delivered.
+    // Accounting pass: stage every request's latency (and, with
+    // telemetry on, queue-wait) before anything is delivered.
     let width_latency = log.per_width.entry(model.n_trees()).or_default();
     scratch.latencies.clear();
     scratch.queue_waits.clear();
-    for req in &batch {
-        let completed_s = virtual_close_s.unwrap_or_else(|| clock.now_s());
-        let latency_s = log.latency.record_span(req.submitted, completed_s);
+    for &submitted_s in &page.stamps {
+        let latency_s = log.latency.record_span(submitted_s, completed_s);
         width_latency.record(latency_s);
-        log.served += 1;
         scratch.latencies.push(latency_s);
-        if scope.is_some() {
+        if let Some(kernel_start_s) = kernel_start_s {
             // Queue-wait = submit → kernel start: everything before the
-            // model ran (ingest wait + batch formation).
+            // model ran (page fill + wait for the batcher).
             scratch
                 .queue_waits
-                .push((kernel_start_s.unwrap_or(completed_s) - req.submitted).max(0.0));
+                .push((kernel_start_s - submitted_s).max(0.0));
         }
     }
     // Record ALL the batch's telemetry (spans, flush event, served
@@ -622,7 +843,7 @@ fn flush(
         scope.record_flush(&FlushStamps {
             open_s: open_s.unwrap_or(close_s),
             kernel_start_s: kernel_start_s.unwrap_or(close_s),
-            kernel_end_s: kernel_end_s.unwrap_or(close_s),
+            kernel_end_s: completed_s,
             close_s,
             rows: n,
             epoch: epoch_model.epoch,
@@ -630,20 +851,30 @@ fn flush(
         });
         scope.on_requests(close_s, &scratch.latencies, &scratch.queue_waits);
     }
-    for ((req, &prediction), &latency_s) in batch
-        .into_iter()
-        .zip(scratch.predictions.iter())
-        .zip(scratch.latencies.iter())
-    {
-        let sent = req.reply.send(Response {
-            id: req.id,
-            prediction,
-            epoch: epoch_model.epoch,
-            latency_s,
-            batch_size: n,
-        });
-        if sent.is_err() {
-            log.delivery_failures += 1;
+    // One reply per run of same-handle rows.
+    let replies = ingest
+        .replies
+        .read()
+        .expect("serve reply slots poisoned: a thread panicked mid-update");
+    let mut start = 0;
+    for run in page.slots.chunk_by(|a, b| a == b) {
+        let rows = start..start + run.len();
+        start = rows.end;
+        let answers: Vec<Response> = rows
+            .clone()
+            .map(|r| Response {
+                id: page.ids[r],
+                prediction: scratch.predictions[r],
+                epoch: epoch_model.epoch,
+                latency_s: scratch.latencies[r],
+                batch_size: n,
+            })
+            .collect();
+        let delivered = replies
+            .sender(run[0])
+            .is_some_and(|tx| tx.send(answers).is_ok());
+        if !delivered {
+            log.delivery_failures += rows.len() as u64;
         }
     }
 }
@@ -691,7 +922,7 @@ mod tests {
         let responses = handle.collect();
         assert_eq!(responses.len(), 50);
         for (k, resp) in responses.iter().enumerate() {
-            assert_eq!(resp.id, k as u64, "collect sorts by id");
+            assert_eq!(resp.id, k as u64, "collect returns id order");
             assert_eq!(resp.epoch, 0);
             assert_eq!(resp.prediction, tree.predict(&req_features(k as u64)));
             assert!(resp.latency_s >= 0.0 && resp.batch_size >= 1 && resp.batch_size <= 8);
@@ -1067,47 +1298,169 @@ mod tests {
         });
     }
 
-    /// The drain-ordering regression this PR's audit found: a shutdown
-    /// marker landing exactly on a batch boundary used to make the outer
-    /// `recv` exit without draining, dropping every request queued behind
-    /// the marker; a second marker mid-queue used to truncate the drain
-    /// the same way. Pre-filling the queue before the batcher runs makes
-    /// the interleaving deterministic.
+    /// The drain-ordering regression: a shutdown marker landing exactly
+    /// on a page boundary must not end the batcher before the requests
+    /// queued behind it are answered, and a second marker mid-stream must
+    /// not truncate the drain either. The drain event counts exactly the
+    /// rows behind the first marker. Filling the queue before the batcher
+    /// runs makes the interleaving deterministic.
     #[test]
     fn requests_behind_shutdown_markers_still_drain() {
         let tree = staircase_tree(4);
         let registry = Arc::new(ModelRegistry::new(tree.clone()));
-        let (tx, rx) = channel();
-        let (reply_tx, reply_rx) = channel();
+        let clock = Clock::real();
+        let telemetry = metis_telemetry::Telemetry::enabled();
+        let scope = telemetry.register("abr", 0, "gold").unwrap();
+        let cfg = ServeConfig {
+            max_batch: 8,
+            max_delay: Duration::from_secs(10),
+            telemetry: Some(Arc::clone(&scope)),
+            ..Default::default()
+        };
+        let ingest = Arc::new(Ingest::new(&cfg, &clock));
+        let mut handle = ServerHandle::new(&ingest, 2, &clock);
         for k in 0..30u64 {
-            // Marker after request 7 lands exactly on the max_batch=8
-            // boundary (the outer-recv path); the one after 19 lands
-            // mid-queue during the drain (the skip path).
-            tx.send(Msg::Req(Request {
-                id: k,
-                features: req_features(k),
-                submitted: 0.0,
-                reply: reply_tx.clone(),
-            }))
-            .unwrap();
-            if k == 7 || k == 19 {
-                tx.send(Msg::Shutdown).unwrap();
+            handle.submit(req_features(k));
+            if k == 7 {
+                // Request 7 closed a full page: no page is open, so the
+                // flush is a no-op and the shutdown lands on the boundary.
+                ingest.mark(false);
+                ingest.mark(true);
+            }
+            if k == 19 {
+                // Off the boundary: closes the 4-row page 16..=19.
+                ingest.mark(true);
             }
         }
-        drop(tx);
-        let log = batcher_loop(
-            rx,
-            registry,
+        let log = batcher_loop(Arc::clone(&ingest), registry, cfg, clock);
+        assert_eq!(log.served, 30, "requests behind a marker were dropped");
+        assert_eq!(log.batches, 5, "pages 0-7, 8-15, 16-19, 20-27, 28-29");
+        let responses = handle.collect();
+        let ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
+        assert_eq!(ids, (0..30).collect::<Vec<u64>>());
+        let sizes: Vec<usize> = responses.iter().map(|r| r.batch_size).collect();
+        let expect: Vec<usize> = [8, 8, 4, 8, 2]
+            .iter()
+            .flat_map(|&n| std::iter::repeat_n(n, n))
+            .collect();
+        assert_eq!(sizes, expect);
+        for resp in &responses {
+            assert_eq!(resp.prediction, tree.predict(&req_features(resp.id)));
+        }
+        // Rows 8..30 queued behind the first marker; the batcher reached
+        // it after the first page.
+        let events = scope.events.events();
+        let kinds: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
+        assert_eq!(kinds[..4], ["admission", "flush", "drain", "admission"]);
+        assert_eq!(
+            events[2].kind,
+            metis_telemetry::EventKind::Drain { rows: 22 }
+        );
+    }
+
+    /// Under a virtual clock the drain is a function of the schedule:
+    /// pages queued ahead of the shutdown marker are ordinary batches
+    /// however far the batcher has got, so shutting down with uncollected
+    /// requests but nothing behind the marker records no drain.
+    #[test]
+    fn virtual_shutdown_ahead_of_the_marker_records_no_drain() {
+        let telemetry = metis_telemetry::Telemetry::enabled();
+        let scope = telemetry.register("abr", 0, "gold").unwrap();
+        let server = TreeServer::start_clocked(
+            Arc::new(ModelRegistry::new(staircase_tree(4))),
             ServeConfig {
                 max_batch: 8,
-                max_delay: Duration::from_secs(10),
+                telemetry: Some(Arc::clone(&scope)),
                 ..Default::default()
             },
-            Clock::real(),
+            Clock::virtual_at(0.0),
         );
-        assert_eq!(log.served, 30, "requests behind a marker were dropped");
-        let mut ids: Vec<u64> = (0..30).map(|_| reply_rx.recv().unwrap().id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..30).collect::<Vec<u64>>());
+        let mut handle = server.handle();
+        for k in 0..100u64 {
+            handle.submit(req_features(k));
+        }
+        let report = server.shutdown();
+        assert_eq!(report.served, 100);
+        assert_eq!(
+            report.batches, 13,
+            "12 full pages + the 4 rows the marker closed"
+        );
+        let events = scope.events.events();
+        assert!(
+            events.iter().all(|e| e.kind.name() != "drain"),
+            "{events:?}"
+        );
+        assert_eq!(handle.collect().len(), 100);
+    }
+
+    /// A batcher that dies (here: unwinds) must not leave a collecting
+    /// client blocked forever: its exit guard marks the ingest dead and
+    /// drops every reply sender, so `collect` panics, and a later submit
+    /// panics in its client as after a shutdown.
+    #[test]
+    fn a_dead_batcher_makes_collect_panic_instead_of_blocking() {
+        let clock = Clock::real();
+        let cfg = ServeConfig::default();
+        let ingest = Arc::new(Ingest::new(&cfg, &clock));
+        let mut handle = ServerHandle::new(&ingest, 2, &clock);
+        handle.submit(req_features(0));
+        let unwound = std::panic::catch_unwind(|| {
+            let _exit = BatcherExit(&ingest);
+            panic!("batcher fault");
+        });
+        assert!(unwound.is_err());
+        let mut late = ServerHandle::new(&ingest, 2, &clock);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            late.submit(req_features(1))
+        }));
+        assert!(refused.is_err(), "submit to a dead server must panic");
+        let collector = std::thread::spawn(move || handle.collect());
+        let start = std::time::Instant::now();
+        while !collector.is_finished() && start.elapsed() < Duration::from_secs(20) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(collector.is_finished(), "collect blocked on a dead batcher");
+        assert!(collector.join().is_err(), "collect must panic");
+    }
+
+    /// A dropped handle frees its reply slot at once. The slot is reissued
+    /// to the next handle under a new generation, so the old handle's
+    /// queued rows are served but count as delivery failures and never
+    /// reach the new owner.
+    #[test]
+    fn dropped_handle_frees_its_slot_without_leaking_answers() {
+        let tree = staircase_tree(4);
+        let clock = Clock::virtual_at(0.0);
+        let server = TreeServer::start_clocked(
+            Arc::new(ModelRegistry::new(tree.clone())),
+            ServeConfig {
+                max_batch: 64,
+                ..Default::default()
+            },
+            Arc::clone(&clock),
+        );
+        let mut gone = server.handle();
+        for k in 0..5u64 {
+            gone.submit(req_features(k)); // waits in the open page
+        }
+        let old_slot = gone.slot;
+        drop(gone);
+        let mut next = server.handle();
+        assert_eq!(next.slot.index, old_slot.index, "freed slot is reused");
+        assert_ne!(next.slot.generation, old_slot.generation);
+        for k in 0..3u64 {
+            next.submit(req_features(k + 100));
+        }
+        let responses = next.collect();
+        assert_eq!(responses.len(), 3);
+        for (k, resp) in responses.iter().enumerate() {
+            assert_eq!(resp.id, k as u64);
+            assert_eq!(resp.batch_size, 8, "one page holds both handles' rows");
+            assert_eq!(resp.prediction, tree.predict(&req_features(k as u64 + 100)));
+        }
+        drop(next);
+        let report = server.shutdown();
+        assert_eq!(report.served, 8);
+        assert_eq!(report.delivery_failures, 5);
     }
 }

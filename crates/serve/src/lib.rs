@@ -19,12 +19,15 @@
 //!   block; the §3.2 conversion pipeline publishes each newly fitted
 //!   model mid-traffic, and in-flight batches finish on the epoch they
 //!   started with,
-//! * [`engine`] — the request engine: an MPSC ingest queue feeding a
-//!   micro-batcher (flush on batch size *or* deadline) whose batches run
-//!   the epoch's served model through the lane-vectorized kernel
-//!   ([`ServedModel::predict_batch_into`], into a flush-reused scratch
-//!   buffer) and fan across [`metis_nn::par::WorkerPool::global`] stripe
-//!   jobs under a dedicated pool group,
+//! * [`engine`] — the request engine, which serves by the batch: submits
+//!   append to a page of the server's ingest queue, a page closes on
+//!   batch size, deadline, or a flush/shutdown marker, and a closed page
+//!   *is* the micro-batch. The batcher walks each page in place through
+//!   the epoch's served model in the lane-vectorized kernel
+//!   ([`ServedModel::predict_batch_into`]), fanning across
+//!   [`metis_nn::par::WorkerPool::global`] stripe jobs under a dedicated
+//!   pool group, stamps completion once per batch, and sends one reply
+//!   per (handle, batch),
 //! * [`traffic`] — open-loop load generation: ABR-trace replay
 //!   inter-arrivals and Poisson (flowsched-style) arrival processes driven
 //!   against a server without ever waiting for responses.
@@ -54,7 +57,7 @@ pub mod registry;
 pub mod traffic;
 
 pub use clock::Clock;
-pub use engine::{EngineReport, Request, Response, ServeConfig, ServerHandle, TreeServer};
+pub use engine::{EngineReport, Response, ServeConfig, ServerHandle, TreeServer};
 pub use latency::{summarize, summarize_sorted, LatencyRecorder, LatencySummary};
 pub use registry::{EpochModel, ModelRegistry, ServedModel};
 pub use traffic::{

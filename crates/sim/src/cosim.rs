@@ -381,7 +381,7 @@ pub fn run_abr_cosim_observed(
             handle.submit(scen_idx, s as u64, states[s as usize].obs.clone());
             wave.push((s, entry.time_s));
         }
-        let responses = handle.collect(); // sorted by global id == wave order
+        let responses = handle.collect(); // global id order == wave order
         waves += 1;
         debug_assert_eq!(responses.len(), wave.len());
         for (resp, &(s, t)) in responses.iter().zip(&wave) {

@@ -94,7 +94,8 @@ pub struct ShardTelemetry {
     shard: usize,
     tenant: String,
     deadline_class: u8,
-    /// Requests submitted but not yet batched (client-side inc, batcher dec).
+    /// Requests queued in pages the batcher has not taken yet (set by the
+    /// batcher once per batch).
     pub queue_depth: Gauge,
     /// Batches opened but not yet flushed.
     pub inflight_batches: Gauge,

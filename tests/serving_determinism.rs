@@ -9,7 +9,7 @@
 //! an additional setting (CI runs the suite under two values).
 
 use metis::dt::{fit, CompiledTree, Dataset, DecisionTree, Forest, Prediction, TreeConfig};
-use metis::serve::{ModelRegistry, ServeConfig, ServedModel, TreeServer};
+use metis::serve::{Clock, ModelRegistry, ServeConfig, ServedModel, ServerHandle, TreeServer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -253,6 +253,111 @@ proptest! {
         for (width, _) in &report.per_width {
             prop_assert!(*width == 1 || *width == k, "unexpected width {}", width);
         }
+    }
+
+    /// Several handles share one server's page ingest. From one thread on
+    /// a virtual clock, round-robin submits fill pages in submission order,
+    /// so every page of two or more rows mixes handles and each answer's
+    /// batch size is a pure function of the schedule; from concurrent
+    /// client threads on the real clock, pages mix whatever arrives. Either
+    /// way every collect returns exactly its own ids, ascending, with
+    /// oracle answers, and a handle dropped with requests in flight is
+    /// counted in `delivery_failures` without stalling the others.
+    #[test]
+    fn prop_interleaved_handles_collect_their_own_answers(
+        tree_seed in 0u64..20,
+        handles in 2usize..5,
+        batch in 2usize..24,
+        per_handle in 1u64..40,
+        dropped in 0usize..6,
+        salt in 0u64..10_000,
+    ) {
+        let tree = fitted_tree(tree_seed);
+        // Rows depend on the handle too, so a misrouted answer shows.
+        let row = |h: usize, id: u64| request_features(id, salt ^ ((h as u64 + 1) << 20));
+        let check = |h: usize, responses: &[metis::serve::Response]| {
+            let ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
+            assert_eq!(ids, (0..per_handle).collect::<Vec<u64>>(), "handle {h} ids");
+            for resp in responses {
+                assert_prediction_bits(resp.prediction, tree.predict(&row(h, resp.id)), "handle answer");
+            }
+        };
+        // `dropped >= handles` runs without a dropped handle.
+        let lost = if dropped < handles { per_handle } else { 0 };
+
+        let clock = Clock::virtual_at(0.0);
+        let server = TreeServer::start_clocked(
+            Arc::new(ModelRegistry::new(tree.clone())),
+            ServeConfig { max_batch: batch, ..Default::default() },
+            clock,
+        );
+        let mut clients: Vec<Option<ServerHandle>> =
+            (0..handles).map(|_| Some(server.handle())).collect();
+        for id in 0..per_handle {
+            for (h, client) in clients.iter_mut().enumerate() {
+                let client = client.as_mut().expect("every handle submits");
+                prop_assert_eq!(client.submit(row(h, id)), id);
+            }
+        }
+        if dropped < handles {
+            clients[dropped] = None;
+        }
+        let total = handles * per_handle as usize;
+        for (h, client) in clients.iter_mut().enumerate() {
+            let Some(client) = client else { continue };
+            let responses = client.collect();
+            check(h, &responses);
+            for resp in &responses {
+                // Global submission index → page; only the last page is
+                // partial (the first collect's flush closed it).
+                let page = (resp.id as usize * handles + h) / batch;
+                let expect = if page < total / batch { batch } else { total % batch };
+                prop_assert_eq!(resp.batch_size, expect, "page composition");
+            }
+        }
+        drop(clients);
+        let report = server.shutdown();
+        prop_assert_eq!(report.served, total as u64);
+        // Full pages the batcher answered before the drop were delivered.
+        // The dropped handle's rows in the last, partial page were not:
+        // that page stayed open until the first collect's flush.
+        let full = total / batch * batch;
+        let surely_lost = if lost > 0 {
+            (full..total).filter(|g| g % handles == dropped).count() as u64
+        } else {
+            0
+        };
+        prop_assert!(
+            (surely_lost..=lost).contains(&report.delivery_failures),
+            "delivery failures {} outside {surely_lost}..={lost}",
+            report.delivery_failures
+        );
+
+        let server = TreeServer::start(
+            Arc::new(ModelRegistry::new(tree.clone())),
+            ServeConfig {
+                max_batch: batch,
+                max_delay: Duration::from_micros(200),
+                threads: 1,
+                ..Default::default()
+            },
+        );
+        let clients: Vec<ServerHandle> = (0..handles).map(|_| server.handle()).collect();
+        std::thread::scope(|s| {
+            for (h, mut client) in clients.into_iter().enumerate() {
+                s.spawn(move || {
+                    for id in 0..per_handle {
+                        assert_eq!(client.submit(row(h, id)), id);
+                    }
+                    if h != dropped {
+                        check(h, &client.collect());
+                    }
+                });
+            }
+        });
+        let report = server.shutdown();
+        prop_assert_eq!(report.served, total as u64);
+        prop_assert!(report.delivery_failures <= lost, "only the dropped handle loses answers");
     }
 
     /// The compiled batch walk used by every flush agrees with both
