@@ -1,5 +1,5 @@
 //! The five heuristic ABR baselines of the paper's evaluation (§5):
-//! BB [34], RB [50], FESTIVE [37], BOLA [71], and robustMPC [82].
+//! BB \[34\], RB \[50\], FESTIVE \[37\], BOLA \[71\], and robustMPC \[82\].
 //!
 //! Every baseline implements [`metis_rl::Policy`] over the same observation
 //! the DNN sees (decoded via [`AbrObservation`]), so baselines, teacher

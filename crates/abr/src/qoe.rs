@@ -81,7 +81,7 @@ impl SessionStats {
     }
 }
 
-/// Percentile of a sample (linear interpolation, p in [0,100]).
+/// Percentile of a sample (linear interpolation, `p` in `[0, 100]`).
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty slice");
     let mut v = values.to_vec();

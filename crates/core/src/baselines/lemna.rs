@@ -1,4 +1,4 @@
-//! LEMNA [30] adapted as in Appendix E: within each k-means cluster, a
+//! LEMNA \[30\] adapted as in Appendix E: within each k-means cluster, a
 //! mixture of linear regressions is fitted by EM (fused-lasso omitted —
 //! the mixture is the piece that differentiates LEMNA from LIME on
 //! sequence data). Prediction is the responsibility-weighted mixture mean.

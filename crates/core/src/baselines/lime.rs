@@ -1,4 +1,4 @@
-//! LIME [63] adapted as in the paper's Appendix E: samples are grouped
+//! LIME \[63\] adapted as in the paper's Appendix E: samples are grouped
 //! with k-means and each cluster gets its own (ridge) linear surrogate of
 //! the teacher's outputs; queries are answered by the surrogate of the
 //! nearest centroid.

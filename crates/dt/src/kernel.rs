@@ -4,7 +4,7 @@
 //!
 //! # Quantized node layout
 //!
-//! [`NodeTable`] stores the flattened tree as parallel columns in
+//! `NodeTable` stores the flattened tree as parallel columns in
 //! breadth-first order (hot top levels contiguous at the front):
 //!
 //! ```text
@@ -28,7 +28,7 @@
 //!
 //! # Lane walk
 //!
-//! [`walk_payloads`] advances [`LANES`] rows together, one level per
+//! `walk_payloads` advances [`LANES`] rows together, one level per
 //! pass, with a branch-free select per lane (`if` on the comparison
 //! compiles to a conditional move — no branch mispredicts on data-
 //! dependent splits). All lanes issue independent loads, so the walk is
@@ -54,7 +54,7 @@
 //! # In-register tables
 //!
 //! Trees with at most [`INREG_NODES`] nodes (CCP-pruned Metis trees are
-//! routinely this small) additionally carry an [`InRegTable`]: the
+//! routinely this small) additionally carry an `InRegTable`: the
 //! `thr`/`pair`/`feat` columns padded to 64 entries. On AVX-512 hosts the
 //! walk then loads the whole node table into zmm registers **once per
 //! block** and replaces the per-level `thr`/`pair`/`feat` hardware

@@ -20,13 +20,12 @@
 //!   its audit diffs clean; [`PromotePolicy::AfterAudit`] swaps
 //!   unconditionally but records how much behaviour changed first.
 //! * [`report`] — per-shard [`metis_serve::EngineReport`]s merged into
-//!   per-scenario and per-tenant views (exact percentiles via
-//!   [`metis_serve::LatencyRecorder::merge`], which every SLO decision
-//!   reads; plus a cross-scenario display rollup via
-//!   [`metis_serve::LatencySummary::merge`]), with each tenant's
-//!   **p99 budget** checked in its [`TenantReport`]. Every report type
-//!   is serde-serializable, so a fabric run's full accounting exports
-//!   as JSON.
+//!   per-scenario, per-tenant and fabric-wide views: the shards' latency
+//!   recorders merge bucket-wise ([`metis_serve::LatencyRecorder::merge`])
+//!   and each tenant's **p99 budget** is checked in its
+//!   [`TenantReport`]. Every report type is serde-serializable, and its
+//!   size does not grow with the requests served, so a fabric run's full
+//!   accounting exports as a few KB of JSON.
 //!
 //! Observability: [`FabricConfig::telemetry`] plugs the fabric into the
 //! live telemetry plane (`metis_telemetry`). The router registers one

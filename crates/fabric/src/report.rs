@@ -1,21 +1,22 @@
 //! Merged fabric accounting: per-shard engine reports rolled up into
-//! per-scenario and per-tenant views, with SLO budgets checked.
+//! per-scenario, per-tenant and fabric-wide views, with SLO budgets
+//! checked.
 //!
-//! Two merge flavours, deliberately both exercised: scenario and tenant
-//! percentiles are **exact** — the shards' raw
-//! [`metis_serve::LatencyRecorder`]s are unioned before summarizing, and
-//! every SLO decision reads these — while the fabric-wide line uses
-//! [`metis_serve::LatencySummary::merge`], a display rollup whose
-//! percentiles take the larger input (accurate for well-sampled inputs,
-//! but able to understate the union tail when inputs are tiny; see its
-//! docs). Nothing is enforced off the rollup.
+//! One accountant throughout: each shard's
+//! [`metis_serve::LatencyRecorder`] (exact count, sum and max plus a
+//! log-bucketed sketch) merges bucket-wise into its scenario's, its
+//! tenant's and the fabric's recorder, and every [`LatencySummary`] here
+//! is one of those recorders' summaries. The merge is commutative and
+//! associative, so a scenario's figures do not depend on how its
+//! requests were split across shards; percentiles read at most
+//! `γ = 2^(1/8)` above the exact ones.
 
 use crate::shadow::ShadowReport;
 use metis_serve::{EngineReport, LatencySummary};
 use serde::{Deserialize, Serialize};
 
-/// One scenario's merged view: its shards' engine reports, the exact
-/// union latency summary, and its shadow audit trail.
+/// One scenario's merged view: its shards' engine reports, their merged
+/// latency summary, and its shadow audit trail.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioReport {
     pub key: String,
@@ -30,7 +31,7 @@ pub struct ScenarioReport {
     /// Ensemble width of the model live at shutdown (1 = a single tree,
     /// k = a k-tree majority-vote [`metis_dt::Forest`]).
     pub live_trees: usize,
-    /// Exact percentile summary over the union of all shards' samples.
+    /// Latency summary of every request the scenario's shards served.
     pub latency: LatencySummary,
     /// Per-shard engine reports, in shard order.
     pub shards: Vec<EngineReport>,
@@ -48,11 +49,12 @@ pub struct TenantReport {
     pub p99_budget_s: f64,
     /// Requests served for this tenant.
     pub served: u64,
-    /// Exact percentile summary over every request the tenant's
-    /// scenarios served.
+    /// Latency summary of every request the tenant's scenarios served.
     pub latency: LatencySummary,
     /// True when `latency.p99_s` is within `p99_budget_s` (an idle tenant
-    /// cannot violate).
+    /// cannot violate). The sketch's p99 reads at most `γ` above the
+    /// exact one, so a budget in `[exact p99, exact p99 · γ)` can read as
+    /// a miss; outside that band the verdict is the exact one.
     pub met_p99_budget: bool,
 }
 
@@ -62,11 +64,8 @@ pub struct TenantReport {
 pub struct FabricReport {
     /// Requests served across the whole fabric.
     pub served: u64,
-    /// Fabric-wide display rollup via [`LatencySummary::merge`]
-    /// (count/mean/max exact; percentiles take the larger input — not a
-    /// bound for tiny sample sets, so SLO checks use the exact
-    /// per-scenario/per-tenant summaries instead).
-    pub latency_rollup: LatencySummary,
+    /// Latency summary of every request the fabric served.
+    pub latency: LatencySummary,
     /// Per-scenario views, in construction order.
     pub scenarios: Vec<ScenarioReport>,
     /// Per-tenant SLO views, in construction order.
@@ -113,12 +112,11 @@ mod tests {
 
     fn report() -> FabricReport {
         let mut recorder = LatencyRecorder::new();
-        recorder.record(0.001);
-        recorder.record(0.002);
+        recorder.record_all(&[0.001, 0.002]);
         let latency = recorder.summary();
         FabricReport {
             served: 10,
-            latency_rollup: latency,
+            latency,
             scenarios: vec![ScenarioReport {
                 key: "abr".into(),
                 tenant: "video".into(),
@@ -182,9 +180,6 @@ mod tests {
         assert_eq!(back.scenarios[0].shadow, report.scenarios[0].shadow);
         assert_eq!(back.tenants.len(), 3);
         assert_eq!(back.tenants[0].latency.count, 3);
-        assert_eq!(
-            back.latency_rollup.p99_s.to_bits(),
-            report.latency_rollup.p99_s.to_bits()
-        );
+        assert_eq!(back.latency.p99_s.to_bits(), report.latency.p99_s.to_bits());
     }
 }

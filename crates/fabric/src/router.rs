@@ -26,8 +26,8 @@ use crate::shadow::{ShadowConfig, ShadowState};
 use metis_dt::DecisionTree;
 use metis_obs::{Observer, ObserverConfig, SloSpec};
 use metis_serve::{
-    Clock, LatencyRecorder, LatencySummary, ModelRegistry, Response, ServeConfig, ServedModel,
-    ServerHandle, TreeServer,
+    Clock, LatencyRecorder, ModelRegistry, Response, ServeConfig, ServedModel, ServerHandle,
+    TreeServer,
 };
 use metis_telemetry::{ShardTelemetry, Telemetry, CONTROL_SHARD};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -410,17 +410,14 @@ impl Router {
     }
 
     /// Stop every shard (draining all queued requests — zero drops for
-    /// clients that finished submitting) and merge the per-shard reports
-    /// into the fabric rollup. Drop all handles first.
+    /// clients that finished submitting) and merge the per-shard latency
+    /// recorders bucket-wise into the scenario, tenant and fabric-wide
+    /// summaries. Drop all handles first.
     pub fn shutdown(self) -> FabricReport {
-        let mut tenant_recorders: Vec<LatencyRecorder> = self
-            .tenants
-            .iter()
-            .map(|_| LatencyRecorder::new())
-            .collect();
+        let mut tenant_recorders = vec![LatencyRecorder::new(); self.tenants.len()];
         let mut tenant_served = vec![0u64; self.tenants.len()];
         let mut scenario_reports = Vec::with_capacity(self.scenarios.len());
-        let mut summary_rollup = LatencySummary::empty();
+        let mut fabric_recorder = LatencyRecorder::new();
         let mut served_total = 0u64;
         for scenario in self.scenarios {
             let shard_reports: Vec<_> = scenario.shards.into_iter().map(|s| s.shutdown()).collect();
@@ -430,11 +427,7 @@ impl Router {
                 merged.merge(&report.recorder);
                 served += report.served;
             }
-            // Exact per-scenario percentiles from the union sample set;
-            // the fabric-wide line uses the summary-level merge (upper
-            // bound) so both merge flavours are exercised in production.
-            let latency = merged.summary();
-            summary_rollup = summary_rollup.merge(&latency);
+            fabric_recorder.merge(&merged);
             served_total += served;
             tenant_recorders[scenario.tenant].merge(&merged);
             tenant_served[scenario.tenant] += served;
@@ -445,7 +438,7 @@ impl Router {
                 swaps: scenario.registry.swap_count(),
                 live_epoch: scenario.registry.epoch(),
                 live_trees: scenario.registry.current().model.n_trees(),
-                latency,
+                latency: merged.summary(),
                 shards: shard_reports,
                 shadow: scenario.shadow.into_inner().unwrap().finish(),
             });
@@ -469,7 +462,7 @@ impl Router {
             .collect();
         FabricReport {
             served: served_total,
-            latency_rollup: summary_rollup,
+            latency: fabric_recorder.summary(),
             scenarios: scenario_reports,
             tenants,
         }
@@ -724,13 +717,56 @@ mod tests {
             160,
             "per-shard serves must add up"
         );
-        assert_eq!(abr_report.latency.count, 160, "merged recorder is exact");
-        assert_eq!(report.latency_rollup.count, 240);
+        assert_eq!(
+            abr_report.latency.count, 160,
+            "merged recorders count every shard"
+        );
+        assert_eq!(report.latency.count, 240);
         for tenant in &report.tenants {
             assert!(tenant.met_p99_budget, "infinite budgets always met");
         }
         assert_eq!(report.tenants[0].served, 160);
         assert_eq!(report.tenants[1].served, 80);
+    }
+
+    /// A long-running fabric's report stays bounded: latency is accounted
+    /// in sketches, so the serialized report after 200k requests is about
+    /// the size it is after 2k, not 20 B per request bigger.
+    #[test]
+    fn report_size_stays_flat_as_requests_grow() {
+        let t = tree(24, 6);
+        let report_json = |requests: u64| {
+            let clock = Clock::virtual_at(0.0);
+            let router = Router::new(
+                vec![TenantSpec::new("t")],
+                vec![ScenarioSpec::new("s", "t", t.clone()).shards(2)],
+                FabricConfig {
+                    clock: Arc::clone(&clock),
+                    ..quick_cfg()
+                },
+            );
+            let mut handle = router.handle();
+            let mut now_s = 0.0;
+            for k in 0..requests {
+                // Submit gaps from ~1 µs to 1 s spread the latencies over
+                // most of the sketch's buckets.
+                now_s += (-20.0 + (k * 7919 % 21) as f64).exp2();
+                clock.advance_to(now_s);
+                handle.submit(0, k % 64, features(k));
+                if k % 1000 == 999 {
+                    handle.collect();
+                }
+            }
+            handle.collect();
+            drop(handle);
+            let report = router.shutdown();
+            assert_eq!(report.served, requests);
+            serde_json::to_string(&report).expect("reports serialize")
+        };
+        let small = report_json(2_000).len();
+        let large = report_json(200_000).len();
+        assert!(large <= 64 * 1024, "200k-request report is {large} B");
+        assert!(large < 2 * small, "report grew from {small} B to {large} B");
     }
 
     /// Long-lived handles: every collect that drains the window rebases

@@ -11,7 +11,7 @@
 //!   with MLFQ demotion, per-flow decisions, and decision latency,
 //! * [`srla`] — the short-flow agent (700-dim state → 3 thresholds),
 //! * [`lrla`] — the long-flow agent (143-dim state → 108 actions),
-//! * [`coverage`] — the Figure-16b per-flow decision coverage model.
+//! * [`coverage`](mod@coverage) — the Figure-16b per-flow decision coverage model.
 
 pub mod coverage;
 pub mod lrla;

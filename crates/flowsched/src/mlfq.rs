@@ -1,5 +1,5 @@
 //! Multi-level feedback queues: the short-flow scheduling mechanism of
-//! AuTO [16] (after PIAS). A flow starts in the highest-priority queue and
+//! AuTO \[16\] (after PIAS). A flow starts in the highest-priority queue and
 //! is demoted as its sent bytes cross the thresholds; the thresholds are
 //! what the sRLA agent outputs.
 

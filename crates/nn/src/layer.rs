@@ -2,7 +2,7 @@
 //!
 //! Each layer caches whatever it needs from the forward pass; `backward`
 //! accumulates parameter gradients (callers reset them via
-//! [`Layer::zero_grad`]) and returns the gradient with respect to the input,
+//! [`Dense::zero_grad`] / [`Conv1D::zero_grad`]) and returns the gradient with respect to the input,
 //! so layers compose by simple chaining.
 
 use crate::init::Init;

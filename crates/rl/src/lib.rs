@@ -9,7 +9,7 @@
 //!   counterfactual Q via [`env::q_by_cloning`]),
 //! * [`policy::Policy`] — distribution-over-actions abstraction implemented
 //!   by both teacher DNNs and student decision trees,
-//! * [`rollout`] — trajectory collection and discounted returns,
+//! * [`rollout`](mod@rollout) — trajectory collection and discounted returns,
 //! * [`train::ActorCritic`] — A2C-style policy-gradient training (the
 //!   single-process stand-in for the teachers' A3C setups),
 //! * [`viper`] — teacher–student collection with DAgger-style teacher

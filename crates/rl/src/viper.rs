@@ -6,7 +6,7 @@
 //!   matching the paper — the teacher *takes over* when the student
 //!   deviates, so the state distribution stays near the teacher's.
 //! * **Step 2 (resampling, Eq. 1)** — each (state, action) pair gets weight
-//!   `ℓ̃(s) = V(s) − min_a Q(s, a)` (the loss bound of Bastani et al. [7]);
+//!   `ℓ̃(s) = V(s) − min_a Q(s, a)` (the loss bound of Bastani et al. \[7\]);
 //!   because our substrates are deterministic cloneable simulators, `Q` is
 //!   exact one-step lookahead rather than a learned estimate.
 //!
@@ -252,7 +252,7 @@ fn collect_episode<E: Env, T: Policy + ?Sized, V: ValueEstimate + ?Sized>(
 /// its episode index, and results are merged in episode order — so the
 /// output is **identical for every `threads` value** (0 = all cores).
 /// Within each episode, teacher labelling is batched per episode; see
-/// [`collect_episode`] — output is bit-identical to the per-obs
+/// `collect_episode` — output is bit-identical to the per-obs
 /// [`oracle::collect_seeded`].
 pub fn collect_seeded<E: Env + Sync, T: Policy + Sync + ?Sized, V: ValueEstimate + ?Sized>(
     pool: &[E],

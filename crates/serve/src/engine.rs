@@ -28,10 +28,12 @@
 //!    reply slot — one message per (handle, batch). Pages are answered in
 //!    order and a handle's ids follow page order, so a handle's answers
 //!    arrive in id order and [`ServerHandle::collect`] never sorts.
-//!    Latency (queue + batching + service) is additionally bucketed by
-//!    the serving model's ensemble width, so a registry that hot-swaps
-//!    between tree and forest epochs reports each shape's percentiles
-//!    separately ([`EngineReport::per_width`]),
+//!    The batch's latencies (queue + batching + service) are recorded
+//!    once, into the [`LatencyRecorder`] of the serving model's ensemble
+//!    width, so a registry that hot-swaps between tree and forest epochs
+//!    reports each shape's percentiles separately
+//!    ([`EngineReport::per_width`]) and the lifetime figure is their
+//!    merge,
 //!
 //! and then returns the page to a small free list.
 //!
@@ -442,14 +444,13 @@ impl Drop for BatcherExit<'_> {
 /// What the batcher thread accumulated over its lifetime.
 #[derive(Default)]
 struct EngineLog {
-    latency: LatencyRecorder,
     served: u64,
     batches: u64,
     delivery_failures: u64,
     max_batch_seen: usize,
     per_epoch: BTreeMap<u64, u64>,
-    /// Latency samples bucketed by the serving model's ensemble width
-    /// (1 = single tree, k = k-tree forest).
+    /// Latency by the serving model's ensemble width (1 = single tree,
+    /// k = k-tree forest) — the engine's only latency accountant.
     per_width: BTreeMap<usize, LatencyRecorder>,
 }
 
@@ -459,8 +460,8 @@ struct EngineLog {
 struct FlushScratch {
     predictions: Vec<Prediction>,
     /// Per-request latency / queue-wait of the batch in flight, staged
-    /// here so telemetry records them in one amortized pass before any
-    /// response is delivered.
+    /// here so the recorder and telemetry each take them in one amortized
+    /// pass before any response is delivered.
     latencies: Vec<f64>,
     queue_waits: Vec<f64>,
 }
@@ -479,11 +480,14 @@ pub struct EngineReport {
     pub max_batch_seen: usize,
     /// Mean flushed batch size.
     pub mean_batch: f64,
-    /// Percentile summary over every served request's latency.
+    /// Percentile summary over every served request's latency
+    /// (`recorder`'s summary: count, mean and max exact, percentiles
+    /// within the sketch's `γ`).
     pub latency: LatencySummary,
-    /// The raw per-request latency samples behind [`EngineReport::latency`]
-    /// — the fabric merges these across shards for exact per-scenario and
-    /// per-tenant percentiles ([`LatencyRecorder::merge`]).
+    /// The latency accountant behind [`EngineReport::latency`], a few KB
+    /// however many requests were served. The fabric merges these
+    /// bucket-wise across shards into its per-scenario and per-tenant
+    /// summaries ([`LatencyRecorder::merge`]).
     pub recorder: LatencyRecorder,
     /// `(epoch, requests served from it)`, ascending by epoch.
     pub per_epoch: Vec<(u64, u64)>,
@@ -679,19 +683,23 @@ impl TreeServer {
             .join()
             .expect("serve batcher panicked");
         let batches = log.batches.max(1);
+        let mut recorder = LatencyRecorder::new();
+        for width in log.per_width.values() {
+            recorder.merge(width);
+        }
         EngineReport {
             served: log.served,
             batches: log.batches,
             delivery_failures: log.delivery_failures,
             max_batch_seen: log.max_batch_seen,
             mean_batch: log.served as f64 / batches as f64,
-            latency: log.latency.summary(),
-            recorder: log.latency,
+            latency: recorder.summary(),
+            recorder,
             per_epoch: log.per_epoch.into_iter().collect(),
             per_width: log
                 .per_width
-                .into_iter()
-                .map(|(w, rec)| (w, rec.summary()))
+                .iter()
+                .map(|(&w, rec)| (w, rec.summary()))
                 .collect(),
         }
     }
@@ -817,14 +825,14 @@ fn flush(
     log.max_batch_seen = log.max_batch_seen.max(n);
     *log.per_epoch.entry(epoch_model.epoch).or_insert(0) += n as u64;
     // Accounting pass: stage every request's latency (and, with
-    // telemetry on, queue-wait) before anything is delivered.
-    let width_latency = log.per_width.entry(model.n_trees()).or_default();
+    // telemetry on, queue-wait), record the batch once, and only then
+    // deliver anything.
     scratch.latencies.clear();
     scratch.queue_waits.clear();
     for &submitted_s in &page.stamps {
-        let latency_s = log.latency.record_span(submitted_s, completed_s);
-        width_latency.record(latency_s);
-        scratch.latencies.push(latency_s);
+        scratch
+            .latencies
+            .push(LatencyRecorder::span_s(submitted_s, completed_s));
         if let Some(kernel_start_s) = kernel_start_s {
             // Queue-wait = submit → kernel start: everything before the
             // model ran (page fill + wait for the batcher).
@@ -833,6 +841,10 @@ fn flush(
                 .push((kernel_start_s - submitted_s).max(0.0));
         }
     }
+    log.per_width
+        .entry(model.n_trees())
+        .or_default()
+        .record_all(&scratch.latencies);
     // Record ALL the batch's telemetry (spans, flush event, served
     // counters, request sketches) BEFORE delivering any response: a
     // driver that has drained a wave must observe a quiescent scope,

@@ -1,13 +1,25 @@
 //! Latency capture and percentile summaries — the SLO-accounting
 //! vocabulary of the serving engine, reused by `metis_core::deploy` for
 //! its per-decision measurements.
+//!
+//! Two ways to get a [`LatencySummary`]:
+//!
+//! * [`summarize`] / [`summarize_sorted`] — exact percentiles over a
+//!   finite sample slice (the §6.4 decision-latency measurements, the
+//!   serving bench, and the tests' oracle);
+//! * [`LatencyRecorder`] — the serving engine's accountant, in bounded
+//!   memory for a server that runs indefinitely: exact count, sum and
+//!   max, percentiles from a mergeable log-bucketed sketch.
 
+use metis_telemetry::{bucket_edge, LogSketch, SketchSnapshot};
 use serde::{Deserialize, Serialize};
 
 /// Percentile summary of a latency sample set (seconds). Percentiles use
 /// the floor-index convention (`samples[floor(p/100 * (len-1))]` of the
 /// sorted samples) so they match the historical `deploy::measure_latency`
-/// numbers exactly.
+/// numbers exactly. A [`LatencyRecorder`]'s summary reports the upper
+/// edge of the sketch bucket holding that sample instead, clamped to
+/// `max_s`: at most `γ = 2^(1/8)` (9.05%) above the exact percentile.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LatencySummary {
     pub count: usize,
@@ -31,42 +43,12 @@ impl LatencySummary {
         }
     }
 
-    /// True when `p99 <= budget_s` — the serving SLO check.
+    /// True when `p99 <= budget_s` — the serving SLO check. On a
+    /// [`LatencyRecorder`]'s summary the verdict equals the exact one
+    /// unless the budget lies in `[exact p99, exact p99 · γ)`, where the
+    /// sketch may report a miss the exact samples would not.
     pub fn meets_p99_slo(&self, budget_s: f64) -> bool {
         self.count > 0 && self.p99_s <= budget_s
-    }
-
-    /// Combine two summaries into one covering both sample sets. `count`,
-    /// `mean_s`, and `max_s` are exact (count-weighted mean; `total_cmp`
-    /// max, so a NaN-inflated tail stays inflated across the merge). The
-    /// percentiles are a **heuristic**: the larger of the two inputs.
-    /// That tracks the union's tail well when each input holds many
-    /// samples relative to `1/(1-p)`, but for tiny inputs the floor-index
-    /// convention can make it *understate* the union percentile (two
-    /// 2-sample sets each report their fast sample as p99). Exact
-    /// percentiles of a union need the raw samples — merge
-    /// [`LatencyRecorder`]s (see [`LatencyRecorder::merge`]) wherever a
-    /// decision rides on the result, as the fabric's per-scenario and
-    /// per-tenant SLO reports do; treat a summary-level merge as a
-    /// display rollup only.
-    pub fn merge(&self, other: &LatencySummary) -> LatencySummary {
-        if self.count == 0 {
-            return *other;
-        }
-        if other.count == 0 {
-            return *self;
-        }
-        let max_by_total = |a: f64, b: f64| if a.total_cmp(&b).is_ge() { a } else { b };
-        let count = self.count + other.count;
-        LatencySummary {
-            count,
-            mean_s: (self.mean_s * self.count as f64 + other.mean_s * other.count as f64)
-                / count as f64,
-            p50_s: max_by_total(self.p50_s, other.p50_s),
-            p95_s: max_by_total(self.p95_s, other.p95_s),
-            p99_s: max_by_total(self.p99_s, other.p99_s),
-            max_s: max_by_total(self.max_s, other.max_s),
-        }
     }
 }
 
@@ -89,8 +71,7 @@ pub fn summarize_sorted(sorted: &[f64]) -> LatencySummary {
         sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()),
         "summarize_sorted: samples not in total_cmp order"
     );
-    let pct =
-        |p: f64| sorted[((p / 100.0 * (sorted.len() - 1) as f64) as usize).min(sorted.len() - 1)];
+    let pct = |p: f64| sorted[floor_rank(p, sorted.len() as u64) as usize];
     LatencySummary {
         count: sorted.len(),
         mean_s: sorted.iter().sum::<f64>() / sorted.len() as f64,
@@ -101,11 +82,32 @@ pub fn summarize_sorted(sorted: &[f64]) -> LatencySummary {
     }
 }
 
-/// Accumulates per-request latencies. Single-writer by design (the
-/// engine's batcher thread owns one); summarization is on demand.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+/// The floor-index rank of percentile `p` among `n > 0` samples.
+fn floor_rank(p: f64, n: u64) -> u64 {
+    ((p / 100.0 * (n - 1) as f64) as u64).min(n - 1)
+}
+
+/// The serving engine's latency accountant: exact `count`, `sum_s` and
+/// `max_s` beside a [`LogSketch`] of the samples, so its memory and its
+/// serialized size stay a few KB however long the server runs.
+/// Recorders merge bucket-wise — commutative and associative, so the
+/// fabric's per-scenario and per-tenant sketches are the same for any
+/// shard split or merge order. Single-writer by design (the engine's
+/// batcher thread owns one per ensemble width).
+///
+/// Its [`LatencySummary`] keeps `count`, `mean_s` and `max_s` exact (a
+/// NaN sample poisons the mean and is the max, as in [`summarize`]).
+/// Each percentile is the upper edge of the sketch bucket holding the
+/// floor-index rank, clamped to `max_s`, so for samples of zero or
+/// within the sketch's range (≈1e-7 s .. 1024 s)
+/// `exact ≤ reported ≤ min(exact · γ, max)`. NaNs rank last, as under
+/// `total_cmp`: a percentile whose rank lands on one reports NaN.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LatencyRecorder {
-    samples_s: Vec<f64>,
+    count: u64,
+    sum_s: f64,
+    max_s: f64,
+    sketch: LogSketch,
 }
 
 impl LatencyRecorder {
@@ -113,60 +115,109 @@ impl LatencyRecorder {
         Self::default()
     }
 
-    /// Record one latency sample in seconds.
-    pub fn record(&mut self, seconds: f64) {
-        self.samples_s.push(seconds);
-    }
-
-    /// Record the span between two [`crate::Clock`] readings (seconds) —
-    /// a submit stamp and a completion stamp from the same clock, real or
-    /// virtual. The subtraction lives here so every recorder in the
-    /// engine and the fabric turns clock readings into samples the same
-    /// way.
+    /// The latency sample between two [`crate::Clock`] readings — a
+    /// submit stamp and a completion stamp from the same clock, real or
+    /// virtual. The subtraction lives here so every sample the engine
+    /// records is derived from clock readings the same way.
     ///
     /// A completion stamp earlier than its submit stamp is a caller bug
     /// (stamps from two different clocks, or a rewound time source): it
     /// trips a debug assertion, and in release builds the span **clamps
-    /// to zero** rather than silently recording negative latency —
-    /// negative samples would deflate the mean and the low percentiles
-    /// of every summary downstream. NaN stamps pass through unclamped
+    /// to zero** rather than yielding negative latency — negative
+    /// samples would deflate the mean and the low percentiles of every
+    /// summary downstream. NaN stamps pass through unclamped
     /// (`NaN < 0.0` is false), preserving the NaN-poisons-the-tail
     /// contract of [`summarize`].
-    pub fn record_span(&mut self, submitted_s: f64, completed_s: f64) -> f64 {
+    pub fn span_s(submitted_s: f64, completed_s: f64) -> f64 {
         let raw_s = completed_s - submitted_s;
         debug_assert!(
             raw_s >= 0.0 || raw_s.is_nan(),
-            "record_span: completion stamp {completed_s} earlier than submit stamp {submitted_s}"
+            "span_s: completion stamp {completed_s} earlier than submit stamp {submitted_s}"
         );
-        let span_s = if raw_s < 0.0 { 0.0 } else { raw_s };
-        self.samples_s.push(span_s);
-        span_s
+        if raw_s < 0.0 {
+            0.0
+        } else {
+            raw_s
+        }
     }
 
-    pub fn len(&self) -> usize {
-        self.samples_s.len()
+    /// Record a batch of latency samples (seconds): one pass for the
+    /// exact figures, one run-length amortized pass into the sketch.
+    pub fn record_all(&mut self, samples_s: &[f64]) {
+        let Some(&first) = samples_s.first() else {
+            return;
+        };
+        let mut max_s = if self.count == 0 { first } else { self.max_s };
+        let mut sum_s = self.sum_s;
+        for &v in samples_s {
+            sum_s += v;
+            if v.total_cmp(&max_s).is_gt() {
+                max_s = v;
+            }
+        }
+        self.count += samples_s.len() as u64;
+        self.sum_s = sum_s;
+        self.max_s = max_s;
+        self.sketch.record_all(samples_s);
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.samples_s.is_empty()
-    }
-
-    /// The raw samples, in capture order.
-    pub fn samples_s(&self) -> &[f64] {
-        &self.samples_s
-    }
-
-    /// Fold another recorder's samples into this one. Unlike
-    /// [`LatencySummary::merge`] this is **exact**: the merged summary is
-    /// the summary of the union sample set, which is how the fabric turns
-    /// per-shard recorders into one per-scenario/per-tenant report.
+    /// Fold another recorder into this one: counts and sums add, the max
+    /// is the `total_cmp` larger, and the sketches add bucket-wise.
     pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples_s.extend_from_slice(&other.samples_s);
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 || other.max_s.total_cmp(&self.max_s).is_gt() {
+            self.max_s = other.max_s;
+        }
+        self.count += other.count;
+        self.sum_s += other.sum_s;
+        self.sketch.merge(&other.sketch);
+    }
+
+    /// The sketch's contents: the same geometry as the telemetry plane's
+    /// latency sketches, so the two compare bucket for bucket.
+    pub fn snapshot(&self) -> SketchSnapshot {
+        self.sketch.snapshot()
     }
 
     /// Percentile summary of everything recorded so far.
     pub fn summary(&self) -> LatencySummary {
-        summarize(&self.samples_s)
+        if self.count == 0 {
+            return LatencySummary::empty();
+        }
+        let snap = self.sketch.snapshot();
+        let pct = |p: f64| rank_upper_edge(&snap, floor_rank(p, self.count)).min(self.max_s);
+        LatencySummary {
+            count: self.count as usize,
+            mean_s: self.sum_s / self.count as f64,
+            p50_s: pct(50.0),
+            p95_s: pct(95.0),
+            p99_s: pct(99.0),
+            max_s: self.max_s,
+        }
+    }
+}
+
+/// Upper edge of the sketch bucket holding the `rank`-th smallest sample
+/// in `total_cmp` order: underflow reads 0, overflow reads +∞ (the caller
+/// clamps it to the max), and ranks past every bucketed sample fall on
+/// the NaNs, which order last.
+fn rank_upper_edge(snap: &SketchSnapshot, rank: u64) -> f64 {
+    let mut seen = snap.underflow;
+    if rank < seen {
+        return 0.0;
+    }
+    for &(i, n) in &snap.counts {
+        seen += n;
+        if rank < seen {
+            return bucket_edge(i);
+        }
+    }
+    if rank < seen + snap.overflow {
+        f64::INFINITY
+    } else {
+        f64::NAN
     }
 }
 
@@ -176,10 +227,11 @@ mod tests {
 
     #[test]
     fn empty_recorder_summarizes_to_zero() {
-        let rec = LatencyRecorder::new();
-        assert!(rec.is_empty());
+        let mut rec = LatencyRecorder::new();
         assert_eq!(rec.summary(), LatencySummary::empty());
         assert!(!rec.summary().meets_p99_slo(1.0), "empty set meets no SLO");
+        rec.record_all(&[]);
+        assert_eq!(rec.summary(), LatencySummary::empty());
     }
 
     #[test]
@@ -196,23 +248,23 @@ mod tests {
     }
 
     #[test]
-    fn record_span_subtracts_clock_readings() {
-        let mut rec = LatencyRecorder::new();
-        assert_eq!(rec.record_span(1.5, 4.0), 2.5);
-        assert_eq!(rec.record_span(3.0, 3.0), 0.0);
-        assert_eq!(rec.samples_s(), &[2.5, 0.0]);
+    fn span_subtracts_clock_readings() {
+        assert_eq!(LatencyRecorder::span_s(1.5, 4.0), 2.5);
+        assert_eq!(LatencyRecorder::span_s(3.0, 3.0), 0.0);
     }
 
     #[test]
     fn capture_order_does_not_matter() {
         let mut a = LatencyRecorder::new();
         let mut b = LatencyRecorder::new();
-        for i in 0..50 {
-            a.record(i as f64);
-            b.record((49 - i) as f64);
-        }
+        // Dyadic samples sum exactly in any order, so the means agree too.
+        let up: Vec<f64> = (0..50).map(|i| i as f64 / 1024.0).collect();
+        let down: Vec<f64> = up.iter().rev().copied().collect();
+        a.record_all(&up);
+        b.record_all(&down);
         assert_eq!(a.summary(), b.summary());
-        assert_eq!(a.samples_s().len(), 50);
+        assert_eq!(a.snapshot(), b.snapshot());
+        assert_eq!(a.summary().count, 50);
     }
 
     #[test]
@@ -233,108 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_merge_is_exact() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        let mut all = LatencyRecorder::new();
-        for i in 0..40 {
-            let s = (i as f64).sin().abs() * 1e-3;
-            if i % 3 == 0 {
-                a.record(s);
-            } else {
-                b.record(s);
-            }
-            all.record(s);
-        }
-        a.merge(&b);
-        assert_eq!(a.len(), 40);
-        assert_eq!(a.summary(), all.summary(), "merged summary must be exact");
-    }
-
-    #[test]
-    fn summary_merge_empty_and_single_sample_edges() {
-        let empty = LatencySummary::empty();
-        assert_eq!(empty.merge(&empty), empty);
-        // Empty is the identity: merging must not drag zeros into the
-        // percentiles or the mean.
-        let one = summarize(&[0.5]);
-        assert_eq!(empty.merge(&one), one);
-        assert_eq!(one.merge(&empty), one);
-        // Two single-sample summaries: exact count/mean/max, upper-bound
-        // percentiles.
-        let other = summarize(&[0.1]);
-        let merged = one.merge(&other);
-        assert_eq!(merged.count, 2);
-        assert!((merged.mean_s - 0.3).abs() < 1e-12);
-        assert_eq!(merged.max_s, 0.5);
-        assert_eq!(merged.p99_s, 0.5);
-    }
-
-    #[test]
-    fn summary_merge_tracks_the_union_for_well_sampled_inputs() {
-        // Inputs large relative to 1/(1-p): the max-of-inputs heuristic
-        // must not understate the union's tail here.
-        let fast: Vec<f64> = (0..80).map(|i| i as f64 * 1e-4).collect();
-        let slow: Vec<f64> = (0..20).map(|i| 0.01 + i as f64 * 1e-3).collect();
-        let merged = summarize(&fast).merge(&summarize(&slow));
-        let union: Vec<f64> = fast.iter().chain(slow.iter()).copied().collect();
-        let exact = summarize(&union);
-        assert_eq!(merged.count, exact.count);
-        assert!((merged.mean_s - exact.mean_s).abs() < 1e-12);
-        assert_eq!(merged.max_s, exact.max_s);
-        for (rolled, true_pct) in [
-            (merged.p50_s, exact.p50_s),
-            (merged.p95_s, exact.p95_s),
-            (merged.p99_s, exact.p99_s),
-        ] {
-            assert!(rolled >= true_pct, "well-sampled rollup understated a tail");
-        }
-    }
-
-    /// The documented limitation, pinned so nobody mistakes the rollup
-    /// for a bound: with tiny inputs the floor-index convention makes
-    /// max-of-percentiles *understate* the union tail (each 2-sample set
-    /// reports its fast sample as p99) — exact tails need the recorder
-    /// merge. `max_s` stays exact either way.
-    #[test]
-    fn summary_merge_percentiles_are_not_a_bound_for_tiny_inputs() {
-        let a = summarize(&[1e-6, 1e-2]);
-        let b = summarize(&[1e-6, 1e-2]);
-        let merged = a.merge(&b);
-        let exact = summarize(&[1e-6, 1e-6, 1e-2, 1e-2]);
-        assert!(merged.p99_s < exact.p99_s, "the heuristic understates here");
-        assert_eq!(merged.max_s, exact.max_s);
-        let mut recorder = LatencyRecorder::new();
-        recorder.record(1e-6);
-        recorder.record(1e-2);
-        let mut other = LatencyRecorder::new();
-        other.record(1e-6);
-        other.record(1e-2);
-        recorder.merge(&other);
-        assert_eq!(recorder.summary(), exact, "recorder merge stays exact");
-    }
-
-    #[test]
-    fn nan_inflated_tail_survives_both_merges() {
-        // Summary-level: total_cmp keeps NaN as the merged max even
-        // though f64::max would silently discard it.
-        let poisoned = summarize(&[0.001, f64::NAN]);
-        let clean = summarize(&[0.002, 0.003]);
-        for merged in [poisoned.merge(&clean), clean.merge(&poisoned)] {
-            assert!(merged.max_s.is_nan(), "NaN tail vanished in merge");
-            assert!(merged.mean_s.is_nan(), "NaN must poison the mean");
-            assert_eq!(merged.count, 4);
-        }
-        // Recorder-level: the union sample set still carries the NaN.
-        let mut rec = LatencyRecorder::new();
-        rec.record(0.001);
-        let mut poisoned_rec = LatencyRecorder::new();
-        poisoned_rec.record(f64::NAN);
-        rec.merge(&poisoned_rec);
-        assert!(rec.summary().max_s.is_nan());
-    }
-
-    #[test]
     fn single_sample_summary() {
         let s = summarize(&[0.5]);
         assert_eq!(s.p50_s, 0.5);
@@ -343,34 +293,94 @@ mod tests {
         assert_eq!(s.count, 1);
     }
 
+    /// A recorder's percentile is clamped to the exact max, so a sample
+    /// set of one value reports that value exactly, not its bucket edge.
+    #[test]
+    fn recorder_percentiles_clamp_to_the_exact_max() {
+        let mut rec = LatencyRecorder::new();
+        rec.record_all(&[0.3, 0.3]);
+        let s = rec.summary();
+        assert_eq!((s.count, s.mean_s, s.p50_s, s.p99_s), (2, 0.3, 0.3, 0.3));
+        rec.record_all(&[0.5]);
+        let s = rec.summary();
+        assert_eq!(s.max_s, 0.5);
+        assert!(s.p99_s > 0.3 && s.p99_s <= 0.3 * metis_telemetry::GAMMA);
+        // Zeros (virtual-time batches that close on their own stamp)
+        // read as exactly zero.
+        let mut zeros = LatencyRecorder::new();
+        zeros.record_all(&[0.0; 4]);
+        assert_eq!(zeros.summary().p99_s, 0.0);
+        // Past the sketch's 1024 s edge a percentile reads the max.
+        let mut slow = LatencyRecorder::new();
+        slow.record_all(&[5000.0]);
+        assert_eq!(slow.summary().p99_s, 5000.0);
+        slow.record_all(&[1e-3, 6000.0]);
+        assert_eq!(slow.summary().p99_s, 6000.0, "rank 1 is the 5000 s sample");
+    }
+
+    /// A NaN sample poisons the mean, is the max, and survives a merge in
+    /// either direction.
+    #[test]
+    fn nan_inflated_tail_survives_the_merge() {
+        let mut poisoned = LatencyRecorder::new();
+        poisoned.record_all(&[0.001, f64::NAN, f64::NAN]);
+        let mut clean = LatencyRecorder::new();
+        clean.record_all(&[0.002, 0.003]);
+        let mut left = poisoned.clone();
+        left.merge(&clean);
+        let mut right = clean.clone();
+        right.merge(&poisoned);
+        for merged in [left, right] {
+            let s = merged.summary();
+            assert!(s.max_s.is_nan(), "NaN tail vanished in merge");
+            assert!(s.mean_s.is_nan(), "NaN must poison the mean");
+            assert!(s.p99_s.is_nan(), "p99's rank lands on a NaN");
+            assert_eq!(s.count, 5);
+        }
+    }
+
+    /// A recorder round-trips through JSON as its exact figures plus a
+    /// sparse sketch.
+    #[test]
+    fn recorder_round_trips_through_json() {
+        let mut rec = LatencyRecorder::new();
+        rec.record_all(&[0.0, 1e-3, 2e-3, 2e-3, 0.25]);
+        let json = serde_json::to_string(&rec).unwrap();
+        let back: LatencyRecorder = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.snapshot(), rec.snapshot());
+        assert_eq!(back.summary(), rec.summary());
+    }
+
     /// Debug builds reject a completion stamp earlier than its submit
     /// stamp outright — the silent-negative-latency regression.
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "earlier than submit stamp")]
-    fn record_span_rejects_negative_spans_in_debug() {
-        LatencyRecorder::new().record_span(2.0, 1.0);
+    fn span_rejects_negative_spans_in_debug() {
+        LatencyRecorder::span_s(2.0, 1.0);
     }
 
     /// Release builds clamp the same bug to zero instead of deflating
     /// the summary with a negative sample.
     #[cfg(not(debug_assertions))]
     #[test]
-    fn record_span_clamps_negative_spans_in_release() {
+    fn span_clamps_negative_spans_in_release() {
+        let span = LatencyRecorder::span_s(2.0, 1.0);
+        assert_eq!(span, 0.0);
         let mut rec = LatencyRecorder::new();
-        assert_eq!(rec.record_span(2.0, 1.0), 0.0);
-        assert_eq!(rec.samples_s(), &[0.0]);
+        rec.record_all(&[span]);
         assert!(rec.summary().mean_s >= 0.0);
     }
 
     #[test]
-    fn record_span_passes_nan_through_unclamped() {
+    fn span_passes_nan_through_unclamped() {
+        let span = LatencyRecorder::span_s(1.0, f64::NAN);
+        assert!(span.is_nan());
         let mut rec = LatencyRecorder::new();
-        assert!(rec.record_span(1.0, f64::NAN).is_nan());
-        assert!(
-            rec.summary().max_s.is_nan(),
-            "NaN span must poison the tail"
-        );
+        rec.record_all(&[0.001, span]);
+        let s = rec.summary();
+        assert!(s.max_s.is_nan(), "NaN span must poison the tail");
+        assert!(s.mean_s.is_nan(), "NaN span must poison the mean");
     }
 }
 
@@ -396,6 +406,14 @@ mod summarize_order_props {
         }
     }
 
+    /// Deterministic Fisher–Yates shuffle.
+    fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
+        for i in (1..items.len()).rev() {
+            let j = rng.gen_range(0..i + 1);
+            items.swap(i, j);
+        }
+    }
+
     proptest! {
         /// `summarize(xs)` must equal `summarize_sorted` of the
         /// `total_cmp`-sorted samples, bit for bit, for **any** capture
@@ -417,17 +435,127 @@ mod summarize_order_props {
                     }
                 })
                 .collect();
-            // Deterministic Fisher–Yates shuffle into an arbitrary order.
-            for i in (1..samples.len()).rev() {
-                let j = rng.gen_range(0..i + 1);
-                samples.swap(i, j);
-            }
+            shuffle(&mut samples, &mut rng);
             let via_unsorted = summarize(&samples);
             let mut sorted = samples.clone();
             sorted.sort_by(f64::total_cmp);
             let via_sorted = summarize_sorted(&sorted);
             assert_summary_bits(via_unsorted, via_sorted);
             prop_assert_eq!(via_unsorted.count, n);
+        }
+
+        /// The recorder against the exact oracle: random in-range sample
+        /// sets salted with zeros, duplicates, exact bucket edges and
+        /// NaNs, recorded in random batch splits. `count` and `max_s` are
+        /// bit-exact, `mean_s` is within 1e-12 relative, every percentile
+        /// lies in `[exact, min(exact · γ, max)]`, the p99 SLO verdict
+        /// agrees whenever the budget is outside `[exact, exact · γ)`, and
+        /// merging the per-batch recorders in any order yields the
+        /// one-pass recorder's sketch bit for bit.
+        #[test]
+        fn prop_recorder_brackets_the_exact_oracle(
+            n in 1usize..400,
+            seed in 0u64..1_000_000,
+            zero_quarters in 0u32..4,
+            dup_every in 0usize..4,
+            edge_every in 0usize..6,
+            nan_every in 0usize..10,
+            octaves in 1.0f64..33.0,
+            batches in 1usize..9,
+        ) {
+            use metis_telemetry::{bucket_edge, GAMMA};
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Log-uniform over `octaves` octaves inside the sketch's
+            // (2^-23 s, 1024 s) range: narrow spans pile samples into a
+            // few buckets, wide ones spread them thin.
+            let lo = rng.gen_range(-23.0..10.0 - octaves.min(32.9));
+            let salted = |every: usize, k: usize| every > 0 && k % (every + 2) == every;
+            let mut samples: Vec<f64> = Vec::with_capacity(n);
+            for k in 0..n {
+                // Up to 3 in 4 samples zero, as in virtual-time batches
+                // that close on their own submit stamp.
+                let v = if rng.gen_range(0..4) < zero_quarters {
+                    0.0
+                } else if salted(dup_every, k) && k > 0 {
+                    samples[k - 1]
+                } else if salted(edge_every, k) {
+                    bucket_edge(rng.gen_range(-180i64..80))
+                } else if salted(nan_every, k) {
+                    f64::NAN
+                } else {
+                    2f64.powf(lo + rng.gen_range(0.0..octaves.min(32.9)))
+                };
+                samples.push(v);
+            }
+            // Random contiguous batches, as the engine records them.
+            let mut cuts: Vec<usize> = (0..batches - 1).map(|_| rng.gen_range(0..n + 1)).collect();
+            cuts.push(0);
+            cuts.push(n);
+            cuts.sort_unstable();
+            let parts: Vec<&[f64]> = cuts.windows(2).map(|w| &samples[w[0]..w[1]]).collect();
+
+            let mut one_pass = LatencyRecorder::new();
+            let mut per_batch = Vec::new();
+            for part in &parts {
+                one_pass.record_all(part);
+                let mut rec = LatencyRecorder::new();
+                rec.record_all(part);
+                per_batch.push(rec);
+            }
+            let exact = summarize(&samples);
+            let got = one_pass.summary();
+            prop_assert_eq!(got.count, exact.count);
+            prop_assert_eq!(got.max_s.to_bits(), exact.max_s.to_bits());
+            if exact.mean_s.is_nan() {
+                prop_assert!(got.mean_s.is_nan());
+            } else {
+                let tol = 1e-12 * exact.mean_s.abs();
+                prop_assert!((got.mean_s - exact.mean_s).abs() <= tol,
+                    "mean {} vs exact {}", got.mean_s, exact.mean_s);
+            }
+            for (p, reported, want) in [
+                (50, got.p50_s, exact.p50_s),
+                (95, got.p95_s, exact.p95_s),
+                (99, got.p99_s, exact.p99_s),
+            ] {
+                if want.is_nan() {
+                    prop_assert!(reported.is_nan(), "p{} {} but the oracle's rank is a NaN", p, reported);
+                } else {
+                    let hi = (want * GAMMA).min(exact.max_s);
+                    prop_assert!(reported >= want && reported <= hi,
+                        "p{} {} outside [{}, {}]", p, reported, want, hi);
+                }
+            }
+            let p99 = exact.p99_s;
+            for budget in [
+                p99 / GAMMA,
+                p99 * GAMMA,
+                p99 * rng.gen_range(0.0..2.0),
+                2f64.powf(rng.gen_range(-24.0..11.0)),
+                0.0,
+            ] {
+                if budget < p99 || budget >= p99 * GAMMA {
+                    prop_assert_eq!(got.meets_p99_slo(budget), exact.meets_p99_slo(budget),
+                        "verdict at budget {} (exact p99 {})", budget, p99);
+                }
+            }
+
+            // Bucket-wise merges: any order, same sketch, count and max.
+            let mut order: Vec<usize> = (0..per_batch.len()).collect();
+            for _ in 0..2 {
+                let mut merged = LatencyRecorder::new();
+                for &b in &order {
+                    merged.merge(&per_batch[b]);
+                }
+                prop_assert_eq!(merged.snapshot(), one_pass.snapshot());
+                let m = merged.summary();
+                prop_assert_eq!(m.count, got.count);
+                prop_assert_eq!(m.max_s.to_bits(), got.max_s.to_bits());
+                for (x, y) in [(m.p50_s, got.p50_s), (m.p95_s, got.p95_s), (m.p99_s, got.p99_s)] {
+                    prop_assert_eq!(x.to_bits(), y.to_bits());
+                }
+                shuffle(&mut order, &mut rng);
+            }
         }
     }
 }

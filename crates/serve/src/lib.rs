@@ -10,9 +10,11 @@
 //!   (wall-time) and a virtual (discrete-event) implementation; every
 //!   stamp, deadline, and pacing sleep in this crate reads it, so the
 //!   whole serving path runs unchanged under either time source,
-//! * [`latency`] — per-request latency capture with percentile summaries
-//!   (p50/p95/p99/max), the SLO-accounting vocabulary shared with
-//!   `metis_core::deploy`,
+//! * [`latency`] — percentile summaries (p50/p95/p99/max), the
+//!   SLO-accounting vocabulary shared with `metis_core::deploy`, and the
+//!   engine's bounded-memory [`LatencyRecorder`]: exact count, mean and
+//!   max plus a mergeable log-bucketed sketch, so a server that runs
+//!   indefinitely keeps a few KB of latency state,
 //! * [`registry`] — an epoch-pointer model registry with atomic hot-swap:
 //!   readers grab an `Arc` to the current [`ServedModel`] — one compiled
 //!   tree or a [`metis_dt::Forest`] majority-vote ensemble — and never
@@ -25,7 +27,7 @@
 //!   *is* the micro-batch. The batcher walks each page in place through
 //!   the epoch's served model in the lane-vectorized kernel
 //!   ([`ServedModel::predict_batch_into`]), fanning across
-//!   [`metis_nn::par::WorkerPool::global`] stripe jobs under a dedicated
+//!   [`metis_nn::par::global`] stripe jobs under a dedicated
 //!   pool group, stamps completion once per batch, and sends one reply
 //!   per (handle, batch),
 //! * [`traffic`] — open-loop load generation: ABR-trace replay

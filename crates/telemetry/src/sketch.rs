@@ -22,6 +22,17 @@
 //! lock-free and wait-free; snapshots are racy against concurrent
 //! writers (each bucket individually consistent), which is fine for live
 //! scraping — deterministic reads happen after the writers quiesce.
+//!
+//! The record path never calls libm and takes no data-dependent branch
+//! per sample: a sample's bucket comes from its float bits
+//! (`bucket_index`), and a batch lands as one add per run of adjacent
+//! samples in the same bucket, with the runs found branch-free
+//! (`record_runs`). Batches stay cheap to record whether their samples
+//! share a few buckets (a real-clock burst) or spread over dozens (a
+//! co-sim wave whose latencies span seconds). The same sketch backs
+//! the serving engine's latency accountant
+//! (`metis_serve::LatencyRecorder`), so a shard's report and its
+//! telemetry scope bucket the same samples identically.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -36,6 +47,14 @@ pub const IDX_MIN: i64 = -186;
 pub const IDX_MAX: i64 = 80;
 const N_BUCKETS: usize = (IDX_MAX - IDX_MIN + 1) as usize;
 
+/// A sketch's counters, in order: underflow, the buckets from [`IDX_MIN`]
+/// to [`IDX_MAX`], overflow, and invalid (NaN). A sample's *slot* is the
+/// index of the counter it lands in.
+const UNDERFLOW: usize = 0;
+const OVERFLOW: usize = N_BUCKETS + 1;
+const INVALID: usize = N_BUCKETS + 2;
+const N_SLOTS: usize = N_BUCKETS + 3;
+
 /// Upper edge of bucket `i`: `2^(i/8)`.
 fn edge(i: i64) -> f64 {
     (i as f64 / BUCKETS_PER_OCTAVE).exp2()
@@ -49,55 +68,29 @@ pub fn bucket_edge(i: i64) -> f64 {
     edge(i)
 }
 
-/// `edge(IDX_MIN - 1)` = `2^(-187/8)`, precomputed so the record path
-/// never calls libm.
+/// `edge(IDX_MIN - 1)` = `2^(-187/8)`: samples at or below it underflow.
 const UNDERFLOW_EDGE: f64 = 9.192_292_841_720_228e-8;
-/// `edge(IDX_MAX)` = `2^(80/8)` = 1024 s exactly.
+/// `edge(IDX_MAX)` = `2^(80/8)` = 1024 s exactly: samples above it
+/// overflow.
 const OVERFLOW_EDGE: f64 = 1024.0;
 
-/// Where one sample lands: computed once, recordable into several
-/// sketches (cumulative + window) without re-classifying.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    Invalid,
-    Underflow,
-    Overflow,
-    /// Offset into `buckets`, already rebased by `IDX_MIN`.
-    Bucket(usize),
-}
-
-impl Slot {
-    #[inline]
-    fn classify(v: f64) -> Slot {
-        if v.is_nan() {
-            Slot::Invalid
-        } else if v <= UNDERFLOW_EDGE {
-            // Zero, negatives (upstream clamps, but be total), tiny.
-            Slot::Underflow
-        } else if v > OVERFLOW_EDGE {
-            Slot::Overflow
-        } else {
-            let i = bucket_index(v).clamp(IDX_MIN, IDX_MAX);
-            Slot::Bucket((i - IDX_MIN) as usize)
-        }
-    }
-
-    /// `(lo, hi]` bounds such that `lo < v && v <= hi` iff `v` lands in
-    /// this slot — the two-compare membership test `record_runs` uses to
-    /// extend a run without re-classifying. NaN fails every test
-    /// (including `Invalid`'s, whose bounds are NaN), which safely
-    /// forces a re-classify.
-    #[inline]
-    fn range(self) -> (f64, f64) {
-        match self {
-            Slot::Invalid => (f64::NAN, f64::NAN),
-            Slot::Underflow => (f64::NEG_INFINITY, UNDERFLOW_EDGE),
-            Slot::Overflow => (OVERFLOW_EDGE, f64::INFINITY),
-            Slot::Bucket(k) => {
-                let i = IDX_MIN + k as i64;
-                (edge(i - 1), edge(i))
-            }
-        }
+/// The slot sample `v` lands in. Branch-free — the bucket index is
+/// computed for every input and the out-of-range cases are selected
+/// over it — so a batch classifies in one vectorizable pass.
+#[inline]
+fn slot(v: f64) -> usize {
+    let bucket = (bucket_index(v).clamp(IDX_MIN, IDX_MAX) - IDX_MIN + 1) as usize;
+    // Zero, negatives (upstream clamps, but be total) and tiny values.
+    let s = if v <= UNDERFLOW_EDGE {
+        UNDERFLOW
+    } else {
+        bucket
+    };
+    let s = if v > OVERFLOW_EDGE { OVERFLOW } else { s };
+    if v.is_nan() {
+        INVALID
+    } else {
+        s
     }
 }
 
@@ -116,13 +109,14 @@ const SUB_EDGES: [f64; 8] = [
 ];
 
 /// Bucket index `ceil(8·log2(v))` for a positive, finite, **normal**
-/// `v` (the record path only calls this between the under/overflow
-/// edges, both far inside normal range), computed from the float's bits:
-/// the exponent gives the octave, eight branchless mantissa compares
-/// give the sub-octave — no libm call on the per-request hot path. Exact
-/// by construction: the mantissa is compared against the correctly
-/// rounded `2^(k/8)` edges, with ties (a sample exactly on an edge)
-/// landing in the lower bucket, matching the `(lo, hi]` bucket contract.
+/// `v`, computed from the float's bits: the exponent gives the octave,
+/// eight branchless mantissa compares give the sub-octave — no libm call
+/// on the per-request hot path. Exact by construction: the mantissa is
+/// compared against the correctly rounded `2^(k/8)` edges, with ties (a
+/// sample exactly on an edge) landing in the lower bucket, matching the
+/// `(lo, hi]` bucket contract. Any other input yields an arbitrary index,
+/// which [`slot`] discards: the under/overflow edges are far inside the
+/// normal range.
 #[inline]
 fn bucket_index(v: f64) -> i64 {
     let bits = v.to_bits();
@@ -135,42 +129,53 @@ fn bucket_index(v: f64) -> i64 {
     8 * octave + k
 }
 
+/// Samples [`record_runs`] classifies per pass.
+const CHUNK: usize = 64;
+
 /// Classify each sample and hand `(slot, run length)` pairs to `sink`,
-/// merging adjacent equal slots — the amortization behind
-/// [`LogSketch::record_all`] / [`WindowedSketch::record_all`].
+/// one per run of adjacent samples in the same slot — the amortization
+/// behind [`LogSketch::record_all`] / [`WindowedSketch::record_all`]:
+/// a batch-sorted input (an engine flush's latencies are monotone
+/// within the batch) costs one add per bucket spanned, not per sample.
+/// Branch-free per sample, so spread batches (co-sim latencies span
+/// seconds, and almost every sample opens a run) pay no mispredictions:
+/// one pass computes a chunk's slots, a second writes every position
+/// into `ends` but advances past it only at a run's last sample.
 #[inline]
-fn record_runs(vs: &[f64], mut sink: impl FnMut(Slot, u64)) {
-    let mut idx = 0;
-    while idx < vs.len() {
-        let slot = Slot::classify(vs[idx]);
-        let (lo, hi) = slot.range();
-        let start = idx;
-        idx += 1;
-        // Extend the run with the slot's own `(lo, hi]` test: two f64
-        // compares per sample instead of a full classify.
-        while idx < vs.len() && lo < vs[idx] && vs[idx] <= hi {
-            idx += 1;
+fn record_runs(vs: &[f64], mut sink: impl FnMut(usize, u64)) {
+    for chunk in vs.chunks(CHUNK) {
+        // Past the chunk's slots sits a sentinel no sample lands in, so
+        // the chunk's last sample always ends a run.
+        let mut slots = [u16::MAX; CHUNK + 1];
+        for (s, &v) in slots.iter_mut().zip(chunk) {
+            *s = slot(v) as u16;
         }
-        sink(slot, (idx - start) as u64);
+        let mut ends = [0u8; CHUNK];
+        let mut runs = 0;
+        for i in 0..chunk.len() {
+            ends[runs] = i as u8;
+            runs += (slots[i] != slots[i + 1]) as usize;
+        }
+        let mut start = 0;
+        for &end in &ends[..runs] {
+            let end = end as usize;
+            sink(slots[end] as usize, (end + 1 - start) as u64);
+            start = end + 1;
+        }
     }
 }
 
 /// A fixed-geometry log-spaced histogram of non-negative seconds.
 #[derive(Debug)]
 pub struct LogSketch {
-    buckets: Vec<AtomicU64>,
-    underflow: AtomicU64,
-    overflow: AtomicU64,
-    invalid: AtomicU64,
+    /// One counter per slot: underflow, buckets, overflow, invalid.
+    counters: Box<[AtomicU64]>,
 }
 
 impl Default for LogSketch {
     fn default() -> Self {
         LogSketch {
-            buckets: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            underflow: AtomicU64::new(0),
-            overflow: AtomicU64::new(0),
-            invalid: AtomicU64::new(0),
+            counters: (0..N_SLOTS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 }
@@ -184,88 +189,61 @@ impl LogSketch {
     /// and is excluded from quantiles (unlike the exact recorder, whose
     /// NaNs inflate the tail — documented divergence).
     pub fn record(&self, v: f64) {
-        self.record_slot(Slot::classify(v));
+        self.add(slot(v), 1);
     }
 
     #[inline]
-    fn record_slot(&self, slot: Slot) {
-        self.add_slot(slot, 1);
+    fn add(&self, slot: usize, n: u64) {
+        self.counters[slot].fetch_add(n, Relaxed);
     }
 
-    #[inline]
-    fn add_slot(&self, slot: Slot, n: u64) {
-        match slot {
-            Slot::Invalid => self.invalid.fetch_add(n, Relaxed),
-            Slot::Underflow => self.underflow.fetch_add(n, Relaxed),
-            Slot::Overflow => self.overflow.fetch_add(n, Relaxed),
-            Slot::Bucket(k) => self.buckets[k].fetch_add(n, Relaxed),
-        };
-    }
-
-    /// Record a slice of samples in one pass. Samples are classified
-    /// locally and each *run* of equal buckets lands as a single atomic
-    /// add — for batch-sorted inputs (an engine flush's latencies are
-    /// monotone within the batch) the RMW count collapses from one per
-    /// sample to one per bucket spanned.
+    /// Record a slice of samples in one pass, one atomic add per run of
+    /// adjacent samples in the same bucket (see `record_runs`).
     pub fn record_all(&self, vs: &[f64]) {
-        record_runs(vs, |slot, n| self.add_slot(slot, n));
+        record_runs(vs, |slot, n| self.add(slot, n));
     }
 
     /// Bucket-wise add of `other` into `self` — commutative, so any
     /// merge order over the same multiset of samples yields identical
     /// contents.
     pub fn merge(&self, other: &LogSketch) {
-        for (dst, src) in self.buckets.iter().zip(&other.buckets) {
+        for (dst, src) in self.counters.iter().zip(other.counters.iter()) {
             let n = src.load(Relaxed);
             if n > 0 {
                 dst.fetch_add(n, Relaxed);
             }
         }
-        self.underflow
-            .fetch_add(other.underflow.load(Relaxed), Relaxed);
-        self.overflow
-            .fetch_add(other.overflow.load(Relaxed), Relaxed);
-        self.invalid.fetch_add(other.invalid.load(Relaxed), Relaxed);
     }
 
     /// Reset to the contents of `other` (single-writer window rotation).
     pub(crate) fn reset_from(&self, other: &LogSketch) {
-        for (dst, src) in self.buckets.iter().zip(&other.buckets) {
+        for (dst, src) in self.counters.iter().zip(other.counters.iter()) {
             dst.store(src.load(Relaxed), Relaxed);
         }
-        self.underflow.store(other.underflow.load(Relaxed), Relaxed);
-        self.overflow.store(other.overflow.load(Relaxed), Relaxed);
-        self.invalid.store(other.invalid.load(Relaxed), Relaxed);
     }
 
     pub(crate) fn clear(&self) {
-        for b in &self.buckets {
-            b.store(0, Relaxed);
+        for counter in self.counters.iter() {
+            counter.store(0, Relaxed);
         }
-        self.underflow.store(0, Relaxed);
-        self.overflow.store(0, Relaxed);
-        self.invalid.store(0, Relaxed);
     }
 
     /// Sparse point-in-time copy of the contents.
     pub fn snapshot(&self) -> SketchSnapshot {
-        let mut counts = Vec::new();
-        let mut total = 0u64;
-        for (k, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Relaxed);
-            if n > 0 {
-                counts.push((IDX_MIN + k as i64, n));
-                total += n;
-            }
-        }
-        let underflow = self.underflow.load(Relaxed);
-        let overflow = self.overflow.load(Relaxed);
+        let load = |slot: usize| self.counters[slot].load(Relaxed);
+        let counts: Vec<(i64, u64)> = (1..=N_BUCKETS)
+            .filter_map(|slot| {
+                let n = load(slot);
+                (n > 0).then_some((IDX_MIN - 1 + slot as i64, n))
+            })
+            .collect();
+        let (underflow, overflow) = (load(UNDERFLOW), load(OVERFLOW));
         SketchSnapshot {
+            total: counts.iter().map(|&(_, n)| n).sum::<u64>() + underflow + overflow,
             counts,
             underflow,
             overflow,
-            invalid: self.invalid.load(Relaxed),
-            total: total + underflow + overflow,
+            invalid: load(INVALID),
         }
     }
 
@@ -277,6 +255,41 @@ impl LogSketch {
     /// Samples recorded (excluding `invalid`).
     pub fn count(&self) -> u64 {
         self.snapshot().total
+    }
+}
+
+impl Clone for LogSketch {
+    fn clone(&self) -> Self {
+        let copy = LogSketch::new();
+        copy.reset_from(self);
+        copy
+    }
+}
+
+/// A sketch serializes as its sparse [`SketchSnapshot`], so a report that
+/// carries one stays a few KB however many samples it holds.
+impl Serialize for LogSketch {
+    fn to_value(&self) -> serde::Value {
+        self.snapshot().to_value()
+    }
+}
+
+impl Deserialize for LogSketch {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let snap = SketchSnapshot::from_value(v)?;
+        let sketch = LogSketch::new();
+        for &(i, n) in &snap.counts {
+            if !(IDX_MIN..=IDX_MAX).contains(&i) {
+                return Err(serde::Error::custom(format!(
+                    "sketch bucket {i} outside {IDX_MIN}..={IDX_MAX}"
+                )));
+            }
+            sketch.add((i - IDX_MIN + 1) as usize, n);
+        }
+        sketch.add(UNDERFLOW, snap.underflow);
+        sketch.add(OVERFLOW, snap.overflow);
+        sketch.add(INVALID, snap.invalid);
+        Ok(sketch)
     }
 }
 
@@ -327,7 +340,7 @@ impl SketchSnapshot {
                 return Some(edge(i));
             }
         }
-        Some(edge(IDX_MAX))
+        Some(OVERFLOW_EDGE)
     }
 
     /// Bucket **index** holding the `floor(q·(n−1))`-th sample: the
@@ -468,9 +481,9 @@ impl WindowedSketch {
     /// Record `v` stamped at `stamp_s`. Single writer per sketch.
     pub fn record(&self, stamp_s: f64, v: f64) {
         self.rotate_to(stamp_s);
-        let slot = Slot::classify(v);
-        self.cumulative.record_slot(slot);
-        self.cur.record_slot(slot);
+        let slot = slot(v);
+        self.cumulative.add(slot, 1);
+        self.cur.add(slot, 1);
     }
 
     /// Record a batch of samples sharing one window stamp (an engine
@@ -483,8 +496,8 @@ impl WindowedSketch {
     pub fn record_all(&self, stamp_s: f64, vs: &[f64]) {
         self.rotate_to(stamp_s);
         record_runs(vs, |slot, n| {
-            self.cumulative.add_slot(slot, n);
-            self.cur.add_slot(slot, n);
+            self.cumulative.add(slot, n);
+            self.cur.add(slot, n);
         });
     }
 
@@ -591,6 +604,13 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: SketchSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(snap, back);
+        // The sketch itself serializes as its snapshot and loads back.
+        assert_eq!(serde_json::to_string(&sketch).unwrap(), json);
+        let loaded: LogSketch = serde_json::from_str(&json).unwrap();
+        assert_eq!(loaded.snapshot(), snap);
+        assert_eq!(sketch.clone().snapshot(), snap);
+        let stray = json.replacen('[', &format!("[[{},1],", IDX_MAX + 1), 1);
+        assert!(serde_json::from_str::<LogSketch>(&stray).is_err());
     }
 
     #[test]

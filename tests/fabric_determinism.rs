@@ -146,7 +146,7 @@ proptest! {
         }
         prop_assert_eq!(report.served, baseline_report.served);
         prop_assert_eq!(report.scenarios[0].shards[0].delivery_failures, 0);
-        prop_assert_eq!(report.latency_rollup.count as u64, n);
+        prop_assert_eq!(report.latency.count as u64, n);
     }
 
     /// The ensemble acceptance bar: a **1-tree `Forest`** published into
