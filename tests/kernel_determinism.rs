@@ -11,13 +11,20 @@
 //!   order) computed from `DecisionTree::predict`.
 //! * `fit` with any `frontier`/`threads` setting must produce a tree
 //!   bit-identical to strictly sequential growth.
+//! * `fit` on real-valued (non-dyadic) data must reproduce pinned tree
+//!   digests: every node's split and statistics bits, for Gini, Entropy
+//!   and MSE fits. The builder's in-crate oracle only matches on dyadic
+//!   data, so these digests are what pins the fitter's floating-point
+//!   accumulation order on data shaped like the Eq.-1-weighted traces.
 //!
 //! Thread counts default to 1/2/3/8; set `METIS_TEST_THREADS=<n>` to test
 //! an additional setting (CI runs the suite under two values).
 
 use metis::dt::{
-    fit, CompiledTree, Criterion, Dataset, DecisionTree, Forest, Prediction, TreeConfig, LANES,
+    fit, CompiledTree, Criterion, Dataset, DecisionTree, Forest, NodeStats, Prediction, TreeConfig,
+    LANES,
 };
+use metis::telemetry::fnv1a;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -314,4 +321,195 @@ fn forest_rejects_invalid_ensembles() {
     let ok = Forest::from_trees(&[fitted_classifier(1, 8), fitted_classifier(2, 8)]).unwrap();
     assert_eq!(ok.n_trees(), 2);
     assert_eq!(ok.n_features(), DIMS);
+}
+
+/// FNV-1a over every node of a fitted tree: split feature, threshold bits
+/// and children (or a leaf marker), then the statistics' bits.
+fn tree_digest(tree: &DecisionTree) -> u64 {
+    let mut bytes = Vec::new();
+    for k in 0..tree.node_count() {
+        let node = tree.node(k);
+        match &node.split {
+            Some(s) => {
+                bytes.push(1u8);
+                for word in [
+                    s.feature as u64,
+                    s.threshold.to_bits(),
+                    s.left as u64,
+                    s.right as u64,
+                ] {
+                    bytes.extend_from_slice(&word.to_le_bytes());
+                }
+            }
+            None => bytes.push(0u8),
+        }
+        match &node.stats {
+            NodeStats::Class { dist } => {
+                for c in dist {
+                    bytes.extend_from_slice(&c.to_bits().to_le_bytes());
+                }
+            }
+            NodeStats::Value { w, sum, sumsq } => {
+                for v in [w, sum, sumsq] {
+                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+            }
+        }
+    }
+    fnv1a(&bytes)
+}
+
+/// Pensieve-shaped training rows: 25 features, every third one quantized
+/// to 6–48 levels (bitrate indices, chunk counters), the rest continuous.
+fn pensieve_shaped_rows(rng: &mut StdRng, n: usize) -> Vec<Vec<f64>> {
+    const FEATURES: usize = 25;
+    let levels: Vec<u32> = (0..FEATURES).map(|_| rng.gen_range(6u32..49)).collect();
+    (0..n)
+        .map(|_| {
+            (0..FEATURES)
+                .map(|f| {
+                    let u: f64 = rng.gen_range(0.0..1.0);
+                    if f % 3 == 0 {
+                        (u * levels[f] as f64).floor() / levels[f] as f64
+                    } else {
+                        u
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Eq.-1-style sample weights, log-uniform on [1e-9, 1e2]. Built from
+/// exact and correctly rounded operations only (a Taylor series for the
+/// octave fraction), so the pinned digests never depend on a libm.
+fn log_uniform_weights(rng: &mut StdRng, n: usize) -> Vec<f64> {
+    // log2(1e-9) and log2(1e2).
+    let (lo, hi) = (-29.897_352_853_986_26, 6.643_856_189_774_724);
+    (0..n)
+        .map(|_| {
+            let e: f64 = rng.gen_range(lo..hi);
+            let octave = e.floor();
+            let r = (e - octave) * std::f64::consts::LN_2;
+            let (mut term, mut frac) = (1.0, 1.0);
+            for i in 1..20 {
+                term *= r / i as f64;
+                frac += term;
+            }
+            frac * f64::from_bits(((octave as i64 + 1023) as u64) << 52)
+        })
+        .collect()
+}
+
+/// Noisy class labels: a piecewise function of a few features, with one
+/// label in five redrawn at random so the tree keeps finding splits.
+fn noisy_labels(rng: &mut StdRng, x: &[Vec<f64>], n_classes: usize) -> Vec<usize> {
+    x.iter()
+        .map(|xi| {
+            if rng.gen_range(0u32..5) == 0 {
+                rng.gen_range(0..n_classes)
+            } else {
+                ((xi[0] * 5.0 + xi[1] * 3.0 + xi[3] * 7.0 + xi[4] * 2.0) as usize) % n_classes
+            }
+        })
+        .collect()
+}
+
+/// Fit at threads 1 and 2 (frontier = threads) and return the digest,
+/// asserting both thread counts grow the same tree.
+fn digest_at_threads_1_and_2(ds: &Dataset, cfg: &TreeConfig, name: &str) -> u64 {
+    let fit_with = |threads: usize| {
+        let tree = fit(
+            ds,
+            &TreeConfig {
+                threads,
+                ..cfg.clone()
+            },
+        )
+        .unwrap();
+        (tree_digest(&tree), tree.n_leaves())
+    };
+    let (one, leaves) = fit_with(1);
+    let (two, _) = fit_with(2);
+    assert_eq!(one, two, "{name}: threads 1 and 2 grew different trees");
+    eprintln!("{name}: {leaves} leaves, digest {one:#018x}");
+    one
+}
+
+/// Fitted-tree digests on real-valued data, recorded before the builder's
+/// presort and split scan were rewritten: the rewrite must reproduce every
+/// bit of every tree.
+#[test]
+fn fit_digests_on_real_valued_data_are_pinned() {
+    let mut got = Vec::new();
+
+    // Pensieve-shaped, Gini, Eq.-1 weights, the conversion's leaf budget
+    // before CCP pruning.
+    let mut rng = StdRng::seed_from_u64(0x5EED_0001);
+    let x = pensieve_shaped_rows(&mut rng, 2400);
+    let y = noisy_labels(&mut rng, &x, 6);
+    let w = log_uniform_weights(&mut rng, x.len());
+    let pensieve = Dataset::classification_weighted(x, y, 6, w).unwrap();
+    let gini = TreeConfig::with_max_leaves(800);
+    got.push(digest_at_threads_1_and_2(&pensieve, &gini, "pensieve gini"));
+
+    // Entropy on the same shape (smaller set, smaller budget).
+    let mut rng = StdRng::seed_from_u64(0x5EED_0002);
+    let x = pensieve_shaped_rows(&mut rng, 1200);
+    let y = noisy_labels(&mut rng, &x, 6);
+    let w = log_uniform_weights(&mut rng, x.len());
+    let entropy_ds = Dataset::classification_weighted(x, y, 6, w).unwrap();
+    let entropy = TreeConfig {
+        criterion: Criterion::Entropy,
+        max_leaf_nodes: 200,
+        ..Default::default()
+    };
+    got.push(digest_at_threads_1_and_2(
+        &entropy_ds,
+        &entropy,
+        "pensieve entropy",
+    ));
+
+    // lRLA-shaped: 143 continuous features, 108 classes.
+    let mut rng = StdRng::seed_from_u64(0x5EED_0003);
+    let x: Vec<Vec<f64>> = (0..1500)
+        .map(|_| (0..143).map(|_| rng.gen_range(0.0..1.0)).collect())
+        .collect();
+    let y: Vec<usize> = x
+        .iter()
+        .map(|xi| ((xi[0] * 17.0 + xi[5] * 9.0 + xi[40] * 4.0) as usize) % 108)
+        .collect();
+    let w: Vec<f64> = (0..x.len()).map(|_| rng.gen_range(0.25..4.0)).collect();
+    let wide = Dataset::classification_weighted(x, y, 108, w).unwrap();
+    got.push(digest_at_threads_1_and_2(
+        &wide,
+        &TreeConfig::with_max_leaves(300),
+        "108-class",
+    ));
+
+    // MSE under a leaf-size floor and a depth cap.
+    let mut rng = StdRng::seed_from_u64(0x5EED_0004);
+    let x = pensieve_shaped_rows(&mut rng, 1500);
+    let y: Vec<f64> = x
+        .iter()
+        .map(|xi| 3.0 * xi[0] * xi[0] + xi[1] * xi[4] - 0.7 * xi[6] + rng.gen_range(-0.1..0.1))
+        .collect();
+    let w = log_uniform_weights(&mut rng, x.len());
+    let reg = Dataset::regression_weighted(x, y, w).unwrap();
+    let mse = TreeConfig {
+        criterion: Criterion::Mse,
+        max_leaf_nodes: 400,
+        min_samples_leaf: 3,
+        max_depth: Some(6),
+        ..Default::default()
+    };
+    got.push(digest_at_threads_1_and_2(&reg, &mse, "mse"));
+
+    let pinned: [u64; 4] = [
+        0x6370_0ee3_158b_9bce,
+        0x987c_8b4e_2a1e_fa36,
+        0xdd86_9e2c_86f6_27e0,
+        0x97ec_04a5_b0c8_2c43,
+    ];
+    assert_eq!(got, pinned, "fitted trees changed");
 }
