@@ -278,9 +278,13 @@ fn bench_conversion_throughput(c: &mut Criterion) {
         samples_per_sec_parallel: parallel.stats.samples_per_sec(),
         speedup: parallel.stats.samples_per_sec() / single.stats.samples_per_sec().max(1e-12),
         collect_s_single: single.stats.collect_s,
+        resample_s_single: single.stats.resample_s,
         fit_s_single: single.stats.fit_s,
+        prune_s_single: single.stats.prune_s,
         collect_s_parallel: parallel.stats.collect_s,
+        resample_s_parallel: parallel.stats.resample_s,
         fit_s_parallel: parallel.stats.fit_s,
+        prune_s_parallel: parallel.stats.prune_s,
         pool_map_fine_per_sec,
         spawn_map_fine_per_sec,
         pool_fine_speedup: pool_map_fine_per_sec / spawn_map_fine_per_sec.max(1e-12),
@@ -332,10 +336,17 @@ struct ThroughputReport {
     samples_per_sec_single: f64,
     samples_per_sec_parallel: f64,
     speedup: f64,
+    /// Per-stage seconds of one run, named after the conversion ledger's
+    /// layers: rollout + labelling, oversampling + Eq.-1 resampling,
+    /// dataset + CART fit, and CCP pruning.
     collect_s_single: f64,
+    resample_s_single: f64,
     fit_s_single: f64,
+    prune_s_single: f64,
     collect_s_parallel: f64,
+    resample_s_parallel: f64,
     fit_s_parallel: f64,
+    prune_s_parallel: f64,
     /// Small-map call rate on the persistent pool…
     pool_map_fine_per_sec: f64,
     /// …vs the retained spawn-per-call reference (same work).

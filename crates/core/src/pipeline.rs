@@ -52,8 +52,14 @@ use std::time::Instant;
 pub struct PipelineStats {
     /// Seconds spent in trace collection (all rounds).
     pub collect_s: f64,
-    /// Seconds spent resampling + fitting + pruning (all rounds).
+    /// Seconds spent in §6.3 oversampling (when configured) and Eq.-1
+    /// resampling (all rounds).
+    pub resample_s: f64,
+    /// Seconds spent building the weighted dataset and growing the CART
+    /// tree (all rounds).
     pub fit_s: f64,
+    /// Seconds spent in cost-complexity pruning (all rounds).
+    pub prune_s: f64,
     /// Total labelled states collected across rounds.
     pub states_collected: usize,
     /// Collection rounds executed (1 + DAgger rounds).
@@ -65,7 +71,7 @@ pub struct PipelineStats {
 impl PipelineStats {
     /// End-to-end conversion throughput in labelled states per second.
     pub fn samples_per_sec(&self) -> f64 {
-        let total = self.collect_s + self.fit_s;
+        let total = self.collect_s + self.resample_s + self.fit_s + self.prune_s;
         if total > 0.0 {
             self.states_collected as f64 / total
         } else {
@@ -237,7 +243,8 @@ where
         }
     }
 
-    /// §6.3 oversampling (when configured) followed by resample + fit.
+    /// §6.3 oversampling (when configured) followed by resample, fit and
+    /// prune, each timed into its own `stats` field.
     fn debug_oversample_and_fit(
         &self,
         states: &mut Vec<SampledState>,
@@ -250,15 +257,27 @@ where
             let mut rng = StdRng::seed_from_u64(stage_seed(self.seed, 0x0500 + round));
             oversample_rare_actions(states, n_actions, frac, &mut rng);
         }
-        let student = self.fit_states(states, n_actions, round);
-        stats.fit_s += t0.elapsed().as_secs_f64();
-        student
+        stats.resample_s += t0.elapsed().as_secs_f64();
+        self.resample_fit_prune(states, n_actions, round, stats)
     }
 
     /// §3.2 Steps 2–3 on an explicit dataset: Eq.-1 resampling (when
     /// enabled), CART fit past the leaf budget, then CCP pruning back.
     pub fn fit_states(&self, states: &[SampledState], n_actions: usize, round: u64) -> TreePolicy {
+        self.resample_fit_prune(states, n_actions, round, &mut PipelineStats::default())
+    }
+
+    /// [`ConversionPipeline::fit_states`], adding each stage's wall time
+    /// to `stats` under the names of the conversion ledger's layers.
+    fn resample_fit_prune(
+        &self,
+        states: &[SampledState],
+        n_actions: usize,
+        round: u64,
+        stats: &mut PipelineStats,
+    ) -> TreePolicy {
         let cfg = &self.conversion;
+        let t0 = Instant::now();
         let resampled;
         let fit_on: &[SampledState] = if cfg.resample {
             let n = cfg.resample_size.unwrap_or(states.len());
@@ -268,6 +287,9 @@ where
         } else {
             states
         };
+        stats.resample_s += t0.elapsed().as_secs_f64();
+
+        let t0 = Instant::now();
         let ds = dataset_from_states(fit_on, n_actions);
         let grown = fit(
             &ds,
@@ -279,7 +301,12 @@ where
             },
         )
         .expect("classification fit cannot fail on a valid dataset");
-        TreePolicy::new(prune_to_leaves(&grown, cfg.max_leaf_nodes))
+        stats.fit_s += t0.elapsed().as_secs_f64();
+
+        let t0 = Instant::now();
+        let student = TreePolicy::new(prune_to_leaves(&grown, cfg.max_leaf_nodes));
+        stats.prune_s += t0.elapsed().as_secs_f64();
+        student
     }
 
     /// Collect teacher-controlled labelled states without fitting — the
@@ -372,9 +399,17 @@ mod tests {
             "fidelity {:?}",
             result.fidelity_history
         );
-        assert_eq!(result.stats.rounds, 3);
-        assert!(result.stats.states_collected > 0);
-        assert!(result.stats.samples_per_sec() > 0.0);
+        let stats = &result.stats;
+        assert_eq!(stats.rounds, 3);
+        assert!(stats.states_collected > 0);
+        // Every stage is timed on its own, and the rate covers them all.
+        assert!(stats.collect_s > 0.0 && stats.fit_s > 0.0);
+        assert!(stats.resample_s >= 0.0 && stats.prune_s >= 0.0);
+        let total = stats.collect_s + stats.resample_s + stats.fit_s + stats.prune_s;
+        assert_eq!(
+            stats.samples_per_sec(),
+            stats.states_collected as f64 / total
+        );
     }
 
     #[test]

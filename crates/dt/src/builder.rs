@@ -4,12 +4,26 @@
 //! scikit-learn's behaviour under `max_leaf_nodes` — the knob Table 4 of the
 //! paper sets to 200 (Pensieve) and 2000 (AuTO agents).
 //!
-//! Three optimizations over the naive splitter (which re-sorted every
+//! Five optimizations over the naive splitter (which re-sorted every
 //! node's samples for every feature):
 //!
 //! * **Sort-once presorting** — per-feature sorted sample indices are built
 //!   once at the root and *partitioned* (order-preserving) into the child
 //!   nodes at every split, so no sort ever runs below the root.
+//! * **Radix presort** — the root sort itself is a stable LSD radix sort
+//!   of order-preserving `u64` keys, one per feature column, starting from
+//!   row order and skipping every byte pass in which all keys agree. Its
+//!   key pass is also where a NaN feature is caught
+//!   ([`FitError::NanFeature`]).
+//! * **Lane split scan** — a feature's presorted list is walked in chunks
+//!   of eight positions. Lane `l` of a chunk holds the left/right
+//!   statistics after position `k0 + l` (the running totals broadcast to
+//!   every lane, then each row added into the lanes at and after its
+//!   position), and all eight boundaries' impurities are evaluated
+//!   together, so no boundary waits on the latency of another's sums.
+//!   Chunks without a boundary between distinct values skip the
+//!   evaluation. Labels are read from a flat `u32` array built once per
+//!   fit.
 //! * **Parallel split search** — the per-node scan over features fans out
 //!   across threads ([`TreeConfig::threads`]); the reduction picks the
 //!   best gain with the same tie-breaking (lowest feature index first) as
@@ -25,9 +39,22 @@
 //!   tree is bit-identical for any frontier width and thread count — the
 //!   only cost of speculation is wasted work on candidates the leaf budget
 //!   never reaches.
+//!
+//! **Why the radix presort and the lane scan change no bit of any tree.**
+//! Keys fold −0.0 onto +0.0 and otherwise order exactly as the values
+//! compare, and a stable sort from row order leaves ties in ascending row
+//! index: the (value, row index) order of a comparison sort, for every
+//! NaN-free input. Each lane adds the same weights to the same running
+//! totals in the same row order as a one-row-at-a-time sweep, and its
+//! impurity comes from the one function the node statistics also use,
+//! which sums every lane's classes in class order from −0.0 as
+//! `Iterator::sum` does. No addition is reordered or fused, so every
+//! gain, and therefore every winning split (first in position order under
+//! a strict `>`), is the one the row-at-a-time scan found.
 
 use crate::dataset::{Dataset, Targets};
 use crate::tree::{DecisionTree, Node, NodeStats, Split, TreeKind};
+use std::array;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -39,6 +66,10 @@ pub(crate) fn resolve_threads(requested: usize) -> usize {
 /// Minimum `samples x features` product for a node before the split scan
 /// fans out across threads (below it, spawn overhead dominates).
 const PAR_SPLIT_THRESHOLD: usize = 16 * 1024;
+
+/// Boundaries the split scan evaluates together: lane `l` of a chunk
+/// holds the statistics after the chunk's `l`-th position.
+const SCAN_LANES: usize = 8;
 
 /// Split quality criterion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +135,11 @@ pub enum FitError {
     CriterionMismatch,
     /// `max_leaf_nodes` must be at least 1.
     NoLeavesAllowed,
+    /// A feature value is NaN, which has no place in a split order. The
+    /// [`Dataset`] constructors reject it too
+    /// ([`crate::DatasetError::NanFeature`]); this catches datasets built
+    /// as struct literals. Infinite values are accepted.
+    NanFeature,
 }
 
 impl std::fmt::Display for FitError {
@@ -111,6 +147,7 @@ impl std::fmt::Display for FitError {
         match self {
             FitError::CriterionMismatch => write!(f, "criterion does not match target type"),
             FitError::NoLeavesAllowed => write!(f, "max_leaf_nodes must be >= 1"),
+            FitError::NanFeature => write!(f, "feature value is NaN"),
         }
     }
 }
@@ -167,33 +204,9 @@ impl Acc {
     /// Weighted impurity contribution: `weight * impurity`.
     /// For Gini: W * (1 - Σ p²); entropy: W * (-Σ p ln p); MSE: SSE.
     fn weighted_impurity(&self, criterion: Criterion) -> f64 {
-        match (self, criterion) {
-            (Acc::Class(h), Criterion::Gini) => {
-                let w: f64 = h.iter().sum();
-                if w <= 0.0 {
-                    return 0.0;
-                }
-                let sq: f64 = h.iter().map(|&c| c * c).sum();
-                w - sq / w
-            }
-            (Acc::Class(h), Criterion::Entropy) => {
-                let w: f64 = h.iter().sum();
-                if w <= 0.0 {
-                    return 0.0;
-                }
-                -h.iter()
-                    .filter(|&&c| c > 0.0)
-                    .map(|&c| c * (c / w).ln())
-                    .sum::<f64>()
-            }
-            (Acc::Value { w, sum, sumsq }, Criterion::Mse) => {
-                if *w <= 0.0 {
-                    0.0
-                } else {
-                    (sumsq - sum * sum / w).max(0.0)
-                }
-            }
-            _ => unreachable!("criterion/target mismatch checked in fit"),
+        match self {
+            Acc::Class(h) => class_impurity(criterion, h.as_chunks::<1>().0)[0],
+            Acc::Value { w, sum, sumsq } => value_impurity([*w], [*sum], [*sumsq])[0],
         }
     }
 
@@ -203,6 +216,63 @@ impl Acc {
             Acc::Value { w, sum, sumsq } => NodeStats::Value { w, sum, sumsq },
         }
     }
+}
+
+/// Weighted impurity of `N` class histograms stored class-major
+/// (`hist[c][lane]`): Gini `W - Σ c² / W`, or entropy `-Σ c ln(c / W)`
+/// over the positive classes, where `W` is the histogram's sum. Every
+/// lane sums its classes in class order starting from −0.0, as
+/// `Iterator::sum` does, so a one-lane call is [`Acc`]'s scalar formula
+/// and each lane of a wider call is bit-identical to it.
+fn class_impurity<const N: usize>(criterion: Criterion, hist: &[[f64; N]]) -> [f64; N] {
+    let mut w = [-0.0; N];
+    let mut acc = [-0.0; N];
+    match criterion {
+        Criterion::Gini => {
+            for h in hist {
+                for l in 0..N {
+                    w[l] += h[l];
+                    acc[l] += h[l] * h[l];
+                }
+            }
+            array::from_fn(|l| {
+                if w[l] <= 0.0 {
+                    0.0
+                } else {
+                    w[l] - acc[l] / w[l]
+                }
+            })
+        }
+        Criterion::Entropy => {
+            for h in hist {
+                for l in 0..N {
+                    w[l] += h[l];
+                }
+            }
+            for h in hist {
+                for l in 0..N {
+                    if h[l] > 0.0 {
+                        acc[l] += h[l] * (h[l] / w[l]).ln();
+                    }
+                }
+            }
+            array::from_fn(|l| if w[l] <= 0.0 { 0.0 } else { -acc[l] })
+        }
+        Criterion::Mse => unreachable!("criterion/target mismatch checked in fit"),
+    }
+}
+
+/// Weighted MSE impurity (the SSE `Σ wy² - (Σ wy)² / Σ w`, floored at 0)
+/// of `N` lanes of regression moments; a one-lane call is [`Acc`]'s
+/// scalar formula.
+fn value_impurity<const N: usize>(w: [f64; N], sum: [f64; N], sumsq: [f64; N]) -> [f64; N] {
+    array::from_fn(|l| {
+        if w[l] <= 0.0 {
+            0.0
+        } else {
+            (sumsq[l] - sum[l] * sum[l] / w[l]).max(0.0)
+        }
+    })
 }
 
 /// The best split found for a candidate node.
@@ -251,6 +321,61 @@ struct ChildData {
     grow: Option<(Vec<Vec<u32>>, BestSplit)>,
 }
 
+/// One fit's read-only inputs, shared by every expansion and split scan.
+struct Grower<'a> {
+    ds: &'a Dataset,
+    config: &'a TreeConfig,
+    threads: usize,
+    /// Class labels flattened to `u32` once per fit, so the split scan
+    /// reads a label without matching on [`Targets`] per row; empty for
+    /// regression.
+    labels: Vec<u32>,
+}
+
+impl Grower<'_> {
+    /// Best split over `orders`, the presorted lists of the features
+    /// `first..first + orders.len()`, scanned in order with one sweep.
+    fn scan_features(
+        &self,
+        first: usize,
+        orders: &[Vec<u32>],
+        parent: &Acc,
+        parent_imp: f64,
+    ) -> Option<BestSplit> {
+        fn run<S: Sweep>(
+            g: &Grower,
+            first: usize,
+            orders: &[Vec<u32>],
+            parent: &Acc,
+            parent_imp: f64,
+            mut sweep: S,
+        ) -> Option<BestSplit> {
+            let mut best: Option<BestSplit> = None;
+            for (off, order) in orders.iter().enumerate() {
+                sweep.reset(parent);
+                let found =
+                    scan_feature(g.ds, first + off, order, parent_imp, g.config, &mut sweep);
+                best = better(best, found);
+            }
+            best
+        }
+        match &self.ds.y {
+            Targets::Class { n_classes, .. } => {
+                let sweep = ClassSweep::new(&self.labels, &self.ds.w, *n_classes);
+                run(self, first, orders, parent, parent_imp, sweep)
+            }
+            Targets::Value(y) => {
+                let sweep = ValueSweep {
+                    y,
+                    w: &self.ds.w,
+                    sides: [[0.0; 3]; 2],
+                };
+                run(self, first, orders, parent, parent_imp, sweep)
+            }
+        }
+    }
+}
+
 std::thread_local! {
     /// Per-thread membership mark for order-list partitioning. Expansions
     /// run concurrently on pool workers, so the scratch cannot live in
@@ -264,10 +389,11 @@ std::thread_local! {
 /// child statistics, and find the children's best splits. Deterministic
 /// given `(ds, config, cand)` — thread count only changes how fast the
 /// child split scans run, not what they return.
-fn expand(ds: &Dataset, config: &TreeConfig, threads: usize, cand: &Candidate) -> Expansion {
+fn expand(g: &Grower, cand: &Candidate) -> Expansion {
+    let ds = g.ds;
     let (left_idx, right_idx) = partition_by(ds, &cand.indices, &cand.best);
     debug_assert!(!left_idx.is_empty() && !right_idx.is_empty());
-    let children_may_grow = config.max_depth.is_none_or(|m| cand.depth + 1 < m);
+    let children_may_grow = g.config.max_depth.is_none_or(|m| cand.depth + 1 < m);
 
     // Partition every presorted feature list (order-preserving, so
     // children never re-sort), reusing the split predicate via the
@@ -285,7 +411,7 @@ fn expand(ds: &Dataset, config: &TreeConfig, threads: usize, cand: &Candidate) -
             let mut left_orders = Vec::with_capacity(cand.orders.len());
             let mut right_orders = Vec::with_capacity(cand.orders.len());
             for order in &cand.orders {
-                let (lo, ro) = partition_by_mark(&mark, order);
+                let (lo, ro) = partition_by_mark(&mark, order, left_idx.len());
                 left_orders.push(lo);
                 right_orders.push(ro);
             }
@@ -306,7 +432,7 @@ fn expand(ds: &Dataset, config: &TreeConfig, threads: usize, cand: &Candidate) -
         if !children_may_grow {
             return None;
         }
-        best_split(ds, &orders, acc, config, threads).map(|b| (orders, b))
+        best_split(g, &orders, acc).map(|b| (orders, b))
     };
     let left_grow = grow_of(left_orders, &left_acc);
     let right_grow = grow_of(right_orders, &right_acc);
@@ -350,46 +476,208 @@ impl Ord for Candidate {
     }
 }
 
-/// Scan one feature's presorted index list for its best boundary split.
-fn scan_feature(
+/// Left/right target statistics swept along one presorted feature list,
+/// a chunk of [`SCAN_LANES`] positions at a time.
+trait Sweep {
+    /// Start a feature with every member on the right.
+    fn reset(&mut self, parent: &Acc);
+    /// Gains of the boundaries after each of `rows` (lane `l`: after
+    /// `rows[l]`; lanes past `rows.len()` hold junk), leaving the running
+    /// statistics as they are.
+    fn gains(&mut self, rows: &[u32], parent_imp: f64, criterion: Criterion) -> [f64; SCAN_LANES];
+    /// Move `rows` from the right side to the left, in order.
+    fn advance(&mut self, rows: &[u32]);
+}
+
+/// Class histograms for Gini and entropy scans.
+struct ClassSweep<'a> {
+    labels: &'a [u32],
+    w: &'a [f64],
+    left: Vec<f64>,
+    right: Vec<f64>,
+    /// Per-lane histograms of both sides, class-major: `lanes[c][l]` is
+    /// the left side after lane `l`'s row and `lanes[c][SCAN_LANES + l]`
+    /// the right side, so one impurity call evaluates all sixteen.
+    lanes: Vec<[f64; 2 * SCAN_LANES]>,
+}
+
+impl<'a> ClassSweep<'a> {
+    fn new(labels: &'a [u32], w: &'a [f64], n_classes: usize) -> Self {
+        ClassSweep {
+            labels,
+            w,
+            left: vec![0.0; n_classes],
+            right: vec![0.0; n_classes],
+            lanes: vec![[0.0; 2 * SCAN_LANES]; n_classes],
+        }
+    }
+}
+
+impl Sweep for ClassSweep<'_> {
+    fn reset(&mut self, parent: &Acc) {
+        let Acc::Class(h) = parent else {
+            unreachable!("class sweep over regression statistics")
+        };
+        self.left.fill(0.0);
+        self.right.copy_from_slice(h);
+    }
+
+    fn gains(&mut self, rows: &[u32], parent_imp: f64, criterion: Criterion) -> [f64; SCAN_LANES] {
+        // Broadcast the running totals to every lane, then add each row
+        // into the lanes at and after its position: per lane, the same
+        // additions in the same order as a row-at-a-time sweep.
+        for (h, (&left, &right)) in self.lanes.iter_mut().zip(self.left.iter().zip(&self.right)) {
+            *h = array::from_fn(|l| if l < SCAN_LANES { left } else { right });
+        }
+        for (j, &i) in rows.iter().enumerate() {
+            let h = &mut self.lanes[self.labels[i as usize] as usize];
+            let w = self.w[i as usize];
+            for l in j..SCAN_LANES {
+                h[l] += w;
+                h[SCAN_LANES + l] -= w;
+            }
+        }
+        let imp = class_impurity(criterion, &self.lanes);
+        array::from_fn(|l| parent_imp - imp[l] - imp[SCAN_LANES + l])
+    }
+
+    fn advance(&mut self, rows: &[u32]) {
+        for &i in rows {
+            let c = self.labels[i as usize] as usize;
+            let w = self.w[i as usize];
+            self.left[c] += w;
+            self.right[c] -= w;
+        }
+    }
+}
+
+/// Regression moments `(Σ w, Σ wy, Σ wy²)` for MSE scans.
+struct ValueSweep<'a> {
+    y: &'a [f64],
+    w: &'a [f64],
+    /// Running left and right moments.
+    sides: [[f64; 3]; 2],
+}
+
+impl ValueSweep<'_> {
+    /// Move row `i` from the right moments of `sides` to the left ones,
+    /// multiplying in [`Acc::add`]'s order.
+    fn shift(&self, sides: &mut [[f64; 3]; 2], i: u32) {
+        let (w, y) = (self.w[i as usize], self.y[i as usize]);
+        let [left, right] = sides;
+        for ((l, r), m) in left
+            .iter_mut()
+            .zip(right.iter_mut())
+            .zip([w, w * y, w * y * y])
+        {
+            *l += m;
+            *r -= m;
+        }
+    }
+}
+
+impl Sweep for ValueSweep<'_> {
+    fn reset(&mut self, parent: &Acc) {
+        let Acc::Value { w, sum, sumsq } = *parent else {
+            unreachable!("value sweep over class statistics")
+        };
+        self.sides = [[0.0; 3], [w, sum, sumsq]];
+    }
+
+    fn gains(&mut self, rows: &[u32], parent_imp: f64, _: Criterion) -> [f64; SCAN_LANES] {
+        // Three moments make lanes a plain prefix: the running totals
+        // after each row, by side, moment and lane.
+        let mut sides = self.sides;
+        let mut lanes = [[[0.0; SCAN_LANES]; 3]; 2];
+        for lane in 0..SCAN_LANES {
+            if let Some(&i) = rows.get(lane) {
+                self.shift(&mut sides, i);
+            }
+            for (side_lanes, side) in lanes.iter_mut().zip(&sides) {
+                for (moment_lanes, &moment) in side_lanes.iter_mut().zip(side) {
+                    moment_lanes[lane] = moment;
+                }
+            }
+        }
+        let [[lw, ls, lq], [rw, rs, rq]] = lanes;
+        let left = value_impurity(lw, ls, lq);
+        let right = value_impurity(rw, rs, rq);
+        array::from_fn(|l| parent_imp - left[l] - right[l])
+    }
+
+    fn advance(&mut self, rows: &[u32]) {
+        let mut sides = self.sides;
+        for &i in rows {
+            self.shift(&mut sides, i);
+        }
+        self.sides = sides;
+    }
+}
+
+/// Threshold between adjacent distinct values `v < v_next`: their
+/// midpoint, or `v_next` when the midpoint collapses onto `v` in floating
+/// point (such a split would send everything right).
+fn midpoint(v: f64, v_next: f64) -> f64 {
+    let threshold = v + (v_next - v) / 2.0;
+    if threshold > v {
+        threshold
+    } else {
+        v_next
+    }
+}
+
+/// Scan one feature's presorted index list for its best boundary split,
+/// [`SCAN_LANES`] positions per chunk. The boundary after position `k`
+/// (left = `order[..=k]`) qualifies when the values on either side
+/// differ and both sides keep `min_samples_leaf` rows; the first of the
+/// highest gains in position order wins, as in a row-at-a-time scan.
+fn scan_feature<S: Sweep>(
     ds: &Dataset,
     f: usize,
     order: &[u32],
-    parent: &Acc,
     parent_imp: f64,
     config: &TreeConfig,
+    sweep: &mut S,
 ) -> Option<BestSplit> {
+    let n = order.len();
+    // `best_split` guarantees n >= 2 * max(min_samples_leaf, 1).
+    let first = config.min_samples_leaf.saturating_sub(1);
+    let last = n - 1 - config.min_samples_leaf.max(1);
+    sweep.advance(&order[..first]);
+
+    let value = |k: usize| ds.x[order[k] as usize][f];
     let mut best: Option<BestSplit> = None;
-    let mut left = Acc::empty_like(ds);
-    let mut right = parent.clone();
-    for k in 0..order.len() - 1 {
-        let i = order[k] as usize;
-        left.add(ds, i, 1.0);
-        right.add(ds, i, -1.0);
-        let v = ds.x[i][f];
-        let v_next = ds.x[order[k + 1] as usize][f];
-        if v_next <= v {
-            continue; // not a boundary between distinct values
+    // v[l] is the value at position k0 + l, for l in 0..=m.
+    let mut v = [0.0; SCAN_LANES + 1];
+    v[0] = value(first);
+    let mut k0 = first;
+    while k0 <= last {
+        let m = (last + 1 - k0).min(SCAN_LANES);
+        let mut boundary = [false; SCAN_LANES];
+        for l in 0..m {
+            v[l + 1] = value(k0 + l + 1);
+            boundary[l] = v[l + 1] > v[l];
         }
-        let n_left = k + 1;
-        let n_right = order.len() - n_left;
-        if n_left < config.min_samples_leaf || n_right < config.min_samples_leaf {
-            continue;
+        let rows = &order[k0..k0 + m];
+        if boundary.contains(&true) {
+            let gains = sweep.gains(rows, parent_imp, config.criterion);
+            for l in 0..m {
+                let gain = gains[l];
+                if boundary[l]
+                    && gain > config.min_gain
+                    && best.as_ref().is_none_or(|b| gain > b.gain)
+                {
+                    best = Some(BestSplit {
+                        feature: f,
+                        threshold: midpoint(v[l], v[l + 1]),
+                        gain,
+                    });
+                }
+            }
         }
-        let gain = parent_imp
-            - left.weighted_impurity(config.criterion)
-            - right.weighted_impurity(config.criterion);
-        if gain > config.min_gain && best.as_ref().is_none_or(|b| gain > b.gain) {
-            let threshold = v + (v_next - v) / 2.0;
-            // Guard against midpoints that collapse onto v due to
-            // floating point; such splits would send everything right.
-            let threshold = if threshold > v { threshold } else { v_next };
-            best = Some(BestSplit {
-                feature: f,
-                threshold,
-                gain,
-            });
-        }
+        sweep.advance(rows);
+        v[0] = v[m];
+        k0 += m;
     }
     best
 }
@@ -415,13 +703,8 @@ fn better(a: Option<BestSplit>, b: Option<BestSplit>) -> Option<BestSplit> {
 /// Find the best split over all features using the candidate's presorted
 /// per-feature index lists, fanning the feature scan across threads when
 /// the node is large enough to amortize the spawns.
-fn best_split(
-    ds: &Dataset,
-    orders: &[Vec<u32>],
-    parent: &Acc,
-    config: &TreeConfig,
-    threads: usize,
-) -> Option<BestSplit> {
+fn best_split(g: &Grower, orders: &[Vec<u32>], parent: &Acc) -> Option<BestSplit> {
+    let config = g.config;
     let n = orders[0].len();
     if n < 2 * config.min_samples_leaf.max(1) {
         return None;
@@ -430,14 +713,10 @@ fn best_split(
     if parent_imp <= config.min_gain {
         return None; // already pure
     }
-    let n_features = ds.n_features();
-    let workers = threads.min(n_features);
+    let n_features = g.ds.n_features();
+    let workers = g.threads.min(n_features);
     if workers <= 1 || n * n_features < PAR_SPLIT_THRESHOLD {
-        let mut best: Option<BestSplit> = None;
-        for (f, order) in orders.iter().enumerate() {
-            best = better(best, scan_feature(ds, f, order, parent, parent_imp, config));
-        }
-        return best;
+        return g.scan_features(0, orders, parent, parent_imp);
     }
     // Contiguous feature chunks on the persistent worker pool, reduced in
     // ascending order so the tie-breaking matches the sequential scan
@@ -448,32 +727,69 @@ fn best_split(
     let per_chunk = metis_nn::par::parallel_map_indexed(workers, workers, |w| {
         let lo = (w * chunk).min(n_features);
         let hi = ((w + 1) * chunk).min(n_features);
-        let mut best: Option<BestSplit> = None;
-        for (off, order) in orders[lo..hi].iter().enumerate() {
-            best = better(
-                best,
-                scan_feature(ds, lo + off, order, parent, parent_imp, config),
-            );
-        }
-        best
+        g.scan_features(lo, &orders[lo..hi], parent, parent_imp)
     });
     per_chunk.into_iter().fold(None, better)
 }
 
-/// Build the root's per-feature sorted index lists (ties broken by index,
-/// so the order is fully deterministic).
-fn presort(ds: &Dataset) -> Vec<Vec<u32>> {
-    let n = ds.len() as u32;
+/// Order-preserving `u64` key of a non-NaN `f64`: keys compare as
+/// unsigned integers exactly as the values compare, with −0.0 folded
+/// onto +0.0 because the two compare equal.
+fn sort_key(v: f64) -> u64 {
+    let bits = if v == 0.0 { 0 } else { v.to_bits() };
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// Build the root's per-feature sorted index lists. Each feature column
+/// is stably LSD-radix-sorted on [`sort_key`], a byte per pass, starting
+/// from row order, so ties stay in ascending row index: the (value, row
+/// index) order of a comparison sort. A pass is skipped when every key
+/// has the same byte there. The key pass reads every value, so it is
+/// also where a NaN feature is rejected.
+fn presort(ds: &Dataset) -> Result<Vec<Vec<u32>>, FitError> {
+    let n = ds.len();
+    let mut keys = vec![0u64; n];
+    let mut keys_out = vec![0u64; n];
+    let mut rows_out = vec![0u32; n];
     (0..ds.n_features())
         .map(|f| {
-            let mut order: Vec<u32> = (0..n).collect();
-            order.sort_unstable_by(|&a, &b| {
-                ds.x[a as usize][f]
-                    .partial_cmp(&ds.x[b as usize][f])
-                    .unwrap_or(Ordering::Equal)
-                    .then_with(|| a.cmp(&b))
-            });
-            order
+            let mut counts = [[0u32; 256]; 8];
+            for (key, row) in keys.iter_mut().zip(&ds.x) {
+                let v = row[f];
+                if v.is_nan() {
+                    return Err(FitError::NanFeature);
+                }
+                *key = sort_key(v);
+                for (byte, count) in counts.iter_mut().enumerate() {
+                    count[(*key >> (8 * byte)) as u8 as usize] += 1;
+                }
+            }
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            for (byte, count) in counts.iter().enumerate() {
+                let shift = 8 * byte;
+                if count[(keys[0] >> shift) as u8 as usize] as usize == n {
+                    continue; // every key has this byte: the pass keeps the order
+                }
+                let mut next = [0u32; 256];
+                let mut start = 0;
+                for (slot, &c) in next.iter_mut().zip(count) {
+                    *slot = start;
+                    start += c;
+                }
+                for (&key, &row) in keys.iter().zip(&order) {
+                    let slot = &mut next[(key >> shift) as u8 as usize];
+                    keys_out[*slot as usize] = key;
+                    rows_out[*slot as usize] = row;
+                    *slot += 1;
+                }
+                std::mem::swap(&mut keys, &mut keys_out);
+                std::mem::swap(&mut order, &mut rows_out);
+            }
+            Ok(order)
         })
         .collect()
 }
@@ -495,20 +811,30 @@ fn partition_by(ds: &Dataset, idx: &[u32], split: &BestSplit) -> (Vec<u32>, Vec<
 /// Partition an index list by a precomputed membership mark, preserving
 /// order — the per-feature order lists reuse the predicate evaluated once
 /// in [`partition_by`] instead of re-testing `F` times per split.
-fn partition_by_mark(mark: &[bool], idx: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut left = Vec::new();
-    let mut right = Vec::new();
+/// `n_left` is the number of marked members. Branch-free: each index is
+/// written to the next slot of both sides and only its own side advances,
+/// so a mixed mark costs no mispredictions.
+fn partition_by_mark(mark: &[bool], idx: &[u32], n_left: usize) -> (Vec<u32>, Vec<u32>) {
+    let n_right = idx.len() - n_left;
+    // One spare slot per side takes the write that does not advance.
+    let mut left = vec![0u32; n_left + 1];
+    let mut right = vec![0u32; n_right + 1];
+    let (mut l, mut r) = (0, 0);
     for &i in idx {
-        if mark[i as usize] {
-            left.push(i);
-        } else {
-            right.push(i);
-        }
+        let to_left = usize::from(mark[i as usize]);
+        left[l] = i;
+        right[r] = i;
+        l += to_left;
+        r += 1 - to_left;
     }
+    left.truncate(n_left);
+    right.truncate(n_right);
     (left, right)
 }
 
 /// Fit a CART tree to a weighted dataset.
+///
+/// Fails with [`FitError::NanFeature`] if any feature value is NaN.
 pub fn fit(ds: &Dataset, config: &TreeConfig) -> Result<DecisionTree, FitError> {
     match (&ds.y, config.criterion) {
         (Targets::Class { .. }, Criterion::Gini | Criterion::Entropy) => {}
@@ -518,14 +844,24 @@ pub fn fit(ds: &Dataset, config: &TreeConfig) -> Result<DecisionTree, FitError> 
     if config.max_leaf_nodes == 0 {
         return Err(FitError::NoLeavesAllowed);
     }
+    let orders = presort(ds)?;
 
-    let kind = match &ds.y {
-        Targets::Class { n_classes, .. } => TreeKind::Classifier {
-            n_classes: *n_classes,
-        },
-        Targets::Value(_) => TreeKind::Regressor,
+    let (kind, labels) = match &ds.y {
+        Targets::Class { n_classes, labels } => (
+            TreeKind::Classifier {
+                n_classes: *n_classes,
+            },
+            labels.iter().map(|&l| l as u32).collect(),
+        ),
+        Targets::Value(_) => (TreeKind::Regressor, Vec::new()),
     };
     let threads = resolve_threads(config.threads);
+    let g = Grower {
+        ds,
+        config,
+        threads,
+        labels,
+    };
 
     let all: Vec<u32> = (0..ds.len() as u32).collect();
     let root_acc = Acc::from_indices(ds, &all);
@@ -537,8 +873,7 @@ pub fn fit(ds: &Dataset, config: &TreeConfig) -> Result<DecisionTree, FitError> 
     let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
     let depth_ok = |d: usize| config.max_depth.is_none_or(|m| d < m);
     if depth_ok(0) {
-        let orders = presort(ds);
-        if let Some(best) = best_split(ds, &orders, &root_acc, config, threads) {
+        if let Some(best) = best_split(&g, &orders, &root_acc) {
             heap.push(Candidate {
                 node_idx: 0,
                 indices: all,
@@ -561,7 +896,7 @@ pub fn fit(ds: &Dataset, config: &TreeConfig) -> Result<DecisionTree, FitError> 
 
         if cand.expansion.is_none() {
             if frontier <= 1 {
-                cand.expansion = Some(Box::new(expand(ds, config, threads, &cand)));
+                cand.expansion = Some(Box::new(expand(&g, &cand)));
             } else {
                 // Frontier-parallel expansion: gather up to `frontier`
                 // unexpanded candidates (never more than the remaining
@@ -585,7 +920,7 @@ pub fn fit(ds: &Dataset, config: &TreeConfig) -> Result<DecisionTree, FitError> 
                     }
                 }
                 let expansions = metis_nn::par::parallel_map_indexed(batch.len(), threads, |b| {
-                    Box::new(expand(ds, config, threads, &batch[b]))
+                    Box::new(expand(&g, &batch[b]))
                 });
                 for (mut c, e) in batch.into_iter().zip(expansions) {
                     c.expansion = Some(e);
@@ -1319,6 +1654,161 @@ mod tests {
         };
         let sequential = fit_with(1);
         assert_eq!(sequential, fit_with(4));
+    }
+
+    /// The chunked lane scan matches the oracle on random dyadic datasets
+    /// whose sizes straddle the 8-position chunks and their tails, for
+    /// every criterion, 1–130 classes, leaf-size floors, depth caps,
+    /// thread counts and frontier widths. Feature values take 2–64 levels,
+    /// so some chunks hold no boundary and some hold eight.
+    mod chunk_edges {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn prop_lane_scan_matches_reference(
+                seed in 0u64..u64::MAX,
+                n in 2usize..301,
+                n_features in 1usize..4,
+                n_classes in 1usize..131,
+                criterion in 0usize..3,
+                min_samples_leaf in 1usize..6,
+                depth in 0usize..8,
+                leaves in 2usize..48,
+            ) {
+                let mut s = seed;
+                let levels = 2 + (seed % 63) as usize;
+                let x: Vec<Vec<f64>> = (0..n)
+                    .map(|_| {
+                        (0..n_features)
+                            .map(|_| ((dyadic(&mut s) * 64.0) as usize % levels) as f64 / 64.0)
+                            .collect()
+                    })
+                    .collect();
+                let w: Vec<f64> = (0..n).map(|_| 1.0 + (dyadic(&mut s) * 4.0).floor() / 4.0).collect();
+                let criterion = [Criterion::Gini, Criterion::Entropy, Criterion::Mse][criterion];
+                let ds = if criterion == Criterion::Mse {
+                    let y = (0..n).map(|_| dyadic(&mut s) * 4.0 - 1.0).collect();
+                    Dataset::regression_weighted(x, y, w).unwrap()
+                } else {
+                    let y = x
+                        .iter()
+                        .map(|xi| ((xi[0] * 64.0) as usize + (dyadic(&mut s) * 8.0) as usize) % n_classes)
+                        .collect();
+                    Dataset::classification_weighted(x, y, n_classes, w).unwrap()
+                };
+                let cfg = TreeConfig {
+                    max_leaf_nodes: leaves,
+                    max_depth: (depth > 0).then_some(depth),
+                    min_samples_leaf,
+                    criterion,
+                    ..Default::default()
+                };
+                let want = super::super::reference::fit(&ds, &cfg).unwrap();
+                for threads in [1, 2, 4] {
+                    for frontier in [1, 3] {
+                        let cfg = TreeConfig { threads, frontier, ..cfg.clone() };
+                        prop_assert_eq!(
+                            fit(&ds, &cfg).unwrap(),
+                            want.clone(),
+                            "n {} criterion {:?} threads {} frontier {}",
+                            n, criterion, threads, frontier
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `Dataset`'s fields are public, so a struct literal can carry the
+    /// NaN its constructors reject: `fit` returns `NanFeature` from the
+    /// presort's key pass instead of panicking inside a sort, whatever
+    /// the criterion or depth cap. Infinite features stay accepted, and
+    /// the compiled tree routes them as the arena tree does.
+    #[test]
+    fn fit_rejects_nan_feature_and_accepts_infinities() {
+        let mut ds = axis_ds();
+        ds.x[3][1] = f64::NAN;
+        for cfg in [
+            TreeConfig::default(),
+            TreeConfig {
+                criterion: Criterion::Entropy,
+                ..Default::default()
+            },
+            TreeConfig {
+                max_depth: Some(0),
+                ..Default::default()
+            },
+        ] {
+            assert_eq!(fit(&ds, &cfg).unwrap_err(), FitError::NanFeature);
+        }
+        let reg = Dataset {
+            x: vec![vec![1.0], vec![f64::NAN]],
+            y: Targets::Value(vec![0.0, 1.0]),
+            w: vec![1.0, 1.0],
+        };
+        let mse = TreeConfig {
+            criterion: Criterion::Mse,
+            ..Default::default()
+        };
+        assert_eq!(fit(&reg, &mse).unwrap_err(), FitError::NanFeature);
+
+        let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
+        let x = vec![
+            vec![ninf, 0.0],
+            vec![-1.0, inf],
+            vec![-0.0, ninf],
+            vec![0.0, 1.0],
+            vec![2.0, -2.0],
+            vec![inf, 3.0],
+        ];
+        let ds = Dataset::classification(x.clone(), vec![0, 0, 1, 1, 2, 2], 3).unwrap();
+        let tree = fit(&ds, &TreeConfig::default()).unwrap();
+        assert_eq!(tree.n_leaves(), 3);
+        let compiled = crate::tree::CompiledTree::compile(&tree);
+        for xi in &x {
+            assert_eq!(tree.predict(xi), compiled.predict(xi));
+        }
+    }
+
+    /// The radix presort gives the (value, row index) order of a
+    /// comparison sort, with −0.0 and +0.0 tied and infinities at the
+    /// ends, and every single-byte difference in a key resolved.
+    #[test]
+    fn radix_presort_matches_comparison_order() {
+        let mut s = 11u64;
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -5e-324,
+        ];
+        let x: Vec<Vec<f64>> = (0..200)
+            .map(|i| {
+                let r = dyadic(&mut s);
+                vec![
+                    specials[i % specials.len()],
+                    r - 0.5,
+                    f64::from_bits(0x3FF0_0000_0000_0000 | (1 << (i % 52))),
+                    (i % 3) as f64,
+                ]
+            })
+            .collect();
+        let ds = Dataset::classification(x.clone(), vec![0; 200], 1).unwrap();
+        let orders = presort(&ds).unwrap();
+        for (f, order) in orders.iter().enumerate() {
+            let mut want: Vec<u32> = (0..200).collect();
+            want.sort_by(|&a, &b| {
+                x[a as usize][f]
+                    .partial_cmp(&x[b as usize][f])
+                    .unwrap()
+                    .then(a.cmp(&b))
+            });
+            assert_eq!(order, &want, "feature {f}");
+        }
     }
 
     #[test]

@@ -50,6 +50,10 @@ pub enum DatasetError {
     LengthMismatch,
     BadLabel,
     NonPositiveWeight,
+    /// A feature value is NaN. No split order can place it, so
+    /// [`crate::fit`] would reject the dataset too
+    /// ([`crate::FitError::NanFeature`]). Infinite values are accepted.
+    NanFeature,
 }
 
 impl std::fmt::Display for DatasetError {
@@ -60,11 +64,26 @@ impl std::fmt::Display for DatasetError {
             DatasetError::LengthMismatch => write!(f, "x, y, w lengths differ"),
             DatasetError::BadLabel => write!(f, "class label out of range"),
             DatasetError::NonPositiveWeight => write!(f, "sample weight must be > 0"),
+            DatasetError::NanFeature => write!(f, "feature value is NaN"),
         }
     }
 }
 
 impl std::error::Error for DatasetError {}
+
+/// Rows must be non-empty, of one length, and NaN-free.
+fn check_rows(x: &[Vec<f64>]) -> Result<(), DatasetError> {
+    let Some(first) = x.first() else {
+        return Err(DatasetError::Empty);
+    };
+    if x.iter().any(|r| r.len() != first.len()) {
+        return Err(DatasetError::RaggedRows);
+    }
+    if x.iter().flatten().any(|v| v.is_nan()) {
+        return Err(DatasetError::NanFeature);
+    }
+    Ok(())
+}
 
 impl Dataset {
     /// Build a classification dataset with unit weights.
@@ -85,13 +104,7 @@ impl Dataset {
         n_classes: usize,
         w: Vec<f64>,
     ) -> Result<Self, DatasetError> {
-        if x.is_empty() {
-            return Err(DatasetError::Empty);
-        }
-        let d = x[0].len();
-        if x.iter().any(|r| r.len() != d) {
-            return Err(DatasetError::RaggedRows);
-        }
+        check_rows(&x)?;
         if labels.len() != x.len() || w.len() != x.len() {
             return Err(DatasetError::LengthMismatch);
         }
@@ -121,13 +134,7 @@ impl Dataset {
         values: Vec<f64>,
         w: Vec<f64>,
     ) -> Result<Self, DatasetError> {
-        if x.is_empty() {
-            return Err(DatasetError::Empty);
-        }
-        let d = x[0].len();
-        if x.iter().any(|r| r.len() != d) {
-            return Err(DatasetError::RaggedRows);
-        }
+        check_rows(&x)?;
         if values.len() != x.len() || w.len() != x.len() {
             return Err(DatasetError::LengthMismatch);
         }
@@ -274,6 +281,22 @@ mod tests {
             Dataset::classification_weighted(x, y, 2, vec![1.0, 0.0]).unwrap_err(),
             DatasetError::NonPositiveWeight
         );
+    }
+
+    #[test]
+    fn rejects_nan_feature_keeps_infinite() {
+        let x = vec![vec![0.0, f64::NAN], vec![1.0, 0.0]];
+        assert_eq!(
+            Dataset::classification(x.clone(), vec![0, 1], 2).unwrap_err(),
+            DatasetError::NanFeature
+        );
+        assert_eq!(
+            Dataset::regression_weighted(x, vec![0.0, 1.0], vec![1.0, 2.0]).unwrap_err(),
+            DatasetError::NanFeature
+        );
+        let inf = vec![vec![f64::NEG_INFINITY, 0.0], vec![f64::INFINITY, 1.0]];
+        assert!(Dataset::classification(inf.clone(), vec![0, 1], 2).is_ok());
+        assert!(Dataset::regression(inf, vec![0.0, 1.0]).is_ok());
     }
 
     #[test]

@@ -57,10 +57,13 @@ fn main() {
         .seed(42)
         .run();
     println!(
-        "collected {} states in {:.2}s, fitted in {:.2}s ({:.0} samples/s on {} threads)",
+        "collected {} states in {:.2}s; resampled in {:.1} ms, fitted in {:.1} ms, pruned in \
+         {:.2} ms ({:.0} samples/s on {} threads)",
         result.stats.states_collected,
         result.stats.collect_s,
-        result.stats.fit_s,
+        result.stats.resample_s * 1e3,
+        result.stats.fit_s * 1e3,
+        result.stats.prune_s * 1e3,
         result.stats.samples_per_sec(),
         result.stats.threads
     );
