@@ -14,6 +14,7 @@ use metis_dt::{
 };
 use metis_fabric::{FabricConfig, PromotePolicy, Router, ScenarioSpec, ShadowConfig, TenantSpec};
 use metis_flowsched::LRLA_STATE_DIM;
+use metis_serve::clock::DEFAULT_SPIN_TRIM;
 use metis_serve::{
     drive_open_loop, ArrivalProcess, ModelRegistry, Response, ServeConfig, ServedModel, TreeServer,
 };
@@ -176,12 +177,16 @@ fn run_engine(
                 max_us
             })
         });
-        let responses = drive_open_loop(
-            &mut handle,
+        drive_open_loop(
+            server.clock(),
             arrivals,
-            |k| pool[k as usize % pool.len()].clone(),
             time_scale,
+            DEFAULT_SPIN_TRIM,
+            |k| {
+                handle.submit(pool[k as usize % pool.len()].clone());
+            },
         );
+        let responses = handle.collect();
         if let Some(p) = publisher {
             publish_max_us = p.join().expect("publisher panicked");
         }
@@ -231,7 +236,7 @@ fn forest_serve_rates(
     let ensemble_rates: Vec<f64> = (0..runs)
         .map(|_| {
             let model = ServedModel::from_trees(members.to_vec()).expect("coherent ensemble");
-            let server = TreeServer::start(Arc::new(ModelRegistry::new_model(model)), cfg.clone());
+            let server = TreeServer::start(Arc::new(ModelRegistry::new(model)), cfg.clone());
             let mut handle = server.handle();
             let start = Instant::now();
             for r in 0..requests {

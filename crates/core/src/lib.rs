@@ -21,11 +21,11 @@
 //! * [`deploy`] — artifact/latency cost model (§6.4),
 //! * [`workload`] — cross-workload sharding: many pipelines concurrently
 //!   over one shared thread budget ([`workload::WorkloadRunner`]),
-//! * [`serving`] — serve-while-converting: live `metis_serve` traffic and
-//!   a conversion pipeline over one budget, with per-round hot swaps —
-//!   plus the `metis_fabric`-backed variant that routes traffic through
-//!   session-affine shards and shadow-audits each round's student before
-//!   it goes live,
+//! * [`serving`] — serve-while-converting: live traffic through the
+//!   `metis_fabric` router's session-affine shards and a conversion
+//!   pipeline over one budget, each round's student (or a forest over
+//!   the last rounds) published straight to the live epoch or
+//!   shadow-audited before it goes live,
 //! * [`config`] — Table-4 defaults,
 //! * [`stats`] — experiment statistics helpers.
 
@@ -52,9 +52,6 @@ pub use interpret::{
     InterpretationKind, MaskedRouting,
 };
 pub use pipeline::{ConversionPipeline, PipelineStats};
-pub use serving::{
-    serve_fabric_ensemble_while_converting, serve_fabric_while_converting, serve_while_converting,
-    FabricServeOutcome, ServeWhileConvertOutcome, FABRIC_STUDENT_KEY,
-};
+pub use serving::{serve_while_converting, ServeOutcome, ServeSpec, STUDENT_KEY};
 pub use stats::{ecdf, mean, pearson, quadrant13_fraction, std_dev};
 pub use workload::{RunnerStats, Workload, WorkloadResult, WorkloadRunner};

@@ -1,5 +1,5 @@
-//! Serve-while-converting: live tree serving and §3.2 conversion sharing
-//! one thread budget.
+//! Serve-while-converting: live fabric serving and §3.2 conversion
+//! sharing one thread budget.
 //!
 //! The deployment story the paper gestures at (§6.4) and the ROADMAP's
 //! north star both need the same shape: a converted tree **keeps serving
@@ -8,17 +8,23 @@
 //! dropped requests. [`serve_while_converting`] wires the pieces:
 //!
 //! * the [`crate::ConversionPipeline`] runs as one [`crate::Workload`]
-//!   and publishes every round's student tree to a
-//!   [`metis_serve::ModelRegistry`] via
-//!   [`crate::ConversionPipeline::run_publishing`],
+//!   and hands every round's student to the fabric via
+//!   [`crate::ConversionPipeline::run_publishing`] — published straight
+//!   to the live epoch or staged for a shadow audit
+//!   ([`ServeSpec::shadow`]), as the round's tree or as a majority-vote
+//!   forest over the last rounds ([`ServeSpec::ensemble_k`]),
 //! * an open-loop traffic schedule ([`metis_serve::ArrivalProcess`])
-//!   drives a [`metis_serve::TreeServer`] as a second workload,
+//!   drives a session-affine [`metis_fabric::Router`] as a second
+//!   workload, paced on the fabric's clock by
+//!   [`metis_serve::drive_open_loop`],
 //! * both run under one [`crate::WorkloadRunner`] (shared admission
-//!   budget); the engine's batches and the pipeline's stages share the
+//!   budget); the shards' batches and the pipeline's stages share the
 //!   process-wide worker pool under distinct fairness groups.
 //!
 //! Every response is bit-identical to `DecisionTree::predict` on the
-//! epoch it reports — swaps change *which* tree answers, never *how*.
+//! epoch it reports — swaps change *which* model answers, never *how*.
+//! Serving always runs on the fabric: a 1-shard fabric is bit-identical
+//! to a bare `metis_serve::TreeServer` (`tests/fabric_determinism.rs`).
 
 use crate::convert::ConversionResult;
 use crate::pipeline::ConversionPipeline;
@@ -28,72 +34,141 @@ use metis_fabric::{
     FabricConfig, FabricReport, FabricResponse, Router, ScenarioSpec, ShadowConfig, TenantSpec,
 };
 use metis_rl::{Env, Policy, ValueEstimate};
-use metis_serve::{
-    drive_open_loop, ArrivalProcess, EngineReport, ModelRegistry, Response, ServeConfig, TreeServer,
-};
-use std::sync::Arc;
+use metis_serve::{drive_open_loop, ArrivalProcess, ServedModel};
 use std::time::Duration;
+
+/// The scenario key the conversion lane publishes or stages under.
+pub const STUDENT_KEY: &str = "student";
+
+/// How one serve-while-converting run serves.
+#[derive(Debug, Clone)]
+pub struct ServeSpec {
+    /// Epoch-0 model, so traffic never waits for the first fit.
+    pub initial: DecisionTree,
+    /// Per-shard batching, mirror batch, clock and telemetry plane.
+    pub fabric: FabricConfig,
+    /// Session-affine shards of the student scenario (≥ 1).
+    pub shards: usize,
+    /// `None` publishes each round straight to the live epoch. `Some`
+    /// stages it as the scenario's shadow candidate, and the audit policy
+    /// decides the swap ([`metis_fabric::PromotePolicy::AfterAudit`]
+    /// hot-swaps every round with its behavioural diff on the record,
+    /// [`metis_fabric::PromotePolicy::OnZeroDiff`] only ever auto-swaps
+    /// no-op refreshes).
+    pub shadow: Option<ShadowConfig>,
+    /// Rounds per served model (≥ 1). After round `r` the model is a
+    /// majority-vote [`metis_dt::Forest`] over the last
+    /// `min(ensemble_k, r + 1)` students (vote order = round order) — the
+    /// serving-side analogue of epoch averaging. A window of one is the
+    /// round's tree, so `ensemble_k == 1` serves each round's tree alone.
+    pub ensemble_k: usize,
+    /// The open-loop request schedule.
+    pub arrivals: ArrivalProcess,
+    /// Stretches the arrival schedule (0 = submit as fast as possible).
+    pub time_scale: f64,
+}
 
 /// Everything one serve-while-converting run produces.
 #[derive(Debug)]
-pub struct ServeWhileConvertOutcome {
+pub struct ServeOutcome {
     /// The conversion pipeline's final result (identical to a solo run).
     pub conversion: ConversionResult,
-    /// The serving engine's lifetime report (latency percentiles, batch
-    /// shapes, per-epoch served counts).
-    pub serving: EngineReport,
-    /// Every response, sorted by request id.
-    pub responses: Vec<Response>,
-    /// Trees published by the pipeline (one per conversion round).
-    pub published_epochs: u64,
+    /// The fabric's shutdown report: per-shard engine reports, the
+    /// student scenario's swaps (`scenario(STUDENT_KEY).swaps` counts the
+    /// epochs that went live) and shadow audit trail, and per-tenant SLO
+    /// accounting.
+    pub fabric: FabricReport,
+    /// Every response, sorted by submission id.
+    pub responses: Vec<FabricResponse>,
     /// Admission-queue statistics of the shared runner.
     pub runner: RunnerStats,
 }
 
 enum Lane {
     Converted(Box<ConversionResult>),
-    Served(Vec<Response>),
+    Served(Vec<FabricResponse>),
 }
 
 /// Run `pipeline` and an open-loop serving lane concurrently over one
-/// shared [`WorkloadRunner`] budget. `initial` seeds the registry's
-/// epoch 0 (traffic never waits for the first fit); each conversion
-/// round's student is published as the next epoch. `features(k)` supplies
-/// request `k`'s feature vector; `time_scale` stretches the arrival
-/// schedule (0 = submit as fast as possible).
+/// shared [`WorkloadRunner`] budget: traffic flows through a
+/// session-affine sharded [`Router`] while the pipeline retrains behind
+/// it, and each round's student goes live as `spec` says.
+/// `features(k)` supplies request `k`'s feature vector and `session(k)`
+/// its sticky session. Conversion results stay bit-identical to a solo
+/// [`ConversionPipeline::run`].
 pub fn serve_while_converting<E, T, V>(
     pipeline: &ConversionPipeline<'_, E, T, V>,
-    initial: DecisionTree,
-    serve_cfg: ServeConfig,
-    arrivals: &ArrivalProcess,
-    features: impl FnMut(u64) -> Vec<f64> + Send,
-    time_scale: f64,
-) -> ServeWhileConvertOutcome
+    spec: ServeSpec,
+    mut features: impl FnMut(u64) -> Vec<f64> + Send,
+    mut session: impl FnMut(u64) -> u64 + Send,
+) -> ServeOutcome
 where
     E: Env + Sync,
     T: Policy + Sync + ?Sized,
     V: ValueEstimate,
 {
-    let registry = Arc::new(ModelRegistry::new(initial));
-    let server = TreeServer::start(Arc::clone(&registry), serve_cfg);
-    let mut handle = server.handle();
-    let mut features = features;
-    let (results, runner) = WorkloadRunner::new(2).run_detailed(vec![
+    let ServeSpec {
+        initial,
+        fabric,
+        shards,
+        shadow,
+        ensemble_k,
+        arrivals,
+        time_scale,
+    } = spec;
+    assert!(ensemble_k >= 1, "ensemble_k must be at least 1");
+    // The runner reports into the same plane the fabric serves on: its
+    // scope rides shard slot `CONTROL_SHARD` under a synthetic "runner"
+    // scenario, so health observers see admission queueing next to the
+    // serving stages it competes with.
+    let plane = fabric.telemetry.clone();
+    let router = Router::new(
+        vec![TenantSpec::new("convert-serve")],
+        vec![ScenarioSpec::new(STUDENT_KEY, "convert-serve", initial)
+            .shards(shards)
+            .shadow(shadow.unwrap_or_default())],
+        fabric,
+    );
+    let mut workload_runner = WorkloadRunner::new(2);
+    if let Some(scope) =
+        plane.register_scope("runner", metis_telemetry::CONTROL_SHARD, "convert-serve", 0)
+    {
+        workload_runner = workload_runner.telemetry(scope);
+    }
+    let mut recent: Vec<DecisionTree> = Vec::new();
+    let (results, runner) = workload_runner.run_detailed(vec![
         Workload::new("convert", {
-            let registry = &registry;
+            let router = &router;
             move || {
                 Lane::Converted(Box::new(pipeline.run_publishing(|_, student| {
-                    registry.publish(student.tree.clone());
+                    recent.push(student.tree.clone());
+                    if recent.len() > ensemble_k {
+                        recent.remove(0);
+                    }
+                    let model = match recent.as_slice() {
+                        [tree] => ServedModel::from(tree.clone()),
+                        trees => ServedModel::from_trees(trees.to_vec())
+                            .expect("every round fits the same schema"),
+                    };
+                    if shadow.is_some() {
+                        router.stage(STUDENT_KEY, model);
+                    } else {
+                        router.publish(STUDENT_KEY, model);
+                    }
                 })))
             }
         }),
-        Workload::new("serve", move || {
-            Lane::Served(drive_open_loop(
-                &mut handle,
-                arrivals,
-                &mut features,
-                time_scale,
-            ))
+        Workload::new("serve", {
+            let router = &router;
+            move || {
+                let mut handle = router.handle();
+                // No busy-spin tail: this lane shares its core budget
+                // with the conversion pipeline.
+                drive_open_loop(router.clock(), &arrivals, time_scale, Duration::ZERO, |k| {
+                    handle.submit(0, session(k), features(k));
+                });
+                Lane::Served(handle.collect())
+            }
         }),
     ]);
     let mut conversion = None;
@@ -104,222 +179,9 @@ where
             Lane::Served(r) => responses = r,
         }
     }
-    let serving = server.shutdown();
-    ServeWhileConvertOutcome {
+    ServeOutcome {
         conversion: conversion.expect("conversion workload completed"),
-        serving,
-        responses,
-        published_epochs: registry.swap_count(),
-        runner,
-    }
-}
-
-/// Everything one fabric-backed serve-while-converting run produces.
-#[derive(Debug)]
-pub struct FabricServeOutcome {
-    /// The conversion pipeline's final result (identical to a solo run).
-    pub conversion: ConversionResult,
-    /// The fabric's merged shutdown report: per-shard engine reports,
-    /// the scenario's shadow audit trail, per-tenant SLO accounting.
-    pub fabric: FabricReport,
-    /// Every response, sorted by submission id.
-    pub responses: Vec<FabricResponse>,
-    /// Admission-queue statistics of the shared runner.
-    pub runner: RunnerStats,
-}
-
-enum FabricLane {
-    Converted(Box<ConversionResult>),
-    Served(Vec<FabricResponse>),
-}
-
-/// The scenario key the conversion lane publishes under.
-pub const FABRIC_STUDENT_KEY: &str = "student";
-
-/// [`serve_while_converting`] upgraded to the fabric: traffic flows
-/// through a session-affine sharded [`Router`] while the conversion
-/// pipeline retrains behind it, and each round's student tree is
-/// **staged** into the scenario's shadow slot instead of being published
-/// blind — mirrored traffic diffs it bit-exactly against the live model
-/// and the `shadow` policy decides the swap
-/// ([`metis_fabric::PromotePolicy::AfterAudit`] to hot-swap every round
-/// with its behavioural diff on the record,
-/// [`metis_fabric::PromotePolicy::OnZeroDiff`] to only ever auto-swap
-/// no-op refreshes). `session(k)` names request `k`'s sticky session;
-/// `shards` splits the scenario's batching across that many
-/// session-affine micro-batchers. Conversion results stay bit-identical
-/// to a solo [`ConversionPipeline::run`].
-#[allow(clippy::too_many_arguments)]
-pub fn serve_fabric_while_converting<E, T, V>(
-    pipeline: &ConversionPipeline<'_, E, T, V>,
-    initial: DecisionTree,
-    fabric_cfg: FabricConfig,
-    shadow: ShadowConfig,
-    shards: usize,
-    arrivals: &ArrivalProcess,
-    features: impl FnMut(u64) -> Vec<f64> + Send,
-    session: impl FnMut(u64) -> u64 + Send,
-    time_scale: f64,
-) -> FabricServeOutcome
-where
-    E: Env + Sync,
-    T: Policy + Sync + ?Sized,
-    V: ValueEstimate,
-{
-    run_fabric_serve(
-        pipeline,
-        initial,
-        fabric_cfg,
-        shadow,
-        shards,
-        arrivals,
-        features,
-        session,
-        time_scale,
-        |router, _, student| router.stage(FABRIC_STUDENT_KEY, student.tree.clone()),
-    )
-}
-
-/// [`serve_fabric_while_converting`] with **ensemble staging**: after
-/// round `r`, the candidate is a majority-vote [`metis_dt::Forest`] over
-/// the last `min(ensemble_k, r + 1)` students (vote order = round order)
-/// instead of round `r`'s tree alone — the serving-side analogue of
-/// epoch averaging, smoothing round-to-round fit jitter while the same
-/// mirrored audit and CAS promotion gate every swap. A window of one
-/// stages a plain tree, so `ensemble_k == 1` is exactly
-/// [`serve_fabric_while_converting`]. Conversion results stay
-/// bit-identical to a solo [`ConversionPipeline::run`].
-#[allow(clippy::too_many_arguments)]
-pub fn serve_fabric_ensemble_while_converting<E, T, V>(
-    pipeline: &ConversionPipeline<'_, E, T, V>,
-    initial: DecisionTree,
-    fabric_cfg: FabricConfig,
-    shadow: ShadowConfig,
-    shards: usize,
-    ensemble_k: usize,
-    arrivals: &ArrivalProcess,
-    features: impl FnMut(u64) -> Vec<f64> + Send,
-    session: impl FnMut(u64) -> u64 + Send,
-    time_scale: f64,
-) -> FabricServeOutcome
-where
-    E: Env + Sync,
-    T: Policy + Sync + ?Sized,
-    V: ValueEstimate,
-{
-    assert!(ensemble_k >= 1, "ensemble_k must be at least 1");
-    let mut recent: Vec<DecisionTree> = Vec::new();
-    run_fabric_serve(
-        pipeline,
-        initial,
-        fabric_cfg,
-        shadow,
-        shards,
-        arrivals,
-        features,
-        session,
-        time_scale,
-        move |router, _, student| {
-            recent.push(student.tree.clone());
-            if recent.len() > ensemble_k {
-                recent.remove(0);
-            }
-            if recent.len() == 1 {
-                router.stage(FABRIC_STUDENT_KEY, recent[0].clone());
-            } else {
-                router.stage_forest(FABRIC_STUDENT_KEY, recent.clone());
-            }
-        },
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_fabric_serve<E, T, V>(
-    pipeline: &ConversionPipeline<'_, E, T, V>,
-    initial: DecisionTree,
-    fabric_cfg: FabricConfig,
-    shadow: ShadowConfig,
-    shards: usize,
-    arrivals: &ArrivalProcess,
-    features: impl FnMut(u64) -> Vec<f64> + Send,
-    session: impl FnMut(u64) -> u64 + Send,
-    time_scale: f64,
-    stage: impl FnMut(&Router, usize, &crate::TreePolicy) + Send,
-) -> FabricServeOutcome
-where
-    E: Env + Sync,
-    T: Policy + Sync + ?Sized,
-    V: ValueEstimate,
-{
-    assert!(
-        time_scale.is_finite() && time_scale >= 0.0,
-        "time_scale must be finite and non-negative"
-    );
-    // The runner reports into the same plane the fabric serves on: its
-    // scope rides shard slot `CONTROL_SHARD` under a synthetic "runner"
-    // scenario, so health observers see admission queueing next to the
-    // serving stages it competes with.
-    let plane = fabric_cfg.telemetry.clone();
-    let router = Router::new(
-        vec![TenantSpec::new("convert-serve")],
-        vec![
-            ScenarioSpec::new(FABRIC_STUDENT_KEY, "convert-serve", initial)
-                .shards(shards)
-                .shadow(shadow),
-        ],
-        fabric_cfg,
-    );
-    let mut handle = router.handle();
-    let mut features = features;
-    let mut session = session;
-    let mut stage = stage;
-    let pace_clock = Arc::clone(router.clock());
-    let mut workload_runner = WorkloadRunner::new(2);
-    if let Some(scope) =
-        plane.register_scope("runner", metis_telemetry::CONTROL_SHARD, "convert-serve", 0)
-    {
-        workload_runner = workload_runner.telemetry(scope);
-    }
-    let (results, runner) = workload_runner.run_detailed(vec![
-        Workload::new("convert", {
-            let router = &router;
-            move || {
-                FabricLane::Converted(Box::new(pipeline.run_publishing(|round, student| {
-                    stage(router, round, student);
-                })))
-            }
-        }),
-        Workload::new("serve", move || {
-            let start_s = pace_clock.now_s();
-            let mut t = 0.0;
-            for (k, gap) in arrivals.gaps_s().iter().enumerate() {
-                if time_scale > 0.0 {
-                    t += gap * time_scale;
-                    // Paced on the fabric's clock: a real-clock fabric
-                    // sleeps each gap out (no busy-spin tail — this lane
-                    // shares its core budget with the conversion
-                    // pipeline), a virtual-clock fabric advances time
-                    // and submits immediately.
-                    pace_clock.sleep_until(start_s + t, Duration::ZERO);
-                }
-                let k = k as u64;
-                handle.submit(0, session(k), features(k));
-            }
-            FabricLane::Served(handle.collect())
-        }),
-    ]);
-    let mut conversion = None;
-    let mut responses = Vec::new();
-    for result in results {
-        match result.value {
-            FabricLane::Converted(c) => conversion = Some(*c),
-            FabricLane::Served(r) => responses = r,
-        }
-    }
-    let fabric = router.shutdown();
-    FabricServeOutcome {
-        conversion: conversion.expect("conversion workload completed"),
-        fabric,
+        fabric: router.shutdown(),
         responses,
         runner,
     }
@@ -329,7 +191,10 @@ where
 mod tests {
     use super::*;
     use crate::convert::ConversionConfig;
+    use metis_fabric::PromotePolicy;
     use metis_rl::env::test_envs::BanditEnv;
+    use metis_serve::ServeConfig;
+    use metis_telemetry::{Telemetry, CONTROL_SHARD};
 
     #[derive(Clone)]
     struct Oracle;
@@ -347,8 +212,22 @@ mod tests {
         v
     }
 
-    #[test]
-    fn traffic_is_served_across_conversion_epochs_with_zero_drops() {
+    const AUDIT: ShadowConfig = ShadowConfig {
+        audit_rows: 32,
+        policy: PromotePolicy::AfterAudit,
+    };
+
+    /// Serve `requests` Poisson arrivals over seven sticky sessions while
+    /// a 3-round bandit conversion runs, and check the conversion stayed
+    /// bit-identical to a solo run. Returns the outcome and the model
+    /// each round handed over, epoch-0 tree first.
+    fn run(
+        shards: usize,
+        shadow: Option<ShadowConfig>,
+        ensemble_k: usize,
+        requests: usize,
+        telemetry: Telemetry,
+    ) -> (ServeOutcome, Vec<DecisionTree>) {
         let pool: Vec<BanditEnv> = (0..3).map(|s| BanditEnv::new(3, 16, s)).collect();
         let cfg = ConversionConfig {
             max_leaf_nodes: 8,
@@ -363,110 +242,39 @@ mod tests {
         // Epoch 0: a quick teacher-round fit so serving never waits.
         let seed_states = pipeline.collect_teacher_states(4, 16);
         let initial = pipeline.fit_states(&seed_states, 3, 0).tree;
-        let solo = pipeline.run();
+        let mut students = vec![initial.clone()];
+        let solo = pipeline.run_publishing(|_, student| students.push(student.tree.clone()));
 
-        let arrivals = ArrivalProcess::poisson(20_000.0, 400, 9);
         let outcome = serve_while_converting(
             &pipeline,
-            initial.clone(),
-            ServeConfig {
-                max_batch: 32,
-                max_delay: Duration::from_micros(300),
-                ..Default::default()
-            },
-            &arrivals,
-            one_hot,
-            1.0,
-        );
-
-        // Conversion is bit-identical to the solo run: serving never
-        // perturbs the pipeline.
-        assert_eq!(outcome.conversion.policy.tree, solo.policy.tree);
-        assert_eq!(outcome.conversion.fidelity_history, solo.fidelity_history);
-        // One publish per round (round 0 + 2 DAgger rounds).
-        assert_eq!(outcome.published_epochs, 3);
-        // Zero drops: every request answered, every answer consistent
-        // with the epoch that served it.
-        assert_eq!(outcome.responses.len(), 400);
-        assert_eq!(outcome.serving.served, 400);
-        assert_eq!(outcome.serving.delivery_failures, 0);
-        let mut sources = vec![initial];
-        // Rebuild the per-round students exactly as run_publishing saw
-        // them, via a replay of the solo pipeline.
-        pipeline.run_publishing(|_, student| sources.push(student.tree.clone()));
-        for resp in &outcome.responses {
-            let oracle = &sources[resp.epoch as usize];
-            assert_eq!(
-                resp.prediction,
-                oracle.predict(&one_hot(resp.id)),
-                "epoch {} diverged",
-                resp.epoch
-            );
-        }
-        let served_total: u64 = outcome.serving.per_epoch.iter().map(|(_, c)| c).sum();
-        assert_eq!(served_total, 400);
-        assert_eq!(outcome.serving.latency.count, 400);
-        assert!(outcome.runner.peak_queue_depth >= 1);
-    }
-
-    #[test]
-    fn fabric_variant_stages_rounds_and_stays_bit_identical_to_solo() {
-        use metis_fabric::PromotePolicy;
-
-        let pool: Vec<BanditEnv> = (0..3).map(|s| BanditEnv::new(3, 16, s)).collect();
-        let cfg = ConversionConfig {
-            max_leaf_nodes: 8,
-            episodes_per_round: 6,
-            max_steps: 16,
-            dagger_rounds: 2,
-            ..Default::default()
-        };
-        let pipeline = ConversionPipeline::new(&pool, &Oracle, |_| 0.0)
-            .conversion(cfg)
-            .seed(5);
-        let seed_states = pipeline.collect_teacher_states(4, 16);
-        let initial = pipeline.fit_states(&seed_states, 3, 0).tree;
-        let solo = pipeline.run();
-
-        let arrivals = ArrivalProcess::poisson(20_000.0, 500, 9);
-        let telemetry = metis_telemetry::Telemetry::enabled();
-        let outcome = serve_fabric_while_converting(
-            &pipeline,
-            initial.clone(),
-            FabricConfig {
-                serve: ServeConfig {
-                    max_batch: 32,
-                    max_delay: Duration::from_micros(300),
+            ServeSpec {
+                initial,
+                fabric: FabricConfig {
+                    serve: ServeConfig {
+                        max_batch: 32,
+                        max_delay: Duration::from_micros(300),
+                        ..Default::default()
+                    },
+                    mirror_batch: 16,
+                    telemetry,
                     ..Default::default()
                 },
-                mirror_batch: 16,
-                telemetry: telemetry.clone(),
-                ..Default::default()
+                shards,
+                shadow,
+                ensemble_k,
+                arrivals: ArrivalProcess::poisson(20_000.0, requests, 9),
+                time_scale: 1.0,
             },
-            metis_fabric::ShadowConfig {
-                audit_rows: 32,
-                policy: PromotePolicy::AfterAudit,
-            },
-            2,
-            &arrivals,
             one_hot,
-            |k| k % 7, // seven sticky sessions
-            1.0,
+            |k| k % 7,
         );
 
-        // Conversion is bit-identical to the solo run: the fabric never
-        // perturbs the pipeline.
+        // Serving never perturbs the pipeline.
         assert_eq!(outcome.conversion.policy.tree, solo.policy.tree);
         assert_eq!(outcome.conversion.fidelity_history, solo.fidelity_history);
         // Zero drops, and session affinity held for every response.
-        assert_eq!(outcome.responses.len(), 500);
-        assert_eq!(outcome.fabric.served, 500);
-        let scenario = outcome.fabric.scenario(FABRIC_STUDENT_KEY).unwrap();
-        assert_eq!(scenario.shards.len(), 2);
-        assert_eq!(scenario.served, 500);
-        for report in &scenario.shards {
-            assert_eq!(report.delivery_failures, 0);
-        }
+        assert_eq!(outcome.responses.len(), requests);
+        assert_eq!(outcome.fabric.served, requests as u64);
         let mut session_shard = std::collections::HashMap::new();
         for resp in &outcome.responses {
             assert_eq!(resp.session, resp.id % 7);
@@ -475,10 +283,51 @@ mod tests {
             if resp.response.epoch == 0 {
                 assert_eq!(
                     resp.response.prediction,
-                    initial.predict(&one_hot(resp.id)),
+                    students[0].predict(&one_hot(resp.id)),
                     "epoch-0 answers must come from the initial tree"
                 );
             }
+        }
+        (outcome, students)
+    }
+
+    /// Publish on one shard: each round goes straight to the live epoch,
+    /// and every answer is the one its epoch's tree gives.
+    #[test]
+    fn publish_serves_every_round_with_zero_drops() {
+        let (outcome, students) = run(1, None, 1, 400, Telemetry::off());
+        let scenario = outcome.fabric.scenario(STUDENT_KEY).unwrap();
+        // One publish per round (round 0 + 2 DAgger rounds).
+        assert_eq!(scenario.swaps, 3);
+        let shard = &scenario.shards[0];
+        assert_eq!(shard.served, 400);
+        assert_eq!(shard.delivery_failures, 0);
+        for resp in &outcome.responses {
+            let epoch = resp.response.epoch;
+            assert_eq!(
+                resp.response.prediction,
+                students[epoch as usize].predict(&one_hot(resp.id)),
+                "epoch {epoch} diverged"
+            );
+        }
+        let served_total: u64 = shard.per_epoch.iter().map(|(_, c)| c).sum();
+        assert_eq!(served_total, 400);
+        assert_eq!(outcome.fabric.latency.count, 400);
+        assert!(outcome.runner.peak_queue_depth >= 1);
+    }
+
+    /// Stage on two shards: each round is audited on mirrored traffic
+    /// before it goes live, and the telemetry plane sees every request,
+    /// every verdict and the runner's admissions.
+    #[test]
+    fn stage_audits_every_round_before_it_serves() {
+        let telemetry = Telemetry::enabled();
+        let (outcome, _) = run(2, Some(AUDIT), 1, 500, telemetry.clone());
+        let scenario = outcome.fabric.scenario(STUDENT_KEY).unwrap();
+        assert_eq!(scenario.shards.len(), 2);
+        assert_eq!(scenario.served, 500);
+        for report in &scenario.shards {
+            assert_eq!(report.delivery_failures, 0);
         }
         // One staging per round (round 0 + 2 DAgger rounds); every staged
         // candidate is accounted for as promoted, replaced, or pending.
@@ -508,7 +357,7 @@ mod tests {
         );
         let served: u64 = scopes
             .iter()
-            .filter(|s| s.shard() != metis_telemetry::CONTROL_SHARD)
+            .filter(|s| s.shard() != CONTROL_SHARD)
             .map(|s| s.served.get())
             .sum();
         assert_eq!(served, 500);
@@ -520,9 +369,7 @@ mod tests {
         assert_eq!(runner_scope.latency.cumulative().count(), 2);
         let control = scopes
             .iter()
-            .find(|s| {
-                s.shard() == metis_telemetry::CONTROL_SHARD && s.scenario() == FABRIC_STUDENT_KEY
-            })
+            .find(|s| s.shard() == CONTROL_SHARD && s.scenario() == STUDENT_KEY)
             .expect("control scope");
         let verdicts = control
             .events
@@ -536,61 +383,14 @@ mod tests {
         assert_eq!(verdicts, concluded, "every concluded audit is recorded");
     }
 
-    /// The ensemble variant: each round stages a forest over the last
-    /// `k` students. Conversion stays bit-identical to solo, every
-    /// promotion records its ensemble width within the window bound, and
-    /// the live model at shutdown is whatever the last promotion
-    /// installed.
+    /// Stage with `ensemble_k = 2`: each round stages a forest over the
+    /// last two students, every promotion records its ensemble width
+    /// within the window bound, and the live model at shutdown is
+    /// whatever the last promotion installed.
     #[test]
-    fn ensemble_variant_stages_windowed_forests_and_preserves_conversion() {
-        use metis_fabric::PromotePolicy;
-
-        let pool: Vec<BanditEnv> = (0..3).map(|s| BanditEnv::new(3, 16, s)).collect();
-        let cfg = ConversionConfig {
-            max_leaf_nodes: 8,
-            episodes_per_round: 6,
-            max_steps: 16,
-            dagger_rounds: 2,
-            ..Default::default()
-        };
-        let pipeline = ConversionPipeline::new(&pool, &Oracle, |_| 0.0)
-            .conversion(cfg)
-            .seed(5);
-        let seed_states = pipeline.collect_teacher_states(4, 16);
-        let initial = pipeline.fit_states(&seed_states, 3, 0).tree;
-        let solo = pipeline.run();
-
-        let arrivals = ArrivalProcess::poisson(20_000.0, 500, 9);
-        let outcome = serve_fabric_ensemble_while_converting(
-            &pipeline,
-            initial.clone(),
-            FabricConfig {
-                serve: ServeConfig {
-                    max_batch: 32,
-                    max_delay: Duration::from_micros(300),
-                    ..Default::default()
-                },
-                mirror_batch: 16,
-                ..Default::default()
-            },
-            metis_fabric::ShadowConfig {
-                audit_rows: 32,
-                policy: PromotePolicy::AfterAudit,
-            },
-            2,
-            2, // ensemble_k: forests over the last two rounds
-            &arrivals,
-            one_hot,
-            |k| k % 7,
-            1.0,
-        );
-
-        // The staging hook never perturbs the conversion itself.
-        assert_eq!(outcome.conversion.policy.tree, solo.policy.tree);
-        assert_eq!(outcome.conversion.fidelity_history, solo.fidelity_history);
-        assert_eq!(outcome.responses.len(), 500);
-        assert_eq!(outcome.fabric.served, 500);
-        let scenario = outcome.fabric.scenario(FABRIC_STUDENT_KEY).unwrap();
+    fn stage_with_ensemble_window_promotes_windowed_forests() {
+        let (outcome, _) = run(2, Some(AUDIT), 2, 500, Telemetry::off());
+        let scenario = outcome.fabric.scenario(STUDENT_KEY).unwrap();
         // One staging per round; round 0 stages a lone tree, later rounds
         // two-tree forests — every promotion's width reflects its window.
         assert_eq!(scenario.shadow.staged, 3);
@@ -611,12 +411,6 @@ mod tests {
                 assert_eq!(scenario.live_epoch, last.epoch);
             }
             None => assert_eq!(scenario.live_trees, 1),
-        }
-        // Epoch-0 answers must still come from the initial tree.
-        for resp in &outcome.responses {
-            if resp.response.epoch == 0 {
-                assert_eq!(resp.response.prediction, initial.predict(&one_hot(resp.id)));
-            }
         }
     }
 }

@@ -653,7 +653,8 @@ impl std::error::Error for ForestError {}
 /// * **Classification** — majority vote over the member trees' predicted
 ///   classes; ties break toward the lowest class index.
 /// * **Regression** — the mean `(v_0 + v_1 + … + v_{k-1}) / k`, summed in
-///   tree-index order, one division at the end.
+///   tree-index order from −0.0 (as `Iterator::sum` does), one division
+///   at the end — so a 1-tree forest answers its tree's value to the bit.
 ///
 /// Like [`CompiledTree`] it is not `Deserialize`: rebuild it from source
 /// trees with [`Forest::from_trees`].
@@ -730,7 +731,9 @@ impl Forest {
                 Prediction::Class(argmax_lowest(&votes))
             }
             TreeKind::Regressor => {
-                let mut sum = 0.0f64;
+                // −0.0 is the additive identity (+0.0 would turn a lone
+                // −0.0 member answer into +0.0).
+                let mut sum = -0.0f64;
                 for tree in &self.trees {
                     sum += tree.values()[walk_one(tree.table(), x) as usize];
                 }
@@ -783,11 +786,11 @@ impl Forest {
                 }
             }
             TreeKind::Regressor => {
-                let mut sums = [0.0f64; LANES];
+                let mut sums = [-0.0f64; LANES];
                 let mut block = 0usize;
                 while block < n {
                     let rows_here = LANES.min(n - block);
-                    sums[..rows_here].fill(0.0);
+                    sums[..rows_here].fill(-0.0);
                     for tree in &self.trees {
                         walk_payloads(
                             tree.table(),

@@ -1093,6 +1093,46 @@ mod tests {
         );
     }
 
+    /// A 1-tree regression forest answers exactly what its tree answers,
+    /// sign of zero included: a leaf worth −0.0 (a stored tree can carry
+    /// one) must not come back from the forest as +0.0.
+    #[test]
+    fn one_tree_regression_forest_keeps_negative_zero() {
+        use crate::kernel::Forest;
+        let leaf = |sum: f64| Node {
+            stats: NodeStats::Value {
+                w: 4.0,
+                sum,
+                sumsq: 0.0,
+            },
+            split: None,
+        };
+        let root = Node {
+            stats: NodeStats::Value {
+                w: 8.0,
+                sum: 4.0,
+                sumsq: 16.0,
+            },
+            split: Some(Split {
+                feature: 0,
+                threshold: 0.5,
+                left: 1,
+                right: 2,
+            }),
+        };
+        let tree = DecisionTree::new(vec![root, leaf(-0.0), leaf(4.0)], TreeKind::Regressor, 1);
+        assert_eq!(tree.validate(), Ok(()));
+        assert_eq!(tree.predict(&[0.0]).value().to_bits(), (-0.0f64).to_bits());
+        let forest = Forest::from_trees(std::slice::from_ref(&tree)).unwrap();
+        let rows = [0.0, 1.0];
+        let batch = forest.predict_batch(&rows);
+        for (x, batched) in rows.iter().zip(batch) {
+            let want = tree.predict(&[*x]);
+            assert_predictions_bit_identical(forest.predict(&[*x]), want, "scalar forest");
+            assert_predictions_bit_identical(batched, want, "batched forest");
+        }
+    }
+
     #[test]
     fn validate_names_each_structural_fault() {
         let tree = two_feature_tree();

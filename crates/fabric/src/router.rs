@@ -15,11 +15,12 @@
 //! Tenancy: every scenario belongs to a [`TenantSpec`], whose
 //! `deadline_class` is stamped onto the shards' pool submissions (the
 //! pool drains urgent classes first — [`metis_nn::par::with_deadline_class`])
-//! and whose `p99_budget_s` is checked in the shutdown report. Shadow
-//! staging ([`Router::stage`], [`Router::stage_forest`]) audits a
-//! candidate model — a single tree or a [`metis_dt::Forest`]
-//! majority-vote ensemble — on mirrored traffic before (or instead of)
-//! letting it serve — see [`crate::shadow`].
+//! and whose `p99_budget_s` is checked in the shutdown report. A new
+//! model — a single tree or a [`metis_dt::Forest`] majority-vote
+//! ensemble, anything `Into<ServedModel>` — goes live at once with
+//! [`Router::publish`], or is staged with [`Router::stage`] to be audited
+//! on mirrored traffic before (or instead of) letting it serve — see
+//! [`crate::shadow`].
 
 use crate::report::{FabricReport, ScenarioReport, TenantReport};
 use crate::shadow::{ShadowConfig, ShadowState};
@@ -341,44 +342,39 @@ impl Router {
         self.scenario(key).registry.n_features()
     }
 
-    /// Hot-swap a scenario's live model immediately (no shadow audit);
-    /// returns the new epoch.
-    pub fn publish(&self, key: &str, tree: DecisionTree) -> u64 {
-        self.scenario(key).registry.publish(tree)
+    /// Hot-swap a scenario's live model immediately (no shadow audit) to
+    /// a tree or a compiled model; returns the new epoch.
+    pub fn publish(&self, key: &str, model: impl Into<ServedModel>) -> u64 {
+        self.scenario(key).registry.publish(model)
     }
 
-    /// Hot-swap a scenario's live model to a majority-vote
-    /// [`metis_dt::Forest`] over `sources` (no shadow audit); returns the
-    /// new epoch. Panics when the ensemble is empty or mixes widths or
+    /// [`Router::publish`] of a majority-vote [`metis_dt::Forest`] over
+    /// `sources`. Panics when the ensemble is empty or mixes widths or
     /// output kinds.
     pub fn publish_forest(&self, key: &str, sources: Vec<DecisionTree>) -> u64 {
         let model = ServedModel::from_trees(sources).expect("published ensemble must be coherent");
-        self.scenario(key).registry.publish_model(model)
+        self.publish(key, model)
     }
 
-    /// Stage `tree` as the scenario's shadow candidate: mirrored traffic
-    /// diffs it bit-exactly against the live model it would replace, and
-    /// the scenario's [`ShadowConfig`] policy decides the swap once the
-    /// audit quota is reached. A still-undecided previous candidate is
-    /// replaced (latest round wins).
-    pub fn stage(&self, key: &str, tree: DecisionTree) {
-        self.stage_model(key, ServedModel::from_tree(tree));
-    }
-
-    /// Stage a majority-vote [`metis_dt::Forest`] over `sources` as the
-    /// scenario's shadow candidate — same mirrored audit and CAS
-    /// promotion as [`Router::stage`], but the candidate (and, once
-    /// promoted, the live epoch) is a k-tree ensemble. Panics when the
-    /// ensemble is empty or mixes widths or output kinds.
-    pub fn stage_forest(&self, key: &str, sources: Vec<DecisionTree>) {
-        let model = ServedModel::from_trees(sources).expect("staged ensemble must be coherent");
-        self.stage_model(key, model);
-    }
-
-    fn stage_model(&self, key: &str, model: ServedModel) {
+    /// Stage a tree, or a forest from [`ServedModel::from_trees`], as the
+    /// scenario's shadow candidate: mirrored traffic diffs it bit-exactly
+    /// against the live model it would replace, and the scenario's
+    /// [`ShadowConfig`] policy decides the swap once the audit quota is
+    /// reached. A still-undecided previous candidate is replaced (latest
+    /// round wins). A candidate of another feature width panics here,
+    /// before the shadow lock, so the scenario keeps serving.
+    pub fn stage(&self, key: &str, model: impl Into<ServedModel>) {
         let scenario = self.scenario(key);
-        // `model` was compiled before this call — a mirror flush on the
-        // live submit path must never wait out a compile under the lock.
+        // Compile before the lock — a mirror flush on the live submit
+        // path must never wait out a compile under it.
+        let model = model.into();
+        assert_eq!(
+            model.n_features(),
+            scenario.registry.n_features(),
+            "stage: candidate takes {} features, the scenario serves {}",
+            model.n_features(),
+            scenario.registry.n_features()
+        );
         let mut shadow = scenario.shadow.lock().unwrap();
         shadow.stage(model, &scenario.registry);
         scenario.shadow_gen.store(
@@ -526,10 +522,23 @@ impl FabricHandle<'_> {
             self.mirror_buf[scenario].clear();
         }
         if live_gen != 0 {
+            // Checked before the row is buffered: the audit diffs buffered
+            // rows under the shadow lock, where a malformed row would
+            // poison it.
+            let n_features = runtime.registry.n_features();
+            assert_eq!(
+                features.len(),
+                n_features,
+                "submit: request has {} features, scenario `{}` serves {}",
+                features.len(),
+                runtime.key,
+                n_features
+            );
             self.mirror_gen[scenario] = live_gen;
             self.mirror_buf[scenario].extend_from_slice(&features);
-            let n_features = runtime.registry.n_features().max(1);
-            if self.mirror_buf[scenario].len() >= self.router.mirror_batch.max(1) * n_features {
+            if self.mirror_buf[scenario].len()
+                >= self.router.mirror_batch.max(1) * n_features.max(1)
+            {
                 runtime.mirror_rows(&self.mirror_buf[scenario], live_gen);
                 self.mirror_buf[scenario].clear();
             }
@@ -872,7 +881,7 @@ mod tests {
     }
 
     /// A k-tree ensemble flows through the same fabric surfaces a single
-    /// tree does: `stage_forest` audits it on mirrored traffic and CAS
+    /// tree does: `stage` audits it on mirrored traffic and CAS
     /// promotion makes it live; after the swap every response matches the
     /// offline `Forest` majority vote, and the report carries the live
     /// ensemble width.
@@ -891,7 +900,10 @@ mod tests {
         );
         // Identical members ⇒ the forest votes exactly like the live tree
         // on every mirrored row, so the audit is clean and it promotes.
-        router.stage_forest("s", vec![t.clone(), t.clone(), t.clone()]);
+        router.stage(
+            "s",
+            ServedModel::from_trees(vec![t.clone(), t.clone(), t.clone()]).unwrap(),
+        );
         let mut handle = router.handle();
         for k in 0..100u64 {
             handle.submit(0, k, features(k));
@@ -1121,6 +1133,82 @@ mod tests {
         }
         drop(handle);
         router.shutdown();
+    }
+
+    fn narrow_tree() -> DecisionTree {
+        let x: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64]).collect();
+        let y: Vec<usize> = (0..30).map(|i| i % 6).collect();
+        fit(
+            &Dataset::classification(x, y, 6).unwrap(),
+            &TreeConfig::default(),
+        )
+        .unwrap()
+    }
+
+    /// Serve `requests` answers on scenario 0, check each against `live`,
+    /// and return the shutdown report.
+    fn serve_and_shut_down(router: Router, live: &DecisionTree, requests: u64) -> FabricReport {
+        let mut handle = router.handle();
+        for k in 0..requests {
+            handle.submit(0, k, features(k));
+        }
+        let responses = handle.collect();
+        assert_eq!(responses.len() as u64, requests);
+        for resp in &responses {
+            assert_eq!(resp.response.prediction, live.predict(&features(resp.id)));
+        }
+        drop(handle);
+        router.shutdown()
+    }
+
+    /// A rejected staging panics in its caller without poisoning the
+    /// shadow slot: the next staging and the shutdown report still work.
+    #[test]
+    fn rejected_stage_leaves_the_fabric_serving() {
+        let t = tree(24, 6);
+        let router = Router::new(
+            vec![TenantSpec::new("t")],
+            vec![ScenarioSpec::new("s", "t", t.clone())],
+            quick_cfg(),
+        );
+        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            router.stage("s", narrow_tree())
+        }));
+        let panic = rejected.expect_err("a wrong-width candidate must be refused");
+        let message = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains("features"), "{message}");
+        router.stage("s", t.clone());
+        let report = serve_and_shut_down(router, &t, 100);
+        assert_eq!(report.served, 100);
+        assert_eq!(report.scenarios[0].shadow.staged, 1);
+    }
+
+    /// A malformed request to a scenario with a staged candidate panics
+    /// in its client before its row reaches the shadow audit, so the
+    /// audit, later stagings and the shutdown report keep working.
+    #[test]
+    fn rejected_submit_leaves_the_shadow_audit_working() {
+        let t = tree(24, 6);
+        let router = Router::new(
+            vec![TenantSpec::new("t")],
+            vec![ScenarioSpec::new("s", "t", t.clone())],
+            FabricConfig {
+                mirror_batch: 0,
+                ..quick_cfg()
+            },
+        );
+        router.stage("s", t.clone());
+        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            router.handle().submit(0, 0, vec![0.5; 3])
+        }));
+        let panic = rejected.expect_err("a 3-wide request must be refused");
+        let message = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains("features"), "{message}");
+        router.stage("s", t.clone());
+        let report = serve_and_shut_down(router, &t, 100);
+        assert_eq!(report.served, 100);
+        assert_eq!(report.scenarios[0].shadow.staged, 2);
+        assert_eq!(report.scenarios[0].shadow.mismatch_rows, 0);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //!   takeover and the Eq.-1 advantage resampler.
 
 pub mod env;
-pub mod par;
 pub mod policy;
 pub mod rollout;
 pub mod train;
@@ -24,7 +23,7 @@ pub mod value;
 pub mod viper;
 
 pub use env::{q_by_cloning, Env, Step};
-pub use par::{mix_seed, parallel_map_indexed, resolve_threads};
+pub use metis_nn::par::{mix_seed, parallel_map_indexed, resolve_threads};
 pub use policy::{sample_categorical, ConstantPolicy, Policy, SoftmaxPolicy, UniformPolicy};
 pub use rollout::{evaluate, evaluate_pool, rollout, ActionMode, EpisodeScore, Trajectory};
 pub use train::{ActorCritic, EpochStats, TrainConfig};

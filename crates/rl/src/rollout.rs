@@ -132,9 +132,9 @@ pub fn evaluate_pool<E: Env + Sync, P: Policy + Sync + ?Sized>(
     threads: usize,
 ) -> Vec<EpisodeScore> {
     use rand::SeedableRng;
-    crate::par::parallel_map_indexed(pool.len(), threads, |i| {
+    metis_nn::par::parallel_map_indexed(pool.len(), threads, |i| {
         let mut env = pool[i].clone();
-        let mut rng = StdRng::seed_from_u64(crate::par::mix_seed(
+        let mut rng = StdRng::seed_from_u64(metis_nn::par::mix_seed(
             seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15),
         ));
         let traj = rollout(&mut env, policy, ActionMode::Greedy, max_steps, &mut rng);

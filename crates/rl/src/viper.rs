@@ -76,7 +76,7 @@ impl Default for CollectConfig {
 /// (SplitMix64 finalizer — decorrelates episode streams regardless of
 /// which thread runs them).
 fn episode_seed(base: u64, episode: u64) -> u64 {
-    crate::par::mix_seed(base ^ episode.wrapping_mul(0x9E3779B97F4A7C15))
+    metis_nn::par::mix_seed(base ^ episode.wrapping_mul(0x9E3779B97F4A7C15))
 }
 
 /// Roll one labelled episode (the per-episode body of [`collect_seeded`]).
@@ -264,7 +264,7 @@ pub fn collect_seeded<E: Env + Sync, T: Policy + Sync + ?Sized, V: ValueEstimate
     threads: usize,
 ) -> Vec<SampledState> {
     assert!(!pool.is_empty(), "collect: empty environment pool");
-    let per_episode = crate::par::parallel_map_indexed(cfg.episodes, threads, |ep| {
+    let per_episode = metis_nn::par::parallel_map_indexed(cfg.episodes, threads, |ep| {
         let mut rng = StdRng::seed_from_u64(episode_seed(seed, ep as u64));
         collect_episode(
             &pool[ep % pool.len()],
@@ -370,7 +370,7 @@ pub mod oracle {
         threads: usize,
     ) -> Vec<SampledState> {
         assert!(!pool.is_empty(), "collect: empty environment pool");
-        let per_episode = crate::par::parallel_map_indexed(cfg.episodes, threads, |ep| {
+        let per_episode = metis_nn::par::parallel_map_indexed(cfg.episodes, threads, |ep| {
             let mut rng = StdRng::seed_from_u64(episode_seed(seed, ep as u64));
             collect_episode(
                 &pool[ep % pool.len()],
@@ -456,7 +456,7 @@ pub fn fidelity_sharded<P: Policy + Sync + ?Sized, Q: Policy + ?Sized>(
     }
     let matrix = states_matrix(states);
     let n_blocks = states.len().div_ceil(BLOCK);
-    let matches: usize = crate::par::parallel_map_indexed(n_blocks, threads, |b| {
+    let matches: usize = metis_nn::par::parallel_map_indexed(n_blocks, threads, |b| {
         let lo = b * BLOCK;
         let hi = (lo + BLOCK).min(states.len());
         let actions = student.act_greedy_batch(&matrix.row_block(lo, hi));

@@ -537,11 +537,6 @@ impl ServerHandle {
         self.n_features
     }
 
-    /// The clock this handle stamps submissions with — the server's own.
-    pub fn clock(&self) -> &Arc<Clock> {
-        &self.clock
-    }
-
     /// Enqueue one request and return its (per-handle) id. Never blocks on
     /// the server beyond the ingest mutex: the features are copied into
     /// the open page and `features` is freed here. A malformed request
@@ -562,11 +557,6 @@ impl ServerHandle {
         self.next_id += 1;
         self.outstanding += 1;
         id
-    }
-
-    /// Requests submitted through this handle that have not been collected.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
     }
 
     /// Block until every outstanding request is answered; returns the
@@ -1177,7 +1167,7 @@ mod tests {
         for k in 0..25 {
             handle.submit(req_features(k));
         }
-        registry.publish_model(ensemble);
+        registry.publish(ensemble);
         for k in 25..60 {
             handle.submit(req_features(k));
         }

@@ -19,8 +19,9 @@
 //!   readers grab an `Arc` to the current [`ServedModel`] — one compiled
 //!   tree or a [`metis_dt::Forest`] majority-vote ensemble — and never
 //!   block; the §3.2 conversion pipeline publishes each newly fitted
-//!   model mid-traffic, and in-flight batches finish on the epoch they
-//!   started with,
+//!   model mid-traffic through the one [`ModelRegistry::publish`] (which
+//!   takes a tree or any `Into<ServedModel>`), and in-flight batches
+//!   finish on the epoch they started with,
 //! * [`engine`] — the request engine, which serves by the batch: submits
 //!   append to a page of the server's ingest queue, a page closes on
 //!   batch size, deadline, or a flush/shutdown marker, and a closed page
@@ -31,8 +32,9 @@
 //!   pool group, stamps completion once per batch, and sends one reply
 //!   per (handle, batch),
 //! * [`traffic`] — open-loop load generation: ABR-trace replay
-//!   inter-arrivals and Poisson (flowsched-style) arrival processes driven
-//!   against a server without ever waiting for responses.
+//!   inter-arrivals and Poisson (flowsched-style) arrival processes, and
+//!   the one driver ([`drive_open_loop`]) that paces a schedule on a
+//!   [`Clock`] and submits without ever waiting for responses.
 //!
 //! The engine and registry optionally report into the live telemetry
 //! plane (`metis_telemetry`): hand [`ServeConfig::telemetry`] a
@@ -62,6 +64,4 @@ pub use clock::Clock;
 pub use engine::{EngineReport, Response, ServeConfig, ServerHandle, TreeServer};
 pub use latency::{summarize, summarize_sorted, LatencyRecorder, LatencySummary};
 pub use registry::{EpochModel, ModelRegistry, ServedModel};
-pub use traffic::{
-    drive_open_loop, drive_open_loop_paced, drive_open_loop_virtual, ArrivalProcess,
-};
+pub use traffic::{drive_open_loop, ArrivalProcess};

@@ -49,13 +49,15 @@ pub enum ServedModel {
     },
 }
 
-impl ServedModel {
-    /// Compile a single-tree model.
-    pub fn from_tree(source: DecisionTree) -> ServedModel {
+/// Compile a single-tree model.
+impl From<DecisionTree> for ServedModel {
+    fn from(source: DecisionTree) -> ServedModel {
         let compiled = CompiledTree::compile(&source);
         ServedModel::Tree { compiled, source }
     }
+}
 
+impl ServedModel {
     /// Compile a majority-vote ensemble from source trees (vote order =
     /// slice order). Fails unless all trees agree on kind and width.
     pub fn from_trees(sources: Vec<DecisionTree>) -> Result<ServedModel, ForestError> {
@@ -157,24 +159,22 @@ struct TelemetryHook {
 /// Epoch-pointer registry. See the module docs for the swap contract.
 pub struct ModelRegistry {
     current: RwLock<Arc<EpochModel>>,
+    /// Feature width of every epoch, fixed by the initial model, so a
+    /// publish can be checked before it takes the write lock.
+    n_features: usize,
     next_epoch: AtomicU64,
     swaps: AtomicU64,
     telemetry: Mutex<Option<TelemetryHook>>,
 }
 
 impl ModelRegistry {
-    /// Seed the registry with its epoch-0 single-tree model.
-    pub fn new(initial: DecisionTree) -> Self {
-        Self::new_model(ServedModel::from_tree(initial))
-    }
-
-    /// Seed the registry with an arbitrary epoch-0 model (e.g. a forest).
-    pub fn new_model(initial: ServedModel) -> Self {
+    /// Seed the registry with its epoch-0 model: a [`DecisionTree`] or
+    /// any [`ServedModel`] (e.g. a forest).
+    pub fn new(initial: impl Into<ServedModel>) -> Self {
+        let model = initial.into();
         ModelRegistry {
-            current: RwLock::new(Arc::new(EpochModel {
-                epoch: 0,
-                model: initial,
-            })),
+            n_features: model.n_features(),
+            current: RwLock::new(Arc::new(EpochModel { epoch: 0, model })),
             next_epoch: AtomicU64::new(1),
             swaps: AtomicU64::new(0),
             telemetry: Mutex::new(None),
@@ -201,28 +201,20 @@ impl ModelRegistry {
             .and_then(|h| (!h.clock.is_virtual()).then(|| h.clock.now_s()))
     }
 
-    /// Publish a newly fitted tree, returning its epoch. The tree is
-    /// compiled before the lock is taken; the epoch is assigned and the
-    /// pointer swapped under the same write lock, so concurrent
-    /// publishers install strictly increasing epochs (later publish ⇒
-    /// later epoch ⇒ the one readers see) and readers stall for at most
-    /// a pointer store. Every epoch of a registry serves the same
-    /// feature schema: a model with a different `n_features` is rejected
-    /// (queued requests were validated against the old width).
-    pub fn publish(&self, tree: DecisionTree) -> u64 {
+    /// Publish a newly fitted tree or an already-compiled model (a
+    /// forest comes from [`ServedModel::from_trees`]), returning its
+    /// epoch. A tree is compiled before the lock is taken; the epoch is
+    /// assigned and the pointer swapped under the same write lock, so
+    /// concurrent publishers install strictly increasing epochs (later
+    /// publish ⇒ later epoch ⇒ the one readers see) and readers stall for
+    /// at most a pointer store. Every epoch of a registry serves the same
+    /// feature schema: a model with a different `n_features` panics here,
+    /// before the lock, so readers never see a poisoned pointer (queued
+    /// requests were validated against the old width).
+    pub fn publish(&self, model: impl Into<ServedModel>) -> u64 {
         // Stamp before the compile so the reported swap cost covers it.
         let started_s = self.publish_start_s();
-        self.install(ServedModel::from_tree(tree), None, started_s)
-            .expect("unconditional publish cannot be superseded")
-    }
-
-    /// Publish an already-compiled model (tree or ensemble) — the same
-    /// compile-outside-lock contract as [`ModelRegistry::publish`];
-    /// callers holding source trees for a forest compile via
-    /// [`ServedModel::from_trees`] first.
-    pub fn publish_model(&self, model: ServedModel) -> u64 {
-        let started_s = self.publish_start_s();
-        self.install(model, None, started_s)
+        self.install(model.into(), None, started_s)
             .expect("unconditional publish cannot be superseded")
     }
 
@@ -244,18 +236,17 @@ impl ModelRegistry {
         expected_epoch: Option<u64>,
         started_s: Option<f64>,
     ) -> Option<u64> {
+        assert_eq!(
+            model.n_features(),
+            self.n_features,
+            "publish: the registry serves {} features, the new model takes {}",
+            self.n_features,
+            model.n_features()
+        );
         let mut current = self.current.write().unwrap();
         if expected_epoch.is_some_and(|e| current.epoch != e) {
             return None;
         }
-        assert_eq!(
-            model.n_features(),
-            current.model.n_features(),
-            "publish: epoch {} serves {} features, new model has {}",
-            current.epoch,
-            current.model.n_features(),
-            model.n_features()
-        );
         let width = model.n_trees();
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
         *current = Arc::new(EpochModel { epoch, model });
@@ -290,7 +281,7 @@ impl ModelRegistry {
     /// Feature width every epoch of this registry serves (invariant
     /// across swaps — [`ModelRegistry::publish`] enforces it).
     pub fn n_features(&self) -> usize {
-        self.current.read().unwrap().model.n_features()
+        self.n_features
     }
 
     /// Number of completed hot swaps (publishes after the initial seed).
@@ -327,18 +318,22 @@ mod tests {
         let reg = ModelRegistry::new(tree(0.0));
         let ensemble = ServedModel::from_trees(vec![tree(0.0), tree(0.1), tree(0.2)]).unwrap();
         assert_eq!(ensemble.n_trees(), 3);
-        assert_eq!(reg.publish_model(ensemble), 1);
+        assert_eq!(reg.publish(ensemble), 1);
         assert_eq!(reg.current().model.n_trees(), 3);
         // And back to a single tree — shape changes ride the same pointer.
         assert_eq!(reg.publish(tree(0.3)), 2);
         assert_eq!(reg.current().model.n_trees(), 1);
     }
 
+    /// A wrong-width publish panics in its caller and nowhere else: the
+    /// width is checked before the write lock, so the epoch pointer the
+    /// batcher reads is never poisoned and the live epoch keeps serving.
     #[test]
-    #[should_panic(expected = "features")]
-    fn publish_rejects_a_different_feature_width() {
-        let reg = ModelRegistry::new(tree(0.0));
+    fn rejected_publish_leaves_the_live_epoch_serving() {
+        use crate::engine::{ServeConfig, TreeServer};
+        let reg = Arc::new(ModelRegistry::new(tree(0.0)));
         assert_eq!(reg.n_features(), 1);
+        let server = TreeServer::start(Arc::clone(&reg), ServeConfig::default());
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, -(i as f64)]).collect();
         let y: Vec<usize> = (0..20).map(|i| usize::from(i >= 10)).collect();
         let wide = fit(
@@ -346,7 +341,25 @@ mod tests {
             &TreeConfig::default(),
         )
         .unwrap();
-        let _ = reg.publish(wide);
+        let publisher = {
+            let reg = Arc::clone(&reg);
+            std::thread::spawn(move || reg.publish(wide))
+        };
+        let panic = publisher
+            .join()
+            .expect_err("a wrong-width publish must panic");
+        let message = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains("features"), "{message}");
+        assert_eq!(reg.epoch(), 0);
+        let mut handle = server.handle();
+        for k in 0..8 {
+            handle.submit(vec![k as f64 / 8.0]);
+        }
+        let responses = handle.collect();
+        assert_eq!(responses.len(), 8);
+        assert!(responses.iter().all(|r| r.epoch == 0));
+        drop(handle);
+        assert_eq!(server.shutdown().served, 8);
     }
 
     /// The shadow-promotion CAS: a publish conditioned on a stale epoch
@@ -355,7 +368,7 @@ mod tests {
     #[test]
     fn conditional_publish_refuses_a_moved_epoch() {
         let reg = ModelRegistry::new(tree(0.0));
-        let candidate = ServedModel::from_tree(tree(0.1));
+        let candidate = ServedModel::from(tree(0.1));
         // Live epoch matches: installs.
         assert_eq!(reg.publish_if_current(candidate.clone(), 0), Some(1));
         // A hotfix lands…
@@ -379,10 +392,10 @@ mod tests {
         let clock = Clock::virtual_at(3.0);
         reg.attach_telemetry(Arc::clone(&scope), Arc::clone(&clock));
         reg.publish(tree(0.1));
-        reg.publish_model(ServedModel::from_trees(vec![tree(0.0), tree(0.1), tree(0.2)]).unwrap());
+        reg.publish(ServedModel::from_trees(vec![tree(0.0), tree(0.1), tree(0.2)]).unwrap());
         // A refused CAS publish must record nothing.
         assert_eq!(
-            reg.publish_if_current(ServedModel::from_tree(tree(0.3)), 0),
+            reg.publish_if_current(ServedModel::from(tree(0.3)), 0),
             None
         );
         let events = scope.events.events();
@@ -522,7 +535,7 @@ mod tests {
                     let width = 2 + (k as usize % 3);
                     let sources: Vec<_> =
                         (0..width).map(|j| tree(j as f64 * 0.02 + 0.005)).collect();
-                    reg.publish_model(ServedModel::from_trees(sources).unwrap());
+                    reg.publish(ServedModel::from_trees(sources).unwrap());
                 }
             }
             stop.store(true, Ordering::Relaxed);

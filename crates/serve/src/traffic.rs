@@ -1,7 +1,8 @@
 //! Open-loop traffic generation: request arrival processes replayed
-//! against a [`crate::TreeServer`] without ever waiting for responses —
-//! the discipline that makes tail-latency measurements honest (a
-//! closed loop would self-throttle exactly when the server falls behind).
+//! against a server ([`drive_open_loop`]) without ever waiting for
+//! responses — the discipline that makes tail-latency measurements honest
+//! (a closed loop would self-throttle exactly when the server falls
+//! behind).
 //!
 //! Two arrival shapes mirror the paper's two local scenarios:
 //!
@@ -14,13 +15,11 @@
 //!   [`ArrivalProcess::from_flow_arrivals`] to replay a generated
 //!   [`metis_flowsched::FlowRequest`] schedule exactly).
 
-use crate::clock;
-use crate::engine::{Response, ServerHandle};
+use crate::clock::Clock;
 use metis_abr::NetworkTrace;
 use metis_flowsched::FlowRequest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A finite schedule of request inter-arrival gaps (seconds).
@@ -121,101 +120,39 @@ impl ArrivalProcess {
     }
 }
 
-/// Drive one arrival schedule open-loop against a server: request `k` is
-/// submitted at its scheduled instant (`time_scale` stretches or, at
-/// `0.0`, removes the gaps) with features `features(k)`, never waiting
-/// for an answer; once everything is submitted, block for the responses
-/// and return them **sorted by request id**.
+/// Drive one arrival schedule open-loop: call `submit(k)` for request
+/// `k` at its scheduled instant on `clock`, never waiting for an answer.
+/// The caller collects afterwards, so the same driver feeds a
+/// [`crate::ServerHandle`] and a fabric handle alike. `time_scale`
+/// stretches the gaps (request `k` goes out `time_scale` × the sum of
+/// gaps `0..=k` after the start), and `0.0` removes them.
 ///
-/// Pacing follows the server's [`clock::Clock`]: on the real clock each gap is
-/// slept (with the default [`clock::DEFAULT_SPIN_TRIM`] busy-spin tail —
-/// see [`drive_open_loop_paced`] to bound or disable it), while on a
-/// virtual clock the gaps advance virtual time and cost nothing.
+/// A real clock sleeps each gap out, busy-spinning its last `spin_trim`
+/// (clamped to [`crate::clock::MAX_SPIN_TRIM`]):
+/// [`crate::clock::DEFAULT_SPIN_TRIM`] keeps sub-millisecond schedules
+/// in shape, and [`Duration::ZERO`] never spins, for a driver that
+/// shares its core. A virtual clock advances through the gaps at no
+/// cost.
 pub fn drive_open_loop(
-    handle: &mut ServerHandle,
+    clock: &Clock,
     arrivals: &ArrivalProcess,
-    features: impl FnMut(u64) -> Vec<f64>,
-    time_scale: f64,
-) -> Vec<Response> {
-    drive_open_loop_paced(
-        handle,
-        arrivals,
-        features,
-        time_scale,
-        clock::DEFAULT_SPIN_TRIM,
-    )
-}
-
-/// [`drive_open_loop`] with an explicit busy-spin budget. The old pacer
-/// spun the last 100µs of **every** gap unconditionally; here the spin
-/// tail is the caller's choice — [`Duration::ZERO`] never spins (pure
-/// `thread::sleep` pacing, cheapest but at OS-timer granularity), and
-/// whatever is passed is clamped to [`clock::MAX_SPIN_TRIM`].
-pub fn drive_open_loop_paced(
-    handle: &mut ServerHandle,
-    arrivals: &ArrivalProcess,
-    mut features: impl FnMut(u64) -> Vec<f64>,
     time_scale: f64,
     spin_trim: Duration,
-) -> Vec<Response> {
+    mut submit: impl FnMut(u64),
+) {
     assert!(
         time_scale.is_finite() && time_scale >= 0.0,
         "time_scale must be finite and non-negative"
     );
-    let clock = Arc::clone(handle.clock());
     let start_s = clock.now_s();
-    let mut t = 0.0;
+    let mut elapsed_s = 0.0;
     for (k, gap) in arrivals.gaps_s().iter().enumerate() {
         if time_scale > 0.0 {
-            t += gap * time_scale;
-            clock.sleep_until(start_s + t, spin_trim);
+            elapsed_s += gap;
+            clock.sleep_until(start_s + time_scale * elapsed_s, spin_trim);
         }
-        handle.submit(features(k as u64));
+        submit(k as u64);
     }
-    handle.collect()
-}
-
-/// [`drive_open_loop`] in **drain-segmented** mode: before submitting a
-/// request whose scheduled gap is at least `drain_gap_s`, every
-/// outstanding response is collected first, so the schedule's large gaps
-/// split the stream into segments that can never share a micro-batch.
-///
-/// On a [`clock::Clock::virtual_at`] server (the mode the fabric determinism
-/// suites run in CI) nothing sleeps — each gap advances virtual time, a
-/// run takes compute time instead of schedule time, and every batch
-/// closes on the collect's explicit flush, deterministically placed by
-/// the schedule rather than by wall-clock raciness. On a real-clock
-/// server the same drains quiesce the ingest queue and the wall deadline
-/// closes each partial batch, as before this function grew a clock.
-/// Responses return **sorted by request id** either way.
-pub fn drive_open_loop_virtual(
-    handle: &mut ServerHandle,
-    arrivals: &ArrivalProcess,
-    mut features: impl FnMut(u64) -> Vec<f64>,
-    drain_gap_s: f64,
-) -> Vec<Response> {
-    assert!(
-        drain_gap_s.is_finite() && drain_gap_s > 0.0,
-        "drain_gap_s must be finite and positive"
-    );
-    let clock = Arc::clone(handle.clock());
-    let start_s = clock.now_s();
-    let mut t = 0.0;
-    let mut responses = Vec::with_capacity(arrivals.len());
-    for (k, gap) in arrivals.gaps_s().iter().enumerate() {
-        t += gap;
-        if clock.is_virtual() {
-            clock.advance_to(start_s + t);
-        }
-        if *gap >= drain_gap_s && handle.outstanding() > 0 {
-            responses.extend(handle.collect());
-        }
-        handle.submit(features(k as u64));
-    }
-    // Each collect returns its window in id order and the windows follow
-    // each other, so the concatenation is already sorted.
-    responses.extend(handle.collect());
-    responses
 }
 
 #[cfg(test)]
@@ -288,7 +225,16 @@ mod tests {
         );
         let mut handle = server.handle();
         let arrivals = ArrivalProcess::poisson(50_000.0, 120, 11);
-        let responses = drive_open_loop(&mut handle, &arrivals, |k| vec![(k % 60) as f64], 1.0);
+        drive_open_loop(
+            server.clock(),
+            &arrivals,
+            1.0,
+            crate::clock::DEFAULT_SPIN_TRIM,
+            |k| {
+                handle.submit(vec![(k % 60) as f64]);
+            },
+        );
+        let responses = handle.collect();
         assert_eq!(responses.len(), 120);
         for (k, resp) in responses.iter().enumerate() {
             assert_eq!(resp.id, k as u64);
@@ -322,67 +268,31 @@ mod tests {
         assert_ne!(a.gaps_s(), ArrivalProcess::poisson(750.0, 300, 43).gaps_s());
     }
 
-    /// Virtual-clock driving: the schedule's large gaps split the stream
-    /// into segments whose requests can never share a micro-batch, and —
-    /// with the server itself on a virtual [`Clock`] — *everything* is
-    /// virtual-time bookkeeping: the clock ends at exactly the gap sum,
-    /// each segment is one explicitly-flushed batch, and every latency is
-    /// exactly zero (stamps within a segment are identical). No assertion
-    /// reads the wall clock, so a loaded CI host cannot flake this.
+    /// On a virtual clock the driver is pure schedule arithmetic: it
+    /// submits every request once, in order, with the clock reading
+    /// `time_scale` × the cumulative gap at each call and `time_scale` ×
+    /// the schedule's duration at the end; at scale 0 time stands still.
     #[test]
-    fn virtual_clock_preserves_segment_structure_and_answers_everything() {
-        let x: Vec<Vec<f64>> = (0..60).map(|i| vec![i as f64]).collect();
-        let y: Vec<usize> = (0..60).map(|i| usize::from(i >= 30)).collect();
-        let tree = fit(
-            &Dataset::classification(x, y, 2).unwrap(),
-            &TreeConfig::default(),
-        )
-        .unwrap();
-        let clock = crate::clock::Clock::virtual_at(0.0);
-        let server = TreeServer::start_clocked(
-            Arc::new(ModelRegistry::new(tree.clone())),
-            ServeConfig {
-                max_batch: 64,                      // bigger than any segment: only drains flush
-                max_delay: Duration::from_secs(10), // never consulted on a virtual clock
-                ..Default::default()
-            },
-            Arc::clone(&clock),
-        );
-        // Segments of 4, 3, and 5 requests separated by 1-second gaps the
-        // virtual clock never actually sleeps.
-        let gaps = vec![0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0];
-        let segment_len = |id: u64| match id {
-            0..=3 => 4usize,
-            4..=6 => 3,
-            _ => 5,
-        };
-        let arrivals = ArrivalProcess::replay("segments", gaps);
-        let mut handle = server.handle();
-        let responses =
-            drive_open_loop_virtual(&mut handle, &arrivals, |k| vec![(k % 60) as f64], 0.5);
-        assert_eq!(
-            clock.now_s(),
-            2.0,
-            "virtual time must advance by exactly the gap sum"
-        );
-        assert_eq!(responses.len(), 12);
-        for (k, resp) in responses.iter().enumerate() {
-            assert_eq!(resp.id, k as u64, "sorted by id");
-            assert_eq!(resp.prediction, tree.predict(&[(k % 60) as f64]));
-            assert_eq!(
-                resp.batch_size,
-                segment_len(resp.id),
-                "request {} must batch with exactly its own segment",
-                resp.id
-            );
-            assert_eq!(
-                resp.latency_s, 0.0,
-                "same-stamp segment members have zero virtual latency"
-            );
+    fn virtual_clock_reads_the_scaled_schedule_at_every_submit() {
+        let arrivals = ArrivalProcess::poisson(1000.0, 50, 3);
+        for time_scale in [0.0, 1.0, 0.37] {
+            let clock = Clock::virtual_at(0.0);
+            let mut seen = Vec::new();
+            drive_open_loop(&clock, &arrivals, time_scale, Duration::ZERO, |k| {
+                seen.push((k, clock.now_s()))
+            });
+            let mut cumulative = 0.0;
+            let want: Vec<(u64, f64)> = arrivals
+                .gaps_s()
+                .iter()
+                .enumerate()
+                .map(|(k, gap)| {
+                    cumulative += gap;
+                    (k as u64, time_scale * cumulative)
+                })
+                .collect();
+            assert_eq!(seen, want, "time_scale {time_scale}");
+            assert_eq!(clock.now_s(), time_scale * arrivals.duration_s());
         }
-        let report = server.shutdown();
-        assert_eq!(report.served, 12);
-        assert_eq!(report.batches, 3, "one explicit flush per segment");
-        assert_eq!(report.latency.max_s, 0.0);
     }
 }

@@ -43,6 +43,7 @@ use metis_abr::{AbrEnv, ChunkDownload, NetworkTrace, VideoModel, OBS_DIM};
 use metis_dt::DecisionTree;
 use metis_fabric::Router;
 use metis_obs::Observer;
+use metis_telemetry::Fnv1a;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -213,20 +214,14 @@ pub struct CosimReport {
 
 /// FNV-1a digest of the per-session outcomes (bitwise on the floats).
 pub fn outcome_digest(sessions: &[SessionOutcome]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
     for s in sessions {
-        eat(s.qoe_sum.to_bits());
-        eat(s.rebuffer_s.to_bits());
-        eat(s.switches);
-        eat(s.chunks);
+        h.write_u64(s.qoe_sum.to_bits());
+        h.write_u64(s.rebuffer_s.to_bits());
+        h.write_u64(s.switches);
+        h.write_u64(s.chunks);
     }
-    h
+    h.finish()
 }
 
 struct SessionState {
@@ -577,6 +572,25 @@ mod tests {
         // The swap actually landed on both.
         assert_eq!(f1.scenarios[0].swaps, 1);
         assert_eq!(f2.scenarios[0].swaps, 1);
+    }
+
+    /// The outcome digest is byte-wise FNV-1a over each session's
+    /// `(qoe_sum, rebuffer_s, switches, chunks)` in little-endian order.
+    /// Pinned, so a change of hash primitive cannot silently re-key every
+    /// recorded co-sim digest.
+    #[test]
+    fn outcome_digest_is_pinned() {
+        let sessions: Vec<SessionOutcome> = (0..3u64)
+            .map(|i| SessionOutcome {
+                qoe_sum: 1.5 - i as f64 * 0.75,
+                rebuffer_s: i as f64 * 0.125,
+                switches: i,
+                chunks: 10 + i,
+                ..SessionOutcome::new(i as usize, 0.0)
+            })
+            .collect();
+        assert_eq!(outcome_digest(&sessions), 0xe510_7349_9a24_6a5b);
+        assert_eq!(outcome_digest(&[]), 0xcbf2_9ce4_8422_2325);
     }
 
     #[test]

@@ -50,14 +50,45 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// FNV-1a over a byte string — the digest primitive shared by the
-/// deterministic telemetry surfaces.
+/// deterministic telemetry surfaces, the co-sim outcome digest and the
+/// determinism suites' fingerprints.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a`]: feeding a byte string in pieces gives the same
+/// digest as hashing it whole.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Hash `v`'s little-endian bytes (the same on every host).
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
 }
 
 /// Sizing knobs for the per-scope instruments.

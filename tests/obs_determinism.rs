@@ -31,7 +31,7 @@ use metis::fabric::{FabricConfig, Router, ScenarioSpec, TenantSpec};
 use metis::obs::{Alert, ObserverConfig};
 use metis::serve::{Clock, ServeConfig};
 use metis::sim::{run_abr_cosim_observed, CosimConfig, ModelSwap};
-use metis::telemetry::Telemetry;
+use metis::telemetry::{Fnv1a, Telemetry};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -242,11 +242,7 @@ fn run_lifecycle(threads: usize, stripe: usize, plane: Telemetry) -> (u64, u64, 
         ..Default::default()
     });
     let mut handle = router.handle();
-    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        fingerprint ^= v;
-        fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut fingerprint = Fnv1a::new();
     // Each phase: submit a 20-request wave with the clock advancing
     // `gap_s` between submissions. Under a virtual clock the batch
     // closes at its *latest* submit stamp, so request `i`'s latency is
@@ -273,9 +269,9 @@ fn run_lifecycle(threads: usize, stripe: usize, plane: Telemetry) -> (u64, u64, 
             handle.submit(0, k % 7, features);
         }
         for resp in handle.collect() {
-            eat(resp.id);
-            eat(resp.response.epoch);
-            eat(resp.response.prediction.class() as u64);
+            fingerprint.write_u64(resp.id);
+            fingerprint.write_u64(resp.response.epoch);
+            fingerprint.write_u64(resp.response.prediction.class() as u64);
         }
         obs.tick_now();
     }
@@ -284,7 +280,7 @@ fn run_lifecycle(threads: usize, stripe: usize, plane: Telemetry) -> (u64, u64, 
     let alerts = alert_fingerprint(&obs.alerts());
     let prom = obs.prometheus_text();
     router.shutdown();
-    (fingerprint, digest, alerts, prom)
+    (fingerprint.finish(), digest, alerts, prom)
 }
 
 /// A fixed calm → hot → calm schedule walks every monitor through fire

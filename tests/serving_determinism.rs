@@ -225,7 +225,7 @@ proptest! {
         for idx in 0..phase {
             handle.submit(request_features(idx, salt));
         }
-        registry.publish_model(ServedModel::from_trees(members.clone()).unwrap());
+        registry.publish(ServedModel::from_trees(members.clone()).unwrap());
         for idx in phase..n {
             handle.submit(request_features(idx, salt));
         }

@@ -23,7 +23,7 @@
 use metis::dt::{fit, Dataset, DecisionTree, TreeConfig};
 use metis::fabric::{FabricConfig, PromotePolicy, Router, ScenarioSpec, ShadowConfig, TenantSpec};
 use metis::serve::{Clock, ServeConfig};
-use metis::telemetry::Telemetry;
+use metis::telemetry::{Fnv1a, Telemetry};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,11 +109,7 @@ fn run_schedule(
         },
     );
     let mut handle = router.handle();
-    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        fingerprint ^= v;
-        fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut fingerprint = Fnv1a::new();
     for (wave_idx, (at_s, sessions)) in schedule.waves.iter().enumerate() {
         if let Some((swap_wave, seed)) = schedule.swap {
             if swap_wave == wave_idx {
@@ -125,16 +121,16 @@ fn run_schedule(
             handle.submit(0, session, request_features(session, schedule.salt));
         }
         for resp in handle.collect() {
-            eat(resp.id);
-            eat(resp.response.epoch);
-            eat(resp.response.prediction.class() as u64);
+            fingerprint.write_u64(resp.id);
+            fingerprint.write_u64(resp.response.epoch);
+            fingerprint.write_u64(resp.response.prediction.class() as u64);
         }
     }
     drop(handle);
     let digest = plane.digest();
     let trace = plane.chrome_trace_json();
     router.shutdown();
-    (fingerprint, digest, trace)
+    (fingerprint.finish(), digest, trace)
 }
 
 proptest! {
