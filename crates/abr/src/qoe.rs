@@ -82,10 +82,12 @@ impl SessionStats {
 }
 
 /// Percentile of a sample (linear interpolation, `p` in `[0, 100]`).
+/// NaN samples order last via `total_cmp`, so they reach only the upper
+/// percentiles instead of panicking the sort.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty slice");
     let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v.sort_by(f64::total_cmp);
     let rank = (p / 100.0) * (v.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -144,5 +146,13 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 4.0);
         assert!((percentile(&v, 50.0) - 2.5).abs() < 1e-12);
         assert!((percentile(&v, 25.0) - 1.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn percentile_orders_nan_last() {
+        let v = [3.0, f64::NAN, 1.0, 2.0];
+        assert_eq!(percentile(&v, 0.0), 1.0);
+        assert!((percentile(&v, 50.0) - 2.5).abs() < 1e-12);
+        assert!(percentile(&v, 100.0).is_nan());
     }
 }

@@ -703,7 +703,7 @@ fn emit_report(_c: &mut Criterion) {
     } = fixture();
 
     // Backend throughput: the arena walk the seed deployed vs the
-    // levelwise compiled batch walk the serving engine flushes.
+    // compiled batch walk the serving engine flushes.
     let tree_single_per_sec = rows_per_sec(pool.len(), || {
         for x in pool {
             black_box(tree.predict(black_box(x)));
@@ -726,32 +726,20 @@ fn emit_report(_c: &mut Criterion) {
 
     // The lane kernel in isolation: `predict_batch_into` with a
     // preallocated output buffer, so the number is the walk itself rather
-    // than per-call result allocation. The retained pre-kernel levelwise
-    // walk is measured back-to-back in the same process so the speedup
-    // ratio is meaningful on a noisy host (absolute rates swing ±30%
-    // round to round on this virtualized 1-core box; interleaved A/B
-    // comparisons hold steady).
+    // than per-call result allocation.
     let flat256: Vec<f64> = pool.iter().take(256).flatten().copied().collect();
     let mut out256 = vec![Prediction::Class(0); 256];
     let kernel_rows_per_sec_b256 = rows_per_sec(256, || {
         compiled.predict_batch_into(black_box(&flat256), black_box(&mut out256));
     });
-    let levelwise_rows_x1_b256 = rows_per_sec(256, || {
-        compiled.predict_batch_levelwise(black_box(&flat256), black_box(&mut out256));
-    });
-    let kernel_vs_levelwise_x_b256 = kernel_rows_per_sec_b256 / levelwise_rows_x1_b256.max(1e-12);
 
     // Forest evaluation, 8 trees over one schema: the block-major
     // evaluator (all trees walk one 16-row block before the batch
-    // advances) vs the naive shape it replaces — the retained levelwise
-    // walk once per tree, then the same majority-vote reduce. Both
-    // report *rows* per second (each row costs 8 tree-walks either way).
+    // advances), in *rows* per second (each row costs 8 tree-walks).
     // Measured at 16384 rows (19 MB of features, past L2 and most of
-    // L3): that is the regime ensemble amortization targets — the naive
-    // shape re-streams the whole batch from cache/memory once per tree,
-    // while block-major touches each 16-row block once and keeps it in
-    // L1 across all 8 trees. Small batches fit in cache either way and
-    // show only the reduced reduce/dispatch overhead (~1.6x at 256).
+    // L3): that is the regime ensemble amortization targets, because
+    // block-major touches each 16-row block once and keeps it in L1
+    // across all 8 trees instead of re-streaming the batch per tree.
     let forest = Forest::from_compiled(
         std::iter::once(compiled.clone())
             .chain(
@@ -771,36 +759,6 @@ fn emit_report(_c: &mut Criterion) {
     let forest_rows_per_sec = rows_per_sec(FOREST_BATCH, || {
         forest.predict_batch_into(black_box(&forest_rows), black_box(&mut forest_out));
     });
-    let mut naive_out = vec![Prediction::Class(0); FOREST_BATCH];
-    let mut votes = vec![0u32; FOREST_BATCH * 108];
-    let forest_naive_rows_per_sec = rows_per_sec(FOREST_BATCH, || {
-        votes.fill(0);
-        for t in forest.trees() {
-            t.predict_batch_levelwise(black_box(&forest_rows), black_box(&mut naive_out));
-            for (r, p) in naive_out.iter().enumerate() {
-                votes[r * 108 + p.class()] += 1;
-            }
-        }
-        for (r, slot) in naive_out.iter_mut().enumerate() {
-            let row = &votes[r * 108..(r + 1) * 108];
-            let best = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-                .unwrap()
-                .0;
-            *slot = Prediction::Class(best);
-        }
-        black_box(&naive_out);
-    });
-    let forest_vs_naive_x8 = forest_rows_per_sec / forest_naive_rows_per_sec.max(1e-12);
-    // Cross-check while the fixtures are in hand: the block-major
-    // evaluator and the naive per-tree reduce must agree row for row.
-    {
-        forest.predict_batch_into(&forest_rows, &mut forest_out);
-        assert_eq!(forest_out, naive_out, "forest reduce diverged from naive");
-    }
-
     // The in-register small-tree kernel: a 32-leaf prune (≤ 63 nodes,
     // within the 64-slot budget) whose compiled table carries the
     // register-resident threshold/feature/child lookups, vs the identical
@@ -1015,12 +973,8 @@ fn emit_report(_c: &mut Criterion) {
         serve_batch_rows_per_sec_b256: batch_rates[2],
         batch256_speedup_vs_single_tree: batch_rates[2] / tree_single_per_sec.max(1e-12),
         kernel_rows_per_sec_b256,
-        levelwise_rows_x1_b256,
-        kernel_vs_levelwise_x_b256,
         forest_trees: forest.n_trees(),
         forest_rows_per_sec,
-        forest_naive_rows_x8: forest_naive_rows_per_sec,
-        forest_vs_naive_x8,
         inreg_tree_nodes: small.node_count(),
         kernel_inreg_rows_per_sec,
         kernel_inreg_gather_rows_x1,
@@ -1079,9 +1033,9 @@ fn emit_report(_c: &mut Criterion) {
     std::fs::write(&path, &json).expect("write BENCH_serving.json");
     println!(
         "serving backend: tree {:.0} rows/s, compiled batch-256 {:.0} rows/s ({:.1}x), \
-         kernel batch-256 {:.0} rows/s ({:.2}x levelwise); \
+         kernel batch-256 {:.0} rows/s; \
          in-register {}-node walk {:.0} rows/s ({:.2}x gather); \
-         forest x8 {:.0} rows/s ({:.1}x naive per-tree); \
+         forest x8 {:.0} rows/s; \
          ensemble serving {:.0} rps ({:.2}x one-at-a-time x8); \
          engine {:.0} rps capacity, p99 {:.0} us at {:.0} rps offered; \
          {} swaps under load: {} dropped, {} mismatches; \
@@ -1096,12 +1050,10 @@ fn emit_report(_c: &mut Criterion) {
         report.serve_batch_rows_per_sec_b256,
         report.batch256_speedup_vs_single_tree,
         report.kernel_rows_per_sec_b256,
-        report.kernel_vs_levelwise_x_b256,
         report.inreg_tree_nodes,
         report.kernel_inreg_rows_per_sec,
         report.kernel_inreg_vs_gather_x,
         report.forest_rows_per_sec,
-        report.forest_vs_naive_x8,
         report.forest_serve_per_sec,
         report.forest_serve_vs_onebyone_x8,
         report.engine_capacity_rps,
@@ -1130,25 +1082,12 @@ fn emit_report(_c: &mut Criterion) {
         path.display()
     );
     // Acceptance bars: batched compiled serving >= 3x the single-request
-    // arena walk at batch 256, and the block-major forest >= 3x naive
-    // per-tree evaluation at 8 trees. Warn loudly rather than panic so a
-    // noisy runner cannot fail the bench step on hardware variance alone.
+    // arena walk at batch 256. Warn loudly rather than panic so a noisy
+    // runner cannot fail the bench step on hardware variance alone.
     if report.batch256_speedup_vs_single_tree < 3.0 {
         eprintln!(
             "WARNING: batch-256 serving speedup is {:.2}x (< 3x target)",
             report.batch256_speedup_vs_single_tree
-        );
-    }
-    if report.kernel_vs_levelwise_x_b256 < 1.5 {
-        eprintln!(
-            "WARNING: kernel speedup over the levelwise walk is {:.2}x (< 1.5x target)",
-            report.kernel_vs_levelwise_x_b256
-        );
-    }
-    if report.forest_vs_naive_x8 < 3.0 {
-        eprintln!(
-            "WARNING: 8-tree forest speedup over naive per-tree evaluation is {:.2}x (< 3x target)",
-            report.forest_vs_naive_x8
         );
     }
     if report.kernel_inreg_vs_gather_x < 1.5 {
@@ -1183,23 +1122,11 @@ struct ServingReport {
     /// Gated: the lane-vectorized kernel walk alone (`predict_batch_into`
     /// with a preallocated output buffer, 256 rows).
     kernel_rows_per_sec_b256: f64,
-    /// Ungated reference: the retained pre-kernel levelwise walk on the
-    /// same 256 rows, same process (`rows_x1`, not `per_sec`, so the
-    /// guard gates the kernel, not the oracle it replaced).
-    levelwise_rows_x1_b256: f64,
-    /// Same-process kernel speedup over the levelwise walk — the honest
-    /// comparison on a host whose absolute rates swing ±30% between runs.
-    kernel_vs_levelwise_x_b256: f64,
     forest_trees: usize,
     /// Gated: block-major 8-tree forest evaluation, rows per second, on a
     /// 16384-row batch (feature matrix larger than L2/L3 — the regime the
     /// block-major schedule targets).
     forest_rows_per_sec: f64,
-    /// Ungated comparison point: the naive per-tree levelwise walk plus
-    /// vote reduce over the same 8 trees (`rows_x8`, not `per_sec`, so
-    /// the guard gates the evaluator, not the retained oracle).
-    forest_naive_rows_x8: f64,
-    forest_vs_naive_x8: f64,
     /// Node count of the in-register A/B tree (≤ `metis_dt::INREG_NODES`).
     inreg_tree_nodes: usize,
     /// Gated: the in-register small-tree walk (`vpermi2*` register

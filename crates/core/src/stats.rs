@@ -39,10 +39,11 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 }
 
 /// Empirical CDF evaluation points: returns `(sorted values, cumulative
-/// fractions)` suitable for printing figure data.
+/// fractions)` suitable for printing figure data. NaN samples order last
+/// via `total_cmp` instead of panicking the sort.
 pub fn ecdf(xs: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v.sort_by(f64::total_cmp);
     let n = v.len() as f64;
     let fracs = (1..=v.len()).map(|i| i as f64 / n).collect();
     (v, fracs)
@@ -88,6 +89,14 @@ mod tests {
         assert_eq!(v, vec![1.0, 2.0, 3.0]);
         assert!((f[2] - 1.0).abs() < 1e-12);
         assert!((f[0] - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ecdf_orders_nan_last() {
+        let (v, f) = ecdf(&[2.0, f64::NAN, 1.0]);
+        assert_eq!(&v[..2], &[1.0, 2.0]);
+        assert!(v[2].is_nan());
+        assert_eq!(f, vec![1.0 / 3.0, 2.0 / 3.0, 1.0]);
     }
 
     #[test]

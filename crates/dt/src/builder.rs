@@ -140,6 +140,10 @@ pub enum FitError {
     /// ([`crate::DatasetError::NanFeature`]); this catches datasets built
     /// as struct literals. Infinite values are accepted.
     NanFeature,
+    /// The rows have zero features, so no split can be tested. The
+    /// [`Dataset`] constructors reject them too
+    /// ([`crate::DatasetError::NoFeatures`]).
+    NoFeatures,
 }
 
 impl std::fmt::Display for FitError {
@@ -148,6 +152,7 @@ impl std::fmt::Display for FitError {
             FitError::CriterionMismatch => write!(f, "criterion does not match target type"),
             FitError::NoLeavesAllowed => write!(f, "max_leaf_nodes must be >= 1"),
             FitError::NanFeature => write!(f, "feature value is NaN"),
+            FitError::NoFeatures => write!(f, "feature rows are empty"),
         }
     }
 }
@@ -834,7 +839,8 @@ fn partition_by_mark(mark: &[bool], idx: &[u32], n_left: usize) -> (Vec<u32>, Ve
 
 /// Fit a CART tree to a weighted dataset.
 ///
-/// Fails with [`FitError::NanFeature`] if any feature value is NaN.
+/// Fails with [`FitError::NanFeature`] if any feature value is NaN, and
+/// with [`FitError::NoFeatures`] if the rows are empty.
 pub fn fit(ds: &Dataset, config: &TreeConfig) -> Result<DecisionTree, FitError> {
     match (&ds.y, config.criterion) {
         (Targets::Class { .. }, Criterion::Gini | Criterion::Entropy) => {}
@@ -843,6 +849,9 @@ pub fn fit(ds: &Dataset, config: &TreeConfig) -> Result<DecisionTree, FitError> 
     }
     if config.max_leaf_nodes == 0 {
         return Err(FitError::NoLeavesAllowed);
+    }
+    if ds.x.first().is_some_and(Vec::is_empty) {
+        return Err(FitError::NoFeatures);
     }
     let orders = presort(ds)?;
 
@@ -1770,6 +1779,25 @@ mod tests {
         for xi in &x {
             assert_eq!(tree.predict(xi), compiled.predict(xi));
         }
+    }
+
+    /// A struct literal can also carry the zero-width rows the
+    /// constructors reject: `fit` returns `NoFeatures` instead of
+    /// indexing the first feature's presorted order.
+    #[test]
+    fn fit_rejects_zero_width_rows() {
+        let ds = Dataset {
+            x: vec![vec![]; 20],
+            y: Targets::Class {
+                labels: vec![0; 20],
+                n_classes: 2,
+            },
+            w: vec![1.0; 20],
+        };
+        assert_eq!(
+            fit(&ds, &TreeConfig::default()).unwrap_err(),
+            FitError::NoFeatures
+        );
     }
 
     /// The radix presort gives the (value, row index) order of a

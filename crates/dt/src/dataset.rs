@@ -54,6 +54,9 @@ pub enum DatasetError {
     /// [`crate::fit`] would reject the dataset too
     /// ([`crate::FitError::NanFeature`]). Infinite values are accepted.
     NanFeature,
+    /// The rows have zero features, so no split can be tested
+    /// ([`crate::FitError::NoFeatures`]).
+    NoFeatures,
 }
 
 impl std::fmt::Display for DatasetError {
@@ -65,17 +68,21 @@ impl std::fmt::Display for DatasetError {
             DatasetError::BadLabel => write!(f, "class label out of range"),
             DatasetError::NonPositiveWeight => write!(f, "sample weight must be > 0"),
             DatasetError::NanFeature => write!(f, "feature value is NaN"),
+            DatasetError::NoFeatures => write!(f, "feature rows are empty"),
         }
     }
 }
 
 impl std::error::Error for DatasetError {}
 
-/// Rows must be non-empty, of one length, and NaN-free.
+/// Rows must be non-empty, of one non-zero length, and NaN-free.
 fn check_rows(x: &[Vec<f64>]) -> Result<(), DatasetError> {
     let Some(first) = x.first() else {
         return Err(DatasetError::Empty);
     };
+    if first.is_empty() {
+        return Err(DatasetError::NoFeatures);
+    }
     if x.iter().any(|r| r.len() != first.len()) {
         return Err(DatasetError::RaggedRows);
     }
@@ -297,6 +304,18 @@ mod tests {
         let inf = vec![vec![f64::NEG_INFINITY, 0.0], vec![f64::INFINITY, 1.0]];
         assert!(Dataset::classification(inf.clone(), vec![0, 1], 2).is_ok());
         assert!(Dataset::regression(inf, vec![0.0, 1.0]).is_ok());
+    }
+
+    #[test]
+    fn rejects_zero_width_rows() {
+        assert_eq!(
+            Dataset::classification(vec![vec![]; 20], vec![0; 20], 2).unwrap_err(),
+            DatasetError::NoFeatures
+        );
+        assert_eq!(
+            Dataset::regression(vec![vec![]; 3], vec![0.0; 3]).unwrap_err(),
+            DatasetError::NoFeatures
+        );
     }
 
     #[test]

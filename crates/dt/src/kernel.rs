@@ -46,10 +46,9 @@
 //! NaN ordered false (routes right), so the SIMD paths stay inside the
 //! bit-exactness contract; self-loop leaves survive the select unchanged
 //! because a leaf's `thr = +inf` sends real values left and NaN right,
-//! both of which are the leaf itself. Set `METIS_NO_GATHER=1` to force
-//! the portable walk — an escape hatch for hosts where microcode
-//! mitigations (e.g. Downfall) made gathers slow, and the A/B lever the
-//! benches use.
+//! both of which are the leaf itself. The choice of walk depends only on
+//! the CPU's features and the table's size; a unit test runs every walk
+//! the host can execute against `walk_one` on the same rows.
 //!
 //! # In-register tables
 //!
@@ -62,8 +61,7 @@
 //! lookups (a two-deep blend cascade on index bits 4–5 covers all 64
 //! entries); only the per-row feature load remains a real gather. The
 //! same `_CMP_LT_OQ` comparator keeps the path inside the bit-exactness
-//! contract, and `METIS_NO_GATHER=1` disables it along with the gather
-//! walks.
+//! contract.
 
 use crate::tree::{CompiledTree, DecisionTree, Prediction, TreeError, TreeKind};
 use serde::Serialize;
@@ -241,8 +239,8 @@ fn walk_block<const L: usize>(t: &NodeTable, rows: &[f64], nf: usize, out: &mut 
             let i = *slot as usize;
             // SAFETY: `i` is a node id produced by the table itself
             // (children and self-loops are in-bounds by construction),
-            // `feat[i] < nf` for internal nodes and 0 for leaves, and the
-            // caller asserted `rows.len() == L * nf` with `nf >= 1`.
+            // `feat[i] < nf` for internal nodes and 0 for leaves, and
+            // `walk_payloads` passes `rows.len() == L * nf` with `nf >= 1`.
             unsafe {
                 let f = *t.feat.get_unchecked(i) as usize;
                 let x = *rows.get_unchecked(l * nf + f);
@@ -281,7 +279,7 @@ fn walk_block<const L: usize>(t: &NodeTable, rows: &[f64], nf: usize, out: &mut 
 ///
 /// The comparator is `_CMP_LT_OQ` — exactly `x < thr` (quiet, NaN
 /// compares false and routes right), so results stay bit-identical to
-/// the portable walk; a unit test pins the two against each other.
+/// the portable walk; a unit test pins every walk to [`walk_one`].
 #[cfg(target_arch = "x86_64")]
 mod gather {
     use super::{InRegTable, NodeTable, LANES};
@@ -307,7 +305,7 @@ mod gather {
 
     #[inline]
     pub(super) fn applicable(t: &NodeTable, nf: usize) -> Width {
-        if t.len() > i32::MAX as usize || LANES * nf > i32::MAX as usize || disabled() {
+        if t.len() > i32::MAX as usize || LANES * nf > i32::MAX as usize {
             return Width::None;
         }
         if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
@@ -320,14 +318,6 @@ mod gather {
             return Width::Avx2;
         }
         Width::None
-    }
-
-    /// `METIS_NO_GATHER=1` forces the portable walk — an escape hatch for
-    /// hosts whose microcode makes AVX2 gathers slower than plain loads
-    /// (post-Downfall Intel), and the lever A/B measurements use.
-    fn disabled() -> bool {
-        static DISABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *DISABLED.get_or_init(|| std::env::var_os("METIS_NO_GATHER").is_some_and(|v| v != "0"))
     }
 
     /// # Safety
@@ -588,7 +578,9 @@ pub(crate) fn walk_payloads(t: &NodeTable, rows: &[f64], nf: usize, out: &mut [u
         #[cfg(target_arch = "x86_64")]
         {
             // SAFETY: applicable() verified the ISA features and 32-bit
-            // indexability; the slices are exactly one LANES-row block.
+            // indexability; the slices are exactly one LANES-row block, and
+            // `nf >= 1` because every table comes from a tree that passed
+            // `DecisionTree::validate`, which rejects zero-feature trees.
             match width {
                 gather::Width::InReg512 => {
                     let reg = t.inreg.as_ref().expect("InReg512 dispatch without table");
@@ -705,11 +697,6 @@ impl Forest {
 
     pub fn kind(&self) -> TreeKind {
         self.kind
-    }
-
-    /// The member trees, in vote order.
-    pub fn trees(&self) -> &[CompiledTree] {
-        &self.trees
     }
 
     /// Ensemble prediction for one feature vector (see the type docs for
@@ -836,4 +823,178 @@ fn argmax_lowest(votes: &[u32]) -> usize {
         }
     }
     best
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::{fit, Criterion, TreeConfig};
+    use crate::dataset::Dataset;
+    use crate::tree::diff_predictions;
+
+    /// One [`LANES`]-row block of `nf`-feature rows in, one leaf payload
+    /// per row out.
+    type BlockWalk = fn(&NodeTable, &[f64], usize, &mut [u32]);
+
+    /// Every block walk this host can execute on `t`, whichever one
+    /// [`walk_payloads`] would pick for it.
+    fn block_walks(t: &NodeTable) -> Vec<(&'static str, BlockWalk)> {
+        let mut walks: Vec<(&'static str, BlockWalk)> = vec![("portable", walk_block::<LANES>)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 is present, the test tables and blocks are
+                // far inside the gathers' i32 index range, and every call
+                // passes one LANES-row block with `nf >= 1`.
+                walks.push(("avx2", |t, rows, nf, out| unsafe {
+                    gather::walk_block(t, rows, nf, out)
+                }));
+            }
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+                // SAFETY: as above, with AVX-512 F + VL present.
+                walks.push(("avx512", |t, rows, nf, out| unsafe {
+                    gather::walk_block_512(t, rows, nf, out)
+                }));
+                if t.inreg.is_some() {
+                    // SAFETY: as above, and `reg` is the table built from `t`.
+                    walks.push(("inreg", |t, rows, nf, out| {
+                        let reg = t.inreg.as_ref().expect("listed only with a table");
+                        unsafe { gather::walk_block_inreg(t, reg, rows, nf, out) }
+                    }));
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = t;
+        walks
+    }
+
+    /// Deterministic 64-bit LCG stream (this crate has no `rand`).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 11
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Uniform in `[-1, 1)`.
+        fn signed_unit(&mut self) -> f64 {
+            self.next() as f64 / (1u64 << 52) as f64 - 1.0
+        }
+    }
+
+    /// Row values whose routing the comparator must get exactly right:
+    /// NaN (right at every split), infinities, both zeros and subnormals.
+    /// All but NaN also appear in training data, so fitted thresholds
+    /// land between and on them.
+    const SPECIALS: [f64; 8] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 2.0,
+    ];
+
+    /// A tree fitted to at most `leaves` leaves over `nf` features and
+    /// random labels; a quarter of the training values are specials.
+    fn fitted(nf: usize, regress: bool, leaves: usize, rng: &mut Lcg) -> DecisionTree {
+        let x: Vec<Vec<f64>> = (0..400)
+            .map(|_| {
+                (0..nf)
+                    .map(|_| match rng.below(4) {
+                        0 => SPECIALS[1 + rng.below(SPECIALS.len() - 1)],
+                        _ => rng.signed_unit(),
+                    })
+                    .collect()
+            })
+            .collect();
+        let (ds, criterion) = if regress {
+            let y = (0..400).map(|_| rng.signed_unit()).collect();
+            (Dataset::regression(x, y), Criterion::Mse)
+        } else {
+            let y = (0..400).map(|_| rng.below(5)).collect();
+            (Dataset::classification(x, y, 5), Criterion::Gini)
+        };
+        let config = TreeConfig {
+            max_leaf_nodes: leaves,
+            criterion,
+            ..Default::default()
+        };
+        fit(&ds.unwrap(), &config).unwrap()
+    }
+
+    /// `n` row-major rows for `t`: uniform values salted with specials
+    /// and with the exact thresholds `t` tests on each feature; every
+    /// 11th row is all NaN.
+    fn probe_rows(t: &NodeTable, nf: usize, n: usize, rng: &mut Lcg) -> Vec<f64> {
+        let mut thresholds = vec![Vec::new(); nf];
+        for i in (0..t.len()).filter(|&i| !t.is_leaf(i)) {
+            thresholds[t.feat[i] as usize].push(t.thr[i]);
+        }
+        (0..n * nf)
+            .map(|k| {
+                let (row, f) = (k / nf, k % nf);
+                match rng.below(4) {
+                    _ if row % 11 == 0 => f64::NAN,
+                    0 => SPECIALS[rng.below(SPECIALS.len())],
+                    1 if !thresholds[f].is_empty() => thresholds[f][rng.below(thresholds[f].len())],
+                    _ => rng.signed_unit(),
+                }
+            })
+            .collect()
+    }
+
+    /// Every block walk the host can execute — portable always; AVX2,
+    /// AVX-512 and the in-register walk where the CPU has them — reaches
+    /// the same leaf payload as [`walk_one`] on every row, and
+    /// [`walk_one`] answers what [`DecisionTree::predict`] answers. Trees
+    /// run from a single leaf and a stump through both sides of
+    /// [`INREG_NODES`] to well past it, as classifiers and regressors at
+    /// 1, 6 and 143 features.
+    #[test]
+    fn every_block_walk_matches_walk_one() {
+        let mut rng = Lcg(0x5EED);
+        for nf in [1usize, 6, 143] {
+            for regress in [false, true] {
+                for leaves in [1usize, 2, 9, 20, 32, 33, 100] {
+                    let label = format!("nf={nf} regress={regress} leaves={leaves}");
+                    let tree = fitted(nf, regress, leaves, &mut rng);
+                    let compiled = CompiledTree::compile(&tree);
+                    let t = compiled.table();
+                    assert_eq!(t.len(), 2 * leaves - 1, "{label}: leaf budget missed");
+                    let small = t.len() <= INREG_NODES;
+                    assert_eq!(t.inreg.is_some(), small, "{label}: in-register table");
+                    assert!(compiled.without_inreg().table().inreg.is_none());
+
+                    let rows = probe_rows(t, nf, 8 * LANES, &mut rng);
+                    let want: Vec<u32> = rows.chunks(nf).map(|row| walk_one(t, row)).collect();
+                    let ours: Vec<Prediction> =
+                        rows.chunks(nf).map(|r| compiled.predict(r)).collect();
+                    let theirs: Vec<Prediction> =
+                        rows.chunks(nf).map(|r| tree.predict(r)).collect();
+                    let diff = diff_predictions(&ours, &theirs);
+                    assert!(diff.is_clean(), "{label}: walk_one vs tree: {diff:?}");
+                    for (walk_name, walk) in block_walks(t) {
+                        let mut got = [0u32; LANES];
+                        for (b, block) in rows.chunks(LANES * nf).enumerate() {
+                            walk(t, block, nf, &mut got);
+                            let want_block = &want[b * LANES..(b + 1) * LANES];
+                            assert_eq!(got, want_block, "{label}: {walk_name} walk, block {b}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

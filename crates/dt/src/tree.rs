@@ -129,6 +129,8 @@ pub enum TreeKind {
 pub enum TreeError {
     /// The arena has no root node.
     Empty,
+    /// The tree takes zero features, so a row has nothing to walk on.
+    NoFeatures,
     /// A split names a child outside the arena.
     ChildOutOfRange { node: usize, child: usize },
     /// A node is reached twice from the root: the splits form a cycle or
@@ -157,6 +159,7 @@ impl std::fmt::Display for TreeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TreeError::Empty => write!(f, "tree has no nodes"),
+            TreeError::NoFeatures => write!(f, "tree takes no features"),
             TreeError::ChildOutOfRange { node, child } => {
                 write!(f, "node {node} names child {child} outside the arena")
             }
@@ -258,18 +261,22 @@ impl DecisionTree {
         })
     }
 
-    /// Check that the tree is well formed: every child index is inside
-    /// the arena, every node is reached exactly once from the root (no
-    /// cycles, shared subtrees or orphans), every split tests a feature
-    /// `< n_features`, and every leaf carries statistics of the tree's
-    /// kind — for classifiers, predicting a class `< n_classes`. Trees from
-    /// [`crate::fit`] and the pruners always pass; a deserialized tree may
-    /// not. [`CompiledTree::compile`] and [`crate::Forest::from_trees`]
-    /// call this first, because the kernel walk trusts these invariants.
+    /// Check that the tree is well formed: it takes at least one feature,
+    /// every child index is inside the arena, every node is reached
+    /// exactly once from the root (no cycles, shared subtrees or orphans),
+    /// every split tests a feature `< n_features`, and every leaf carries
+    /// statistics of the tree's kind — for classifiers, predicting a class
+    /// `< n_classes`. Trees from [`crate::fit`] and the pruners always
+    /// pass; a deserialized tree may not. [`CompiledTree::compile`] and
+    /// [`crate::Forest::from_trees`] call this first, because the kernel
+    /// walk trusts these invariants.
     pub fn validate(&self) -> Result<(), TreeError> {
         let n = self.nodes.len();
         if n == 0 {
             return Err(TreeError::Empty);
+        }
+        if self.n_features == 0 {
+            return Err(TreeError::NoFeatures);
         }
         let mut seen = vec![false; n];
         let mut stack = vec![ROOT];
@@ -548,72 +555,6 @@ impl CompiledTree {
         }
     }
 
-    /// The pre-kernel **levelwise** batch walk, retained verbatim (ported
-    /// to the quantized table) as the test oracle and the "naive per-tree
-    /// batch evaluation" baseline the forest benchmarks compare against:
-    /// every pass advances each still-live row by one split; rows that
-    /// reach a leaf drop out of the live set, so total work is the summed
-    /// path length. Bit-identical per row to
-    /// [`CompiledTree::predict_batch_into`] and [`DecisionTree::predict`].
-    pub fn predict_batch_levelwise(&self, rows: &[f64], out: &mut [Prediction]) {
-        let n = out.len();
-        assert_eq!(
-            rows.len(),
-            n * self.n_features,
-            "predict_batch_levelwise: {} values is not {} rows of {} features",
-            rows.len(),
-            n,
-            self.n_features
-        );
-        let table = &self.table;
-        let mut idx = vec![0u32; n];
-        // Dense phase: full levelwise sweeps over the cursor array while
-        // at least half the rows are still walking.
-        let mut active = if table.is_leaf(0) { 0 } else { n };
-        while active * 2 >= n.max(1) && active > 0 {
-            active = 0;
-            for (r, slot) in idx.iter_mut().enumerate() {
-                let i = *slot as usize;
-                if table.is_leaf(i) {
-                    continue;
-                }
-                let x = &rows[r * self.n_features..(r + 1) * self.n_features];
-                let next = if x[table.feat[i] as usize] < table.thr[i] {
-                    table.left[i]
-                } else {
-                    table.right[i]
-                };
-                *slot = next;
-                if !table.is_leaf(next as usize) {
-                    active += 1;
-                }
-            }
-        }
-        // Sparse phase: walk only the survivors, compacting each level.
-        if active > 0 {
-            let mut live: Vec<u32> = (0..n as u32)
-                .filter(|&r| !table.is_leaf(idx[r as usize] as usize))
-                .collect();
-            while !live.is_empty() {
-                live.retain(|&r| {
-                    let row = r as usize;
-                    let i = idx[row] as usize;
-                    let x = &rows[row * self.n_features..(row + 1) * self.n_features];
-                    let next = if x[table.feat[i] as usize] < table.thr[i] {
-                        table.left[i]
-                    } else {
-                        table.right[i]
-                    };
-                    idx[row] = next;
-                    !table.is_leaf(next as usize)
-                });
-            }
-        }
-        for (slot, &i) in out.iter_mut().zip(idx.iter()) {
-            *slot = self.payload_to_prediction(table.payload[i as usize]);
-        }
-    }
-
     /// [`CompiledTree::predict_batch_into`] into a fresh vector. `rows` is
     /// row-major with `n_features` values per row.
     pub fn predict_batch(&self, rows: &[f64]) -> Vec<Prediction> {
@@ -803,7 +744,7 @@ mod tests {
         }
     }
 
-    /// The serving backend's core contract: the levelwise batched walk is
+    /// The serving backend's core contract: the batched kernel walk is
     /// bit-identical per row to `DecisionTree::predict`, for classifiers
     /// and regressors, at every batch size including 0 and 1.
     #[test]
@@ -824,83 +765,9 @@ mod tests {
         }
     }
 
-    /// Trees with at most `INREG_NODES` nodes carry the register-resident
-    /// table and (on AVX-512 hosts) take the `vpermi2*` walk; stripping
-    /// the table via `without_inreg` forces the gather/portable walk on
-    /// the *same* tree. The two must agree bit-for-bit with each other
-    /// and with the interpreted tree — NaN-salted and all-NaN rows
-    /// included. (On hosts without AVX-512 both sides take the same walk
-    /// and the test degenerates to a tautology, by design.)
-    #[test]
-    fn inreg_walk_bit_identical_to_gather_and_portable() {
-        for (max_leaves, regress) in [(2usize, false), (9, false), (32, false), (20, true)] {
-            let dims = if regress { 3 } else { 4 };
-            let x = lcg_features(400, dims, 33 + max_leaves as u64);
-            let tree = if regress {
-                let y: Vec<f64> = x.iter().map(|xi| xi[0] * 2.0 - xi[1]).collect();
-                let ds = Dataset::regression(x.clone(), y).unwrap();
-                fit(
-                    &ds,
-                    &TreeConfig {
-                        max_leaf_nodes: max_leaves,
-                        criterion: crate::builder::Criterion::Mse,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-            } else {
-                let y: Vec<usize> = x
-                    .iter()
-                    .map(|xi| ((xi[0] * 5.0 + xi[2] * 3.0) as usize) % 5)
-                    .collect();
-                let ds = Dataset::classification(x.clone(), y, 5).unwrap();
-                fit(
-                    &ds,
-                    &TreeConfig {
-                        max_leaf_nodes: max_leaves,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-            };
-            let compiled = CompiledTree::compile(&tree);
-            assert!(compiled.node_count() <= crate::kernel::INREG_NODES);
-            assert!(
-                compiled.table().inreg.is_some(),
-                "a {}-node tree must carry the in-register table",
-                compiled.node_count()
-            );
-            let stripped = compiled.without_inreg();
-            assert!(stripped.table().inreg.is_none());
-            let mut rows = lcg_features(3 * crate::kernel::LANES + 7, dims, 91);
-            for (r, row) in rows.iter_mut().enumerate() {
-                if r % 5 == 0 {
-                    row[r % dims] = f64::NAN;
-                }
-                if r % 11 == 0 {
-                    row.iter_mut().for_each(|v| *v = f64::NAN);
-                }
-            }
-            let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-            let with_inreg = compiled.predict_batch(&flat);
-            let without = stripped.predict_batch(&flat);
-            for (r, (a, b)) in with_inreg.iter().zip(without.iter()).enumerate() {
-                assert_predictions_bit_identical(*a, *b, &format!("row {r}: inreg vs gather"));
-            }
-            for (row, got) in rows.iter().zip(with_inreg.iter()) {
-                assert_predictions_bit_identical(*got, tree.predict(row), "inreg vs tree");
-            }
-            assert!(compiled.diff_batch(&stripped, &flat).is_clean());
-        }
-        // Trees past the node cap must not carry the table.
-        let big = CompiledTree::compile(&fitted_classifier(7));
-        assert!(big.node_count() > crate::kernel::INREG_NODES);
-        assert!(big.table().inreg.is_none());
-    }
-
     /// NaN-routing parity: `x[f] < thr` is false for NaN, so every
     /// evaluator — `leaf_for`/`predict`, the compiled single-row walk, and
-    /// the levelwise batch walk — must send a NaN feature to the **right**
+    /// the batched kernel walk — must send a NaN feature to the **right**
     /// child, at every split it reaches.
     #[test]
     fn nan_features_route_right_in_every_evaluator() {
@@ -1060,9 +927,11 @@ mod tests {
         fit(&ds, &TreeConfig::default()).unwrap()
     }
 
-    /// The crash validation closes: a 2-feature tree whose root split was
-    /// edited to test feature 40000 used to compile, and the unchecked
-    /// kernel walk then read far out of bounds (SIGSEGV). Now `compile`
+    /// The crashes validation closes. Each malformed tree used to compile,
+    /// and the unchecked kernel walk then read out of bounds (SIGSEGV): a
+    /// 2-feature tree whose root split was edited to test feature 40000,
+    /// and a single-leaf tree edited to take zero features, whose block
+    /// walk read the first value of an empty row slice. Now `compile`
     /// panics with the validation error in its caller and the forest
     /// builder returns `Err`: the kernel is never reached.
     #[test]
@@ -1070,27 +939,42 @@ mod tests {
         use crate::kernel::{Forest, ForestError};
         let tree = two_feature_tree();
         assert_eq!(tree.validate(), Ok(()));
-        let bad = with_json_edit(&tree, "feature", 40000);
-        let error = TreeError::FeatureOutOfRange {
+        let one_leaf = Dataset::classification(vec![vec![0.5]; 4], vec![1; 4], 2).unwrap();
+        let leaf = fit(&one_leaf, &TreeConfig::default()).unwrap();
+        assert_eq!((leaf.node_count(), leaf.validate()), (1, Ok(())));
+        let out_of_range = TreeError::FeatureOutOfRange {
             node: 0,
             feature: 40000,
             n_features: 2,
         };
-        assert_eq!(bad.validate(), Err(error.clone()));
-        let walked = std::panic::catch_unwind(|| {
-            let compiled = CompiledTree::compile(&bad);
-            let mut out = vec![Prediction::Class(0); 20];
-            compiled.predict_batch_into(&[0.5; 40], &mut out);
-        });
-        let panic = walked.expect_err("compile must refuse the tree");
-        let message = panic
-            .downcast_ref::<String>()
-            .expect("formatted panic message");
-        assert!(message.contains("feature 40000"), "{message}");
-        assert_eq!(
-            Forest::from_trees(&[tree, bad]).err(),
-            Some(ForestError::Invalid { tree: 1, error })
-        );
+        for (bad, error, message_part) in [
+            (
+                with_json_edit(&tree, "feature", 40000),
+                out_of_range,
+                "feature 40000",
+            ),
+            (
+                with_json_edit(&leaf, "n_features", 0),
+                TreeError::NoFeatures,
+                "no features",
+            ),
+        ] {
+            assert_eq!(bad.validate(), Err(error.clone()));
+            let walked = std::panic::catch_unwind(|| {
+                let compiled = CompiledTree::compile(&bad);
+                let mut out = vec![Prediction::Class(0); 20];
+                compiled.predict_batch_into(&vec![0.5; 20 * bad.n_features()], &mut out);
+            });
+            let panic = walked.expect_err("compile must refuse the tree");
+            let message = panic
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(message.contains(message_part), "{message}");
+            assert_eq!(
+                Forest::from_trees(&[tree.clone(), bad]).err(),
+                Some(ForestError::Invalid { tree: 1, error })
+            );
+        }
     }
 
     /// A 1-tree regression forest answers exactly what its tree answers,

@@ -41,8 +41,8 @@
 //!
 //! A disabled telemetry plane registers no scopes, so a tick on it is a
 //! single `is_enabled` test — the observer goes inert and
-//! behaviour-invariant (`METIS_TELEMETRY=0` CI runs the same schedules
-//! through it). The enabled cost is gated in `BENCH_serving.json`
+//! behaviour-invariant (`tests/obs_determinism.rs` runs its schedules
+//! through both planes). The enabled cost is gated in `BENCH_serving.json`
 //! (`obs_overhead_pct`, same ≤ 5% ceiling as the telemetry plane).
 
 pub mod health;

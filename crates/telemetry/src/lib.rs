@@ -379,15 +379,6 @@ pub struct Telemetry {
     inner: Option<Arc<Plane>>,
 }
 
-/// Does this environment ask for telemetry to be forced off?
-/// (`METIS_TELEMETRY=0|off|false` — the CI disabled-plane runs.)
-pub fn enabled_by_env_value(value: Option<&str>) -> bool {
-    !matches!(
-        value.map(str::trim),
-        Some("0") | Some("off") | Some("false")
-    )
-}
-
 impl Telemetry {
     /// A disabled plane (also the `Default`).
     pub fn off() -> Self {
@@ -406,19 +397,6 @@ impl Telemetry {
                 cfg,
                 scopes: Mutex::new(Vec::new()),
             })),
-        }
-    }
-
-    /// Enabled unless `METIS_TELEMETRY=0|off|false` — what tests and
-    /// demos use so CI can run them with the plane disabled.
-    pub fn from_env() -> Self {
-        let forced_off = std::env::var("METIS_TELEMETRY")
-            .ok()
-            .is_some_and(|v| !enabled_by_env_value(Some(&v)));
-        if forced_off {
-            Telemetry::off()
-        } else {
-            Telemetry::enabled()
         }
     }
 
@@ -502,17 +480,6 @@ mod tests {
         assert!(t.scopes().is_empty());
         assert_eq!(t.digest(), 0);
         assert!(!Telemetry::default().is_enabled());
-    }
-
-    #[test]
-    fn env_value_parsing() {
-        assert!(enabled_by_env_value(None));
-        assert!(enabled_by_env_value(Some("1")));
-        assert!(enabled_by_env_value(Some("on")));
-        assert!(!enabled_by_env_value(Some("0")));
-        assert!(!enabled_by_env_value(Some("off")));
-        assert!(!enabled_by_env_value(Some("false")));
-        assert!(!enabled_by_env_value(Some(" 0 ")));
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!   perturbed one, with live traffic never touched by a rejected
 //!   candidate.
 //!
-//! Thread counts default to 1/2/3/8; set `METIS_TEST_THREADS=<n>` to test
-//! an additional setting (CI runs the suite under two values).
+//! Thread counts sweep 1/2/3/8/16.
 
 use metis::dt::{fit, Dataset, DecisionTree, TreeConfig};
 use metis::fabric::{
@@ -33,18 +32,8 @@ use std::time::Duration;
 
 const DIMS: usize = 5;
 
-/// Thread counts every property sweeps, plus an optional CI-injected one.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 3, 8];
-    if let Ok(extra) = std::env::var("METIS_TEST_THREADS") {
-        if let Ok(n) = extra.trim().parse::<usize>() {
-            if !counts.contains(&n) {
-                counts.push(n);
-            }
-        }
-    }
-    counts
-}
+/// Thread counts every property sweeps.
+const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 8, 16];
 
 /// A fitted multi-class tree over DIMS features, varied by seed.
 fn fitted_tree(seed: u64) -> DecisionTree {
@@ -104,7 +93,7 @@ proptest! {
         salt in 0u64..10_000,
     ) {
         let tree = fitted_tree(tree_seed);
-        let threads = thread_counts()[(salt % 5 % thread_counts().len() as u64) as usize];
+        let threads = THREAD_COUNTS[(salt % THREAD_COUNTS.len() as u64) as usize];
         let cfg = serve_cfg(batch, deadline_us, threads, stripe);
 
         // PR 4 path: one TreeServer.
@@ -164,7 +153,7 @@ proptest! {
         salt in 0u64..10_000,
     ) {
         let tree = fitted_tree(tree_seed);
-        let threads = thread_counts()[(salt % 5 % thread_counts().len() as u64) as usize];
+        let threads = THREAD_COUNTS[(salt % THREAD_COUNTS.len() as u64) as usize];
         let cfg = serve_cfg(batch, deadline_us, threads, stripe);
 
         let run = |as_forest: bool| {
@@ -223,7 +212,7 @@ proptest! {
         salt in 0u64..10_000,
     ) {
         let tree = fitted_tree(tree_seed);
-        let threads = thread_counts()[(salt % thread_counts().len() as u64) as usize];
+        let threads = THREAD_COUNTS[(salt % THREAD_COUNTS.len() as u64) as usize];
         let router = Router::new(
             vec![TenantSpec::new("only")],
             vec![ScenarioSpec::new("model", "only", tree.clone()).shards(shards)],

@@ -2,10 +2,9 @@
 //! [`Forest`] ensemble evaluator, and the frontier-parallel CART grower
 //! to their sequential oracles:
 //!
-//! * `CompiledTree::predict_batch_into` (the quantized lane walk) and
-//!   `predict_batch_levelwise` (the retained pre-kernel walk) must both
-//!   be bit-identical to `DecisionTree::predict` row by row — including
-//!   NaN-laden rows, which route right at every split in every path.
+//! * `CompiledTree::predict_batch_into` (the quantized lane walk) must be
+//!   bit-identical to `DecisionTree::predict` row by row — including
+//!   NaN-laden rows, which route right at every split.
 //! * `Forest::predict_batch_into` must equal the per-tree oracle reduce
 //!   (majority vote with lowest-class-index tie-break; mean in tree
 //!   order) computed from `DecisionTree::predict`.
@@ -17,8 +16,7 @@
 //!   data, so these digests are what pins the fitter's floating-point
 //!   accumulation order on data shaped like the Eq.-1-weighted traces.
 //!
-//! Thread counts default to 1/2/3/8; set `METIS_TEST_THREADS=<n>` to test
-//! an additional setting (CI runs the suite under two values).
+//! Thread counts sweep 1/2/3/8/16.
 
 use metis::dt::{
     fit, CompiledTree, Criterion, Dataset, DecisionTree, Forest, NodeStats, Prediction, TreeConfig,
@@ -31,18 +29,8 @@ use rand::{Rng, SeedableRng};
 
 const DIMS: usize = 6;
 
-/// Thread counts every property sweeps, plus an optional CI-injected one.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 3, 8];
-    if let Ok(extra) = std::env::var("METIS_TEST_THREADS") {
-        if let Ok(n) = extra.trim().parse::<usize>() {
-            if !counts.contains(&n) {
-                counts.push(n);
-            }
-        }
-    }
-    counts
-}
+/// Thread counts every property sweeps.
+const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 8, 16];
 
 /// A fitted multi-class tree over DIMS features, varied by seed and leaf
 /// budget (budget 1 yields a single-leaf tree, 2 a depth-1 stump).
@@ -129,10 +117,10 @@ fn assert_bits_equal(got: &[Prediction], want: &[Prediction], ctx: &str) {
 }
 
 proptest! {
-    /// The lane kernel and the retained levelwise walk are bit-identical
-    /// to `DecisionTree::predict` for arbitrary row counts (deliberately
-    /// spanning partial lane blocks) and leaf budgets, on classifiers
-    /// and regressors alike, NaNs included.
+    /// The lane kernel is bit-identical to `DecisionTree::predict` for
+    /// arbitrary row counts (deliberately spanning partial lane blocks)
+    /// and leaf budgets, on classifiers and regressors alike, NaNs
+    /// included.
     #[test]
     fn kernel_matches_per_row_oracle(
         seed in 0u64..12,
@@ -147,10 +135,6 @@ proptest! {
             let mut got = vec![Prediction::Class(usize::MAX); n];
             compiled.predict_batch_into(&rows, &mut got);
             assert_bits_equal(&got, &want, "lane kernel");
-
-            let mut level = vec![Prediction::Class(usize::MAX); n];
-            compiled.predict_batch_levelwise(&rows, &mut level);
-            assert_bits_equal(&level, &want, "levelwise oracle walk");
 
             for (k, row) in rows.chunks_exact(DIMS).enumerate() {
                 prop_assert_eq!(compiled.predict(row), want[k], "scalar predict row {}", k);
@@ -264,7 +248,7 @@ proptest! {
             ..Default::default()
         };
         let sequential = fit(&ds, &TreeConfig { threads: 1, frontier: 1, ..base.clone() }).unwrap();
-        for threads in thread_counts() {
+        for threads in THREAD_COUNTS {
             for frontier in [0usize, 2, 5, 32] {
                 let grown = fit(
                     &ds,

@@ -17,13 +17,13 @@
 //!   inert (no ticks observed, no alerts, no scopes) and serving
 //!   behaviour is bit-identical with the observer on or off.
 //!
-//! The plane under test comes from [`Telemetry::from_env`] where noted,
-//! so CI's `METIS_TELEMETRY=0` runs push the same schedules through the
-//! disabled plane (alert/digest assertions gate on
-//! [`Telemetry::is_enabled`]).
+//! The co-sim property and the lifecycle test run each schedule under
+//! both [`Telemetry::enabled`] and [`Telemetry::off`]: within a plane
+//! every surface is compared across thread counts and stripe widths,
+//! and what is served (responses, the co-sim QoE digest) must also
+//! match across the two planes.
 //!
-//! Thread counts sweep 1/2/8 plus an optional CI-injected
-//! `METIS_TEST_THREADS=<n>`.
+//! Thread counts sweep 1/2/8/16.
 
 use metis::abr::{hsdpa_corpus, NetworkTrace, VideoModel, OBS_DIM};
 use metis::dt::{fit, Dataset, DecisionTree, TreeConfig};
@@ -38,18 +38,8 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Thread counts every property sweeps, plus an optional CI-injected one.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 8];
-    if let Ok(extra) = std::env::var("METIS_TEST_THREADS") {
-        if let Ok(n) = extra.trim().parse::<usize>() {
-            if !counts.contains(&n) {
-                counts.push(n);
-            }
-        }
-    }
-    counts
-}
+/// Thread counts every property sweeps.
+const THREAD_COUNTS: [usize; 4] = [1, 2, 8, 16];
 
 /// A fitted ABR policy tree over the 25-feature observation, varied by
 /// seed.
@@ -135,8 +125,9 @@ fn budgeted_router(
 proptest! {
     /// The tentpole pin: an observed co-simulation's health surface —
     /// tick count, alert stream, report digest — is bit-identical across
-    /// thread counts and stripe widths for any session count, seed, and
-    /// mid-run hot-swap time. Requests inside a decision wave stamp at
+    /// thread counts and stripe widths on each plane for any session
+    /// count, seed, and mid-run hot-swap time, and the QoE digest is the
+    /// same on both planes. Requests inside a decision wave stamp at
     /// their own event times, so in-wave queueing spread is nonzero and
     /// the tight tenant budget genuinely exercises the burn monitors.
     #[test]
@@ -170,37 +161,41 @@ proptest! {
             clear_ticks: 1,
             ..Default::default()
         };
-        let mut baseline: Option<(u64, u64, u64, String)> = None;
-        for threads in thread_counts() {
-            for stripe in [4usize, 64] {
-                let plane = Telemetry::from_env();
-                let router = budgeted_router(
-                    initial.clone(), 0.02, 2, threads, stripe, plane.clone());
-                let obs = router.observer(obs_cfg.clone());
-                let report = run_abr_cosim_observed(
-                    &router, "pensieve", &video, &traces, &swaps, &cfg, Some(&obs));
-                let health = obs.health_report();
-                let got = (
-                    report.qoe_digest,
-                    report.ticks,
-                    obs.digest(),
-                    alert_fingerprint(&obs.alerts()),
-                );
-                router.shutdown();
-                if plane.is_enabled() {
-                    prop_assert!(report.ticks > 0, "scheduled ticks reached the observer");
-                    prop_assert_eq!(health.ticks, report.ticks);
-                } else {
-                    prop_assert_eq!(health.ticks, 0, "disabled plane: ticks no-op");
-                    prop_assert!(got.3.is_empty(), "disabled plane: no alerts");
-                }
-                match &baseline {
-                    None => baseline = Some(got),
-                    Some(b) => {
-                        prop_assert_eq!(got.0, b.0, "QoE drifted (threads={}, stripe={})", threads, stripe);
-                        prop_assert_eq!(got.1, b.1, "tick count drifted (threads={}, stripe={})", threads, stripe);
-                        prop_assert_eq!(got.2, b.2, "health digest drifted (threads={}, stripe={})", threads, stripe);
-                        prop_assert_eq!(&got.3, &b.3, "alert stream drifted (threads={}, stripe={})", threads, stripe);
+        let mut qoe: Option<u64> = None;
+        for enabled in [true, false] {
+            let mut baseline: Option<(u64, u64, u64, String)> = None;
+            for threads in THREAD_COUNTS {
+                for stripe in [4usize, 64] {
+                    let plane = if enabled { Telemetry::enabled() } else { Telemetry::off() };
+                    let router = budgeted_router(
+                        initial.clone(), 0.02, 2, threads, stripe, plane);
+                    let obs = router.observer(obs_cfg.clone());
+                    let report = run_abr_cosim_observed(
+                        &router, "pensieve", &video, &traces, &swaps, &cfg, Some(&obs));
+                    let health = obs.health_report();
+                    let got = (
+                        report.qoe_digest,
+                        report.ticks,
+                        obs.digest(),
+                        alert_fingerprint(&obs.alerts()),
+                    );
+                    router.shutdown();
+                    if enabled {
+                        prop_assert!(report.ticks > 0, "scheduled ticks reached the observer");
+                        prop_assert_eq!(health.ticks, report.ticks);
+                    } else {
+                        prop_assert_eq!(health.ticks, 0, "disabled plane: ticks no-op");
+                        prop_assert!(got.3.is_empty(), "disabled plane: no alerts");
+                    }
+                    let served = *qoe.get_or_insert(got.0);
+                    prop_assert_eq!(got.0, served, "QoE drifted (enabled={}, threads={}, stripe={})", enabled, threads, stripe);
+                    match &baseline {
+                        None => baseline = Some(got),
+                        Some(b) => {
+                            prop_assert_eq!(got.1, b.1, "tick count drifted (enabled={}, threads={}, stripe={})", enabled, threads, stripe);
+                            prop_assert_eq!(got.2, b.2, "health digest drifted (enabled={}, threads={}, stripe={})", enabled, threads, stripe);
+                            prop_assert_eq!(&got.3, &b.3, "alert stream drifted (enabled={}, threads={}, stripe={})", enabled, threads, stripe);
+                        }
                     }
                 }
             }
@@ -286,46 +281,66 @@ fn run_lifecycle(threads: usize, stripe: usize, plane: Telemetry) -> (u64, u64, 
 /// A fixed calm → hot → calm schedule walks every monitor through fire
 /// and clear, with stage attribution on the fires — and the whole
 /// lifecycle (alert stream, digest, Prometheus text) is bit-identical
-/// at every thread count.
+/// at every thread count on each plane, with the same responses on both.
 #[test]
 fn alert_lifecycle_fires_attributes_and_clears_identically_across_threads() {
-    let mut baseline: Option<(u64, u64, String, String)> = None;
-    for threads in thread_counts() {
-        let plane = Telemetry::from_env();
-        let got = run_lifecycle(threads, 16, plane.clone());
-        if plane.is_enabled() {
-            // The hot wave fires both burn monitors and the drift
-            // monitor; the calm tail clears all three.
-            for kind in ["fast_burn", "slow_burn", "drift"] {
+    let mut responses: Option<u64> = None;
+    for enabled in [true, false] {
+        let mut baseline: Option<(u64, u64, String, String)> = None;
+        for threads in THREAD_COUNTS {
+            let plane = if enabled {
+                Telemetry::enabled()
+            } else {
+                Telemetry::off()
+            };
+            let got = run_lifecycle(threads, 16, plane);
+            if enabled {
+                // The hot wave fires both burn monitors and the drift
+                // monitor; the calm tail clears all three.
+                for kind in ["fast_burn", "slow_burn", "drift"] {
+                    assert!(
+                        got.2.contains(&format!("{kind} firing=true")),
+                        "{kind} never fired:\n{}",
+                        got.2
+                    );
+                    assert!(
+                        got.2.contains(&format!("{kind} firing=false")),
+                        "{kind} never cleared:\n{}",
+                        got.2
+                    );
+                }
+                // Fires carry stage attribution (the hot window has mass).
+                let first_fire = got.2.lines().find(|l| l.contains("firing=true")).unwrap();
                 assert!(
-                    got.2.contains(&format!("{kind} firing=true")),
-                    "{kind} never fired:\n{}",
-                    got.2
+                    first_fire.contains("[queue_wait") || first_fire.contains("[kernel"),
+                    "fire lacks stage attribution: {first_fire}"
                 );
-                assert!(
-                    got.2.contains(&format!("{kind} firing=false")),
-                    "{kind} never cleared:\n{}",
-                    got.2
-                );
+                assert!(got.3.contains("metis_tenant_slo_firing"));
+                assert!(got.3.contains("metis_tenant_burn_rate"));
+            } else {
+                assert!(got.2.is_empty(), "disabled plane: no alerts");
             }
-            // Fires carry stage attribution (the hot window has mass).
-            let first_fire = got.2.lines().find(|l| l.contains("firing=true")).unwrap();
-            assert!(
-                first_fire.contains("[queue_wait") || first_fire.contains("[kernel"),
-                "fire lacks stage attribution: {first_fire}"
+            let served = *responses.get_or_insert(got.0);
+            assert_eq!(
+                got.0, served,
+                "responses drifted (enabled={enabled}, threads={threads})"
             );
-            assert!(got.3.contains("metis_tenant_slo_firing"));
-            assert!(got.3.contains("metis_tenant_burn_rate"));
-        } else {
-            assert!(got.2.is_empty(), "disabled plane: no alerts");
-        }
-        match &baseline {
-            None => baseline = Some(got),
-            Some(b) => {
-                assert_eq!(got.0, b.0, "responses drifted (threads={threads})");
-                assert_eq!(got.1, b.1, "health digest drifted (threads={threads})");
-                assert_eq!(got.2, b.2, "alert stream drifted (threads={threads})");
-                assert_eq!(got.3, b.3, "prometheus text drifted (threads={threads})");
+            match &baseline {
+                None => baseline = Some(got),
+                Some(b) => {
+                    assert_eq!(
+                        got.1, b.1,
+                        "health digest drifted (enabled={enabled}, threads={threads})"
+                    );
+                    assert_eq!(
+                        got.2, b.2,
+                        "alert stream drifted (enabled={enabled}, threads={threads})"
+                    );
+                    assert_eq!(
+                        got.3, b.3,
+                        "prometheus text drifted (enabled={enabled}, threads={threads})"
+                    );
+                }
             }
         }
     }

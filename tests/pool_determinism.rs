@@ -6,8 +6,7 @@
 //! order — for plain maps, the seeded collection loop, and the §4 mask
 //! search.
 //!
-//! Thread counts default to 1/2/3/8; set `METIS_TEST_THREADS=<n>` to
-//! test an additional setting (CI runs the suite under two values).
+//! Thread counts sweep 1/2/3/8/16.
 
 use metis::core::{Workload, WorkloadRunner};
 use metis::hypergraph::{optimize_mask, MaskConfig, MaskResult, MaskedMlp, OutputKind};
@@ -20,18 +19,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Thread counts every property sweeps, plus an optional CI-injected one.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 3, 8];
-    if let Ok(extra) = std::env::var("METIS_TEST_THREADS") {
-        if let Ok(n) = extra.trim().parse::<usize>() {
-            if !counts.contains(&n) {
-                counts.push(n);
-            }
-        }
-    }
-    counts
-}
+/// Thread counts every property sweeps.
+const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 8, 16];
 
 fn assert_states_bit_identical(a: &[SampledState], b: &[SampledState], label: &str) {
     assert_eq!(a.len(), b.len(), "{label}: length diverges");
@@ -130,7 +119,7 @@ proptest! {
     #[test]
     fn prop_pool_map_matches_spawn_reference(n in 0usize..70, salt in 0u64..10_000) {
         let f = |i: usize| metis::nn::par::mix_seed(salt ^ (i as u64) << 7);
-        for threads in thread_counts() {
+        for threads in THREAD_COUNTS {
             let pooled = metis::nn::par::parallel_map_indexed(n, threads, f);
             let spawned = metis::nn::par::reference::parallel_map_indexed(n, threads, f);
             prop_assert_eq!(&pooled, &spawned, "n={} threads={}", n, threads);
@@ -144,7 +133,7 @@ proptest! {
     fn prop_collect_seeded_pool_and_nesting_invariant(setup_seed in 0u64..40, seed in 0u64..1000) {
         let setup = CollectSetup::new(setup_seed);
         let solo = setup.collect(seed, 1);
-        for threads in thread_counts() {
+        for threads in THREAD_COUNTS {
             let threaded = setup.collect(seed, threads);
             assert_states_bit_identical(&solo, &threaded, "threads sweep");
         }
@@ -166,7 +155,7 @@ proptest! {
     #[test]
     fn prop_mask_search_pool_and_nesting_invariant(seed in 0u64..60) {
         let solo = mask_search(seed, 1);
-        for threads in thread_counts() {
+        for threads in THREAD_COUNTS {
             let threaded = mask_search(seed, threads);
             assert_masks_bit_identical(&solo, &threaded, "threads sweep");
         }

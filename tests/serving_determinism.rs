@@ -5,8 +5,7 @@
 //! of the epoch the response reports — including NaN-laden feature
 //! vectors, which route right at every split in every evaluator.
 //!
-//! Thread counts default to 1/2/3/8; set `METIS_TEST_THREADS=<n>` to test
-//! an additional setting (CI runs the suite under two values).
+//! Thread counts sweep 1/2/3/8/16.
 
 use metis::dt::{fit, CompiledTree, Dataset, DecisionTree, Forest, Prediction, TreeConfig};
 use metis::serve::{Clock, ModelRegistry, ServeConfig, ServedModel, ServerHandle, TreeServer};
@@ -18,18 +17,8 @@ use std::time::Duration;
 
 const DIMS: usize = 5;
 
-/// Thread counts every property sweeps, plus an optional CI-injected one.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 3, 8];
-    if let Ok(extra) = std::env::var("METIS_TEST_THREADS") {
-        if let Ok(n) = extra.trim().parse::<usize>() {
-            if !counts.contains(&n) {
-                counts.push(n);
-            }
-        }
-    }
-    counts
-}
+/// Thread counts every property sweeps.
+const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 8, 16];
 
 /// A fitted multi-class tree over DIMS features, varied by seed.
 fn fitted_tree(seed: u64) -> DecisionTree {
@@ -90,7 +79,7 @@ proptest! {
         salt in 0u64..10_000,
     ) {
         let tree = fitted_tree(tree_seed);
-        let threads = thread_counts()[(salt % 5 % thread_counts().len() as u64) as usize];
+        let threads = THREAD_COUNTS[(salt % THREAD_COUNTS.len() as u64) as usize];
         let server = TreeServer::start(
             Arc::new(ModelRegistry::new(tree.clone())),
             ServeConfig {
@@ -141,7 +130,7 @@ proptest! {
             ServeConfig {
                 max_batch: batch,
                 max_delay: Duration::from_micros(200),
-                threads: thread_counts()[(salt % thread_counts().len() as u64) as usize],
+                threads: THREAD_COUNTS[(salt % THREAD_COUNTS.len() as u64) as usize],
                 stripe_rows: 8,
                 ..Default::default()
             },
@@ -207,7 +196,7 @@ proptest! {
         let members: Vec<DecisionTree> =
             (0..k as u64).map(|t| fitted_tree(tree_seed ^ ((t + 1) << 9))).collect();
         let forest = Forest::from_trees(&members).unwrap();
-        let threads = thread_counts()[(salt % 5 % thread_counts().len() as u64) as usize];
+        let threads = THREAD_COUNTS[(salt % THREAD_COUNTS.len() as u64) as usize];
         let registry = Arc::new(ModelRegistry::new(single.clone()));
         let server = TreeServer::start(
             Arc::clone(&registry),

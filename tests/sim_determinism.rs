@@ -14,9 +14,7 @@
 //!   QoE digest, and the same fabric-side latency percentiles, epoch
 //!   swap counts, and served totals.
 //!
-//! Thread counts sweep 1/2/8 plus an optional CI-injected
-//! `METIS_TEST_THREADS=<n>` (CI runs the suite under two values and again
-//! under `METIS_NO_GATHER=1`).
+//! Thread counts sweep 1/2/8/16.
 
 use metis::abr::{hsdpa_corpus, AbrEnv, NetworkTrace, VideoModel, OBS_DIM};
 use metis::dt::{fit, Dataset, DecisionTree, Forest, TreeConfig};
@@ -30,18 +28,8 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Thread counts every property sweeps, plus an optional CI-injected one.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 8];
-    if let Ok(extra) = std::env::var("METIS_TEST_THREADS") {
-        if let Ok(n) = extra.trim().parse::<usize>() {
-            if !counts.contains(&n) {
-                counts.push(n);
-            }
-        }
-    }
-    counts
-}
+/// Thread counts every property sweeps.
+const THREAD_COUNTS: [usize; 4] = [1, 2, 8, 16];
 
 /// A fitted ABR policy tree over the 25-feature observation, varied by
 /// seed: labels key off buffer level and recent throughput, so different
@@ -189,7 +177,7 @@ proptest! {
             decision_quantum_s: quantum_ms as f64 / 1000.0,
             wave_cap,
         };
-        let threads = thread_counts()[(seed % thread_counts().len() as u64) as usize];
+        let threads = THREAD_COUNTS[(seed % THREAD_COUNTS.len() as u64) as usize];
 
         let router = virtual_router(initial.clone(), shards, threads, stripe, max_batch);
         let report = run_abr_cosim(&router, "pensieve", &video, &traces, &swaps, &cfg);

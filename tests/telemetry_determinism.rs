@@ -12,13 +12,12 @@
 //!   digests to 0; the serving path's behaviour (responses, reports) is
 //!   identical with the plane on or off.
 //!
-//! The plane under test comes from [`Telemetry::from_env`], so CI's
-//! `METIS_TELEMETRY=0` runs exercise the disabled plane through the
-//! exact same schedules (the digest assertions gate on
-//! [`Telemetry::is_enabled`]).
+//! The schedule property runs each case under both [`Telemetry::enabled`]
+//! and [`Telemetry::off`]: within a plane every surface is compared
+//! across thread counts and stripe widths, and the served responses
+//! must also match across the two planes.
 //!
-//! Thread counts sweep 1/2/8 plus an optional CI-injected
-//! `METIS_TEST_THREADS=<n>`.
+//! Thread counts sweep 1/2/8/16.
 
 use metis::dt::{fit, Dataset, DecisionTree, TreeConfig};
 use metis::fabric::{FabricConfig, PromotePolicy, Router, ScenarioSpec, ShadowConfig, TenantSpec};
@@ -30,18 +29,8 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Thread counts every property sweeps, plus an optional CI-injected one.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 8];
-    if let Ok(extra) = std::env::var("METIS_TEST_THREADS") {
-        if let Ok(n) = extra.trim().parse::<usize>() {
-            if !counts.contains(&n) {
-                counts.push(n);
-            }
-        }
-    }
-    counts
-}
+/// Thread counts every property sweeps.
+const THREAD_COUNTS: [usize; 4] = [1, 2, 8, 16];
 
 /// A fitted 2-feature policy tree, varied by seed.
 fn policy_tree(seed: u64, leaves: usize) -> DecisionTree {
@@ -136,7 +125,8 @@ fn run_schedule(
 proptest! {
     /// The tentpole pin: for any schedule, the virtual-time telemetry
     /// digest and the full trace JSON are bit-identical across thread
-    /// counts and stripe widths — and so are the responses.
+    /// counts and stripe widths on each plane, the disabled plane digests
+    /// zero, and the responses are identical everywhere.
     #[test]
     fn virtual_time_telemetry_is_bit_identical_across_thread_counts(
         n_waves in 1usize..5,
@@ -158,25 +148,29 @@ proptest! {
             waves,
             salt: wave_seed,
         };
-        let mut baseline: Option<(u64, u64, String)> = None;
-        for threads in thread_counts() {
-            for stripe in [4usize, 64] {
-                let plane = Telemetry::from_env();
-                let got = run_schedule(&schedule, threads, shards, stripe, plane.clone());
-                if plane.is_enabled() {
-                    prop_assert!(
-                        got.1 != 0 || plane.scopes().is_empty(),
-                        "enabled plane with scopes digests nonzero"
-                    );
-                } else {
-                    prop_assert_eq!(got.1, 0, "disabled plane must digest zero");
-                }
-                match &baseline {
-                    None => baseline = Some(got),
-                    Some(b) => {
-                        prop_assert_eq!(got.0, b.0, "responses drifted (threads={}, stripe={})", threads, stripe);
-                        prop_assert_eq!(got.1, b.1, "telemetry digest drifted (threads={}, stripe={})", threads, stripe);
-                        prop_assert_eq!(&got.2, &b.2, "trace JSON drifted (threads={}, stripe={})", threads, stripe);
+        let mut responses: Option<u64> = None;
+        for enabled in [true, false] {
+            let mut baseline: Option<(u64, u64, String)> = None;
+            for threads in THREAD_COUNTS {
+                for stripe in [4usize, 64] {
+                    let plane = if enabled { Telemetry::enabled() } else { Telemetry::off() };
+                    let got = run_schedule(&schedule, threads, shards, stripe, plane.clone());
+                    if enabled {
+                        prop_assert!(
+                            got.1 != 0 || plane.scopes().is_empty(),
+                            "enabled plane with scopes digests nonzero"
+                        );
+                    } else {
+                        prop_assert_eq!(got.1, 0, "disabled plane must digest zero");
+                    }
+                    let served = *responses.get_or_insert(got.0);
+                    prop_assert_eq!(got.0, served, "responses drifted (enabled={}, threads={}, stripe={})", enabled, threads, stripe);
+                    match &baseline {
+                        None => baseline = Some(got),
+                        Some(b) => {
+                            prop_assert_eq!(got.1, b.1, "telemetry digest drifted (enabled={}, threads={}, stripe={})", enabled, threads, stripe);
+                            prop_assert_eq!(&got.2, &b.2, "trace JSON drifted (enabled={}, threads={}, stripe={})", enabled, threads, stripe);
+                        }
                     }
                 }
             }
