@@ -149,11 +149,6 @@ impl AbrEnv {
         }
     }
 
-    pub fn with_metric(mut self, metric: QoeMetric) -> Self {
-        self.metric = metric;
-        self
-    }
-
     pub fn metric(&self) -> QoeMetric {
         self.metric
     }

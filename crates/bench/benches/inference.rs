@@ -10,7 +10,7 @@
 //! Two layers of measurement:
 //!
 //! * **Raw forward** — `N × predict` (pre-refactor `ikj` kernel, the
-//!   seed's exact path) vs one `forward_batch` matrix-matrix pass.
+//!   seed's exact path) vs one `forward_inference` matrix-matrix pass.
 //! * **Teacher labelling unit** — what DAgger collection actually pays
 //!   per state: the per-obs oracle queries `act_greedy` *and*
 //!   `action_probs` (two forwards + two softmaxes per state), while the

@@ -16,7 +16,7 @@ use metis_fabric::{FabricConfig, PromotePolicy, Router, ScenarioSpec, ShadowConf
 use metis_flowsched::LRLA_STATE_DIM;
 use metis_serve::clock::DEFAULT_SPIN_TRIM;
 use metis_serve::{
-    drive_open_loop, ArrivalProcess, ModelRegistry, Response, ServeConfig, ServedModel, TreeServer,
+    drive_open_loop, ArrivalProcess, ModelRegistry, Response, ServeConfig, TreeServer,
 };
 use metis_telemetry::{LogSketch, Telemetry};
 use rand::rngs::StdRng;
@@ -235,7 +235,7 @@ fn forest_serve_rates(
     };
     let ensemble_rates: Vec<f64> = (0..runs)
         .map(|_| {
-            let model = ServedModel::from_trees(members.to_vec()).expect("coherent ensemble");
+            let model = Forest::from_trees(members).expect("coherent ensemble");
             let server = TreeServer::start(Arc::new(ModelRegistry::new(model)), cfg.clone());
             let mut handle = server.handle();
             let start = Instant::now();

@@ -29,12 +29,12 @@
 use crate::convert::ConversionResult;
 use crate::pipeline::ConversionPipeline;
 use crate::workload::{RunnerStats, Workload, WorkloadRunner};
-use metis_dt::DecisionTree;
+use metis_dt::{DecisionTree, Forest};
 use metis_fabric::{
     FabricConfig, FabricReport, FabricResponse, Router, ScenarioSpec, ShadowConfig, TenantSpec,
 };
 use metis_rl::{Env, Policy, ValueEstimate};
-use metis_serve::{drive_open_loop, ArrivalProcess, ServedModel};
+use metis_serve::{drive_open_loop, ArrivalProcess};
 use std::time::Duration;
 
 /// The scenario key the conversion lane publishes or stages under.
@@ -145,11 +145,8 @@ where
                     if recent.len() > ensemble_k {
                         recent.remove(0);
                     }
-                    let model = match recent.as_slice() {
-                        [tree] => ServedModel::from(tree.clone()),
-                        trees => ServedModel::from_trees(trees.to_vec())
-                            .expect("every round fits the same schema"),
-                    };
+                    let model =
+                        Forest::from_trees(&recent).expect("every round fits the same schema");
                     if shadow.is_some() {
                         router.stage(STUDENT_KEY, model);
                     } else {

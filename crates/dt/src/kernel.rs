@@ -1,6 +1,6 @@
 //! Lane-vectorized compiled-tree kernel and the forest evaluator built on
 //! top of it — the raw-speed serving substrate behind
-//! [`crate::CompiledTree::predict_batch_into`].
+//! [`crate::CompiledTree::predict_batch_into`] and [`Forest`].
 //!
 //! # Quantized node layout
 //!
@@ -13,22 +13,27 @@
 //! right:   [u32]  child when x[feat] >= thr, NaN  (leaves: self)
 //! pair:    [u64]  left | right << 32 — both children in one gather
 //! thr:     [f64]  split threshold, own column     (leaves: +inf)
-//! payload: [u32]  leaf answer: class id or value index (internal: 0)
 //! ```
 //!
 //! Leaves are **self-loops** (`left == right == own index`), so the walk
 //! needs no leaf test on its hot path: a finished row simply steps in
 //! place, and a level where *every* lane stepped in place terminates the
-//! block. Feature ids are `u16` and child indices `u32` for cache
-//! density; thresholds stay `f64` in their own contiguous column because
-//! the bit-exactness contract (`x[f] < thr`, NaN routes right — the same
-//! comparator as [`crate::DecisionTree::predict`]) does not survive
-//! narrowing: CART midpoints are generally not representable in `f32`,
-//! and a rounded threshold flips rows that land between the two.
+//! block. A walk's result is therefore the leaf's own BFS node id; the
+//! table holds no answers. [`crate::CompiledTree`] maps a node id to its
+//! [`Prediction`] through one answer table built beside the node table,
+//! so classifiers and regressors share one path, and a walk can tell
+//! apart leaves that give the same answer. Feature ids are `u16` (hence
+//! [`DecisionTree::validate`]'s 65,536-feature cap) and child indices
+//! `u32` for cache density; thresholds stay `f64` in their own contiguous
+//! column because the bit-exactness contract (`x[f] < thr`, NaN routes
+//! right — the same comparator as [`crate::DecisionTree::predict`]) does
+//! not survive narrowing: CART midpoints are generally not representable
+//! in `f32`, and a rounded threshold flips rows that land between the
+//! two.
 //!
 //! # Lane walk
 //!
-//! `walk_payloads` advances [`LANES`] rows together, one level per
+//! `walk_leaves` advances [`LANES`] rows together, one level per
 //! pass, with a branch-free select per lane (`if` on the comparison
 //! compiles to a conditional move — no branch mispredicts on data-
 //! dependent splits). All lanes issue independent loads, so the walk is
@@ -63,13 +68,19 @@
 //! same `_CMP_LT_OQ` comparator keeps the path inside the bit-exactness
 //! contract.
 
-use crate::tree::{CompiledTree, DecisionTree, Prediction, TreeError, TreeKind};
+use crate::tree::{
+    diff_predictions, BatchDiff, CompiledTree, DecisionTree, Prediction, TreeError, TreeKind,
+};
 use serde::Serialize;
 
 /// Rows walked together per block. 16 keeps a 143-feature block (the
 /// repo's widest serving schema) inside L1 alongside the hot node
 /// columns while giving the core enough independent loads to pipeline.
 pub const LANES: usize = 16;
+
+/// Widest feature schema the node layout can address: feature ids are
+/// stored as `u16`. [`DecisionTree::validate`] rejects wider trees.
+pub(crate) const MAX_FEATURES: usize = u16::MAX as usize + 1;
 
 /// Largest node count that still fits the in-register table: 64 entries
 /// per column fill eight zmm registers of `f64` thresholds, eight of
@@ -126,7 +137,6 @@ pub(crate) struct NodeTable {
     /// so the SIMD walk fetches a node's children with one 64-bit gather.
     pub(crate) pair: Vec<u64>,
     pub(crate) thr: Vec<f64>,
-    pub(crate) payload: Vec<u32>,
     /// Maximum root→leaf edge count — the walk's iteration bound.
     pub(crate) depth: usize,
     /// Register-resident copy of the columns for trees with at most
@@ -136,11 +146,12 @@ pub(crate) struct NodeTable {
 
 impl NodeTable {
     /// Flatten a (compacted) [`DecisionTree`] breadth-first. Leaves become
-    /// self-loops with `thr = +inf`; leaf payloads are the class index for
-    /// classifiers or an index into the returned `values` for regressors.
-    pub(crate) fn build(tree: &DecisionTree) -> (NodeTable, Vec<f64>) {
+    /// self-loops with `thr = +inf`. Also returns the answer table: entry
+    /// `i` is node `i`'s [`Prediction`], so a walk's node id is its
+    /// answer's index.
+    pub(crate) fn build(tree: &DecisionTree) -> (NodeTable, Vec<Prediction>) {
         assert!(
-            tree.n_features() <= u16::MAX as usize + 1,
+            tree.n_features() <= MAX_FEATURES,
             "kernel node layout stores feature ids as u16; tree has {} features",
             tree.n_features()
         );
@@ -152,11 +163,10 @@ impl NodeTable {
             right: vec![0; n],
             pair: Vec::new(),
             thr: vec![f64::INFINITY; n],
-            payload: vec![0; n],
             depth: 0,
             inreg: None,
         };
-        let mut values = Vec::new();
+        let mut answers = vec![Prediction::Class(0); n];
         // BFS over the arena: `order[new] = old`, `remap[old] = new`.
         let mut remap = vec![u32::MAX; n];
         let mut queue = std::collections::VecDeque::new();
@@ -168,6 +178,7 @@ impl NodeTable {
             let new = remap[old] as usize;
             table.depth = table.depth.max(level);
             let node = tree.node(old);
+            answers[new] = node.stats.prediction();
             match &node.split {
                 Some(s) => {
                     table.feat[new] = s.feature as u16;
@@ -184,13 +195,6 @@ impl NodeTable {
                 None => {
                     table.left[new] = new as u32;
                     table.right[new] = new as u32;
-                    table.payload[new] = match node.stats.prediction() {
-                        Prediction::Class(c) => c as u32,
-                        Prediction::Value(v) => {
-                            values.push(v);
-                            (values.len() - 1) as u32
-                        }
-                    };
                 }
             }
         }
@@ -203,7 +207,7 @@ impl NodeTable {
             .collect();
         table.feat.push(0); // gather over-read pad (see field doc)
         table.inreg = InRegTable::build(&table);
-        (table, values)
+        (table, answers)
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -218,7 +222,7 @@ impl NodeTable {
 }
 
 /// Advance one block of `L` rows (`rows.len() == L * nf`) from the root
-/// to their leaves, writing each row's leaf **payload** into `out`.
+/// to their leaves, writing each row's leaf **node id** into `out`.
 ///
 /// The inner loop is branch-free per lane: gather the tested feature,
 /// compare against the threshold column (`<`, so NaN fails and routes
@@ -240,7 +244,7 @@ fn walk_block<const L: usize>(t: &NodeTable, rows: &[f64], nf: usize, out: &mut 
             // SAFETY: `i` is a node id produced by the table itself
             // (children and self-loops are in-bounds by construction),
             // `feat[i] < nf` for internal nodes and 0 for leaves, and
-            // `walk_payloads` passes `rows.len() == L * nf` with `nf >= 1`.
+            // `walk_leaves` passes `rows.len() == L * nf` with `nf >= 1`.
             unsafe {
                 let f = *t.feat.get_unchecked(i) as usize;
                 let x = *rows.get_unchecked(l * nf + f);
@@ -258,10 +262,8 @@ fn walk_block<const L: usize>(t: &NodeTable, rows: &[f64], nf: usize, out: &mut 
             break;
         }
     }
-    for l in 0..L {
-        debug_assert!(t.is_leaf(idx[l] as usize));
-        out[l] = t.payload[idx[l] as usize];
-    }
+    debug_assert!(idx.iter().all(|&i| t.is_leaf(i as usize)));
+    out.copy_from_slice(&idx);
 }
 
 /// Hardware-gather lane walk (x86-64 AVX2). The portable [`walk_block`]
@@ -367,14 +369,10 @@ mod gather {
                 break;
             }
         }
-        let mut lanes = [0u32; LANES];
         for (g, &v) in idx.iter().enumerate() {
-            _mm_storeu_si128(lanes.as_mut_ptr().add(4 * g) as *mut __m128i, v);
+            _mm_storeu_si128(out.as_mut_ptr().add(4 * g) as *mut __m128i, v);
         }
-        for l in 0..LANES {
-            debug_assert!(t.is_leaf(lanes[l] as usize));
-            out[l] = *t.payload.get_unchecked(lanes[l] as usize);
-        }
+        debug_assert!(out.iter().all(|&i| t.is_leaf(i as usize)));
     }
 
     /// The same walk with 8-lane zmm gathers: one gather per column per
@@ -423,14 +421,10 @@ mod gather {
                 break;
             }
         }
-        let mut lanes = [0u32; LANES];
         for (g, &v) in idx.iter().enumerate() {
-            _mm256_storeu_si256(lanes.as_mut_ptr().add(8 * g) as *mut __m256i, v);
+            _mm256_storeu_si256(out.as_mut_ptr().add(8 * g) as *mut __m256i, v);
         }
-        for l in 0..LANES {
-            debug_assert!(t.is_leaf(lanes[l] as usize));
-            out[l] = *t.payload.get_unchecked(lanes[l] as usize);
-        }
+        debug_assert!(out.iter().all(|&i| t.is_leaf(i as usize)));
     }
 
     /// The register-resident walk for tables that fit [`InRegTable`]:
@@ -533,18 +527,14 @@ mod gather {
                 break;
             }
         }
-        let mut lanes = [0u32; LANES];
         for (g, &v) in idx.iter().enumerate() {
-            _mm256_storeu_si256(lanes.as_mut_ptr().add(8 * g) as *mut __m256i, v);
+            _mm256_storeu_si256(out.as_mut_ptr().add(8 * g) as *mut __m256i, v);
         }
-        for l in 0..LANES {
-            debug_assert!(t.is_leaf(lanes[l] as usize));
-            out[l] = *t.payload.get_unchecked(lanes[l] as usize);
-        }
+        debug_assert!(out.iter().all(|&i| t.is_leaf(i as usize)));
     }
 }
 
-/// Walk one row to its leaf payload — the scalar path for block tails
+/// Walk one row to its leaf's node id — the scalar path for block tails
 /// and single-request serving. Same comparator, same NaN routing.
 #[inline]
 pub(crate) fn walk_one(t: &NodeTable, x: &[f64]) -> u32 {
@@ -552,7 +542,7 @@ pub(crate) fn walk_one(t: &NodeTable, x: &[f64]) -> u32 {
     loop {
         let i = idx as usize;
         if t.left[i] == idx {
-            return t.payload[i];
+            return idx;
         }
         idx = if x[t.feat[i] as usize] < t.thr[i] {
             t.left[i]
@@ -562,11 +552,11 @@ pub(crate) fn walk_one(t: &NodeTable, x: &[f64]) -> u32 {
     }
 }
 
-/// Walk a row-major block (`rows.len() == out.len() * nf`) to leaf
-/// payloads: full [`LANES`]-row blocks through the lane walk, the tail
-/// through the scalar walk. Per row the payload is identical to
-/// [`walk_one`], and therefore to [`DecisionTree::predict`].
-pub(crate) fn walk_payloads(t: &NodeTable, rows: &[f64], nf: usize, out: &mut [u32]) {
+/// Walk a row-major block (`rows.len() == out.len() * nf`) to leaf node
+/// ids: full [`LANES`]-row blocks through the lane walk, the tail through
+/// the scalar walk. Per row the node id is identical to [`walk_one`]'s,
+/// and its answer to [`DecisionTree::predict`].
+pub(crate) fn walk_leaves(t: &NodeTable, rows: &[f64], nf: usize, out: &mut [u32]) {
     let n = out.len();
     debug_assert_eq!(rows.len(), n * nf);
     let blocks = n / LANES;
@@ -632,21 +622,24 @@ impl std::fmt::Display for ForestError {
 
 impl std::error::Error for ForestError {}
 
-/// An ensemble evaluator over compiled trees sharing one schema.
+/// An ensemble evaluator over compiled trees sharing one schema — and the
+/// one model shape the serving stack serves: a single tree is served as
+/// a one-tree forest (`From<DecisionTree>`).
 ///
 /// Evaluation is **block-major**: for each [`LANES`]-row block, every
 /// member tree walks the block before the evaluator advances to the next
 /// rows — the feature block is loaded into cache once and amortized
 /// across all trees, instead of streaming the whole batch through memory
-/// once per tree. Votes (classification) or sums (regression) accumulate
-/// per lane in tree-index order, so the reduction is bit-identical to
-/// evaluating the member trees one by one:
+/// once per tree. [`Forest::predict`] and [`Forest::predict_batch_into`]
+/// reduce a row's member answers, in member order, through one reduction,
+/// so the two are bit-identical to each other and to evaluating the
+/// member trees one by one:
 ///
 /// * **Classification** — majority vote over the member trees' predicted
 ///   classes; ties break toward the lowest class index.
 /// * **Regression** — the mean `(v_0 + v_1 + … + v_{k-1}) / k`, summed in
-///   tree-index order from −0.0 (as `Iterator::sum` does), one division
-///   at the end — so a 1-tree forest answers its tree's value to the bit.
+///   member order from −0.0 (as `Iterator::sum` does), one division at
+///   the end — so a 1-tree forest answers its tree's value to the bit.
 ///
 /// Like [`CompiledTree`] it is not `Deserialize`: rebuild it from source
 /// trees with [`Forest::from_trees`].
@@ -655,6 +648,16 @@ pub struct Forest {
     trees: Vec<CompiledTree>,
     kind: TreeKind,
     n_features: usize,
+}
+
+/// Serve one tree as a one-tree forest. Panics, in the caller, when the
+/// tree fails [`DecisionTree::validate`], with the message of
+/// [`CompiledTree::compile`].
+impl From<DecisionTree> for Forest {
+    fn from(tree: DecisionTree) -> Forest {
+        Forest::from_compiled(vec![CompiledTree::compile(&tree)])
+            .expect("one tree is a coherent forest")
+    }
 }
 
 impl Forest {
@@ -702,31 +705,8 @@ impl Forest {
     /// Ensemble prediction for one feature vector (see the type docs for
     /// the exact reduction contract).
     pub fn predict(&self, x: &[f64]) -> Prediction {
-        assert_eq!(
-            x.len(),
-            self.n_features,
-            "predict: expected {} features, got {}",
-            self.n_features,
-            x.len()
-        );
-        match self.kind {
-            TreeKind::Classifier { n_classes } => {
-                let mut votes = vec![0u32; n_classes];
-                for tree in &self.trees {
-                    votes[walk_one(tree.table(), x) as usize] += 1;
-                }
-                Prediction::Class(argmax_lowest(&votes))
-            }
-            TreeKind::Regressor => {
-                // −0.0 is the additive identity (+0.0 would turn a lone
-                // −0.0 member answer into +0.0).
-                let mut sum = -0.0f64;
-                for tree in &self.trees {
-                    sum += tree.values()[walk_one(tree.table(), x) as usize];
-                }
-                Prediction::Value(sum / self.trees.len() as f64)
-            }
-        }
+        let answers: Vec<Prediction> = self.trees.iter().map(|t| t.predict(x)).collect();
+        self.reduce(&answers)
     }
 
     /// Batched ensemble prediction over a row-major block
@@ -734,66 +714,29 @@ impl Forest {
     /// member trees. Per row the result is bit-identical to
     /// [`Forest::predict`].
     pub fn predict_batch_into(&self, rows: &[f64], out: &mut [Prediction]) {
-        let n = out.len();
         let nf = self.n_features;
         assert_eq!(
             rows.len(),
-            n * nf,
+            out.len() * nf,
             "predict_batch_into: {} values is not {} rows of {} features",
             rows.len(),
-            n,
+            out.len(),
             nf
         );
         let k = self.trees.len();
-        let mut payloads = [0u32; LANES];
-        match self.kind {
-            TreeKind::Classifier { n_classes } => {
-                let mut votes = vec![0u32; LANES * n_classes];
-                let mut block = 0usize;
-                while block < n {
-                    let rows_here = LANES.min(n - block);
-                    votes[..rows_here * n_classes].fill(0);
-                    for tree in &self.trees {
-                        walk_payloads(
-                            tree.table(),
-                            &rows[block * nf..(block + rows_here) * nf],
-                            nf,
-                            &mut payloads[..rows_here],
-                        );
-                        for (l, &p) in payloads[..rows_here].iter().enumerate() {
-                            votes[l * n_classes + p as usize] += 1;
-                        }
-                    }
-                    for l in 0..rows_here {
-                        out[block + l] = Prediction::Class(argmax_lowest(
-                            &votes[l * n_classes..(l + 1) * n_classes],
-                        ));
-                    }
-                    block += rows_here;
+        let mut leaves = [0u32; LANES];
+        // Row `l`'s member answers at `l * k .. (l + 1) * k`, in member order.
+        let mut answers = vec![Prediction::Class(0); LANES * k];
+        for (block, out) in rows.chunks(LANES * nf).zip(out.chunks_mut(LANES)) {
+            let leaves = &mut leaves[..out.len()];
+            for (m, tree) in self.trees.iter().enumerate() {
+                walk_leaves(tree.table(), block, nf, leaves);
+                for (l, &leaf) in leaves.iter().enumerate() {
+                    answers[l * k + m] = tree.answers()[leaf as usize];
                 }
             }
-            TreeKind::Regressor => {
-                let mut sums = [-0.0f64; LANES];
-                let mut block = 0usize;
-                while block < n {
-                    let rows_here = LANES.min(n - block);
-                    sums[..rows_here].fill(-0.0);
-                    for tree in &self.trees {
-                        walk_payloads(
-                            tree.table(),
-                            &rows[block * nf..(block + rows_here) * nf],
-                            nf,
-                            &mut payloads[..rows_here],
-                        );
-                        for (l, &p) in payloads[..rows_here].iter().enumerate() {
-                            sums[l] += tree.values()[p as usize];
-                        }
-                    }
-                    for l in 0..rows_here {
-                        out[block + l] = Prediction::Value(sums[l] / k as f64);
-                    }
-                    block += rows_here;
-                }
+            for (slot, row) in out.iter_mut().zip(answers.chunks_exact(k)) {
+                *slot = self.reduce(row);
             }
         }
     }
@@ -801,7 +744,7 @@ impl Forest {
     /// [`Forest::predict_batch_into`] into a fresh vector.
     pub fn predict_batch(&self, rows: &[f64]) -> Vec<Prediction> {
         assert!(
-            self.n_features > 0 && rows.len().is_multiple_of(self.n_features),
+            rows.len().is_multiple_of(self.n_features),
             "predict_batch: {} values do not divide into {}-feature rows",
             rows.len(),
             self.n_features
@@ -810,19 +753,50 @@ impl Forest {
         self.predict_batch_into(rows, &mut out);
         out
     }
-}
 
-/// Index of the maximum vote count, lowest index winning ties — the
-/// deterministic majority-vote tie-break every evaluator shares.
-#[inline]
-fn argmax_lowest(votes: &[u32]) -> usize {
-    let mut best = 0usize;
-    for (c, &v) in votes.iter().enumerate() {
-        if v > votes[best] {
-            best = c;
+    /// Bit-exact response diff against another forest over a row-major
+    /// block: for every row, both forests' predictions are compared the
+    /// way the serving path compares answers — class indices by equality,
+    /// values by `to_bits` (so `0.0` vs `-0.0` or a NaN payload swap
+    /// counts as a mismatch). This is the shadow-serving audit primitive:
+    /// a staged candidate is promoted only after mirrored traffic diffs
+    /// clean against the live model. Forests of different kinds mismatch
+    /// on every row; a different feature width panics (rows can't be
+    /// valid for both).
+    pub fn diff_batch(&self, other: &Forest, rows: &[f64]) -> BatchDiff {
+        assert_eq!(
+            self.n_features, other.n_features,
+            "diff_batch: models take {} vs {} features",
+            self.n_features, other.n_features
+        );
+        diff_predictions(&self.predict_batch(rows), &other.predict_batch(rows))
+    }
+
+    /// The ensemble answer for one row from its `k` member answers, in
+    /// member order. The vote counts each answer's class among the `k`
+    /// answers, so it needs no class-wide buffer.
+    #[inline]
+    fn reduce(&self, answers: &[Prediction]) -> Prediction {
+        match self.kind {
+            TreeKind::Classifier { .. } => {
+                let mut best = (0usize, usize::MAX); // (votes, class)
+                for answer in answers {
+                    let class = answer.class();
+                    let votes = answers.iter().filter(|a| a.class() == class).count();
+                    if votes > best.0 || (votes == best.0 && class < best.1) {
+                        best = (votes, class);
+                    }
+                }
+                Prediction::Class(best.1)
+            }
+            TreeKind::Regressor => {
+                // −0.0 is the additive identity (+0.0 would turn a lone
+                // −0.0 member answer into +0.0).
+                let sum = answers.iter().fold(-0.0, |sum, a| sum + a.value());
+                Prediction::Value(sum / answers.len() as f64)
+            }
         }
     }
-    best
 }
 
 #[cfg(test)]
@@ -830,14 +804,13 @@ mod tests {
     use super::*;
     use crate::builder::{fit, Criterion, TreeConfig};
     use crate::dataset::Dataset;
-    use crate::tree::diff_predictions;
 
-    /// One [`LANES`]-row block of `nf`-feature rows in, one leaf payload
+    /// One [`LANES`]-row block of `nf`-feature rows in, one leaf node id
     /// per row out.
     type BlockWalk = fn(&NodeTable, &[f64], usize, &mut [u32]);
 
     /// Every block walk this host can execute on `t`, whichever one
-    /// [`walk_payloads`] would pick for it.
+    /// [`walk_leaves`] would pick for it.
     fn block_walks(t: &NodeTable) -> Vec<(&'static str, BlockWalk)> {
         let mut walks: Vec<(&'static str, BlockWalk)> = vec![("portable", walk_block::<LANES>)];
         #[cfg(target_arch = "x86_64")]
@@ -956,9 +929,9 @@ mod tests {
     }
 
     /// Every block walk the host can execute — portable always; AVX2,
-    /// AVX-512 and the in-register walk where the CPU has them — reaches
-    /// the same leaf payload as [`walk_one`] on every row, and
-    /// [`walk_one`] answers what [`DecisionTree::predict`] answers. Trees
+    /// AVX-512 and the in-register walk where the CPU has them — ends at
+    /// the same leaf node id as [`walk_one`] on every row, and the answer
+    /// of [`walk_one`]'s leaf is what [`DecisionTree::predict`] answers. Trees
     /// run from a single leaf and a stump through both sides of
     /// [`INREG_NODES`] to well past it, as classifiers and regressors at
     /// 1, 6 and 143 features.
@@ -979,8 +952,11 @@ mod tests {
 
                     let rows = probe_rows(t, nf, 8 * LANES, &mut rng);
                     let want: Vec<u32> = rows.chunks(nf).map(|row| walk_one(t, row)).collect();
-                    let ours: Vec<Prediction> =
-                        rows.chunks(nf).map(|r| compiled.predict(r)).collect();
+                    assert!(want.iter().all(|&id| t.is_leaf(id as usize)), "{label}");
+                    let ours: Vec<Prediction> = want
+                        .iter()
+                        .map(|&id| compiled.answers()[id as usize])
+                        .collect();
                     let theirs: Vec<Prediction> =
                         rows.chunks(nf).map(|r| tree.predict(r)).collect();
                     let diff = diff_predictions(&ours, &theirs);

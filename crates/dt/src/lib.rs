@@ -37,6 +37,5 @@ pub use export::{render, to_graphviz, RenderOptions};
 pub use kernel::{Forest, ForestError, INREG_NODES, LANES};
 pub use prune::{alpha_sequence, prune_alpha, prune_to_leaves, truncate_depth, PruneStep};
 pub use tree::{
-    diff_predictions, BatchDiff, CompiledTree, DecisionTree, Node, NodeStats, Prediction, Split,
-    TreeError, TreeKind,
+    BatchDiff, CompiledTree, DecisionTree, Node, NodeStats, Prediction, Split, TreeError, TreeKind,
 };

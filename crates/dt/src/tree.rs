@@ -131,6 +131,9 @@ pub enum TreeError {
     Empty,
     /// The tree takes zero features, so a row has nothing to walk on.
     NoFeatures,
+    /// The tree takes more features than the kernel's `u16` feature ids
+    /// can address (65,536).
+    TooManyFeatures { n_features: usize },
     /// A split names a child outside the arena.
     ChildOutOfRange { node: usize, child: usize },
     /// A node is reached twice from the root: the splits form a cycle or
@@ -160,6 +163,11 @@ impl std::fmt::Display for TreeError {
         match self {
             TreeError::Empty => write!(f, "tree has no nodes"),
             TreeError::NoFeatures => write!(f, "tree takes no features"),
+            TreeError::TooManyFeatures { n_features } => write!(
+                f,
+                "tree takes {n_features} features; the kernel serves at most {}",
+                crate::kernel::MAX_FEATURES
+            ),
             TreeError::ChildOutOfRange { node, child } => {
                 write!(f, "node {node} names child {child} outside the arena")
             }
@@ -261,15 +269,16 @@ impl DecisionTree {
         })
     }
 
-    /// Check that the tree is well formed: it takes at least one feature,
-    /// every child index is inside the arena, every node is reached
-    /// exactly once from the root (no cycles, shared subtrees or orphans),
-    /// every split tests a feature `< n_features`, and every leaf carries
-    /// statistics of the tree's kind — for classifiers, predicting a class
-    /// `< n_classes`. Trees from [`crate::fit`] and the pruners always
-    /// pass; a deserialized tree may not. [`CompiledTree::compile`] and
-    /// [`crate::Forest::from_trees`] call this first, because the kernel
-    /// walk trusts these invariants.
+    /// Check that the tree is well formed: it takes at least one and at
+    /// most 65,536 features, every child index is inside the arena, every
+    /// node is reached exactly once from the root (no cycles, shared
+    /// subtrees or orphans), every split tests a feature `< n_features`,
+    /// and every leaf carries statistics of the tree's kind — for
+    /// classifiers, predicting a class `< n_classes`. Trees from
+    /// [`crate::fit`] and the pruners pass unless they take more than
+    /// 65,536 features; a deserialized tree may not.
+    /// [`CompiledTree::compile`] and [`crate::Forest::from_trees`] call
+    /// this first, because the kernel walk trusts these invariants.
     pub fn validate(&self) -> Result<(), TreeError> {
         let n = self.nodes.len();
         if n == 0 {
@@ -277,6 +286,11 @@ impl DecisionTree {
         }
         if self.n_features == 0 {
             return Err(TreeError::NoFeatures);
+        }
+        if self.n_features > crate::kernel::MAX_FEATURES {
+            return Err(TreeError::TooManyFeatures {
+                n_features: self.n_features,
+            });
         }
         let mut seen = vec![false; n];
         let mut stack = vec![ROOT];
@@ -440,9 +454,10 @@ impl DecisionTree {
 /// `u32` child indices, `f64` thresholds in their own contiguous column,
 /// leaves as self-loops), demonstrating the paper's "decision trees can
 /// be implemented with branching clauses only" deployment claim (§6.4).
-/// It backs both the latency benchmarks and the `metis_serve` online
-/// serving engine, whose micro-batches walk row blocks through the
-/// lane-vectorized [`CompiledTree::predict_batch`].
+/// A walk ends at its leaf's node id, and one answer table maps every
+/// node id to that node's [`Prediction`]. It backs the latency
+/// benchmarks and every member of a [`crate::Forest`], the model shape
+/// the `metis_serve` engine serves.
 ///
 /// It is deliberately not `Deserialize`: the kernel walk trusts the table's
 /// child and feature indices, so the only way in is [`CompiledTree::compile`]
@@ -450,7 +465,9 @@ impl DecisionTree {
 #[derive(Debug, Clone, Serialize)]
 pub struct CompiledTree {
     table: crate::kernel::NodeTable,
-    values: Vec<f64>,
+    /// Entry `i` is node `i`'s prediction, indexed by the node ids the
+    /// kernel walks end at.
+    answers: Vec<Prediction>,
     n_features: usize,
     kind: TreeKind,
 }
@@ -467,10 +484,10 @@ impl CompiledTree {
             panic!("compile: malformed tree: {e}");
         }
         let tree = tree.compact();
-        let (table, values) = crate::kernel::NodeTable::build(&tree);
+        let (table, answers) = crate::kernel::NodeTable::build(&tree);
         CompiledTree {
             table,
-            values,
+            answers,
             n_features: tree.n_features,
             kind: tree.kind,
         }
@@ -483,33 +500,34 @@ impl CompiledTree {
         &self.table
     }
 
-    /// Regression leaf values, indexed by leaf payload.
+    /// Every node's prediction, indexed by node id (crate-internal: the
+    /// forest evaluator maps member walks through it).
     #[inline]
-    pub(crate) fn values(&self) -> &[f64] {
-        &self.values
+    pub(crate) fn answers(&self) -> &[Prediction] {
+        &self.answers
     }
 
-    /// Evaluate to a raw leaf payload (class index or value index).
+    /// The answer of the leaf `x` walks to.
     #[inline]
-    fn eval_raw(&self, x: &[f64]) -> u32 {
-        crate::kernel::walk_one(&self.table, x)
+    fn leaf_answer(&self, x: &[f64]) -> Prediction {
+        self.answers[crate::kernel::walk_one(&self.table, x) as usize]
     }
 
     /// Predicted class (classification trees).
     #[inline]
     pub fn predict_class(&self, x: &[f64]) -> usize {
-        self.eval_raw(x) as usize
+        self.leaf_answer(x).class()
     }
 
     /// Predicted value (regression trees).
     #[inline]
     pub fn predict_value(&self, x: &[f64]) -> f64 {
-        self.values[self.eval_raw(x) as usize]
+        self.leaf_answer(x).value()
     }
 
     /// Predict for a single feature vector — same comparator
     /// (`x[f] < thr` goes left; NaN therefore routes **right**) and
-    /// bit-identical payload as [`DecisionTree::predict`].
+    /// bit-identical answer as [`DecisionTree::predict`].
     #[inline]
     pub fn predict(&self, x: &[f64]) -> Prediction {
         assert_eq!(
@@ -519,15 +537,7 @@ impl CompiledTree {
             self.n_features,
             x.len()
         );
-        self.payload_to_prediction(self.eval_raw(x))
-    }
-
-    #[inline]
-    fn payload_to_prediction(&self, payload: u32) -> Prediction {
-        match self.kind {
-            TreeKind::Classifier { .. } => Prediction::Class(payload as usize),
-            TreeKind::Regressor => Prediction::Value(self.values[payload as usize]),
-        }
+        self.leaf_answer(x)
     }
 
     /// Batched prediction over a row-major block of feature vectors
@@ -548,10 +558,10 @@ impl CompiledTree {
             n,
             self.n_features
         );
-        let mut payloads = vec![0u32; n];
-        crate::kernel::walk_payloads(&self.table, rows, self.n_features, &mut payloads);
-        for (slot, &p) in out.iter_mut().zip(payloads.iter()) {
-            *slot = self.payload_to_prediction(p);
+        let mut leaves = vec![0u32; n];
+        crate::kernel::walk_leaves(&self.table, rows, self.n_features, &mut leaves);
+        for (slot, &leaf) in out.iter_mut().zip(&leaves) {
+            *slot = self.answers[leaf as usize];
         }
     }
 
@@ -559,7 +569,7 @@ impl CompiledTree {
     /// row-major with `n_features` values per row.
     pub fn predict_batch(&self, rows: &[f64]) -> Vec<Prediction> {
         assert!(
-            self.n_features > 0 && rows.len().is_multiple_of(self.n_features),
+            rows.len().is_multiple_of(self.n_features),
             "predict_batch: {} values do not divide into {}-feature rows",
             rows.len(),
             self.n_features
@@ -569,38 +579,11 @@ impl CompiledTree {
         out
     }
 
-    /// Batched class prediction (classification trees only).
-    pub fn predict_class_batch(&self, rows: &[f64]) -> Vec<usize> {
-        self.predict_batch(rows)
-            .into_iter()
-            .map(Prediction::class)
-            .collect()
-    }
-
     pub fn n_features(&self) -> usize {
         self.n_features
     }
 
-    /// Bit-exact response diff against another compiled tree over a
-    /// row-major block: for every row, both trees' predictions are
-    /// compared the way the serving path compares answers — class indices
-    /// by equality, values by `to_bits` (so `0.0` vs `-0.0` or a NaN
-    /// payload swap counts as a mismatch, exactly like a diverging
-    /// response would). This is the shadow-serving audit primitive: a
-    /// staged candidate is promoted only after mirrored traffic diffs
-    /// clean against the live model. Trees of different kinds mismatch on
-    /// every row; a different feature width panics (rows can't be valid
-    /// for both).
-    pub fn diff_batch(&self, other: &CompiledTree, rows: &[f64]) -> BatchDiff {
-        assert_eq!(
-            self.n_features, other.n_features,
-            "diff_batch: trees take {} vs {} features",
-            self.n_features, other.n_features
-        );
-        diff_predictions(&self.predict_batch(rows), &other.predict_batch(rows))
-    }
-
-    /// Kind of the source tree (drives [`CompiledTree::predict`] payloads).
+    /// Kind of the source tree.
     pub fn kind(&self) -> TreeKind {
         self.kind
     }
@@ -626,11 +609,10 @@ impl CompiledTree {
 /// answers — class indices by equality, values by `to_bits` (so `0.0` vs
 /// `-0.0` or a NaN payload swap counts as a mismatch, exactly like a
 /// diverging response would); predictions of different kinds mismatch.
-/// This is the one audit comparator shared by [`CompiledTree::diff_batch`]
-/// and the served-model ensemble audits, so single-tree and forest
-/// shadow promotion use identical semantics. The slices must be the same
-/// length (they came from the same row block).
-pub fn diff_predictions(ours: &[Prediction], theirs: &[Prediction]) -> BatchDiff {
+/// This is the comparator behind [`crate::Forest::diff_batch`], the
+/// shadow audit's one entry point. The slices must be the same length
+/// (they came from the same row block).
+pub(crate) fn diff_predictions(ours: &[Prediction], theirs: &[Prediction]) -> BatchDiff {
     assert_eq!(
         ours.len(),
         theirs.len(),
@@ -657,7 +639,7 @@ pub fn diff_predictions(ours: &[Prediction], theirs: &[Prediction]) -> BatchDiff
     diff
 }
 
-/// Outcome of [`CompiledTree::diff_batch`]: how many rows two trees
+/// Outcome of [`crate::Forest::diff_batch`]: how many rows two models
 /// answered differently, bit-exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchDiff {
@@ -784,7 +766,7 @@ mod tests {
         // NaN fails the `<` test, so it must land in the right (class 1) leaf.
         assert_eq!(tree.predict_class(&nan_row), 1);
         assert_eq!(compiled.predict_class(&nan_row), 1);
-        assert_eq!(compiled.predict_class_batch(&nan_row), vec![1]);
+        assert_eq!(compiled.predict_batch(&nan_row), vec![Prediction::Class(1)]);
         let split = tree.node(0).split.as_ref().expect("root splits");
         assert_eq!(tree.leaf_for(&nan_row), split.right);
 
@@ -823,8 +805,9 @@ mod tests {
     /// bit pattern.
     #[test]
     fn diff_batch_clean_for_identical_trees_and_counts_perturbations() {
+        use crate::kernel::Forest;
         let tree = fitted_classifier(13);
-        let compiled = CompiledTree::compile(&tree);
+        let compiled = Forest::from(tree.clone());
         let mut rows = lcg_features(120, 4, 31);
         for (r, row) in rows.iter_mut().enumerate() {
             if r % 7 == 0 {
@@ -832,7 +815,7 @@ mod tests {
             }
         }
         let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let clean = compiled.diff_batch(&CompiledTree::compile(&tree), &flat);
+        let clean = compiled.diff_batch(&Forest::from(tree.clone()), &flat);
         assert_eq!(
             clean,
             BatchDiff {
@@ -844,7 +827,7 @@ mod tests {
         assert!(clean.is_clean());
 
         // A pruned tree answers differently somewhere on 120 rows.
-        let perturbed = CompiledTree::compile(&crate::prune::prune_to_leaves(&tree, 3));
+        let perturbed = Forest::from(crate::prune::prune_to_leaves(&tree, 3));
         let diff = compiled.diff_batch(&perturbed, &flat);
         assert_eq!(diff.rows, 120);
         assert!(
@@ -869,22 +852,21 @@ mod tests {
 
     #[test]
     fn diff_batch_compares_regressor_values_by_bit_pattern() {
+        use crate::kernel::Forest;
         let tree = fitted_regressor(17);
-        let compiled = CompiledTree::compile(&tree);
+        let compiled = Forest::from(tree.clone());
         let rows = lcg_features(50, 3, 91);
         let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        assert!(compiled
-            .diff_batch(&CompiledTree::compile(&tree), &flat)
-            .is_clean());
-        let other = CompiledTree::compile(&fitted_regressor(18));
+        assert!(compiled.diff_batch(&Forest::from(tree), &flat).is_clean());
+        let other = Forest::from(fitted_regressor(18));
         let diff = compiled.diff_batch(&other, &flat);
         assert!(diff.mismatches > 0, "different fits must diff");
         // A classifier against a regressor mismatches on every row.
         let classifier = {
             let x = lcg_features(40, 3, 5);
             let y: Vec<usize> = x.iter().map(|xi| usize::from(xi[0] > 0.5)).collect();
-            CompiledTree::compile(
-                &fit(
+            Forest::from(
+                fit(
                     &Dataset::classification(x, y, 2).unwrap(),
                     &TreeConfig::default(),
                 )
@@ -897,8 +879,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "diff_batch")]
     fn diff_batch_rejects_mismatched_feature_widths() {
-        let a = CompiledTree::compile(&fitted_classifier(1)); // 4 features
-        let b = CompiledTree::compile(&fitted_regressor(1)); // 3 features
+        use crate::kernel::Forest;
+        let a = Forest::from(fitted_classifier(1)); // 4 features
+        let b = Forest::from(fitted_regressor(1)); // 3 features
         let _ = a.diff_batch(&b, &[0.0; 12]);
     }
 
@@ -931,9 +914,12 @@ mod tests {
     /// and the unchecked kernel walk then read out of bounds (SIGSEGV): a
     /// 2-feature tree whose root split was edited to test feature 40000,
     /// and a single-leaf tree edited to take zero features, whose block
-    /// walk read the first value of an empty row slice. Now `compile`
-    /// panics with the validation error in its caller and the forest
-    /// builder returns `Err`: the kernel is never reached.
+    /// walk read the first value of an empty row slice. A single-leaf tree
+    /// edited to take 70,000 features (more than the kernel's `u16`
+    /// feature ids address) used to pass validation and panic inside the
+    /// kernel's table builder. Now `compile` panics with the validation
+    /// error in its caller and the forest builder returns `Err`: the
+    /// kernel is never reached.
     #[test]
     fn malformed_tree_never_reaches_the_kernel() {
         use crate::kernel::{Forest, ForestError};
@@ -957,6 +943,11 @@ mod tests {
                 with_json_edit(&leaf, "n_features", 0),
                 TreeError::NoFeatures,
                 "no features",
+            ),
+            (
+                with_json_edit(&leaf, "n_features", 70_000),
+                TreeError::TooManyFeatures { n_features: 70_000 },
+                "70000 features",
             ),
         ] {
             assert_eq!(bad.validate(), Err(error.clone()));

@@ -13,9 +13,10 @@
 //!   id ([`shard_for_session`], a pure SplitMix64 finalize), so a sticky
 //!   ABR session always lands on the same shard regardless of thread
 //!   counts or interleaving.
-//! * [`shadow`] — **shadow serving**: the next round's student tree is
-//!   staged beside the live model and evaluated on mirrored traffic with
-//!   bit-exact response diffing ([`metis_dt::CompiledTree::diff_batch`]).
+//! * [`shadow`] — **shadow serving**: the next round's student tree (or
+//!   ensemble) is staged beside the live model and evaluated on mirrored
+//!   traffic with bit-exact response diffing
+//!   ([`metis_dt::Forest::diff_batch`]).
 //!   A [`PromotePolicy::OnZeroDiff`] candidate hot-swaps live only after
 //!   its audit diffs clean; [`PromotePolicy::AfterAudit`] swaps
 //!   unconditionally but records how much behaviour changed first.

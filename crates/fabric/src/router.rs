@@ -16,19 +16,18 @@
 //! `deadline_class` is stamped onto the shards' pool submissions (the
 //! pool drains urgent classes first — [`metis_nn::par::with_deadline_class`])
 //! and whose `p99_budget_s` is checked in the shutdown report. A new
-//! model — a single tree or a [`metis_dt::Forest`] majority-vote
-//! ensemble, anything `Into<ServedModel>` — goes live at once with
+//! model — a single tree or a [`metis_dt::Forest`] ensemble, anything
+//! `Into<Forest>` — goes live at once with
 //! [`Router::publish`], or is staged with [`Router::stage`] to be audited
 //! on mirrored traffic before (or instead of) letting it serve — see
 //! [`crate::shadow`].
 
 use crate::report::{FabricReport, ScenarioReport, TenantReport};
 use crate::shadow::{ShadowConfig, ShadowState};
-use metis_dt::DecisionTree;
+use metis_dt::{DecisionTree, Forest};
 use metis_obs::{Observer, ObserverConfig, SloSpec};
 use metis_serve::{
-    Clock, LatencyRecorder, ModelRegistry, Response, ServeConfig, ServedModel, ServerHandle,
-    TreeServer,
+    Clock, LatencyRecorder, ModelRegistry, Response, ServeConfig, ServerHandle, TreeServer,
 };
 use metis_telemetry::{ShardTelemetry, Telemetry, CONTROL_SHARD};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -343,27 +342,27 @@ impl Router {
     }
 
     /// Hot-swap a scenario's live model immediately (no shadow audit) to
-    /// a tree or a compiled model; returns the new epoch.
-    pub fn publish(&self, key: &str, model: impl Into<ServedModel>) -> u64 {
+    /// a tree or a [`Forest`]; returns the new epoch.
+    pub fn publish(&self, key: &str, model: impl Into<Forest>) -> u64 {
         self.scenario(key).registry.publish(model)
     }
 
-    /// [`Router::publish`] of a majority-vote [`metis_dt::Forest`] over
-    /// `sources`. Panics when the ensemble is empty or mixes widths or
+    /// [`Router::publish`] of [`Forest::from_trees`] over `sources`.
+    /// Panics when the ensemble is empty, malformed, or mixes widths or
     /// output kinds.
     pub fn publish_forest(&self, key: &str, sources: Vec<DecisionTree>) -> u64 {
-        let model = ServedModel::from_trees(sources).expect("published ensemble must be coherent");
-        self.publish(key, model)
+        let forest = Forest::from_trees(&sources).expect("published ensemble must be coherent");
+        self.publish(key, forest)
     }
 
-    /// Stage a tree, or a forest from [`ServedModel::from_trees`], as the
+    /// Stage a tree, or a forest from [`Forest::from_trees`], as the
     /// scenario's shadow candidate: mirrored traffic diffs it bit-exactly
     /// against the live model it would replace, and the scenario's
     /// [`ShadowConfig`] policy decides the swap once the audit quota is
     /// reached. A still-undecided previous candidate is replaced (latest
     /// round wins). A candidate of another feature width panics here,
     /// before the shadow lock, so the scenario keeps serving.
-    pub fn stage(&self, key: &str, model: impl Into<ServedModel>) {
+    pub fn stage(&self, key: &str, model: impl Into<Forest>) {
         let scenario = self.scenario(key);
         // Compile before the lock — a mirror flush on the live submit
         // path must never wait out a compile under it.
@@ -902,7 +901,7 @@ mod tests {
         // on every mirrored row, so the audit is clean and it promotes.
         router.stage(
             "s",
-            ServedModel::from_trees(vec![t.clone(), t.clone(), t.clone()]).unwrap(),
+            Forest::from_trees(&[t.clone(), t.clone(), t.clone()]).unwrap(),
         );
         let mut handle = router.handle();
         for k in 0..100u64 {

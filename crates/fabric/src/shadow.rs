@@ -2,14 +2,12 @@
 //! mirrored traffic through both, and only hot-swap when the audit says
 //! so.
 //!
-//! A staged *candidate* — a [`ServedModel`], so a single compiled tree
-//! or a majority-vote [`metis_dt::Forest`] ensemble — pins the live
-//! epoch it would replace ([`metis_serve::ModelRegistry::current`] at
-//! staging time) as its **baseline**. Mirrored feature rows are diffed
-//! bit-exactly — candidate vs baseline — via
-//! [`ServedModel::diff_batch`] (the same comparator as
-//! [`metis_dt::CompiledTree::diff_batch`], so tree and ensemble audits
-//! share one semantics); once `audit_rows` rows have been mirrored the
+//! A staged *candidate* — a [`Forest`], so a single tree or an
+//! ensemble — pins the live epoch it would replace
+//! ([`metis_serve::ModelRegistry::current`] at staging time) as its
+//! **baseline**. Mirrored feature rows are diffed bit-exactly —
+//! candidate vs baseline — via [`Forest::diff_batch`], the one audit
+//! entry point; once `audit_rows` rows have been mirrored the
 //! [`PromotePolicy`] decides:
 //!
 //! * [`PromotePolicy::OnZeroDiff`] — promote only a clean audit: the swap
@@ -33,7 +31,8 @@
 //! a compare-and-swap on the baseline epoch: if a direct publish landed
 //! mid-audit, the candidate is *superseded* — recorded, never installed.
 
-use metis_serve::{EpochModel, ModelRegistry, ServedModel};
+use metis_dt::Forest;
+use metis_serve::{EpochModel, ModelRegistry};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -110,7 +109,7 @@ pub struct ShadowReport {
 }
 
 struct Candidate {
-    model: ServedModel,
+    model: Forest,
     baseline: Arc<EpochModel>,
     /// Staging generation (monotone per slot) — mirrored rows carry the
     /// generation they were captured under, so traffic buffered before a
@@ -177,7 +176,7 @@ impl ShadowState {
     /// compile-outside-the-lock rule), so live submits flushing mirrors
     /// never stall behind a compile and a rejected candidate never
     /// poisons the lock.
-    pub(crate) fn stage(&mut self, model: ServedModel, registry: &ModelRegistry) {
+    pub(crate) fn stage(&mut self, model: Forest, registry: &ModelRegistry) {
         let baseline = registry.current();
         if let Some(old) = self.candidate.take() {
             self.report.replaced += 1;
@@ -465,7 +464,7 @@ mod tests {
             audit_rows: 64,
             policy: PromotePolicy::OnZeroDiff,
         });
-        let clean = ServedModel::from_trees(vec![tree(16)]).unwrap();
+        let clean = Forest::from_trees(&[tree(16)]).unwrap();
         shadow.stage(clean, &registry);
         let gen = shadow.active_generation().unwrap();
         let promo = shadow
@@ -480,7 +479,7 @@ mod tests {
         );
 
         // A coarse ensemble diverges from the live tree: rejected.
-        let dirty = ServedModel::from_trees(vec![tree(2), tree(3), tree(4)]).unwrap();
+        let dirty = Forest::from_trees(&[tree(2), tree(3), tree(4)]).unwrap();
         shadow.stage(dirty, &registry);
         let gen = shadow.active_generation().unwrap();
         assert!(shadow.mirror(&rows(64), gen, &registry).is_none());

@@ -447,13 +447,6 @@ impl Matrix {
         }
     }
 
-    /// Multiply every element by a scalar, in place.
-    pub fn scale_inplace(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
-        }
-    }
-
     /// Add a row vector to every row (bias broadcast).
     pub fn add_row_broadcast(&mut self, bias: &[f64]) {
         assert_eq!(self.cols, bias.len(), "add_row_broadcast: width mismatch");

@@ -16,7 +16,10 @@ pub trait Network: Clone {
     /// whatever the backward pass needs).
     fn forward(&mut self, input: &Matrix) -> Matrix;
 
-    /// Inference-only forward pass (no caches, shared receiver).
+    /// Inference-only forward pass over a `(batch, in_dim)` input as one
+    /// matrix-matrix pass (no caches, shared receiver). The layer kernels
+    /// guarantee that row `i` of the output is bit-identical to `predict`
+    /// of row `i`.
     fn forward_inference(&self, input: &Matrix) -> Matrix;
 
     /// Backward pass from the output gradient; accumulates parameter
@@ -42,25 +45,16 @@ pub trait Network: Clone {
             .to_vec()
     }
 
-    /// Batched inference: push `(batch, in_dim)` observations through the
-    /// network as one matrix-matrix pass. The default delegates to
-    /// [`Network::forward_inference`] (whose layer kernels guarantee that
-    /// row `i` of the output is bit-identical to `predict` of row `i`);
-    /// implementations with a cheaper batch-only path may override.
-    fn forward_batch(&self, input: &Matrix) -> Matrix {
-        self.forward_inference(input)
-    }
-
     /// Batched [`Network::predict`]: one row per observation.
     fn predict_batch(&self, rows: &[Vec<f64>]) -> Matrix {
-        self.forward_batch(&Matrix::from_rows_vec(rows))
+        self.forward_inference(&Matrix::from_rows_vec(rows))
     }
 
-    /// [`Network::forward_batch`] sharded across `threads` workers
+    /// [`Network::forward_inference`] sharded across `threads` workers
     /// (0 = all cores) in fixed 32-row blocks merged in row order. Rows
     /// are independent, so the output is **bit-identical to
-    /// `forward_batch` for any thread count** — the deterministic way to
-    /// throw cores at large labelling batches (fidelity evaluation,
+    /// `forward_inference` for any thread count** — the deterministic way
+    /// to throw cores at large labelling batches (fidelity evaluation,
     /// dataset relabelling).
     fn forward_batch_threads(&self, input: &Matrix, threads: usize) -> Matrix
     where
@@ -69,13 +63,13 @@ pub trait Network: Clone {
         const BLOCK: usize = 32;
         let rows = input.rows();
         if rows <= BLOCK {
-            return self.forward_batch(input);
+            return self.forward_inference(input);
         }
         let n_blocks = rows.div_ceil(BLOCK);
         let blocks = crate::par::parallel_map_indexed(n_blocks, threads, |b| {
             let lo = b * BLOCK;
             let hi = (lo + BLOCK).min(rows);
-            self.forward_batch(&input.row_block(lo, hi))
+            self.forward_inference(&input.row_block(lo, hi))
         });
         let mut out = Matrix::zeros(rows, blocks[0].cols());
         let mut r = 0;
@@ -135,11 +129,11 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_threads_matches_forward_batch_bitwise() {
+    fn forward_batch_threads_matches_forward_inference_bitwise() {
         let mut rng = StdRng::seed_from_u64(8);
         let mlp = Mlp::new(&[4, 9, 3], Activation::Tanh, Activation::Linear, &mut rng);
         let x = Matrix::from_fn(101, 4, |r, c| ((r * 4 + c) as f64 * 0.17).sin());
-        let single = mlp.forward_batch(&x);
+        let single = Network::forward_inference(&mlp, &x);
         for threads in [1, 2, 5] {
             assert_eq!(mlp.forward_batch_threads(&x, threads), single);
         }

@@ -29,6 +29,6 @@ pub use rollout::{evaluate, evaluate_pool, rollout, ActionMode, EpisodeScore, Tr
 pub use train::{ActorCritic, EpochStats, TrainConfig};
 pub use value::{NetworkValue, ValueEstimate};
 pub use viper::{
-    collect, collect_seeded, fidelity, fidelity_sharded, resample_by_weight, states_matrix,
-    CollectConfig, Controller, SampledState,
+    collect_seeded, fidelity_sharded, resample_by_weight, states_matrix, CollectConfig, Controller,
+    SampledState,
 };

@@ -87,11 +87,6 @@ impl<N: Network> SoftmaxPolicy<N> {
     pub fn logits(&self, obs: &[f64]) -> Vec<f64> {
         self.net.predict(obs)
     }
-
-    /// Raw logits for a batch of observations, one matrix-matrix pass.
-    pub fn logits_batch(&self, obs: &Matrix) -> Matrix {
-        self.net.forward_batch(obs)
-    }
 }
 
 impl<N: Network> Policy for SoftmaxPolicy<N> {
@@ -102,7 +97,7 @@ impl<N: Network> Policy for SoftmaxPolicy<N> {
     /// One batched forward; row `i` equals `action_probs` of row `i`
     /// bit-exactly (kernel row invariance + the same scalar softmax).
     fn action_probs_batch(&self, obs: &Matrix) -> Vec<Vec<f64>> {
-        let logits = self.net.forward_batch(obs);
+        let logits = self.net.forward_inference(obs);
         (0..logits.rows()).map(|r| softmax(logits.row(r))).collect()
     }
 

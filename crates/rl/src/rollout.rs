@@ -29,14 +29,6 @@ impl Trajectory {
         self.rewards.iter().sum()
     }
 
-    /// The recorded observations stacked into a `(steps, obs_dim)` matrix
-    /// — the unit the batched inference engine labels in one pass (e.g.
-    /// relabelling a student trajectory with the teacher).
-    pub fn observations_matrix(&self) -> metis_nn::Matrix {
-        assert!(!self.observations.is_empty(), "empty trajectory");
-        metis_nn::Matrix::from_rows_vec(&self.observations)
-    }
-
     /// Discounted returns `G_t = r_t + γ·G_{t+1}` for every step.
     pub fn discounted_returns(&self, gamma: f64) -> Vec<f64> {
         let mut returns = vec![0.0; self.rewards.len()];

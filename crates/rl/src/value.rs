@@ -62,7 +62,7 @@ impl<N: Network + Sync> ValueEstimate for NetworkValue<N> {
     }
 
     fn value_batch(&self, obs: &Matrix) -> Vec<f64> {
-        let out = self.net.forward_batch(obs);
+        let out = self.net.forward_inference(obs);
         (0..out.rows()).map(|r| out[(r, 0)]).collect()
     }
 

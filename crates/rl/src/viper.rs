@@ -278,21 +278,6 @@ pub fn collect_seeded<E: Env + Sync, T: Policy + Sync + ?Sized, V: ValueEstimate
     per_episode.into_iter().flatten().collect()
 }
 
-/// Single-threaded [`collect_seeded`] driven by a caller-owned RNG (the
-/// base seed is drawn from it, so successive calls differ as before).
-pub fn collect<E: Env + Sync, T: Policy + Sync + ?Sized, V: ValueEstimate + ?Sized>(
-    pool: &[E],
-    teacher: &T,
-    value_fn: &V,
-    controller: &Controller<'_>,
-    cfg: &CollectConfig,
-    rng: &mut StdRng,
-) -> Vec<SampledState> {
-    use rand::RngCore;
-    let seed = rng.next_u64();
-    collect_seeded(pool, teacher, value_fn, controller, cfg, seed, 1)
-}
-
 /// The pre-refactor per-obs collection path, kept verbatim as the parity
 /// oracle for the batched implementation (mirroring the CART builder's
 /// reference splitter): every teacher label, distribution, and value
@@ -430,20 +415,11 @@ pub fn states_matrix(states: &[SampledState]) -> Matrix {
 }
 
 /// Fraction of states where the student's greedy action matches the
-/// teacher's — the "deviation is confined" convergence check of Step 1.
-/// The student is queried in one batched pass over the whole dataset.
-pub fn fidelity<P: Policy + Sync + ?Sized, Q: Policy + ?Sized>(
-    states: &[SampledState],
-    student: &P,
-    teacher: &Q,
-) -> f64 {
-    fidelity_sharded(states, student, teacher, 1)
-}
-
-/// [`fidelity`] with the dataset sharded across `threads` workers
-/// (0 = all cores) in fixed row blocks: each block is one batched student
-/// query, blocks merge in row order, so the result is identical for any
-/// thread count — and to the per-obs loop.
+/// teacher's label — the "deviation is confined" convergence check of
+/// Step 1 — with the dataset sharded across `threads` workers (0 = all
+/// cores) in fixed row blocks: each block is one batched student query,
+/// blocks merge in row order, so the result is identical for any thread
+/// count — and to the per-obs loop.
 pub fn fidelity_sharded<P: Policy + Sync + ?Sized, Q: Policy + ?Sized>(
     states: &[SampledState],
     student: &P,
@@ -497,20 +473,20 @@ mod tests {
             action: 1,
             n_actions: 2,
         };
-        let mut rng = StdRng::seed_from_u64(0);
         let cfg = CollectConfig {
             episodes: 3,
             max_steps: 10,
             gamma: 0.9,
             weighted: false,
         };
-        let states = collect(
+        let states = collect_seeded(
             &pool,
             &teacher,
             &(|_: &[f64]| 0.0),
             &Controller::Teacher,
             &cfg,
-            &mut rng,
+            0,
+            1,
         );
         assert_eq!(states.len(), 6); // 2 steps per episode
         assert!(states.iter().all(|s| s.teacher_action == 1));
@@ -522,33 +498,34 @@ mod tests {
         // In the bandit, picking right vs wrong changes reward by 1, so
         // V - min Q = P(correct) * 1 = 1 for the oracle teacher.
         let pool = [BanditEnv::new(3, 5, 2)];
-        let mut rng = StdRng::seed_from_u64(0);
         let cfg = CollectConfig {
             episodes: 1,
             max_steps: 5,
             gamma: 0.9,
             weighted: true,
         };
-        let states = collect(
+        let states = collect_seeded(
             &pool,
             &OracleBandit,
             &(|_: &[f64]| 0.0),
             &Controller::Teacher,
             &cfg,
-            &mut rng,
+            0,
+            1,
         );
         for s in &states {
             assert!((s.weight - 1.0).abs() < 1e-9, "weight {}", s.weight);
         }
         // A uniform teacher only gets 1/3 of the value: weight = 1/3.
         let u = UniformPolicy { n_actions: 3 };
-        let states_u = collect(
+        let states_u = collect_seeded(
             &pool,
             &u,
             &(|_: &[f64]| 0.0),
             &Controller::Teacher,
             &cfg,
-            &mut rng,
+            1,
+            1,
         );
         for s in &states_u {
             assert!((s.weight - 1.0 / 3.0).abs() < 1e-9, "weight {}", s.weight);
@@ -570,20 +547,20 @@ mod tests {
             action: 0,
             n_actions: 2,
         };
-        let mut rng = StdRng::seed_from_u64(3);
         let cfg = CollectConfig {
             episodes: 1,
             max_steps: 10,
             gamma: 0.9,
             weighted: false,
         };
-        let states = collect(
+        let states = collect_seeded(
             &pool,
             &teacher,
             &(|_: &[f64]| 0.0),
             &Controller::StudentWithTakeover(&student, 1.0),
             &cfg,
-            &mut rng,
+            3,
+            1,
         );
         // With immediate takeover, the executed action at t=0 is the
         // teacher's (1), so the t=1 observation has latch == 1.
@@ -602,20 +579,20 @@ mod tests {
             action: 0,
             n_actions: 2,
         };
-        let mut rng = StdRng::seed_from_u64(3);
         let cfg = CollectConfig {
             episodes: 1,
             max_steps: 10,
             gamma: 0.9,
             weighted: false,
         };
-        let states = collect(
+        let states = collect_seeded(
             &pool,
             &teacher,
             &(|_: &[f64]| 0.0),
             &Controller::Student(&student),
             &cfg,
-            &mut rng,
+            3,
+            1,
         );
         // Student drove: latch is 0 at t=1, but the label is still 1.
         assert_eq!(states[1].obs, vec![1.0, 0.0]);
@@ -741,6 +718,6 @@ mod tests {
             action: 1,
             n_actions: 2,
         };
-        assert_eq!(fidelity(&states, &student, &teacher), 0.5);
+        assert_eq!(fidelity_sharded(&states, &student, &teacher, 1), 0.5);
     }
 }

@@ -16,9 +16,9 @@
 //! 1. pins the live model epoch ([`crate::ModelRegistry::current`]) — a
 //!    concurrent hot swap never retroactively changes a dispatched batch,
 //! 2. walks the page's rows in place (no gather copy) through the epoch's
-//!    [`crate::ServedModel`] — a single lane-vectorized compiled tree or
-//!    a block-major [`metis_dt::Forest`] ensemble — into a scratch buffer
-//!    reused across batches ([`crate::ServedModel::predict_batch_into`]),
+//!    [`metis_dt::Forest`] — one lane-vectorized compiled tree or a
+//!    block-major ensemble of them — into a scratch buffer reused across
+//!    batches ([`metis_dt::Forest::predict_batch_into`]),
 //!    striping row chunks across [`metis_nn::par::parallel_map_indexed`]
 //!    under the engine's **dedicated pool group** (so serving shares the
 //!    process-wide pool fairly with concurrently running conversion
@@ -38,9 +38,10 @@
 //! and then returns the page to a small free list.
 //!
 //! Results are merged by row index, so every response is bit-identical to
-//! the sequential oracle on the reported epoch's source trees (single
-//! `DecisionTree::predict`, or the forest's majority vote) for any batch
-//! size, deadline, thread count, or swap interleaving.
+//! the sequential oracle on the reported epoch's source trees
+//! (`DecisionTree::predict` for a one-tree epoch, the majority vote or
+//! mean for an ensemble) for any batch size, deadline, thread count, or
+//! swap interleaving.
 //!
 //! **Time** comes from a [`Clock`]: [`TreeServer::start`] runs on the
 //! real clock (wall-time stamps and the deadline close), while
@@ -1152,7 +1153,6 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let ensemble = crate::ServedModel::from_trees(members.clone()).unwrap();
         let forest = metis_dt::Forest::from_trees(&members).unwrap();
         let registry = Arc::new(ModelRegistry::new(t0.clone()));
         let server = TreeServer::start(
@@ -1167,7 +1167,7 @@ mod tests {
         for k in 0..25 {
             handle.submit(req_features(k));
         }
-        registry.publish(ensemble);
+        registry.publish(forest.clone());
         for k in 25..60 {
             handle.submit(req_features(k));
         }

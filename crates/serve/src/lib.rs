@@ -16,18 +16,18 @@
 //!   max plus a mergeable log-bucketed sketch, so a server that runs
 //!   indefinitely keeps a few KB of latency state,
 //! * [`registry`] — an epoch-pointer model registry with atomic hot-swap:
-//!   readers grab an `Arc` to the current [`ServedModel`] — one compiled
-//!   tree or a [`metis_dt::Forest`] majority-vote ensemble — and never
-//!   block; the §3.2 conversion pipeline publishes each newly fitted
-//!   model mid-traffic through the one [`ModelRegistry::publish`] (which
-//!   takes a tree or any `Into<ServedModel>`), and in-flight batches
+//!   readers grab an `Arc` to the current epoch's [`metis_dt::Forest`] —
+//!   a single tree is served as a one-tree forest — and never block; the
+//!   §3.2 conversion pipeline publishes each newly fitted model
+//!   mid-traffic through the one [`ModelRegistry::publish`] (which takes
+//!   a tree or a forest, anything `Into<Forest>`), and in-flight batches
 //!   finish on the epoch they started with,
 //! * [`engine`] — the request engine, which serves by the batch: submits
 //!   append to a page of the server's ingest queue, a page closes on
 //!   batch size, deadline, or a flush/shutdown marker, and a closed page
 //!   *is* the micro-batch. The batcher walks each page in place through
-//!   the epoch's served model in the lane-vectorized kernel
-//!   ([`ServedModel::predict_batch_into`]), fanning across
+//!   the epoch's forest in the lane-vectorized kernel
+//!   ([`metis_dt::Forest::predict_batch_into`]), fanning across
 //!   [`metis_nn::par::global`] stripe jobs under a dedicated
 //!   pool group, stamps completion once per batch, and sends one reply
 //!   per (handle, batch),
@@ -47,12 +47,13 @@
 //!
 //! Determinism contract: every response is bit-identical to evaluating
 //! the reported epoch's model sequentially — `DecisionTree::predict` for
-//! tree epochs, the forest's majority vote for ensemble epochs — for any
-//! batch size, flush deadline, thread count, and any interleaving of hot
-//! swaps (`tests/serving_determinism.rs`). On a virtual clock the
-//! contract extends to **time itself**: batch composition and every
-//! latency figure are pure functions of the submission schedule
-//! (`tests/sim_determinism.rs` at the workspace root).
+//! one-tree epochs, the majority vote or mean of the member trees for
+//! ensemble epochs — for any batch size, flush deadline, thread count,
+//! and any interleaving of hot swaps (`tests/serving_determinism.rs`).
+//! On a virtual clock the contract extends to **time itself**: batch
+//! composition and every latency figure are pure functions of the
+//! submission schedule (`tests/sim_determinism.rs` at the workspace
+//! root).
 
 pub mod clock;
 pub mod engine;
@@ -63,5 +64,5 @@ pub mod traffic;
 pub use clock::Clock;
 pub use engine::{EngineReport, Response, ServeConfig, ServerHandle, TreeServer};
 pub use latency::{summarize, summarize_sorted, LatencyRecorder, LatencySummary};
-pub use registry::{EpochModel, ModelRegistry, ServedModel};
+pub use registry::{EpochModel, ModelRegistry};
 pub use traffic::{drive_open_loop, ArrivalProcess};

@@ -9,144 +9,24 @@
 //! dispatched: requests served from epoch `e` are answered by epoch `e`'s
 //! model, bit-identically to the sequential oracle on that model.
 //!
-//! An epoch's model is a [`ServedModel`]: either one compiled tree (the
-//! original serving shape) or a [`Forest`] majority-vote ensemble — the
-//! registry, the engine flush, and the fabric's shadow audit all operate
-//! on this enum, so a scenario can hot-swap between shapes with the same
-//! CAS / bit-exactness guarantees.
+//! An epoch's model is a [`Forest`]: a single tree is served as a
+//! one-tree forest, so the registry, the engine flush and the fabric's
+//! shadow audit handle one model shape, and a scenario can hot-swap
+//! between one tree and an ensemble with the same CAS / bit-exactness
+//! guarantees.
 
 use crate::clock::Clock;
-use metis_dt::{
-    diff_predictions, BatchDiff, CompiledTree, DecisionTree, Forest, ForestError, Prediction,
-    TreeKind,
-};
+use metis_dt::Forest;
 use metis_telemetry::ShardTelemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// What an epoch actually serves: one compiled tree, or a majority-vote
-/// [`Forest`] over several. Both carry their source trees (the sequential
-/// oracles the determinism tests and swap bit-identity audits replay),
-/// and both answer through the same lane-vectorized kernel, so a 1-tree
-/// `Forest` is bit-identical to serving its tree directly.
-// The variants differ in size (a `CompiledTree` is inline, a `Forest`
-// holds its members behind a Vec), but the enum crosses function
-// boundaries only at publish/stage time — served epochs hold it behind
-// `Arc<EpochModel>` — so boxing the tree would tax every flush's
-// dispatch for a move that happens once per epoch.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum ServedModel {
-    /// A single compiled tree plus its source.
-    Tree {
-        compiled: CompiledTree,
-        source: DecisionTree,
-    },
-    /// A block-major ensemble plus its member sources, in vote order.
-    Forest {
-        forest: Forest,
-        sources: Vec<DecisionTree>,
-    },
-}
-
-/// Compile a single-tree model.
-impl From<DecisionTree> for ServedModel {
-    fn from(source: DecisionTree) -> ServedModel {
-        let compiled = CompiledTree::compile(&source);
-        ServedModel::Tree { compiled, source }
-    }
-}
-
-impl ServedModel {
-    /// Compile a majority-vote ensemble from source trees (vote order =
-    /// slice order). Fails unless all trees agree on kind and width.
-    pub fn from_trees(sources: Vec<DecisionTree>) -> Result<ServedModel, ForestError> {
-        let forest = Forest::from_trees(&sources)?;
-        Ok(ServedModel::Forest { forest, sources })
-    }
-
-    /// Feature width every row served by this model must have.
-    pub fn n_features(&self) -> usize {
-        match self {
-            ServedModel::Tree { compiled, .. } => compiled.n_features(),
-            ServedModel::Forest { forest, .. } => forest.n_features(),
-        }
-    }
-
-    /// Kind shared by every member (class count for classifiers).
-    pub fn kind(&self) -> TreeKind {
-        match self {
-            ServedModel::Tree { compiled, .. } => compiled.kind(),
-            ServedModel::Forest { forest, .. } => forest.kind(),
-        }
-    }
-
-    /// Ensemble width: 1 for a single tree, `k` for a forest.
-    pub fn n_trees(&self) -> usize {
-        match self {
-            ServedModel::Tree { .. } => 1,
-            ServedModel::Forest { forest, .. } => forest.n_trees(),
-        }
-    }
-
-    /// The source trees this model was compiled from, in vote order.
-    pub fn source_trees(&self) -> &[DecisionTree] {
-        match self {
-            ServedModel::Tree { source, .. } => std::slice::from_ref(source),
-            ServedModel::Forest { sources, .. } => sources,
-        }
-    }
-
-    /// Predict one feature vector (majority vote for forests).
-    pub fn predict(&self, x: &[f64]) -> Prediction {
-        match self {
-            ServedModel::Tree { compiled, .. } => compiled.predict(x),
-            ServedModel::Forest { forest, .. } => forest.predict(x),
-        }
-    }
-
-    /// Batched prediction over a row-major block into a caller-owned
-    /// buffer (`rows.len() == out.len() * n_features()`) — the engine
-    /// flush path, which reuses one scratch buffer across flushes.
-    pub fn predict_batch_into(&self, rows: &[f64], out: &mut [Prediction]) {
-        match self {
-            ServedModel::Tree { compiled, .. } => compiled.predict_batch_into(rows, out),
-            ServedModel::Forest { forest, .. } => forest.predict_batch_into(rows, out),
-        }
-    }
-
-    /// [`ServedModel::predict_batch_into`] into a fresh vector.
-    pub fn predict_batch(&self, rows: &[f64]) -> Vec<Prediction> {
-        match self {
-            ServedModel::Tree { compiled, .. } => compiled.predict_batch(rows),
-            ServedModel::Forest { forest, .. } => forest.predict_batch(rows),
-        }
-    }
-
-    /// Bit-exact response diff against another served model over a
-    /// row-major block — the shadow-audit primitive, shared verbatim
-    /// (via [`diff_predictions`]) with [`CompiledTree::diff_batch`], so
-    /// single-tree and ensemble promotions use identical semantics.
-    /// Models of different kinds mismatch on every row; a different
-    /// feature width panics (rows can't be valid for both).
-    pub fn diff_batch(&self, other: &ServedModel, rows: &[f64]) -> BatchDiff {
-        assert_eq!(
-            self.n_features(),
-            other.n_features(),
-            "diff_batch: models take {} vs {} features",
-            self.n_features(),
-            other.n_features()
-        );
-        diff_predictions(&self.predict_batch(rows), &other.predict_batch(rows))
-    }
-}
-
-/// One published model generation: the served artifact (tree or ensemble)
-/// tagged with its registry epoch.
+/// One published model generation: the served forest (one tree or an
+/// ensemble) tagged with its registry epoch.
 #[derive(Debug)]
 pub struct EpochModel {
     pub epoch: u64,
-    pub model: ServedModel,
+    pub model: Forest,
 }
 
 /// A telemetry scope attached to a registry: publishes record their
@@ -168,9 +48,10 @@ pub struct ModelRegistry {
 }
 
 impl ModelRegistry {
-    /// Seed the registry with its epoch-0 model: a [`DecisionTree`] or
-    /// any [`ServedModel`] (e.g. a forest).
-    pub fn new(initial: impl Into<ServedModel>) -> Self {
+    /// Seed the registry with its epoch-0 model: a
+    /// [`metis_dt::DecisionTree`] (served as a one-tree forest) or a
+    /// [`Forest`].
+    pub fn new(initial: impl Into<Forest>) -> Self {
         let model = initial.into();
         ModelRegistry {
             n_features: model.n_features(),
@@ -201,9 +82,9 @@ impl ModelRegistry {
             .and_then(|h| (!h.clock.is_virtual()).then(|| h.clock.now_s()))
     }
 
-    /// Publish a newly fitted tree or an already-compiled model (a
-    /// forest comes from [`ServedModel::from_trees`]), returning its
-    /// epoch. A tree is compiled before the lock is taken; the epoch is
+    /// Publish a newly fitted tree or a [`Forest`] (from
+    /// [`Forest::from_trees`]), returning its epoch. A tree is compiled
+    /// before the lock is taken; the epoch is
     /// assigned and the pointer swapped under the same write lock, so
     /// concurrent publishers install strictly increasing epochs (later
     /// publish ⇒ later epoch ⇒ the one readers see) and readers stall for
@@ -211,7 +92,7 @@ impl ModelRegistry {
     /// feature schema: a model with a different `n_features` panics here,
     /// before the lock, so readers never see a poisoned pointer (queued
     /// requests were validated against the old width).
-    pub fn publish(&self, model: impl Into<ServedModel>) -> u64 {
+    pub fn publish(&self, model: impl Into<Forest>) -> u64 {
         // Stamp before the compile so the reported swap cost covers it.
         let started_s = self.publish_start_s();
         self.install(model.into(), None, started_s)
@@ -225,14 +106,14 @@ impl ModelRegistry {
     /// never clobber a model it was not audited against. The caller
     /// supplies the compiled artifact (shadow audits already hold one),
     /// so the lock covers no compile work.
-    pub fn publish_if_current(&self, model: ServedModel, expected_epoch: u64) -> Option<u64> {
+    pub fn publish_if_current(&self, model: Forest, expected_epoch: u64) -> Option<u64> {
         let started_s = self.publish_start_s();
         self.install(model, Some(expected_epoch), started_s)
     }
 
     fn install(
         &self,
-        model: ServedModel,
+        model: Forest,
         expected_epoch: Option<u64>,
         started_s: Option<f64>,
     ) -> Option<u64> {
@@ -293,7 +174,7 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metis_dt::{fit, Dataset, TreeConfig};
+    use metis_dt::{fit, Dataset, DecisionTree, Prediction, TreeConfig, TreeKind};
 
     fn tree(shift: f64) -> DecisionTree {
         let x: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 / 40.0 + shift]).collect();
@@ -316,7 +197,7 @@ mod tests {
     #[test]
     fn forest_epochs_swap_like_tree_epochs() {
         let reg = ModelRegistry::new(tree(0.0));
-        let ensemble = ServedModel::from_trees(vec![tree(0.0), tree(0.1), tree(0.2)]).unwrap();
+        let ensemble = Forest::from_trees(&[tree(0.0), tree(0.1), tree(0.2)]).unwrap();
         assert_eq!(ensemble.n_trees(), 3);
         assert_eq!(reg.publish(ensemble), 1);
         assert_eq!(reg.current().model.n_trees(), 3);
@@ -368,7 +249,7 @@ mod tests {
     #[test]
     fn conditional_publish_refuses_a_moved_epoch() {
         let reg = ModelRegistry::new(tree(0.0));
-        let candidate = ServedModel::from(tree(0.1));
+        let candidate = Forest::from(tree(0.1));
         // Live epoch matches: installs.
         assert_eq!(reg.publish_if_current(candidate.clone(), 0), Some(1));
         // A hotfix lands…
@@ -392,12 +273,9 @@ mod tests {
         let clock = Clock::virtual_at(3.0);
         reg.attach_telemetry(Arc::clone(&scope), Arc::clone(&clock));
         reg.publish(tree(0.1));
-        reg.publish(ServedModel::from_trees(vec![tree(0.0), tree(0.1), tree(0.2)]).unwrap());
+        reg.publish(Forest::from_trees(&[tree(0.0), tree(0.1), tree(0.2)]).unwrap());
         // A refused CAS publish must record nothing.
-        assert_eq!(
-            reg.publish_if_current(ServedModel::from(tree(0.3)), 0),
-            None
-        );
+        assert_eq!(reg.publish_if_current(Forest::from(tree(0.3)), 0), None);
         let events = scope.events.events();
         assert_eq!(events.len(), 2, "one event per completed swap");
         for (event, (want_epoch, want_trees)) in events.iter().zip([(1u64, 1usize), (2, 3)]) {
@@ -421,28 +299,35 @@ mod tests {
 
     #[test]
     fn held_handle_pins_its_epoch_across_swaps() {
-        let reg = ModelRegistry::new(tree(0.0));
+        // Epoch `e` serves `sources[e]`.
+        let sources = [tree(0.0), tree(0.3)];
+        let reg = ModelRegistry::new(sources[0].clone());
         let pinned = reg.current();
-        reg.publish(tree(0.3));
+        reg.publish(sources[1].clone());
         assert_eq!(pinned.epoch, 0, "in-flight handle must keep its epoch");
         assert_eq!(reg.current().epoch, 1);
         // The pinned model still answers from its own source tree.
         let x = [0.25];
         assert_eq!(
             pinned.model.predict(&x),
-            pinned.model.source_trees()[0].predict(&x)
+            sources[pinned.epoch as usize].predict(&x)
         );
     }
 
     #[test]
     fn concurrent_readers_see_a_consistent_epoch() {
-        let reg = std::sync::Arc::new(ModelRegistry::new(tree(0.0)));
+        // Epoch `e` serves `sources[e]`.
+        let sources: Vec<DecisionTree> = std::iter::once(tree(0.0))
+            .chain((0..20).map(|k| tree(k as f64 * 0.01)))
+            .collect();
+        let reg = std::sync::Arc::new(ModelRegistry::new(sources[0].clone()));
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
             let readers: Vec<_> = (0..2)
                 .map(|_| {
                     let reg = &reg;
                     let stop = &stop;
+                    let sources = &sources;
                     scope.spawn(move || {
                         let mut last = 0u64;
                         while !stop.load(Ordering::Relaxed) {
@@ -452,7 +337,7 @@ mod tests {
                             // served model and its source agree.
                             assert_eq!(
                                 m.model.predict(&[0.1]),
-                                m.model.source_trees()[0].predict(&[0.1])
+                                sources[m.epoch as usize].predict(&[0.1])
                             );
                             last = m.epoch;
                         }
@@ -460,8 +345,8 @@ mod tests {
                     })
                 })
                 .collect();
-            for k in 0..20 {
-                reg.publish(tree(k as f64 * 0.01));
+            for source in &sources[1..] {
+                reg.publish(source.clone());
             }
             stop.store(true, Ordering::Relaxed);
             for r in readers {
@@ -479,11 +364,21 @@ mod tests {
     /// diverge.
     #[test]
     fn readers_only_observe_fully_compiled_epochs_during_concurrent_publishes() {
-        let reg = std::sync::Arc::new(ModelRegistry::new(tree(0.0)));
+        // Epoch `e` serves the ensemble of `sources[e]`, in vote order.
+        let sources: Vec<Vec<DecisionTree>> = std::iter::once(vec![tree(0.0)])
+            .chain((0..12u64).map(|k| {
+                if k % 2 == 0 {
+                    vec![tree(k as f64 * 0.01)]
+                } else {
+                    let width = 2 + (k as usize % 3);
+                    (0..width).map(|j| tree(j as f64 * 0.02 + 0.005)).collect()
+                }
+            }))
+            .collect();
+        let reg = std::sync::Arc::new(ModelRegistry::new(sources[0][0].clone()));
         let probes: Vec<[f64; 1]> = (0..16).map(|i| [i as f64 / 16.0]).collect();
-        let oracle = |model: &ServedModel, x: &[f64]| -> Prediction {
-            let sources = model.source_trees();
-            match model.kind() {
+        let oracle = |sources: &[DecisionTree], x: &[f64]| -> Prediction {
+            match sources[0].kind() {
                 TreeKind::Classifier { n_classes } => {
                     let mut votes = vec![0u32; n_classes];
                     for s in sources {
@@ -505,6 +400,7 @@ mod tests {
                 .map(|_| {
                     let reg = &reg;
                     let probes = &probes;
+                    let sources = &sources;
                     scope.spawn(move || {
                         let mut seen_widths = std::collections::BTreeSet::new();
                         // Check-then-test, so at least one epoch is always
@@ -515,7 +411,7 @@ mod tests {
                             for x in probes {
                                 assert_eq!(
                                     m.model.predict(x),
-                                    oracle(&m.model, x),
+                                    oracle(&sources[m.epoch as usize], x),
                                     "epoch {} served an answer its sources disown",
                                     m.epoch
                                 );
@@ -528,15 +424,11 @@ mod tests {
                     })
                 })
                 .collect();
-            for k in 0..12u64 {
-                if k % 2 == 0 {
-                    reg.publish(tree(k as f64 * 0.01));
-                } else {
-                    let width = 2 + (k as usize % 3);
-                    let sources: Vec<_> =
-                        (0..width).map(|j| tree(j as f64 * 0.02 + 0.005)).collect();
-                    reg.publish(ServedModel::from_trees(sources).unwrap());
-                }
+            for members in &sources[1..] {
+                match members.as_slice() {
+                    [one] => reg.publish(one.clone()),
+                    members => reg.publish(Forest::from_trees(members).unwrap()),
+                };
             }
             stop.store(true, Ordering::Relaxed);
             for r in readers {

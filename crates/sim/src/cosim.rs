@@ -40,7 +40,7 @@
 
 use crate::sim::Simulation;
 use metis_abr::{AbrEnv, ChunkDownload, NetworkTrace, VideoModel, OBS_DIM};
-use metis_dt::DecisionTree;
+use metis_dt::{DecisionTree, Forest};
 use metis_fabric::Router;
 use metis_obs::Observer;
 use metis_telemetry::Fnv1a;
@@ -78,8 +78,9 @@ impl Default for CosimConfig {
     }
 }
 
-/// A scheduled hot swap of the scenario's live model: one tree publishes
-/// a single model, several publish a majority-vote forest.
+/// A scheduled hot swap of the scenario's live model: the swap publishes
+/// [`Forest::from_trees`] over `trees`, so one tree serves as a one-tree
+/// forest and several as a majority-vote ensemble.
 #[derive(Debug, Clone)]
 pub struct ModelSwap {
     /// Virtual time the swap lands. A decision at exactly `at_s` already
@@ -330,11 +331,8 @@ pub fn run_abr_cosim_observed(
             CosimEvent::Swap(k) => {
                 sim.pop();
                 let swap = &swaps[k as usize];
-                if swap.trees.len() == 1 {
-                    router.publish(scenario, swap.trees[0].clone());
-                } else {
-                    router.publish_forest(scenario, swap.trees.to_vec());
-                }
+                let forest = Forest::from_trees(&swap.trees).expect("swap trees form a forest");
+                router.publish(scenario, forest);
                 continue;
             }
             CosimEvent::Tick => {

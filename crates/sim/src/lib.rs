@@ -12,8 +12,7 @@
 //!   `(virtual_time, schedule_seq)`, so the pop order is a pure function
 //!   of the push order (dslab-core's discipline),
 //! * [`sim`] — [`Simulation`]: the queue + a [`metis_serve::Clock`]
-//!   virtual clock + a seeded RNG, with a minimal [`Component`] dispatch
-//!   loop for ad-hoc models,
+//!   virtual clock + a seeded RNG,
 //! * [`cosim`] — [`run_abr_cosim`]: closed-loop ABR sessions against a
 //!   [`metis_fabric::Router`] built on [`metis_serve::Clock::virtual_at`],
 //!   with scheduled mid-run model hot swaps ([`ModelSwap`]).
@@ -34,4 +33,4 @@ pub use cosim::{
     CosimReport, ModelSwap, SessionOutcome, SessionPlan,
 };
 pub use events::{EventEntry, EventQueue};
-pub use sim::{run, Component, Routed, Simulation};
+pub use sim::Simulation;

@@ -1,7 +1,7 @@
 //! The simulation core: a virtual [`Clock`], the deterministic
-//! [`EventQueue`], and a seeded RNG, plus a minimal component-handler
-//! dispatch loop — the dslab-core shape (`simulation.rs`) sized to what
-//! the co-simulation harness needs.
+//! [`EventQueue`], and a seeded RNG — the dslab-core shape
+//! (`simulation.rs`) sized to what the co-simulation harness needs. The
+//! harness pops and handles its own events.
 //!
 //! Determinism contract: given the same seed and the same schedule of
 //! [`Simulation::schedule_at`] calls, the pop order, the clock trajectory,
@@ -124,37 +124,6 @@ impl<E> Simulation<E> {
     }
 }
 
-/// Addressed payload for the [`Component`] dispatch loop.
-#[derive(Debug, Clone)]
-pub struct Routed<E> {
-    /// Index of the destination component in the `run` slice.
-    pub dst: usize,
-    pub payload: E,
-}
-
-/// A simulation component: receives its events, schedules new ones.
-pub trait Component<E> {
-    /// Handle one event addressed to this component. `time_s` is the
-    /// event's scheduled time (≤ the clock's high-water mark).
-    fn on_event(&mut self, time_s: f64, payload: E, sim: &mut Simulation<Routed<E>>);
-}
-
-/// Drive the simulation to exhaustion, dispatching each event to its
-/// destination component. Returns the number of events fired.
-pub fn run<E>(sim: &mut Simulation<Routed<E>>, components: &mut [&mut dyn Component<E>]) -> u64 {
-    let mut fired = 0;
-    while let Some(entry) = sim.pop() {
-        let dst = entry.event.dst;
-        assert!(
-            dst < components.len(),
-            "event addressed to unknown component {dst}"
-        );
-        components[dst].on_event(entry.time_s, entry.event.payload, sim);
-        fired += 1;
-    }
-    fired
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,67 +166,5 @@ mod tests {
         assert_eq!(sim.now_s(), 5.0, "high-water mark must not rewind");
         assert_eq!(sim.pop().unwrap().event, 60);
         assert_eq!(sim.now_s(), 6.0);
-    }
-
-    /// A two-component ping-pong: each bounce reschedules to the other
-    /// side until a hop budget runs out. The trace (times and receivers)
-    /// is deterministic and the dispatch loop drains exactly it.
-    struct Pinger {
-        me: usize,
-        other: usize,
-        hops_left: u32,
-        log: Vec<(f64, usize)>,
-    }
-
-    impl Component<u32> for Pinger {
-        fn on_event(&mut self, time_s: f64, ball: u32, sim: &mut Simulation<Routed<u32>>) {
-            self.log.push((time_s, self.me));
-            if ball > 0 {
-                sim.schedule_in(
-                    0.5,
-                    Routed {
-                        dst: self.other,
-                        payload: ball - 1,
-                    },
-                );
-            }
-            let _ = self.hops_left; // budget mirrored in the ball itself
-        }
-    }
-
-    #[test]
-    fn component_dispatch_ping_pong_is_deterministic() {
-        let trace = |seed: u64| {
-            let mut sim = Simulation::new(seed);
-            sim.schedule_at(
-                0.0,
-                Routed {
-                    dst: 0,
-                    payload: 4u32,
-                },
-            );
-            let mut a = Pinger {
-                me: 0,
-                other: 1,
-                hops_left: 4,
-                log: Vec::new(),
-            };
-            let mut b = Pinger {
-                me: 1,
-                other: 0,
-                hops_left: 4,
-                log: Vec::new(),
-            };
-            let fired = run(&mut sim, &mut [&mut a, &mut b]);
-            assert_eq!(fired, 5);
-            assert_eq!(sim.now_s(), 2.0);
-            let mut log = a.log;
-            log.extend(b.log);
-            log
-        };
-        let t = trace(1);
-        assert_eq!(t, trace(1));
-        // Receivers alternate 0,1,0,1,0 at 0.5s spacing.
-        assert_eq!(t.iter().map(|&(_, who)| who).collect::<Vec<_>>().len(), 5);
     }
 }

@@ -27,8 +27,8 @@ fn random_rows(seed: u64, n: usize, dim: usize) -> Vec<Vec<f64>> {
 }
 
 proptest! {
-    /// `forward_batch` row `i` == `forward` (and `predict`) of row `i`,
-    /// exactly, for random shapes, activations, and batch sizes.
+    /// `predict_batch` row `i` == `predict` of row `i`, exactly, for
+    /// random shapes, activations, and batch sizes.
     #[test]
     fn forward_batch_rows_match_per_obs(seed in 0u64..500, rows in 1usize..40) {
         let acts = [Activation::Tanh, Activation::Relu, Activation::Sigmoid, Activation::LeakyRelu];

@@ -33,9 +33,8 @@ fn all_reexports_reachable() {
     // serve + fabric: compile a tree, check the hash contract surface
     let compiled = metis::dt::CompiledTree::compile(&tree);
     assert_eq!(compiled.n_features(), 1);
-    assert!(compiled
-        .diff_batch(&compiled.clone(), &[0.0, 1.0])
-        .is_clean());
+    let served = metis::dt::Forest::from(tree.clone());
+    assert!(served.diff_batch(&served.clone(), &[0.0, 1.0]).is_clean());
     assert!(metis::fabric::shard_for_session(7, 3) < 3);
     let _cfg: metis::serve::ServeConfig = Default::default();
     let _shadow = metis::fabric::ShadowConfig::default();

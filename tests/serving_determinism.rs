@@ -8,7 +8,7 @@
 //! Thread counts sweep 1/2/3/8/16.
 
 use metis::dt::{fit, CompiledTree, Dataset, DecisionTree, Forest, Prediction, TreeConfig};
-use metis::serve::{Clock, ModelRegistry, ServeConfig, ServedModel, ServerHandle, TreeServer};
+use metis::serve::{Clock, ModelRegistry, ServeConfig, ServerHandle, TreeServer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -214,7 +214,7 @@ proptest! {
         for idx in 0..phase {
             handle.submit(request_features(idx, salt));
         }
-        registry.publish(ServedModel::from_trees(members.clone()).unwrap());
+        registry.publish(forest.clone());
         for idx in phase..n {
             handle.submit(request_features(idx, salt));
         }
