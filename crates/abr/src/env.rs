@@ -122,30 +122,30 @@ impl AbrObservation {
 }
 
 /// The ABR environment.
+///
+/// Cloning one is cheap and allocation-free: the video and trace are
+/// shared through the session's two `Arc`s, and the histories are
+/// fixed-size arrays. The Eq.-1 lookahead clones the environment once per
+/// action at every collected state.
 #[derive(Debug, Clone)]
 pub struct AbrEnv {
-    video: Arc<VideoModel>,
-    trace: Arc<NetworkTrace>,
     trace_offset_s: f64,
     metric: QoeMetric,
     session: StreamingSession,
     last_quality: usize,
-    thr_hist_mbps: Vec<f64>,
-    dl_hist_s: Vec<f64>,
+    thr_hist_mbps: [f64; HISTORY_LEN],
+    dl_hist_s: [f64; HISTORY_LEN],
 }
 
 impl AbrEnv {
     pub fn new(video: Arc<VideoModel>, trace: Arc<NetworkTrace>, trace_offset_s: f64) -> Self {
-        let session = StreamingSession::new(video.clone(), trace.clone(), trace_offset_s);
         AbrEnv {
-            video,
-            trace,
             trace_offset_s,
             metric: QoeMetric::default(),
-            session,
+            session: StreamingSession::new(video, trace, trace_offset_s),
             last_quality: 0,
-            thr_hist_mbps: vec![0.0; HISTORY_LEN],
-            dl_hist_s: vec![0.0; HISTORY_LEN],
+            thr_hist_mbps: [0.0; HISTORY_LEN],
+            dl_hist_s: [0.0; HISTORY_LEN],
         }
     }
 
@@ -154,7 +154,7 @@ impl AbrEnv {
     }
 
     pub fn video(&self) -> &VideoModel {
-        &self.video
+        self.session.video()
     }
 
     /// [`Env::step`] plus the raw [`ChunkDownload`] mechanics behind the
@@ -166,17 +166,18 @@ impl AbrEnv {
     /// `step` delegates here, so the two are bit-identical transitions.
     pub fn step_detailed(&mut self, action: usize) -> (Step, ChunkDownload) {
         let d = self.session.download_next(action);
+        let video = self.session.video();
         let reward = self.metric.chunk_qoe(
-            self.video.bitrate_kbps(action),
-            self.video.bitrate_kbps(self.last_quality),
+            video.bitrate_kbps(action),
+            video.bitrate_kbps(self.last_quality),
             d.rebuffer_s,
         );
         self.last_quality = action;
-        self.thr_hist_mbps.remove(0);
-        self.thr_hist_mbps
-            .push(d.size_bytes * 8.0 / d.download_time_s.max(1e-9) / 1e6);
-        self.dl_hist_s.remove(0);
-        self.dl_hist_s.push(d.download_time_s);
+        self.thr_hist_mbps.copy_within(1.., 0);
+        self.thr_hist_mbps[HISTORY_LEN - 1] =
+            d.size_bytes * 8.0 / d.download_time_s.max(1e-9) / 1e6;
+        self.dl_hist_s.copy_within(1.., 0);
+        self.dl_hist_s[HISTORY_LEN - 1] = d.download_time_s;
         let step = Step {
             obs: self.observe(),
             reward,
@@ -186,8 +187,9 @@ impl AbrEnv {
     }
 
     fn observe(&self) -> Vec<f64> {
+        let video = self.session.video();
         let mut obs = Vec::with_capacity(OBS_DIM);
-        obs.push(self.video.bitrate_kbps(self.last_quality) / BITRATE_NORM_KBPS);
+        obs.push(video.bitrate_kbps(self.last_quality) / BITRATE_NORM_KBPS);
         obs.push(self.session.buffer_s() / BUFFER_NORM_S);
         for &t in &self.thr_hist_mbps {
             obs.push(t / THROUGHPUT_NORM_MBPS);
@@ -195,22 +197,21 @@ impl AbrEnv {
         for &d in &self.dl_hist_s {
             obs.push(d / DL_TIME_NORM_S);
         }
-        let chunk = self.session.next_chunk().min(self.video.n_chunks() - 1);
-        for &s in self.video.chunk_sizes(chunk) {
+        let chunk = self.session.next_chunk().min(video.n_chunks() - 1);
+        for &s in video.chunk_sizes(chunk) {
             obs.push(s / SIZE_NORM_BYTES);
         }
-        obs.push(self.session.chunks_remaining() as f64 / self.video.n_chunks() as f64);
+        obs.push(self.session.chunks_remaining() as f64 / video.n_chunks() as f64);
         obs
     }
 }
 
 impl Env for AbrEnv {
     fn reset(&mut self) -> Vec<f64> {
-        self.session =
-            StreamingSession::new(self.video.clone(), self.trace.clone(), self.trace_offset_s);
+        self.session.restart(self.trace_offset_s);
         self.last_quality = 0;
-        self.thr_hist_mbps = vec![0.0; HISTORY_LEN];
-        self.dl_hist_s = vec![0.0; HISTORY_LEN];
+        self.thr_hist_mbps = [0.0; HISTORY_LEN];
+        self.dl_hist_s = [0.0; HISTORY_LEN];
         self.observe()
     }
 
@@ -219,7 +220,7 @@ impl Env for AbrEnv {
     }
 
     fn n_actions(&self) -> usize {
-        self.video.n_qualities()
+        self.video().n_qualities()
     }
 
     fn obs_dim(&self) -> usize {

@@ -48,6 +48,14 @@ impl StreamingSession {
         }
     }
 
+    /// Rewind to the state [`StreamingSession::new`] builds at
+    /// `trace_offset_s`, keeping the shared video and trace.
+    pub fn restart(&mut self, trace_offset_s: f64) {
+        self.time_s = trace_offset_s;
+        self.buffer_s = 0.0;
+        self.next_chunk = 0;
+    }
+
     pub fn video(&self) -> &VideoModel {
         &self.video
     }

@@ -32,7 +32,7 @@ const BATCH_SIZES: [usize; 3] = [1, 32, 256];
 fn teacher_net(rng: &mut StdRng) -> Mlp {
     // lRLA scale (the paper's 143-state / 108-action AuTO agent), ReLU
     // like the original systems, so the measurement exposes the
-    // linear-algebra engine rather than libm's tanh.
+    // linear-algebra engine rather than the activation pass.
     Mlp::new(
         &[
             metis_flowsched::LRLA_STATE_DIM,

@@ -10,6 +10,11 @@ use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// Elementwise activation functions.
+///
+/// `Tanh` is [`crate::tanh::tanh`], bit-identical to glibc's `tanh` on an
+/// x86-64 FMA host but computed by this crate, so a network's outputs do
+/// not depend on the host's libm. Slices go through
+/// [`Activation::apply_in_place`], which runs `tanh` eight lanes at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activation {
     Relu,
@@ -33,9 +38,18 @@ impl Activation {
                     0.01 * x
                 }
             }
-            Activation::Tanh => x.tanh(),
+            Activation::Tanh => crate::tanh::tanh(x),
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             Activation::Linear => x,
+        }
+    }
+
+    /// [`Activation::apply`] to every element of `xs`, bit for bit; `Tanh`
+    /// runs the lane-parallel kernel.
+    pub fn apply_in_place(self, xs: &mut [f64]) {
+        match self {
+            Activation::Tanh => crate::tanh::tanh_in_place(xs),
+            _ => xs.iter_mut().for_each(|x| *x = self.apply(*x)),
         }
     }
 
@@ -177,7 +191,8 @@ impl Dense {
         );
         let mut pre = input.matmul(&self.w);
         pre.add_row_broadcast(&self.b);
-        let out = pre.map(|x| self.activation.apply(x));
+        let mut out = pre.clone();
+        self.activation.apply_in_place(out.data_mut());
         self.cache_input = Some(input.clone());
         self.cache_pre = Some(pre);
         self.cache_out = Some(out.clone());
@@ -362,7 +377,7 @@ impl Conv1D {
     /// Inference-only forward pass.
     pub fn forward_inference(&self, input: &Matrix) -> Matrix {
         let mut pre = self.convolve(input);
-        pre.map_inplace(|x| self.activation.apply(x));
+        self.activation.apply_in_place(pre.data_mut());
         pre
     }
 

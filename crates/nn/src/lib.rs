@@ -6,6 +6,9 @@
 //! * [`matrix::Matrix`] — a dense row-major `f64` matrix,
 //! * [`layer`] — `Dense` and `Conv1D` layers with explicit, finite-difference
 //!   checked forward/backward passes,
+//! * [`tanh`](mod@tanh) — the layers' `tanh`: an eight-lane kernel
+//!   bit-identical to glibc 2.36's, so network outputs depend on this
+//!   crate rather than on the host's libm,
 //! * [`net::Mlp`] — a sequential network sufficient for every plain model in
 //!   the reproduction (critics, sRLA, lRLA, readouts),
 //! * [`optim`] — SGD / Momentum / Adam + gradient clipping,
@@ -26,6 +29,7 @@ pub mod net;
 pub mod network;
 pub mod optim;
 pub mod par;
+pub mod tanh;
 pub mod tape;
 
 pub use init::Init;

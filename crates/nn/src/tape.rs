@@ -808,6 +808,8 @@ mod tests {
         assert_eq!(g.sum_wrt(w[0]), w0_sum, "broadcast gradient sum order");
     }
 
+    /// The tape's `tanh` is libm's and `Activation::apply`'s is
+    /// `crate::tanh`; on glibc 2.36 with FMA the two agree bit for bit.
     #[test]
     fn batch_tape_activations_match_scalar_apply() {
         use crate::layer::Activation;

@@ -11,11 +11,13 @@
 //!   exact one-step lookahead rather than a learned estimate.
 //!
 //! **Batched labelling.** Rolling an episode is inherently sequential (each
-//! action feeds the simulator), but the teacher-side queries are not: the
-//! Eq.-1 value lookups over every afterstate, and — for plain-DAgger
-//! episodes where the student drives — the teacher's labels and
-//! distributions, are deferred and issued as **one matrix-matrix pass per
-//! episode** ([`Policy::action_probs_batch`] / [`ValueEstimate::value_batch`]).
+//! action feeds the simulator), but the queries that do not steer it are
+//! not: the Eq.-1 value lookups over every afterstate, and — for
+//! plain-DAgger episodes where the student drives — the teacher's labels
+//! and distributions, are deferred and issued as **one matrix-matrix pass
+//! per episode** ([`Policy::probs_and_greedy_batch`] /
+//! [`ValueEstimate::value_batch`]). When the teacher steers, its one
+//! stepwise query returns the Eq.-1 distribution along with the action.
 //! The per-obs implementation is kept verbatim in [`oracle`]; a parity
 //! suite pins the batched path to it bit-for-bit.
 
@@ -81,21 +83,22 @@ fn episode_seed(base: u64, episode: u64) -> u64 {
 
 /// Roll one labelled episode (the per-episode body of [`collect_seeded`]).
 ///
-/// The environment is driven stepwise (it has to be), but every teacher
-/// query that does not steer the trajectory is deferred and batched:
+/// The environment is driven stepwise (it has to be), and the teacher is
+/// queried once per state at most:
 ///
 /// * the Eq.-1 lookahead's `V(s')` over all afterstates of the episode is
 ///   one [`ValueEstimate::value_batch`] call;
-/// * the Eq.-1 teacher distributions defer in every controller mode (one
-///   [`Policy::action_probs_batch`] pass at episode end);
-/// * for [`Controller::Student`] (the teacher never steers), the labels
-///   defer too — [`Policy::probs_and_greedy_batch`] answers both from a
-///   single forward pass for softmax teachers.
+/// * teacher-driven and takeover episodes query the teacher stepwise,
+///   since its action decides (or checks) the executed one; with Eq.-1
+///   weights on, that query is [`Policy::probs_and_greedy_batch`] on the
+///   one-row observation, which also returns the distribution the weight
+///   needs;
+/// * for [`Controller::Student`] (the teacher never steers), labels and
+///   distributions defer to one [`Policy::probs_and_greedy_batch`] pass
+///   at episode end.
 ///
-/// Teacher-driven and takeover episodes still query the teacher's action
-/// stepwise — it decides (or checks) the executed action. Output is
-/// bit-identical to [`oracle::collect_episode`] for any policy honouring
-/// the batch-parity contract.
+/// Output is bit-identical to [`oracle::collect_episode`] for any policy
+/// honouring the batch-parity contract.
 fn collect_episode<E: Env, T: Policy + ?Sized, V: ValueEstimate + ?Sized>(
     env: &E,
     teacher: &T,
@@ -126,12 +129,17 @@ fn collect_episode<E: Env, T: Policy + ?Sized, V: ValueEstimate + ?Sized>(
     let mut afterstates: Vec<Vec<f64>> = Vec::new();
 
     for _ in 0..cfg.max_steps {
-        let teacher_action = if stepwise_teacher {
+        let teacher_action = if !stepwise_teacher {
+            None
+        } else if cfg.weighted {
+            let (mut p, a) = teacher.probs_and_greedy_batch(&Matrix::row_vector(&obs));
+            probs.append(&mut p);
+            labels.push(a[0]);
+            Some(a[0])
+        } else {
             let a = teacher.act_greedy(&obs);
             labels.push(a);
             Some(a)
-        } else {
-            None
         };
         if cfg.weighted {
             // The env part of `q_by_cloning` (clone + step per action);
@@ -189,20 +197,16 @@ fn collect_episode<E: Env, T: Policy + ?Sized, V: ValueEstimate + ?Sized>(
         return Vec::new();
     }
 
-    // Deferred teacher labelling — one batched query per episode. Only
-    // the greedy action must be answered stepwise (it steers the env or
-    // checks deviation); the Eq.-1 distributions are consumed solely in
-    // the weight merge below, so they defer in *every* controller mode.
-    // For softmax teachers `probs_and_greedy_batch` answers labels and
-    // distributions from a single forward pass, where the per-obs path
-    // pays one per state per quantity.
-    if !stepwise_teacher || cfg.weighted {
+    // Deferred teacher labelling for plain DAgger — one batched query per
+    // episode. For softmax teachers `probs_and_greedy_batch` answers
+    // labels and distributions from a single forward pass, where the
+    // per-obs path pays one per state per quantity.
+    if !stepwise_teacher {
         let m = Matrix::from_rows_vec(&observations);
-        match (stepwise_teacher, cfg.weighted) {
-            (true, true) => probs = teacher.action_probs_batch(&m),
-            (false, true) => (probs, labels) = teacher.probs_and_greedy_batch(&m),
-            (false, false) => labels = teacher.act_greedy_batch(&m),
-            (true, false) => unreachable!(),
+        if cfg.weighted {
+            (probs, labels) = teacher.probs_and_greedy_batch(&m);
+        } else {
+            labels = teacher.act_greedy_batch(&m);
         }
     }
     // Deferred value lookups — one batched pass over all afterstates.
