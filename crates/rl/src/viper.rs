@@ -83,8 +83,8 @@ fn episode_seed(base: u64, episode: u64) -> u64 {
 
 /// Roll one labelled episode (the per-episode body of [`collect_seeded`]).
 ///
-/// The environment is driven stepwise (it has to be), and the teacher is
-/// queried once per state at most:
+/// The environment is driven stepwise (it has to be), and each state
+/// costs at most one teacher query:
 ///
 /// * the Eq.-1 lookahead's `V(s')` over all afterstates of the episode is
 ///   one [`ValueEstimate::value_batch`] call;
