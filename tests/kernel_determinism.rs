@@ -18,11 +18,12 @@
 //!
 //! Thread counts sweep 1/2/3/8/16.
 
+mod common;
+
+use common::tree_digest;
 use metis::dt::{
-    fit, CompiledTree, Criterion, Dataset, DecisionTree, Forest, NodeStats, Prediction, TreeConfig,
-    LANES,
+    fit, CompiledTree, Criterion, Dataset, DecisionTree, Forest, Prediction, TreeConfig, LANES,
 };
-use metis::telemetry::fnv1a;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -305,42 +306,6 @@ fn forest_rejects_invalid_ensembles() {
     let ok = Forest::from_trees(&[fitted_classifier(1, 8), fitted_classifier(2, 8)]).unwrap();
     assert_eq!(ok.n_trees(), 2);
     assert_eq!(ok.n_features(), DIMS);
-}
-
-/// FNV-1a over every node of a fitted tree: split feature, threshold bits
-/// and children (or a leaf marker), then the statistics' bits.
-fn tree_digest(tree: &DecisionTree) -> u64 {
-    let mut bytes = Vec::new();
-    for k in 0..tree.node_count() {
-        let node = tree.node(k);
-        match &node.split {
-            Some(s) => {
-                bytes.push(1u8);
-                for word in [
-                    s.feature as u64,
-                    s.threshold.to_bits(),
-                    s.left as u64,
-                    s.right as u64,
-                ] {
-                    bytes.extend_from_slice(&word.to_le_bytes());
-                }
-            }
-            None => bytes.push(0u8),
-        }
-        match &node.stats {
-            NodeStats::Class { dist } => {
-                for c in dist {
-                    bytes.extend_from_slice(&c.to_bits().to_le_bytes());
-                }
-            }
-            NodeStats::Value { w, sum, sumsq } => {
-                for v in [w, sum, sumsq] {
-                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-            }
-        }
-    }
-    fnv1a(&bytes)
 }
 
 /// Pensieve-shaped training rows: 25 features, every third one quantized

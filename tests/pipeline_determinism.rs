@@ -2,11 +2,13 @@
 //! guarantee on a real substrate: same seed ⇒ identical tree and identical
 //! collected traces, regardless of thread count.
 
+mod common;
+
+use common::tree_digest;
 use metis::abr::{
     env_pool, hsdpa_corpus, pensieve_agent, train_pensieve, NetworkTrace, PensieveArch, VideoModel,
 };
 use metis::core::{ConversionConfig, ConversionPipeline};
-use metis::dt::{DecisionTree, NodeStats};
 use metis::nn::Network;
 use metis::rl::{collect_seeded, CollectConfig, Controller};
 use metis::telemetry::Fnv1a;
@@ -93,36 +95,6 @@ fn collection_merges_identically_across_thread_counts() {
         assert_eq!(sa.weight.to_bits(), sb.weight.to_bits());
         assert_eq!(sa.weight.to_bits(), sc.weight.to_bits());
     }
-}
-
-/// FNV-1a over every node of a tree: split feature, threshold bits and
-/// children (or a leaf marker), then the leaf class histogram's bits.
-fn tree_digest(tree: &DecisionTree) -> u64 {
-    let mut h = Fnv1a::new();
-    for k in 0..tree.node_count() {
-        let node = tree.node(k);
-        match &node.split {
-            Some(s) => {
-                h.write(&[1]);
-                for word in [
-                    s.feature as u64,
-                    s.threshold.to_bits(),
-                    s.left as u64,
-                    s.right as u64,
-                ] {
-                    h.write_u64(word);
-                }
-            }
-            None => h.write(&[0]),
-        }
-        match &node.stats {
-            NodeStats::Class { dist } => dist.iter().for_each(|c| h.write_u64(c.to_bits())),
-            NodeStats::Value { w, sum, sumsq } => [w, sum, sumsq]
-                .iter()
-                .for_each(|v| h.write_u64(v.to_bits())),
-        }
-    }
-    h.finish()
 }
 
 /// A trained teacher, the states it collects and the tree it converts to,
