@@ -1,13 +1,15 @@
 //! Cross-crate integration tests: the §4 hypergraph interpretation on the
 //! real RouteNet* substrate, and the Appendix-B formulations.
 
-use metis::core::{interpret_routing, routing_hypergraph, InterpretationKind};
-use metis::hypergraph::MaskConfig;
+use metis::core::{interpret_routing, routing_hypergraph, InterpretationKind, MaskedRouting};
+use metis::hypergraph::{optimize_mask, MaskConfig, MaskedSystem};
 use metis::routing::{
-    connections, demand_corpus, optimize_routing, Demand, LatencyModel, RouteNetModel, Topology,
+    candidate_paths, connections, demand_corpus, optimize_routing, Demand, LatencyModel,
+    RouteNetModel, Routing, Topology,
 };
+use metis::telemetry::Fnv1a;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn full_interpretation_on_nsfnet() {
@@ -96,4 +98,80 @@ fn figure5_worked_example_roundtrip() {
     assert_eq!(i.cols(), topo.n_links());
     let row_sum: f64 = i.data().iter().sum();
     assert_eq!(row_sum, 3.0);
+}
+
+/// A trained RouteNet, its reference routing distribution and the mask
+/// the §4 search finds on it, each pinned to a digest recorded before
+/// RouteNet's message passing was rewritten. The other tests here compare
+/// runs inside one binary, so only this one notices a RouteNet or mask
+/// result that moves between commits. A failure names the first stage
+/// that moved; fix the change, never re-pin.
+#[test]
+fn mask_search_is_pinned() {
+    let topo = Topology::nsfnet();
+    let latency = LatencyModel::default();
+    let mut rng = StdRng::seed_from_u64(11);
+    let corpus: Vec<_> = demand_corpus(14, 8, 3, 0x77)
+        .into_iter()
+        .map(|s| {
+            let routing: Routing = s
+                .demands
+                .iter()
+                .map(|d| {
+                    let cands = candidate_paths(&topo, d.src, d.dst);
+                    cands[rng.gen_range(0..cands.len())].clone()
+                })
+                .collect();
+            let truth = latency.path_latencies(&topo, &s.demands, &routing);
+            (s.demands, routing, truth)
+        })
+        .collect();
+    let mut model = RouteNetModel::new(6, &mut rng);
+    let history = model.train(&topo, &corpus, 5, 0.01);
+    let mut trained = Fnv1a::new();
+    model
+        .params()
+        .iter()
+        .chain(&history)
+        .for_each(|v| trained.write_u64(v.to_bits()));
+
+    let sample = demand_corpus(14, 8, 1, 0x99).remove(0);
+    let routing = optimize_routing(&topo, &sample.demands, &latency, 1);
+    let system = MaskedRouting::new(&model, &topo, &sample.demands, &routing);
+    let mut reference = Fnv1a::new();
+    system
+        .reference_output()
+        .iter()
+        .for_each(|v| reference.write_u64(v.to_bits()));
+    let cfg = MaskConfig {
+        steps: 40,
+        ..Default::default()
+    };
+    let result = optimize_mask(&system, &cfg);
+    let mut searched = Fnv1a::new();
+    result
+        .mask
+        .iter()
+        .chain(&result.loss_history)
+        .for_each(|v| searched.write_u64(v.to_bits()));
+
+    let got = [trained.finish(), reference.finish(), searched.finish()];
+    eprintln!(
+        "{} connections, digests {:#018x} {:#018x} {:#018x}",
+        system.n_connections(),
+        got[0],
+        got[1],
+        got[2]
+    );
+    let want = [
+        0x939e_1a29_cfe9_ea49,
+        0xbe44_7dd2_63b8_5a8e,
+        0xf390_c6f8_9888_4f45,
+    ];
+    for (stage, (g, w)) in ["trained model", "reference output", "searched mask"]
+        .iter()
+        .zip(got.iter().zip(want.iter()))
+    {
+        assert_eq!(g, w, "{stage} moved: got {g:#018x}, pinned {w:#018x}");
+    }
 }
