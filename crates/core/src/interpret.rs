@@ -59,10 +59,14 @@ pub struct MaskedRouting<'a> {
     pub demands: &'a [Demand],
     pub routing: &'a Routing,
     pub candidates: Vec<Vec<Vec<usize>>>,
-    /// Softmax sharpness over candidate delays.
-    pub beta: f64,
     n_connections: usize,
 }
+
+/// Softmax sharpness over candidate delays. Sharp candidate distributions
+/// matter: damping a decisive connection must move real probability mass,
+/// otherwise the KL term cannot compete with the conciseness penalty and
+/// every mask collapses to zero.
+const BETA: f64 = 25.0;
 
 impl<'a> MaskedRouting<'a> {
     pub fn new(
@@ -73,16 +77,12 @@ impl<'a> MaskedRouting<'a> {
     ) -> Self {
         let candidates = candidates_for(topo, demands);
         let n_connections = connections(topo, routing).len();
-        // Sharp candidate distributions: damping a decisive connection must
-        // move real probability mass, otherwise the KL term cannot compete
-        // with the conciseness penalty and every mask collapses to zero.
         MaskedRouting {
             model,
             topo,
             demands,
             routing,
             candidates,
-            beta: 25.0,
             n_connections,
         }
     }
@@ -108,7 +108,7 @@ impl MaskedSystem for MaskedRouting<'_> {
         );
         let mut out = Vec::new();
         for per_demand in delays {
-            let scores: Vec<f64> = per_demand.iter().map(|v| -self.beta * v.value()).collect();
+            let scores: Vec<f64> = per_demand.iter().map(|v| -BETA * v.value()).collect();
             out.extend(softmax(&scores));
         }
         out
@@ -127,11 +127,8 @@ impl MaskedSystem for MaskedRouting<'_> {
         );
         let mut out = Vec::new();
         for per_demand in delays {
-            // Differentiable softmax over -beta * delay.
-            let exps: Vec<Var<'t>> = per_demand
-                .iter()
-                .map(|d| (*d * (-self.beta)).exp())
-                .collect();
+            // Differentiable softmax over -BETA * delay.
+            let exps: Vec<Var<'t>> = per_demand.iter().map(|d| (*d * (-BETA)).exp()).collect();
             let total = metis_nn::tape::sum(tape, &exps);
             for e in exps {
                 out.push(e / total);

@@ -9,9 +9,10 @@
 //!   incidence matrix of Eq. 3 (the Figure-5 example is a unit test),
 //! * [`mask`] — the differentiable critical-connection search of Figure 6:
 //!   `min D(Y_W, Y_I) + λ₁‖W‖ + λ₂H(W)` with the sigmoid gating of Eq. 9,
-//!   optimized with Adam over the `metis-nn` autodiff tape; per-iteration
-//!   gradients are sharded across threads and merged by connection index,
-//!   so results are identical for any thread count,
+//!   optimized with Adam over the `metis-nn` autodiff tape: the `D`
+//!   gradient comes from the system, the ‖W‖ and `H(W)` gradients are
+//!   closed-form, and a unit test checks the result against a single-tape
+//!   optimizer,
 //! * [`nnmask::MaskedMlp`] — the local-system instance: a feature mask on
 //!   an MLP policy over a batch of observations, with a batched
 //!   block-parallel gradient path pinned bit-for-bit to a per-obs oracle.

@@ -19,9 +19,9 @@
 //! A *high* surviving mask value marks a connection whose damping would
 //! change the system output a lot — a **critical** connection.
 
-use metis_nn::par::parallel_map_indexed;
 use metis_nn::tape::{sum, Tape, Var};
 use metis_nn::{Adam, Optimizer, ParamGrad};
+use std::cmp::Ordering;
 
 /// What the system's masked output represents, selecting the `D` metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,9 +124,10 @@ pub struct MaskConfig {
     /// D-vs-λ₁ equilibrium settles prevents that transient from being
     /// frozen at the W=1 pole.
     pub entropy_warmup: f64,
-    /// Worker threads for the per-iteration gradient evaluation
-    /// (0 = all cores). Results are **identical for any value**: work is
-    /// sharded by block/connection index and merged back in index order.
+    /// Worker threads for the per-iteration `D` gradient of systems that
+    /// shard it, such as [`crate::nnmask::MaskedMlp`] (0 = all cores).
+    /// Results are **identical for any value**: work is sharded by
+    /// observation block and merged back in row order.
     pub threads: usize,
 }
 
@@ -158,10 +159,16 @@ pub struct MaskResult {
 }
 
 impl MaskResult {
-    /// Connection indices sorted by descending mask value.
+    /// Connection indices sorted by descending mask value, ties in index
+    /// order and NaN masks last.
     pub fn ranked(&self) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.mask.len()).collect();
-        idx.sort_by(|&a, &b| self.mask[b].partial_cmp(&self.mask[a]).unwrap());
+        idx.sort_by(|&a, &b| {
+            let (wa, wb) = (self.mask[a], self.mask[b]);
+            wa.is_nan()
+                .cmp(&wb.is_nan())
+                .then(wb.partial_cmp(&wa).unwrap_or(Ordering::Equal))
+        });
         idx
     }
 
@@ -205,11 +212,10 @@ fn binary_entropy_grad(w: f64) -> f64 {
 /// Each iteration evaluates the `D` term's mask gradient through
 /// [`MaskedSystem::d_value_grad`] (batched/thread-sharded where the
 /// system supports it), adds the closed-form ‖W‖ and `H(W)` gradients,
-/// chains through the Eq.-9 sigmoid gate per connection, and takes one
-/// Adam step. Per-connection work is sharded across `cfg.threads` workers
-/// and merged back by connection index, so the result is identical for
-/// any thread count. The pre-refactor single-tape optimizer is retained
-/// as [`reference::optimize_mask_single_tape`] and pinned by parity tests.
+/// chains through the Eq.-9 sigmoid gate per connection in connection
+/// order, and takes one Adam step. A unit test checks it against the
+/// single-tape optimizer it replaced, which records the gate, `D` and
+/// both penalties on one tape per step.
 pub fn optimize_mask<S: MaskedSystem>(system: &S, cfg: &MaskConfig) -> MaskResult {
     let n = system.n_connections();
     let reference = system.reference_output();
@@ -232,17 +238,16 @@ pub fn optimize_mask<S: MaskedSystem>(system: &S, cfg: &MaskConfig) -> MaskResul
         assert_eq!(d_grad.len(), n, "d_value_grad: gradient length mismatch");
 
         // ‖W‖ (Eq. 7) and H(W) (Eq. 8) plus the per-connection chain rule
-        // through the sigmoid gate: independent across connections, so the
-        // steps shard across threads and merge by connection index.
-        let per_conn = parallel_map_indexed(n, threads_for(cfg.threads, n), |i| {
-            let w = mask[i];
+        // through the sigmoid gate.
+        let (mut l1_val, mut ent_val) = (0.0, 0.0);
+        let mut grad_vec = Vec::with_capacity(n);
+        for (&w, &g) in mask.iter().zip(&d_grad) {
+            l1_val += w;
+            ent_val += binary_entropy_val(w);
             let dw_dlogit = w * (1.0 - w);
-            let dl_dw = d_grad[i] + cfg.lambda1 + l2_now * binary_entropy_grad(w);
-            (w, binary_entropy_val(w), dl_dw * dw_dlogit)
-        });
-        let l1_val = per_conn.iter().fold(0.0, |acc, &(w, _, _)| acc + w);
-        let ent_val = per_conn.iter().fold(0.0, |acc, &(_, h, _)| acc + h);
-        let mut grad_vec: Vec<f64> = per_conn.into_iter().map(|(_, _, g)| g).collect();
+            let dl_dw = g + cfg.lambda1 + l2_now * binary_entropy_grad(w);
+            grad_vec.push(dl_dw * dw_dlogit);
+        }
 
         loss_history.push(d_val + l1_val * cfg.lambda1 + ent_val * l2_now);
         final_d = d_val;
@@ -266,27 +271,19 @@ pub fn optimize_mask<S: MaskedSystem>(system: &S, cfg: &MaskConfig) -> MaskResul
     }
 }
 
-/// Shard the per-connection loop only when there is enough work for the
-/// fork/join to pay off; below the threshold the sequential path produces
-/// the identical index-ordered result.
-fn threads_for(requested: usize, n: usize) -> usize {
-    if n < 512 {
-        1
-    } else {
-        requested
-    }
-}
-
 /// The pre-refactor optimizer, kept verbatim as the behavioural oracle
-/// for the batched/parallel implementation: one scalar tape per step
-/// carrying the gate, the D term, and both penalties. Gradients agree
-/// with the new path up to floating-point association (the λ-terms are
-/// now closed-form), so parity is asserted on the *ranked* masks.
-#[doc(hidden)]
-pub mod reference {
+/// for [`optimize_mask`]: one scalar tape per step carrying the gate, the
+/// D term, and both penalties. Gradients agree with the closed-form path
+/// up to floating-point association, so parity is asserted on the
+/// *ranked* masks.
+#[cfg(test)]
+mod reference {
     use super::*;
 
-    pub fn optimize_mask_single_tape<S: MaskedSystem>(system: &S, cfg: &MaskConfig) -> MaskResult {
+    pub(super) fn optimize_mask_single_tape<S: MaskedSystem>(
+        system: &S,
+        cfg: &MaskConfig,
+    ) -> MaskResult {
         let n = system.n_connections();
         let reference = system.reference_output();
         let mut logits = vec![cfg.init_logit; n];
@@ -426,28 +423,6 @@ mod tests {
         assert!((new.final_entropy - old.final_entropy).abs() < 1e-9);
     }
 
-    /// Thread count must not change a single bit of the result.
-    #[test]
-    fn optimizer_thread_count_invariant() {
-        let sys = LinearSystem {
-            contributions: vec![(0..600).map(|i| (i as f64 * 0.37).sin()).collect()],
-        };
-        let run = |threads: usize| {
-            optimize_mask(
-                &sys,
-                &MaskConfig {
-                    steps: 25,
-                    threads,
-                    ..Default::default()
-                },
-            )
-        };
-        let a = run(1);
-        let b = run(4);
-        assert_eq!(a.mask, b.mask);
-        assert_eq!(a.loss_history, b.loss_history);
-    }
-
     #[test]
     fn masks_respect_unit_interval() {
         let result = optimize_mask(&toy(), &MaskConfig::default());
@@ -572,5 +547,11 @@ mod tests {
         assert_eq!(r.ranked(), vec![1, 2, 0]);
         assert!((r.scale() - (0.2 + 0.9 + 0.5) / 3.0).abs() < 1e-12);
         assert!((r.median_fraction(0.3, 0.7) - 1.0 / 3.0).abs() < 1e-12);
+        // A NaN mask ranks last instead of panicking; ties keep index order.
+        let r = MaskResult {
+            mask: vec![0.2, f64::NAN, 0.9, 0.2],
+            ..r
+        };
+        assert_eq!(r.ranked(), vec![2, 0, 3, 1]);
     }
 }

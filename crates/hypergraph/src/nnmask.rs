@@ -261,8 +261,7 @@ impl MaskedSystem for MaskedMlp<'_> {
         self.reference.iter().flatten().copied().collect()
     }
 
-    /// Monolithic scalar-tape output (all rows on one tape, concatenated)
-    /// — the path the retained single-tape reference optimizer exercises.
+    /// Monolithic scalar-tape output (all rows on one tape, concatenated).
     fn masked_output<'t>(&self, tape: &'t Tape, mask: &[Var<'t>]) -> Vec<Var<'t>> {
         (0..self.obs.len())
             .flat_map(|row| self.masked_row(tape, mask, row))

@@ -10,10 +10,10 @@
 //!   enumeration of §6.5,
 //! * [`demand`] — traffic-matrix sampling (the 50-sample corpus),
 //! * [`latency::LatencyModel`] — M/M/1-style queueing ground truth
-//!   (substitute for the packet-level dataset; DESIGN.md §1.3),
+//!   (substitute for the packet-level dataset; README, *Substitutions*),
 //! * [`routenet::RouteNetModel`] — a path↔link message-passing latency
-//!   predictor with twin f64/tape forwards (the tape version powers both
-//!   training and the §4.2 mask search),
+//!   predictor whose one forward runs on the `metis_nn` tape, so the same
+//!   code predicts, trains and drives the §4.2 mask search,
 //! * [`routenet_star`] — the closed-loop greedy routing optimizer.
 
 pub mod demand;

@@ -3,12 +3,11 @@
 //! links carry hidden states; T rounds of message passing exchange state
 //! across (path, link) connections; a readout predicts per-path delay.
 //!
-//! The forward pass exists twice: a fast `f64` version for inference and a
-//! [`metis_nn::tape`] version used for both training and — crucially — the
-//! Metis mask search, where each (path, link) connection's messages are
-//! damped by a mask variable and gradients flow back to the mask
-//! (§4.2 / Eq. 9 of the paper). A unit test pins the two implementations
-//! to each other.
+//! The message passing is written once, on the [`metis_nn::tape`]:
+//! prediction, training and the Metis mask search all record it there. The
+//! mask search damps each (path, link) connection's messages by a mask
+//! variable and lets gradients flow back to the mask (§4.2 / Eq. 9 of the
+//! paper).
 
 use crate::demand::Demand;
 use crate::latency::Routing;
@@ -81,119 +80,24 @@ impl RouteNetModel {
         &self.params
     }
 
-    /// Per-demand predicted delays (fast f64 forward, no masks).
+    /// Per-demand predicted delays: the tape forward's values, unmasked.
     pub fn predict(&self, topo: &Topology, demands: &[Demand], routing: &Routing) -> Vec<f64> {
-        self.forward_f64(topo, demands, routing, None)
-    }
-
-    /// f64 forward with an optional per-connection damping mask.
-    /// `mask[i]` aligns with [`connections`]` (path-major order)`.
-    pub fn forward_f64(
-        &self,
-        topo: &Topology,
-        demands: &[Demand],
-        routing: &Routing,
-        mask: Option<&[f64]>,
-    ) -> Vec<f64> {
-        let d = self.hidden;
-        let layout = Self::layout(d);
-        let path_links: Vec<Vec<usize>> = routing.iter().map(|p| topo.path_links(p)).collect();
-        if let Some(m) = mask {
-            let n: usize = path_links.iter().map(|l| l.len()).sum();
-            assert_eq!(m.len(), n, "mask length must equal connection count");
-        }
-
-        let mut h_link: Vec<Vec<f64>> = (0..topo.n_links())
-            .map(|l| {
-                let mut h = vec![0.0; d];
-                h[0] = topo.link(l).capacity / 10.0;
-                h
-            })
-            .collect();
-        let mut h_path: Vec<Vec<f64>> = demands
+        let tape = Tape::new();
+        let param_vars = tape.vars(&self.params);
+        self.forward_tape(&tape, &param_vars, topo, demands, routing, None)
             .iter()
-            .map(|dm| {
-                let mut h = vec![0.0; d];
-                h[0] = dm.volume;
-                h
-            })
-            .collect();
-
-        let matvec = |w_off: usize, b_off: usize, input: &[f64]| -> Vec<f64> {
-            let in_dim = 2 * d + 1;
-            (0..d)
-                .map(|r| {
-                    let mut acc = self.params[b_off + r];
-                    for (c, &x) in input.iter().enumerate() {
-                        acc += self.params[w_off + r * in_dim + c] * x;
-                    }
-                    acc.tanh()
-                })
-                .collect()
-        };
-
-        for _ in 0..MP_ROUNDS {
-            // Path updates.
-            let mut conn = 0usize;
-            let mut new_paths = Vec::with_capacity(h_path.len());
-            for (p, links) in path_links.iter().enumerate() {
-                let mut agg = vec![0.0; d];
-                for &l in links {
-                    let m = mask.map_or(1.0, |mm| mm[conn]);
-                    conn += 1;
-                    for k in 0..d {
-                        agg[k] += m * h_link[l][k];
-                    }
-                }
-                let mut input = h_path[p].clone();
-                input.extend_from_slice(&agg);
-                input.push(demands[p].volume);
-                new_paths.push(matvec(layout.w_path, layout.b_path, &input));
-            }
-            h_path = new_paths;
-
-            // Link updates.
-            let mut agg_link = vec![vec![0.0; d]; topo.n_links()];
-            let mut conn = 0usize;
-            for (p, links) in path_links.iter().enumerate() {
-                for &l in links {
-                    let m = mask.map_or(1.0, |mm| mm[conn]);
-                    conn += 1;
-                    for k in 0..d {
-                        agg_link[l][k] += m * h_path[p][k];
-                    }
-                }
-            }
-            let mut new_links = Vec::with_capacity(h_link.len());
-            for l in 0..topo.n_links() {
-                let mut input = h_link[l].clone();
-                input.extend_from_slice(&agg_link[l]);
-                input.push(topo.link(l).capacity / 10.0);
-                new_links.push(matvec(layout.w_link, layout.b_link, &input));
-            }
-            h_link = new_links;
-        }
-
-        // Readout.
-        h_path
-            .iter()
-            .map(|h| {
-                let mut acc = self.params[layout.b_out];
-                let w_out = &self.params[layout.w_out..layout.w_out + d];
-                acc += w_out
-                    .iter()
-                    .zip(h.iter())
-                    .map(|(w, hk)| w * hk)
-                    .sum::<f64>();
-                acc
-            })
+            .map(|v| v.value())
             .collect()
     }
 
-    /// Tape forward with per-connection mask variables (the differentiable
-    /// path used by training and by the Metis critical-connection search).
-    /// Parameters enter as tape vars so the same code trains the model.
-    pub fn forward_tape<'t>(
+    /// The `MP_ROUNDS` rounds of path↔link message passing over `routing`,
+    /// recorded on `tape` with the parameters as tape vars, so the same
+    /// code trains the model and drives the Metis critical-connection
+    /// search. With a mask, `mask[i]` damps both messages across the
+    /// `i`-th connection of [`connections`] (path-major order) and
+    /// gradients flow back to it (§4.2 / Eq. 9 of the paper). Returns the
+    /// final path and link states.
+    fn message_passing<'t>(
         &self,
         tape: &'t Tape,
         param_vars: &[Var<'t>],
@@ -201,42 +105,26 @@ impl RouteNetModel {
         demands: &[Demand],
         routing: &Routing,
         mask: Option<&[Var<'t>]>,
-    ) -> Vec<Var<'t>> {
+    ) -> (Vec<Vec<Var<'t>>>, Vec<Vec<Var<'t>>>) {
         let d = self.hidden;
         let layout = Self::layout(d);
         assert_eq!(param_vars.len(), layout.total);
         let path_links: Vec<Vec<usize>> = routing.iter().map(|p| topo.path_links(p)).collect();
+        if let Some(m) = mask {
+            let n: usize = path_links.iter().map(|l| l.len()).sum();
+            assert_eq!(m.len(), n, "mask length must equal connection count");
+        }
 
         let mut h_link: Vec<Vec<Var<'t>>> = (0..topo.n_links())
-            .map(|l| {
-                let mut h = vec![tape.var(0.0); d];
-                h[0] = tape.var(topo.link(l).capacity / 10.0);
-                h
-            })
+            .map(|l| initial_state(tape, d, topo.link(l).capacity / 10.0))
             .collect();
         let mut h_path: Vec<Vec<Var<'t>>> = demands
             .iter()
-            .map(|dm| {
-                let mut h = vec![tape.var(0.0); d];
-                h[0] = tape.var(dm.volume);
-                h
-            })
+            .map(|dm| initial_state(tape, d, dm.volume))
             .collect();
 
-        let matvec = |w_off: usize, b_off: usize, input: &[Var<'t>]| -> Vec<Var<'t>> {
-            let in_dim = 2 * d + 1;
-            (0..d)
-                .map(|r| {
-                    let mut acc = param_vars[b_off + r];
-                    for (c, x) in input.iter().enumerate() {
-                        acc = acc + param_vars[w_off + r * in_dim + c] * *x;
-                    }
-                    acc.tanh()
-                })
-                .collect()
-        };
-
         for _ in 0..MP_ROUNDS {
+            // Path updates.
             let mut conn = 0usize;
             let mut new_paths = Vec::with_capacity(h_path.len());
             for (p, links) in path_links.iter().enumerate() {
@@ -255,10 +143,12 @@ impl RouteNetModel {
                 let mut input = h_path[p].clone();
                 input.extend_from_slice(&agg);
                 input.push(tape.var(demands[p].volume));
-                new_paths.push(matvec(layout.w_path, layout.b_path, &input));
+                new_paths.push(matvec(param_vars, d, layout.w_path, layout.b_path, &input));
             }
             h_path = new_paths;
 
+            // Link updates. Every link's aggregate starts from one shared
+            // zero var.
             let mut agg_link = vec![vec![tape.var(0.0); d]; topo.n_links()];
             let mut conn = 0usize;
             for (p, links) in path_links.iter().enumerate() {
@@ -279,20 +169,29 @@ impl RouteNetModel {
                 let mut input = h_link[l].clone();
                 input.extend_from_slice(&agg_link[l]);
                 input.push(tape.var(topo.link(l).capacity / 10.0));
-                new_links.push(matvec(layout.w_link, layout.b_link, &input));
+                new_links.push(matvec(param_vars, d, layout.w_link, layout.b_link, &input));
             }
             h_link = new_links;
         }
+        (h_path, h_link)
+    }
 
+    /// Per-demand predicted delays on the tape: message passing, then the
+    /// readout of each final path state.
+    fn forward_tape<'t>(
+        &self,
+        tape: &'t Tape,
+        param_vars: &[Var<'t>],
+        topo: &Topology,
+        demands: &[Demand],
+        routing: &Routing,
+        mask: Option<&[Var<'t>]>,
+    ) -> Vec<Var<'t>> {
+        let layout = Self::layout(self.hidden);
+        let (h_path, _) = self.message_passing(tape, param_vars, topo, demands, routing, mask);
         h_path
             .iter()
-            .map(|h| {
-                let mut acc = param_vars[layout.b_out];
-                for k in 0..d {
-                    acc = acc + param_vars[layout.w_out + k] * h[k];
-                }
-                acc
-            })
+            .map(|h| readout(param_vars, &layout, h))
             .collect()
     }
 
@@ -301,7 +200,7 @@ impl RouteNetModel {
     /// every candidate path of every demand by one path-update over the
     /// final (mask-shaped) link states plus the readout. Element `[i][c]`
     /// is the predicted delay of demand `i` on its `c`-th candidate.
-    #[allow(clippy::too_many_arguments)] // mirrors the message-passing signature
+    #[allow(clippy::too_many_arguments)] // message passing's arguments plus the candidates
     pub fn candidate_delays_tape<'t>(
         &self,
         tape: &'t Tape,
@@ -314,85 +213,7 @@ impl RouteNetModel {
     ) -> Vec<Vec<Var<'t>>> {
         let d = self.hidden;
         let layout = Self::layout(d);
-        // Re-run the masked message passing to obtain final link states.
-        // (Duplicates forward_tape's loop so we can keep the link states;
-        // the duplication is pinned by tests against forward_tape.)
-        let path_links: Vec<Vec<usize>> = routing.iter().map(|p| topo.path_links(p)).collect();
-        let matvec = |w_off: usize, b_off: usize, input: &[Var<'t>]| -> Vec<Var<'t>> {
-            let in_dim = 2 * d + 1;
-            (0..d)
-                .map(|r| {
-                    let mut acc = param_vars[b_off + r];
-                    for (c, x) in input.iter().enumerate() {
-                        acc = acc + param_vars[w_off + r * in_dim + c] * *x;
-                    }
-                    acc.tanh()
-                })
-                .collect()
-        };
-
-        let mut h_link: Vec<Vec<Var<'t>>> = (0..topo.n_links())
-            .map(|l| {
-                let mut h = vec![tape.var(0.0); d];
-                h[0] = tape.var(topo.link(l).capacity / 10.0);
-                h
-            })
-            .collect();
-        let mut h_path: Vec<Vec<Var<'t>>> = demands
-            .iter()
-            .map(|dm| {
-                let mut h = vec![tape.var(0.0); d];
-                h[0] = tape.var(dm.volume);
-                h
-            })
-            .collect();
-        for _ in 0..MP_ROUNDS {
-            let mut conn = 0usize;
-            let mut new_paths = Vec::with_capacity(h_path.len());
-            for (p, links) in path_links.iter().enumerate() {
-                let mut agg = vec![tape.var(0.0); d];
-                for &l in links {
-                    let m = mask.map(|mm| mm[conn]);
-                    conn += 1;
-                    for k in 0..d {
-                        let term = match m {
-                            Some(mv) => mv * h_link[l][k],
-                            None => h_link[l][k],
-                        };
-                        agg[k] = agg[k] + term;
-                    }
-                }
-                let mut input = h_path[p].clone();
-                input.extend_from_slice(&agg);
-                input.push(tape.var(demands[p].volume));
-                new_paths.push(matvec(layout.w_path, layout.b_path, &input));
-            }
-            h_path = new_paths;
-
-            let mut agg_link = vec![vec![tape.var(0.0); d]; topo.n_links()];
-            let mut conn = 0usize;
-            for (p, links) in path_links.iter().enumerate() {
-                for &l in links {
-                    let m = mask.map(|mm| mm[conn]);
-                    conn += 1;
-                    for k in 0..d {
-                        let term = match m {
-                            Some(mv) => mv * h_path[p][k],
-                            None => h_path[p][k],
-                        };
-                        agg_link[l][k] = agg_link[l][k] + term;
-                    }
-                }
-            }
-            let mut new_links = Vec::with_capacity(h_link.len());
-            for l in 0..topo.n_links() {
-                let mut input = h_link[l].clone();
-                input.extend_from_slice(&agg_link[l]);
-                input.push(tape.var(topo.link(l).capacity / 10.0));
-                new_links.push(matvec(layout.w_link, layout.b_link, &input));
-            }
-            h_link = new_links;
-        }
+        let (_, h_link) = self.message_passing(tape, param_vars, topo, demands, routing, mask);
 
         // Candidate scoring: one path update from scratch over the final
         // link states, then the readout.
@@ -403,23 +224,17 @@ impl RouteNetModel {
                 candidates[i]
                     .iter()
                     .map(|cand| {
-                        let mut h = vec![tape.var(0.0); d];
-                        h[0] = tape.var(dm.volume);
+                        let mut input = initial_state(tape, d, dm.volume);
                         let mut agg = vec![tape.var(0.0); d];
                         for l in topo.path_links(cand) {
                             for k in 0..d {
                                 agg[k] = agg[k] + h_link[l][k];
                             }
                         }
-                        let mut input = h;
                         input.extend_from_slice(&agg);
                         input.push(tape.var(dm.volume));
-                        let out = matvec(layout.w_path, layout.b_path, &input);
-                        let mut acc = param_vars[layout.b_out];
-                        for k in 0..d {
-                            acc = acc + param_vars[layout.w_out + k] * out[k];
-                        }
-                        acc
+                        let out = matvec(param_vars, d, layout.w_path, layout.b_path, &input);
+                        readout(param_vars, &layout, &out)
                     })
                     .collect()
             })
@@ -461,6 +276,46 @@ impl RouteNetModel {
         }
         history
     }
+}
+
+/// A fresh hidden state `[x0, 0, …, 0]`: one zero var shared by the
+/// zero entries, then a var for `x0`.
+fn initial_state(tape: &Tape, d: usize, x0: f64) -> Vec<Var<'_>> {
+    let mut h = vec![tape.var(0.0); d];
+    h[0] = tape.var(x0);
+    h
+}
+
+/// One update layer, `tanh(W·input + b)` with `W` at `w` and `b` at `b`
+/// in `param_vars`: each of the `d` rows sums left to right from its bias.
+#[inline(always)]
+fn matvec<'t>(
+    param_vars: &[Var<'t>],
+    d: usize,
+    w: usize,
+    b: usize,
+    input: &[Var<'t>],
+) -> Vec<Var<'t>> {
+    let in_dim = 2 * d + 1;
+    (0..d)
+        .map(|r| {
+            let mut acc = param_vars[b + r];
+            for (c, x) in input.iter().enumerate() {
+                acc = acc + param_vars[w + r * in_dim + c] * *x;
+            }
+            acc.tanh()
+        })
+        .collect()
+}
+
+/// The delay readout of one path state, `((b + w₀h₀) + w₁h₁) + …`.
+#[inline(always)]
+fn readout<'t>(param_vars: &[Var<'t>], layout: &Layout, h: &[Var<'t>]) -> Var<'t> {
+    let mut acc = param_vars[layout.b_out];
+    for (k, hk) in h.iter().enumerate() {
+        acc = acc + param_vars[layout.w_out + k] * *hk;
+    }
+    acc
 }
 
 /// The (path, link) connection list of a routing in the canonical
@@ -510,36 +365,24 @@ mod tests {
     }
 
     #[test]
-    fn tape_and_f64_forwards_agree() {
-        let (topo, demands, routing) = setup();
-        let mut rng = StdRng::seed_from_u64(4);
-        let model = RouteNetModel::new(6, &mut rng);
-        let fast = model.predict(&topo, &demands, &routing);
-        let tape = Tape::new();
-        let pv = tape.vars(&model.params);
-        let slow = model.forward_tape(&tape, &pv, &topo, &demands, &routing, None);
-        for (a, b) in fast.iter().zip(slow.iter()) {
-            assert!(
-                (a - b.value()).abs() < 1e-12,
-                "forwards diverge: {a} vs {}",
-                b.value()
-            );
-        }
-    }
-
-    #[test]
     fn masked_forward_matches_all_ones_mask() {
         let (topo, demands, routing) = setup();
         let mut rng = StdRng::seed_from_u64(4);
         let model = RouteNetModel::new(4, &mut rng);
         let n_conn = connections(&topo, &routing).len();
         let unmasked = model.predict(&topo, &demands, &routing);
-        let masked = model.forward_f64(&topo, &demands, &routing, Some(&vec![1.0; n_conn]));
-        for (a, b) in unmasked.iter().zip(masked.iter()) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        let masked = |value: f64| -> Vec<f64> {
+            let tape = Tape::new();
+            let pv = tape.vars(&model.params);
+            let mask = tape.vars(&vec![value; n_conn]);
+            let out = model.forward_tape(&tape, &pv, &topo, &demands, &routing, Some(&mask));
+            out.iter().map(|v| v.value()).collect()
+        };
+        // Each damped term is 1.0·h, so an all-ones mask changes no bit.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&masked(1.0)), bits(&unmasked));
         // A zeroed mask must change the output.
-        let zeroed = model.forward_f64(&topo, &demands, &routing, Some(&vec![0.0; n_conn]));
+        let zeroed = masked(0.0);
         assert!(unmasked
             .iter()
             .zip(zeroed.iter())
