@@ -3,10 +3,10 @@
 
 use crate::setup;
 use metis_abr::PensieveArch;
-use metis_core::{convert_policy, ConversionConfig};
+use metis_core::{ConversionConfig, ConversionPipeline};
 use metis_hypergraph::MaskConfig;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::io::Write;
 use std::time::Instant;
 
@@ -26,7 +26,10 @@ pub fn fig31(out: &mut dyn Write) -> std::io::Result<()> {
             ..Default::default()
         };
         let t0 = Instant::now();
-        let _ = convert_policy(&s.train_pool, &s.agent.policy, |_| 0.0, &cfg, &mut rng);
+        let _ = ConversionPipeline::new(&s.train_pool, &s.agent.policy, |_| 0.0)
+            .conversion(cfg)
+            .seed(rng.next_u64())
+            .run();
         writeln!(out, "{:>8} {:>12.2}", leaves, t0.elapsed().as_secs_f64())?;
     }
     writeln!(

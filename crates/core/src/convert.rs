@@ -3,16 +3,14 @@
 //!
 //! The loop itself — trace collection with DAgger takeover, Eq.-1
 //! resampling, fitting, CCP pruning — lives in the scenario-agnostic
-//! engine [`crate::pipeline::ConversionPipeline`]; [`convert_policy`] is
-//! the thin RNG-driven wrapper kept for callers that already hold an
-//! [`StdRng`]. Also here: the §6.3 debugging interface (oversampling rare
-//! actions) and the multi-output regression student for AuTO's sRLA.
+//! engine [`crate::pipeline::ConversionPipeline`], the one conversion
+//! entry point. Also here: the §6.3 debugging interface (oversampling
+//! rare actions) and the multi-output regression student for AuTO's sRLA.
 
-use crate::pipeline::{ConversionPipeline, PipelineStats};
+use crate::pipeline::PipelineStats;
 use metis_dt::{fit, Criterion, Dataset, DecisionTree, TreeConfig};
-use metis_rl::{Env, Policy, SampledState};
+use metis_rl::{Policy, SampledState};
 use rand::rngs::StdRng;
-use rand::RngCore;
 
 /// A decision-tree policy: the deployable student (§3.2 Step 4).
 #[derive(Debug, Clone)]
@@ -134,27 +132,6 @@ pub fn oversample_rare_actions(
     }
 }
 
-/// Convert a teacher policy into a decision tree (§3.2 Steps 1–3) — a
-/// thin wrapper over [`ConversionPipeline`] for callers that already hold
-/// an [`StdRng`]: the pipeline's base seed is drawn from it, everything
-/// else (collection rounds, resampling, fitting, pruning) runs through
-/// the unified engine on all available cores.
-///
-/// `value_fn` supplies the bootstrap V(s') for the Eq.-1 Q lookahead
-/// (pass the teacher's critic, or `|_| 0.0` for myopic weights).
-pub fn convert_policy<E: Env + Sync, T: Policy + Sync + ?Sized>(
-    pool: &[E],
-    teacher: &T,
-    value_fn: impl Fn(&[f64]) -> f64 + Sync,
-    cfg: &ConversionConfig,
-    rng: &mut StdRng,
-) -> ConversionResult {
-    ConversionPipeline::new(pool, teacher, value_fn)
-        .conversion(cfg.clone())
-        .seed(rng.next_u64())
-        .run()
-}
-
 /// A bundle of per-output regression trees — Metis' student for agents
 /// with continuous multi-dimensional outputs (AuTO's sRLA thresholds).
 #[derive(Debug, Clone)]
@@ -211,9 +188,10 @@ impl MultiRegressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::ConversionPipeline;
     use metis_rl::env::test_envs::{BanditEnv, DelayedEnv};
     use metis_rl::{evaluate, ConstantPolicy};
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     /// Oracle teacher for the bandit.
     #[derive(Clone)]
@@ -236,7 +214,10 @@ mod tests {
             max_steps: 20,
             ..Default::default()
         };
-        let result = convert_policy(&pool, &Oracle, |_| 0.0, &cfg, &mut rng);
+        let result = ConversionPipeline::new(&pool, &Oracle, |_| 0.0)
+            .conversion(cfg)
+            .seed(rng.next_u64())
+            .run();
         // The one-hot context is trivially separable: perfect fidelity.
         assert!(
             *result.fidelity_history.last().unwrap() > 0.99,
@@ -262,7 +243,10 @@ mod tests {
             max_steps: 5,
             ..Default::default()
         };
-        let result = convert_policy(&pool, &teacher, |_| 0.0, &cfg, &mut rng);
+        let result = ConversionPipeline::new(&pool, &teacher, |_| 0.0)
+            .conversion(cfg)
+            .seed(rng.next_u64())
+            .run();
         assert_eq!(result.policy.act_greedy(&[0.0, 0.0]), 1);
         let score = evaluate(&pool[0], &result.policy, 1, 5, &mut rng);
         assert_eq!(score, 1.0);
@@ -279,7 +263,10 @@ mod tests {
                 max_steps: 50,
                 ..Default::default()
             };
-            let result = convert_policy(&pool, &Oracle, |_| 0.0, &cfg, &mut rng);
+            let result = ConversionPipeline::new(&pool, &Oracle, |_| 0.0)
+                .conversion(cfg)
+                .seed(rng.next_u64())
+                .run();
             assert!(result.policy.tree.n_leaves() <= max);
         }
     }
@@ -295,7 +282,10 @@ mod tests {
             dagger_rounds: 0,
             ..Default::default()
         };
-        let result = convert_policy(&pool, &Oracle, |_| 0.0, &cfg, &mut rng);
+        let result = ConversionPipeline::new(&pool, &Oracle, |_| 0.0)
+            .conversion(cfg)
+            .seed(rng.next_u64())
+            .run();
         let p = result.policy.action_probs(&[1.0, 0.0, 0.0]);
         assert_eq!(p.len(), 3);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -354,7 +344,10 @@ mod tests {
                 resample,
                 ..Default::default()
             };
-            let result = convert_policy(&pool, &Oracle, |_| 0.0, &cfg, &mut rng);
+            let result = ConversionPipeline::new(&pool, &Oracle, |_| 0.0)
+                .conversion(cfg)
+                .seed(rng.next_u64())
+                .run();
             assert!(*result.fidelity_history.last().unwrap() > 0.9);
         }
     }

@@ -6,8 +6,8 @@
 //! formulating them as hypergraphs and searching for critical connections.
 //!
 //! * [`pipeline`] — the unified, parallel §3.2 conversion engine
-//!   ([`pipeline::ConversionPipeline`]) driving every scenario through
-//!   one code path: DAgger collection rounds, Eq.-1 advantage resampling,
+//!   ([`pipeline::ConversionPipeline`], the one conversion entry point)
+//!   driving every scenario through one code path: DAgger collection rounds, Eq.-1 advantage resampling,
 //!   CART fitting, CCP pruning, and fidelity/return evaluation,
 //! * [`convert`] — conversion config/result types, the deployable
 //!   [`convert::TreePolicy`], the §6.3 oversampling debug interface, and
@@ -42,8 +42,7 @@ pub mod workload;
 
 pub use config::MetisDefaults;
 pub use convert::{
-    convert_policy, oversample_rare_actions, ConversionConfig, ConversionResult, MultiRegressor,
-    TreePolicy,
+    oversample_rare_actions, ConversionConfig, ConversionResult, MultiRegressor, TreePolicy,
 };
 pub use deploy::{measure_latency, ArtifactCost, DeployError, LatencyStats};
 pub use interpret::{

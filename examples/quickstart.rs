@@ -6,12 +6,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use metis::core::{convert_policy, ConversionConfig};
+use metis::core::{ConversionConfig, ConversionPipeline};
 use metis::dt::{render, RenderOptions};
 use metis::rl::env::test_envs::BanditEnv;
 use metis::rl::{evaluate, ActorCritic, TrainConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -42,13 +42,12 @@ fn main() {
         ..Default::default()
     };
     let critic = teacher.critic.clone();
-    let result = convert_policy(
-        &pool,
-        &teacher.policy,
-        move |obs| critic.predict(obs)[0],
-        &cfg,
-        &mut rng,
-    );
+    let result = ConversionPipeline::new(&pool, &teacher.policy, move |obs: &[f64]| {
+        critic.predict(obs)[0]
+    })
+    .conversion(cfg)
+    .seed(rng.next_u64())
+    .run();
     let tree_score = evaluate(&pool[0], &result.policy, 4, 20, &mut rng);
     println!(
         "student tree mean return: {tree_score:.2} / 20 (fidelity {:.1}%)",

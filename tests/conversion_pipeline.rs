@@ -4,10 +4,10 @@
 use metis::abr::{
     env_pool, hsdpa_corpus, pensieve_agent, train_pensieve, NetworkTrace, PensieveArch, VideoModel,
 };
-use metis::core::{convert_policy, ConversionConfig};
+use metis::core::{ConversionConfig, ConversionPipeline};
 use metis::rl::{evaluate, Policy};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
 
 fn small_setup() -> (
@@ -34,13 +34,12 @@ fn tree_tracks_teacher_qoe_on_abr() {
         max_steps: 64,
         ..Default::default()
     };
-    let result = convert_policy(
-        &pool,
-        &agent.policy,
-        move |obs| critic.predict(obs)[0],
-        &cfg,
-        &mut rng,
-    );
+    let result = ConversionPipeline::new(&pool, &agent.policy, move |obs: &[f64]| {
+        critic.predict(obs)[0]
+    })
+    .conversion(cfg)
+    .seed(rng.next_u64())
+    .run();
 
     // Fidelity to the teacher on collected states must be high.
     let last = *result.fidelity_history.last().unwrap();
@@ -76,7 +75,10 @@ fn oversampling_keeps_all_observed_actions_present() {
         oversample_min_frac: Some(0.01),
         ..Default::default()
     };
-    let result = convert_policy(&pool, &agent.policy, |_| 0.0, &cfg, &mut rng);
+    let result = ConversionPipeline::new(&pool, &agent.policy, |_| 0.0)
+        .conversion(cfg)
+        .seed(rng.next_u64())
+        .run();
     assert!(result.policy.tree.n_leaves() <= 100);
     // The tree must be a valid policy over the full action space.
     let probs = result.policy.action_probs(&[0.1; metis::abr::OBS_DIM]);
@@ -95,7 +97,10 @@ fn compiled_tree_agrees_with_tree_policy() {
         dagger_rounds: 0,
         ..Default::default()
     };
-    let result = convert_policy(&pool, &agent.policy, |_| 0.0, &cfg, &mut rng);
+    let result = ConversionPipeline::new(&pool, &agent.policy, |_| 0.0)
+        .conversion(cfg)
+        .seed(rng.next_u64())
+        .run();
     let compiled = metis::dt::CompiledTree::compile(&result.policy.tree);
     // Agreement on live observations from an episode.
     let mut env = pool[0].clone();
