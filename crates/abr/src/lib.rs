@@ -6,7 +6,7 @@
 //!
 //! * [`video::VideoModel`] — chunked video on the 300–4300 kbps ladder,
 //! * [`trace`] — piecewise-constant bandwidth traces + synthetic HSDPA-like
-//!   and FCC-like corpus generators (DESIGN.md §1.3, substitution 1),
+//!   and FCC-like corpus generators (README, *Substitutions*),
 //! * [`sim::StreamingSession`] — download/buffer/rebuffer mechanics,
 //! * [`qoe::QoeMetric`] — Pensieve's linear QoE,
 //! * [`env::AbrEnv`] — the 25-feature RL environment,

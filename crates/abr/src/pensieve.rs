@@ -144,7 +144,7 @@ impl Network for PensieveNet {
 }
 
 /// Default Pensieve training configuration (scaled-down single-process A3C;
-/// see DESIGN.md §1.3, substitution 6).
+/// see the README's *Substitutions*).
 pub fn pensieve_train_config() -> TrainConfig {
     TrainConfig {
         gamma: 0.99,

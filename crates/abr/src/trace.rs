@@ -3,7 +3,7 @@
 //! The paper evaluates on 250 HSDPA (Norwegian 3G commute) and 205 FCC
 //! (US fixed broadband) traces; those datasets are not available offline,
 //! so we generate Markov-modulated bandwidth processes matched to their
-//! published characteristics (DESIGN.md §1.3, substitution 1):
+//! published characteristics (README, *Substitutions*):
 //!
 //! * **HSDPA-like** — mobile: low mean (~1.2 Mbps), bursty, deep fades,
 //!   strong temporal correlation.

@@ -107,7 +107,7 @@ fn lrla_data() -> (ClsData, metis_core::TreePolicy) {
 /// sRLA is a regression teacher: (projected state, thresholds-as-log10).
 /// The full 700-dim state makes the dense LIME/LEMNA solvers cubic-cost;
 /// all three surrogates therefore share a 70-feature projection (the 10
-/// most recent flows), recorded in EXPERIMENTS.md.
+/// most recent flows).
 fn srla_data() -> (Vec<Vec<f64>>, Vec<Vec<f64>>, MultiRegressor) {
     let mut rng = StdRng::seed_from_u64(33);
     let dist = SizeDistribution::web_search();

@@ -1,14 +1,13 @@
 //! # metis-bench — experiment harnesses for every paper table and figure
 //!
-//! Each module in [`experiments`] regenerates one result of the paper's
-//! evaluation section (see DESIGN.md §3 for the full index). The binaries
-//! in `src/bin/` are thin wrappers; `run_all` executes the complete suite
-//! and tees every experiment's output into `results/`.
+//! Each module in [`experiments`] regenerates results of the paper's
+//! evaluation section, and [`experiments::registry`] lists every one. The
+//! binaries in `src/bin/` are thin wrappers; `run_all` executes the
+//! complete suite and tees every experiment's output into `results/`.
 //!
 //! Absolute numbers are simulator-scale, not testbed-scale; what is
 //! expected to reproduce is the *shape* of each result (who wins, by
-//! roughly what factor, which qualitative behaviours appear) — recorded
-//! experiment-by-experiment in EXPERIMENTS.md.
+//! roughly what factor, which qualitative behaviours appear).
 
 pub mod experiments;
 pub mod guard;

@@ -1,7 +1,7 @@
 //! Shared experiment setup: trained teachers and evaluation corpora.
 //!
-//! Training budgets are deliberately laptop-scale (DESIGN.md §1.3,
-//! substitution 6): every teacher is "finetuned enough" to exhibit the
+//! Training budgets are deliberately laptop-scale (README,
+//! *Substitutions*): every teacher is "finetuned enough" to exhibit the
 //! paper's qualitative behaviours, which is what the interpretation
 //! experiments consume.
 

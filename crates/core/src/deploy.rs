@@ -3,7 +3,7 @@
 //! The paper measures page size, page-load time at 1200 kbps, JS heap and
 //! per-decision latency of the DNN vs. the converted tree. In this
 //! reproduction the artifacts are the serialized models and latency is
-//! measured in-process (DESIGN.md §1.3, substitutions 2–3): the absolute
+//! measured in-process (README, *Substitutions*): the absolute
 //! numbers differ from a browser/Python stack, the *ratios* are the claim.
 //!
 //! Latency summaries share the serving-side percentile vocabulary

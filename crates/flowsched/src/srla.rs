@@ -5,7 +5,8 @@
 //! The original is trained with DDPG; here we use a (1+1)-ES hill climb on
 //! the simulated mean FCT, which suffices to produce a non-trivial teacher
 //! for the interpretation experiments (the paper's experiments only need a
-//! finetuned teacher, not a state-of-the-art one) — recorded in DESIGN.md.
+//! finetuned teacher, not a state-of-the-art one); see the README's
+//! *Substitutions*.
 
 use crate::mlfq::{MlfqThresholds, N_PRIORITIES};
 use crate::sim::{CompletedFlow, FabricConfig, FlowSim, SimConfig};

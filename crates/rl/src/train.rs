@@ -3,7 +3,7 @@
 //! This is the single-process stand-in for the A3C/policy-gradient setups
 //! the teacher systems were trained with (Pensieve, AuTO's lRLA/sRLA);
 //! parallel workers only change wall-clock time, not the policy class, so
-//! the substitution is recorded in DESIGN.md §1.3.
+//! the substitution is listed in the README's *Substitutions*.
 
 use crate::env::Env;
 use crate::policy::SoftmaxPolicy;

@@ -1,6 +1,6 @@
 //! Ground-truth latency model: per-link M/M/1-style queueing delay
-//! (substitute for RouteNet's OMNeT++ packet-level dataset — DESIGN.md
-//! §1.3, substitution 5). Delay grows as `1/(C − load)` and saturates with
+//! (substitute for RouteNet's OMNeT++ packet-level dataset; see the
+//! README's *Substitutions*). Delay grows as `1/(C − load)` and saturates with
 //! a finite overload penalty so optimizers see a strong but bounded
 //! gradient away from congestion.
 

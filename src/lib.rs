@@ -34,9 +34,10 @@
 //! * [`rl`] — env/policy traits, rollouts, actor-critic, VIPER utilities,
 //! * [`nn`] — matrices, layers, optimizers, losses, autodiff tape.
 //!
-//! Start with `examples/quickstart.rs`; DESIGN.md maps every paper table
-//! and figure to a crate and an experiment binary, and EXPERIMENTS.md
-//! records paper-vs-measured outcomes.
+//! Start with `examples/quickstart.rs`. `metis_bench::experiments::registry()`
+//! lists every paper table and figure with the experiment binary that
+//! regenerates it, and the README's *Substitutions* list says what stands
+//! in for the paper's datasets, testbeds and training setups.
 
 pub use metis_abr as abr;
 pub use metis_core as core;
