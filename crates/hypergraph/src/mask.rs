@@ -213,9 +213,9 @@ fn binary_entropy_grad(w: f64) -> f64 {
 /// [`MaskedSystem::d_value_grad`] (batched/thread-sharded where the
 /// system supports it), adds the closed-form ‖W‖ and `H(W)` gradients,
 /// chains through the Eq.-9 sigmoid gate per connection in connection
-/// order, and takes one Adam step. A unit test checks it against the
-/// single-tape optimizer it replaced, which records the gate, `D` and
-/// both penalties on one tape per step.
+/// order, and takes one Adam step. A unit test checks it against a
+/// single-tape optimizer that records the gate, `D` and both penalties on
+/// one tape per step.
 pub fn optimize_mask<S: MaskedSystem>(system: &S, cfg: &MaskConfig) -> MaskResult {
     let n = system.n_connections();
     let reference = system.reference_output();

@@ -148,7 +148,8 @@ impl RouteNetModel {
             h_path = new_paths;
 
             // Link updates. Every link's aggregate starts from one shared
-            // zero var.
+            // zero var: gradients accumulate in tape-node order, so the
+            // nodes and their order are part of the pinned results.
             let mut agg_link = vec![vec![tape.var(0.0); d]; topo.n_links()];
             let mut conn = 0usize;
             for (p, links) in path_links.iter().enumerate() {
