@@ -31,7 +31,7 @@ use metis::fabric::{FabricConfig, Router, ScenarioSpec, TenantSpec};
 use metis::obs::{Alert, ObserverConfig};
 use metis::serve::{Clock, ServeConfig};
 use metis::sim::{run_abr_cosim_observed, CosimConfig, ModelSwap};
-use metis::telemetry::{Fnv1a, Telemetry};
+use metis::telemetry::{fnv1a, Fnv1a, Telemetry};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -343,6 +343,29 @@ fn alert_lifecycle_fires_attributes_and_clears_identically_across_threads() {
                 }
             }
         }
+    }
+}
+
+/// The enabled plane's health digest, alert stream and Prometheus text on
+/// the lifecycle schedule, pinned to values recorded before the latency
+/// sketch lost its rotating windows. The other tests here compare runs
+/// inside one binary, so only this one notices a health surface that
+/// moves between commits. Fix the change, never re-pin.
+#[test]
+fn health_is_pinned() {
+    let (_, digest, alerts, prom) = run_lifecycle(2, 16, Telemetry::enabled());
+    let got = [digest, fnv1a(alerts.as_bytes()), fnv1a(prom.as_bytes())];
+    eprintln!("digests {:#018x} {:#018x} {:#018x}", got[0], got[1], got[2]);
+    let want = [
+        0x806a_8d49_a1e6_8efd,
+        0xe550_61eb_3216_5ec4,
+        0x316f_8ae6_8c14_fe3e,
+    ];
+    for (surface, (g, w)) in ["health digest", "alert stream", "prometheus text"]
+        .iter()
+        .zip(got.iter().zip(want.iter()))
+    {
+        assert_eq!(g, w, "{surface} moved: got {g:#018x}, pinned {w:#018x}");
     }
 }
 

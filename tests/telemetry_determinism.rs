@@ -22,7 +22,7 @@
 use metis::dt::{fit, Dataset, DecisionTree, TreeConfig};
 use metis::fabric::{FabricConfig, PromotePolicy, Router, ScenarioSpec, ShadowConfig, TenantSpec};
 use metis::serve::{Clock, ServeConfig};
-use metis::telemetry::{Fnv1a, Telemetry};
+use metis::telemetry::{fnv1a, Fnv1a, Telemetry};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -178,11 +178,9 @@ proptest! {
     }
 }
 
-/// The disabled plane is inert — no scopes, digest 0, an empty trace —
-/// and serving behaviour is identical with the plane on or off.
-#[test]
-fn disabled_plane_is_inert_and_behaviour_invariant() {
-    let schedule = Schedule {
+/// Three waves with a hot swap between the first two.
+fn fixed_schedule() -> Schedule {
+    Schedule {
         waves: vec![
             (0.5, (0..20u64).collect()),
             (1.25, (5..30u64).collect()),
@@ -190,7 +188,34 @@ fn disabled_plane_is_inert_and_behaviour_invariant() {
         ],
         swap: Some((1, 42)),
         salt: 9,
-    };
+    }
+}
+
+/// The enabled plane's digest and trace on a fixed schedule, pinned to
+/// values recorded before the latency sketch lost its rotating windows.
+/// The other tests here compare runs inside one binary, so only this one
+/// notices a telemetry surface that moves between commits. Fix the
+/// change, never re-pin.
+#[test]
+fn telemetry_is_pinned() {
+    let plane = Telemetry::enabled();
+    let (_, digest, trace) = run_schedule(&fixed_schedule(), 2, 2, 16, plane);
+    let got = [digest, fnv1a(trace.as_bytes())];
+    eprintln!("digests {:#018x} {:#018x}", got[0], got[1]);
+    let want = [0xa839_775d_1cfb_a3bb, 0x1a27_31d9_18a9_6e44];
+    for (surface, (g, w)) in ["telemetry digest", "trace JSON"]
+        .iter()
+        .zip(got.iter().zip(want.iter()))
+    {
+        assert_eq!(g, w, "{surface} moved: got {g:#018x}, pinned {w:#018x}");
+    }
+}
+
+/// The disabled plane is inert — no scopes, digest 0, an empty trace —
+/// and serving behaviour is identical with the plane on or off.
+#[test]
+fn disabled_plane_is_inert_and_behaviour_invariant() {
+    let schedule = fixed_schedule();
     let off = Telemetry::off();
     let (fp_off, digest_off, trace_off) = run_schedule(&schedule, 2, 2, 16, off.clone());
     assert_eq!(digest_off, 0);
