@@ -153,8 +153,6 @@ pub fn pensieve_train_config() -> TrainConfig {
         entropy_coef: 0.02,
         episodes_per_epoch: 8,
         max_steps: 512,
-        grad_clip: 5.0,
-        normalize_advantages: true,
     }
 }
 

@@ -113,10 +113,10 @@ fn fine_map_calls_per_sec(use_pool: bool) -> f64 {
 
 /// Frontier-parallel CART fit rate (fits per second) on a paper-shaped
 /// workload: ABR-width features where per-node feature-parallelism runs
-/// out long before a wide pool does — exactly the gap
-/// [`TreeConfig::frontier`] speculation exists to fill. Fitted with
-/// defaults (`threads: 0`, `frontier: 0` = resolved width), so the gated
-/// number tracks whatever the host genuinely runs.
+/// out long before a wide pool does — exactly the gap frontier
+/// speculation (one expansion per thread) exists to fill. Fitted with
+/// the default `threads: 0` (all cores), so the gated number tracks
+/// whatever the host genuinely runs.
 fn frontier_fit_per_sec(ds: &Dataset) -> f64 {
     median_rate(Windows::fine(), 1, || {
         black_box(
@@ -353,7 +353,7 @@ struct ThroughputReport {
     spawn_map_fine_per_sec: f64,
     pool_fine_speedup: f64,
     /// Frontier-parallel CART fits per second (5000x25 ABR-shaped rows,
-    /// 96-leaf budget, default thread/frontier resolution).
+    /// 96-leaf budget, default thread resolution).
     frontier_fit_per_sec: f64,
     workload_count: usize,
     workload_abr_leaves64_per_sec: f64,

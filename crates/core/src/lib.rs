@@ -26,11 +26,9 @@
 //!   pipeline over one budget, each round's student (or a forest over
 //!   the last rounds) published straight to the live epoch or
 //!   shadow-audited before it goes live,
-//! * [`config`] — Table-4 defaults,
 //! * [`stats`] — experiment statistics helpers.
 
 pub mod baselines;
-pub mod config;
 pub mod convert;
 pub mod deploy;
 pub mod formulate;
@@ -40,7 +38,6 @@ pub mod serving;
 pub mod stats;
 pub mod workload;
 
-pub use config::MetisDefaults;
 pub use convert::{
     oversample_rare_actions, ConversionConfig, ConversionResult, MultiRegressor, TreePolicy,
 };

@@ -131,7 +131,7 @@ where
     );
     let mut workload_runner = WorkloadRunner::new(2);
     if let Some(scope) =
-        plane.register_scope("runner", metis_telemetry::CONTROL_SHARD, "convert-serve", 0)
+        plane.register("runner", metis_telemetry::CONTROL_SHARD, "convert-serve", 0)
     {
         workload_runner = workload_runner.telemetry(scope);
     }
@@ -363,7 +363,7 @@ mod tests {
             .find(|s| s.scenario() == "runner")
             .expect("runner scope");
         // Both workloads (convert + serve) landed as runner requests.
-        assert_eq!(runner_scope.latency.cumulative().count(), 2);
+        assert_eq!(runner_scope.latency.count(), 2);
         let control = scopes
             .iter()
             .find(|s| s.shard() == CONTROL_SHARD && s.scenario() == STUDENT_KEY)

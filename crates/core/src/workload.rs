@@ -199,13 +199,9 @@ impl WorkloadRunner {
                             }
                         });
                         if let Some(scope) = telemetry {
-                            // One workload = one request: stamps are
-                            // seconds since the batch submission.
-                            scope.on_request(
-                                queue_wait_s + result.seconds,
-                                queue_wait_s + result.seconds,
-                                queue_wait_s,
-                            );
+                            // One workload = one request, its latency
+                            // counted from the batch submission.
+                            scope.on_request(queue_wait_s + result.seconds, queue_wait_s);
                         }
                         *slots[idx].lock().unwrap() = Some(result);
                     })
@@ -346,7 +342,7 @@ mod tests {
 
         let plane = Telemetry::enabled();
         let scope = plane
-            .register("runner", CONTROL_SHARD, "batch")
+            .register("runner", CONTROL_SHARD, "batch", 0)
             .expect("enabled plane registers");
         let results = WorkloadRunner::new(2).telemetry(Arc::clone(&scope)).run(
             (0..5)
@@ -354,13 +350,9 @@ mod tests {
                 .collect(),
         );
         assert_eq!(results.len(), 5);
-        assert_eq!(scope.latency.cumulative().count(), 5);
+        assert_eq!(scope.latency.count(), 5);
         assert_eq!(scope.stage_sketch(Stage::QueueWait).count(), 5);
-        let p_max = scope
-            .latency
-            .cumulative()
-            .quantile(1.0)
-            .expect("non-empty sketch");
+        let p_max = scope.latency.quantile(1.0).expect("non-empty sketch");
         assert!(p_max >= 0.0, "workload spans are non-negative seconds");
     }
 

@@ -31,14 +31,14 @@
 //!   count.
 //! * **Frontier-parallel growth** — when feature-parallelism is narrower
 //!   than the worker count (ABR's ~25 dims vs a many-core pool), the
-//!   builder speculatively *expands* several heap candidates concurrently
-//!   ([`TreeConfig::frontier`]): each expansion precomputes the partition,
-//!   child statistics, and child best splits for one candidate. Expansions
-//!   are pure functions of their candidate, and splits are still *applied*
+//!   builder speculatively *expands* one heap candidate per thread
+//!   concurrently: each expansion precomputes the partition, child
+//!   statistics, and child best splits for one candidate. Expansions are
+//!   pure functions of their candidate, and splits are still *applied*
 //!   strictly in heap-pop order by the sequential main loop, so the fitted
-//!   tree is bit-identical for any frontier width and thread count — the
-//!   only cost of speculation is wasted work on candidates the leaf budget
-//!   never reaches.
+//!   tree is bit-identical for any thread count — the only cost of
+//!   speculation is wasted work on candidates the leaf budget never
+//!   reaches.
 //!
 //! **Why the radix presort and the lane scan change no bit of any tree.**
 //! Keys fold −0.0 onto +0.0 and otherwise order exactly as the values
@@ -71,6 +71,10 @@ const PAR_SPLIT_THRESHOLD: usize = 16 * 1024;
 /// holds the statistics after the chunk's `l`-th position.
 const SCAN_LANES: usize = 8;
 
+/// Minimum weighted impurity decrease for a split to be considered; a
+/// node whose weighted impurity is at most this is treated as pure.
+const MIN_GAIN: f64 = 1e-12;
+
 /// Split quality criterion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Criterion {
@@ -91,18 +95,12 @@ pub struct TreeConfig {
     pub max_depth: Option<usize>,
     /// Minimum number of samples in each child of a split.
     pub min_samples_leaf: usize,
-    /// Minimum weighted impurity decrease for a split to be considered.
-    pub min_gain: f64,
     pub criterion: Criterion,
-    /// Threads for the per-node split search (0 = all available cores).
-    /// The fitted tree is identical for every thread count.
+    /// Threads for the per-node split search and the frontier-parallel
+    /// grower (0 = all available cores), which expands as many heap
+    /// candidates at once as there are threads. The fitted tree is
+    /// identical for every thread count.
     pub threads: usize,
-    /// Heap candidates expanded concurrently by the frontier-parallel
-    /// grower (0 = match the resolved thread count; 1 = strictly
-    /// sequential expansion). The fitted tree is identical for every
-    /// setting — wider frontiers only trade speculative work for wall
-    /// time on deep best-first growths.
-    pub frontier: usize,
 }
 
 impl Default for TreeConfig {
@@ -111,10 +109,8 @@ impl Default for TreeConfig {
             max_leaf_nodes: 200,
             max_depth: None,
             min_samples_leaf: 1,
-            min_gain: 1e-12,
             criterion: Criterion::Gini,
             threads: 0,
-            frontier: 0,
         }
     }
 }
@@ -668,10 +664,7 @@ fn scan_feature<S: Sweep>(
             let gains = sweep.gains(rows, parent_imp, config.criterion);
             for l in 0..m {
                 let gain = gains[l];
-                if boundary[l]
-                    && gain > config.min_gain
-                    && best.as_ref().is_none_or(|b| gain > b.gain)
-                {
+                if boundary[l] && gain > MIN_GAIN && best.as_ref().is_none_or(|b| gain > b.gain) {
                     best = Some(BestSplit {
                         feature: f,
                         threshold: midpoint(v[l], v[l + 1]),
@@ -715,7 +708,7 @@ fn best_split(g: &Grower, orders: &[Vec<u32>], parent: &Acc) -> Option<BestSplit
         return None;
     }
     let parent_imp = parent.weighted_impurity(config.criterion);
-    if parent_imp <= config.min_gain {
+    if parent_imp <= MIN_GAIN {
         return None; // already pure
     }
     let n_features = g.ds.n_features();
@@ -894,20 +887,15 @@ pub fn fit(ds: &Dataset, config: &TreeConfig) -> Result<DecisionTree, FitError> 
         }
     }
 
-    let frontier = if config.frontier == 0 {
-        threads
-    } else {
-        config.frontier
-    };
     let mut n_leaves = 1usize;
     while n_leaves < config.max_leaf_nodes {
         let Some(mut cand) = heap.pop() else { break };
 
         if cand.expansion.is_none() {
-            if frontier <= 1 {
+            if threads <= 1 {
                 cand.expansion = Some(Box::new(expand(&g, &cand)));
             } else {
-                // Frontier-parallel expansion: gather up to `frontier`
+                // Frontier-parallel expansion: gather up to `threads`
                 // unexpanded candidates (never more than the remaining
                 // leaf budget could apply — anything beyond is guaranteed
                 // waste), parking already-expanded ones, expand the batch
@@ -916,9 +904,9 @@ pub fn fit(ds: &Dataset, config: &TreeConfig) -> Result<DecisionTree, FitError> 
                 // best candidate — now expanded — and the `continue`
                 // applies it through the sequential path below. Splits
                 // therefore apply in exactly the heap-pop order of a
-                // frontier=1 build, and the tree is bit-identical for
-                // any frontier width and thread count.
-                let want = frontier.min(config.max_leaf_nodes - n_leaves);
+                // one-thread build, and the tree is bit-identical for
+                // any thread count.
+                let want = threads.min(config.max_leaf_nodes - n_leaves);
                 let mut batch = vec![cand];
                 let mut parked = Vec::new();
                 while batch.len() < want {
@@ -1013,7 +1001,7 @@ mod reference {
             return None;
         }
         let parent_imp = parent.weighted_impurity(config.criterion);
-        if parent_imp <= config.min_gain {
+        if parent_imp <= MIN_GAIN {
             return None; // already pure
         }
         let n_features = ds.n_features();
@@ -1049,7 +1037,7 @@ mod reference {
                 let gain = parent_imp
                     - left.weighted_impurity(config.criterion)
                     - right.weighted_impurity(config.criterion);
-                if gain > config.min_gain && best.as_ref().is_none_or(|b| gain > b.gain) {
+                if gain > MIN_GAIN && best.as_ref().is_none_or(|b| gain > b.gain) {
                     let threshold = v + (v_next - v) / 2.0;
                     let threshold = if threshold > v { threshold } else { v_next };
                     best = Some(BestSplit {
@@ -1510,13 +1498,14 @@ mod tests {
         assert_eq!(t1, fit_with(16));
     }
 
-    /// Frontier-parallel growth is bit-identical to strictly sequential
-    /// expansion for every frontier width and thread count — including
-    /// frontiers wider than the heap ever gets and wider than the leaf
-    /// budget, under a depth cap, and for regression. Speculation may
-    /// waste work; it may never change the tree.
+    /// Frontier-parallel growth (one speculative expansion per thread) is
+    /// bit-identical to strictly sequential expansion for every thread
+    /// count — including frontiers wider than the heap ever gets and wider
+    /// than the leaf budget, under a depth cap, and for regression.
+    /// Speculation may waste work; it may never change the tree.
     #[test]
     fn frontier_parallel_fit_identical_to_sequential() {
+        const THREADS: [usize; 6] = [2, 3, 5, 8, 32, 64];
         let x = parity_features(1200, 6, 33);
         let y: Vec<usize> = x
             .iter()
@@ -1524,44 +1513,40 @@ mod tests {
             .collect();
         let ds = Dataset::classification(x.clone(), y, 5).unwrap();
         for max_depth in [None, Some(4)] {
-            let fit_with = |frontier: usize, threads: usize| {
+            let fit_with = |threads: usize| {
                 fit(
                     &ds,
                     &TreeConfig {
                         max_leaf_nodes: 48,
                         max_depth,
-                        frontier,
                         threads,
                         ..Default::default()
                     },
                 )
                 .unwrap()
             };
-            let sequential = fit_with(1, 1);
-            for frontier in [2, 3, 8, 64] {
-                for threads in [1, 2, 8] {
-                    assert_eq!(
-                        sequential,
-                        fit_with(frontier, threads),
-                        "diverged at frontier={frontier} threads={threads} depth={max_depth:?}"
-                    );
-                }
+            let sequential = fit_with(1);
+            for threads in THREADS {
+                assert_eq!(
+                    sequential,
+                    fit_with(threads),
+                    "diverged at threads={threads} depth={max_depth:?}"
+                );
             }
         }
 
         let yv: Vec<f64> = x.iter().map(|xi| xi[0] * 3.0 - xi[5] + 0.5).collect();
         let reg = Dataset::regression(x, yv).unwrap();
-        let cfg = |frontier: usize| TreeConfig {
+        let cfg = |threads: usize| TreeConfig {
             criterion: Criterion::Mse,
             max_leaf_nodes: 32,
             min_samples_leaf: 2,
-            frontier,
-            threads: 4,
+            threads,
             ..Default::default()
         };
         let sequential = fit(&reg, &cfg(1)).unwrap();
-        for frontier in [2, 6, 16] {
-            assert_eq!(sequential, fit(&reg, &cfg(frontier)).unwrap());
+        for threads in THREADS {
+            assert_eq!(sequential, fit(&reg, &cfg(threads)).unwrap());
         }
     }
 
@@ -1574,17 +1559,13 @@ mod tests {
         let y: Vec<usize> = x.iter().map(|xi| usize::from(xi[0] > 0.5)).collect();
         let ds = Dataset::classification(x, y, 2).unwrap();
         for max in [1, 2, 3] {
-            let seq = fit(&ds, &TreeConfig::with_max_leaves(max)).unwrap();
-            let wide = fit(
-                &ds,
-                &TreeConfig {
-                    max_leaf_nodes: max,
-                    frontier: 32,
-                    threads: 8,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let cfg = |threads: usize| TreeConfig {
+                max_leaf_nodes: max,
+                threads,
+                ..Default::default()
+            };
+            let seq = fit(&ds, &cfg(1)).unwrap();
+            let wide = fit(&ds, &cfg(32)).unwrap();
             assert_eq!(seq, wide, "diverged at max_leaf_nodes={max}");
         }
     }
@@ -1667,8 +1648,8 @@ mod tests {
 
     /// The chunked lane scan matches the oracle on random dyadic datasets
     /// whose sizes straddle the 8-position chunks and their tails, for
-    /// every criterion, 1–130 classes, leaf-size floors, depth caps,
-    /// thread counts and frontier widths. Feature values take 2–64 levels,
+    /// every criterion, 1–130 classes, leaf-size floors, depth caps and
+    /// thread counts. Feature values take 2–64 levels,
     /// so some chunks hold no boundary and some hold eight.
     mod chunk_edges {
         use super::*;
@@ -1715,16 +1696,14 @@ mod tests {
                     ..Default::default()
                 };
                 let want = super::super::reference::fit(&ds, &cfg).unwrap();
-                for threads in [1, 2, 4] {
-                    for frontier in [1, 3] {
-                        let cfg = TreeConfig { threads, frontier, ..cfg.clone() };
-                        prop_assert_eq!(
-                            fit(&ds, &cfg).unwrap(),
-                            want.clone(),
-                            "n {} criterion {:?} threads {} frontier {}",
-                            n, criterion, threads, frontier
-                        );
-                    }
+                for threads in [1, 2, 3, 4] {
+                    let cfg = TreeConfig { threads, ..cfg.clone() };
+                    prop_assert_eq!(
+                        fit(&ds, &cfg).unwrap(),
+                        want.clone(),
+                        "n {} criterion {:?} threads {}",
+                        n, criterion, threads
+                    );
                 }
             }
         }

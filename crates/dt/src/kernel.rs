@@ -563,7 +563,7 @@ pub(crate) fn walk_leaves(t: &NodeTable, rows: &[f64], nf: usize, out: &mut [u32
     #[cfg(target_arch = "x86_64")]
     let width = gather::applicable(t, nf);
     for b in 0..blocks {
-        let block_rows = &rows[b * LANES * nf..(b + 1) * LANES * nf];
+        let block_in = &rows[b * LANES * nf..(b + 1) * LANES * nf];
         let block_out = &mut out[b * LANES..(b + 1) * LANES];
         #[cfg(target_arch = "x86_64")]
         {
@@ -574,21 +574,21 @@ pub(crate) fn walk_leaves(t: &NodeTable, rows: &[f64], nf: usize, out: &mut [u32
             match width {
                 gather::Width::InReg512 => {
                     let reg = t.inreg.as_ref().expect("InReg512 dispatch without table");
-                    unsafe { gather::walk_block_inreg(t, reg, block_rows, nf, block_out) };
+                    unsafe { gather::walk_block_inreg(t, reg, block_in, nf, block_out) };
                     continue;
                 }
                 gather::Width::Avx512 => {
-                    unsafe { gather::walk_block_512(t, block_rows, nf, block_out) };
+                    unsafe { gather::walk_block_512(t, block_in, nf, block_out) };
                     continue;
                 }
                 gather::Width::Avx2 => {
-                    unsafe { gather::walk_block(t, block_rows, nf, block_out) };
+                    unsafe { gather::walk_block(t, block_in, nf, block_out) };
                     continue;
                 }
                 gather::Width::None => {}
             }
         }
-        walk_block::<LANES>(t, block_rows, nf, block_out);
+        walk_block::<LANES>(t, block_in, nf, block_out);
     }
     for r in blocks * LANES..n {
         out[r] = walk_one(t, &rows[r * nf..(r + 1) * nf]);

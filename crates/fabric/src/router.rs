@@ -106,11 +106,10 @@ impl ScenarioSpec {
 /// Fabric-wide knobs.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
-    /// Per-shard micro-batching template. `group` and `deadline_class`
-    /// are **owned by the fabric** and overridden per shard: every shard
-    /// gets its own fresh pool group (a user-set shared group would let
-    /// one tenant's class re-tag another's queued tickets, silently
-    /// defeating per-tenant SLO scheduling) and its tenant's class.
+    /// Per-shard micro-batching template. `deadline_class` and
+    /// `telemetry` are **owned by the fabric** and overridden per shard:
+    /// every shard gets its tenant's deadline class and its own scope on
+    /// [`FabricConfig::telemetry`].
     pub serve: ServeConfig,
     /// Mirrored feature rows a handle buffers before flushing them to a
     /// scenario's shadow audit (0 = flush on every submit).
@@ -231,7 +230,7 @@ impl Router {
                 });
             let registry = Arc::new(ModelRegistry::new(spec.initial));
             let tenant_name = &tenants[tenant].name;
-            let control = cfg.telemetry.register_scope(
+            let control = cfg.telemetry.register(
                 &spec.key,
                 CONTROL_SHARD,
                 tenant_name,
@@ -246,11 +245,7 @@ impl Router {
                         Arc::clone(&registry),
                         ServeConfig {
                             deadline_class: tenants[tenant].deadline_class,
-                            // Always a fresh group per shard: sharing one
-                            // group across tenants would let the last
-                            // flusher's class re-tag every queued ticket.
-                            group: None,
-                            telemetry: cfg.telemetry.register_scope(
+                            telemetry: cfg.telemetry.register(
                                 &spec.key,
                                 shard_idx,
                                 tenant_name,

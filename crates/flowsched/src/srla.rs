@@ -100,11 +100,14 @@ pub fn evaluate_thresholds(
     done.iter().map(|f| f.fct_s).sum::<f64>() / done.len().max(1) as f64
 }
 
+/// Standard deviation of the Gaussian perturbation the ES hill climb adds
+/// to every parameter.
+const NOISE_STD: f64 = 0.05;
+
 /// Training configuration for the ES hill climb.
 #[derive(Debug, Clone)]
 pub struct SrlaTrainConfig {
     pub iterations: usize,
-    pub noise_std: f64,
     pub load: f64,
     pub duration_s: f64,
     pub n_servers: usize,
@@ -115,7 +118,6 @@ impl Default for SrlaTrainConfig {
     fn default() -> Self {
         SrlaTrainConfig {
             iterations: 40,
-            noise_std: 0.05,
             load: 0.6,
             duration_s: 0.02,
             n_servers: 8,
@@ -185,7 +187,7 @@ pub fn train_srla(
                     let u1: f64 = rng.gen_range(1e-12..1.0);
                     let u2: f64 = rng.gen_range(0.0..1.0);
                     let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                    *p += cfg.noise_std * g;
+                    *p += NOISE_STD * g;
                 }
             }
         }

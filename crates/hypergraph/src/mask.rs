@@ -103,27 +103,34 @@ pub(crate) fn d_term<'t>(
     sum(tape, &terms)
 }
 
-/// Hyperparameters (paper Table 4: λ₁ = 0.25, λ₂ = 1 for RouteNet*).
+/// Adam step size on the gating logits.
+const LEARNING_RATE: f64 = 0.05;
+
+/// Initial logit for all connections. 0.0 (mask 0.5) sits at the saddle
+/// of the entropy term, so the similarity and conciseness terms pick each
+/// connection's direction before the determinism term locks it toward 0
+/// or 1. Starting near a pole instead lets H(W) freeze every mask at that
+/// pole — the degenerate interpretation the paper's Eq. 8 discussion
+/// warns about.
+const INIT_LOGIT: f64 = 0.0;
+
+/// Fraction of steps during which λ₂ is held at 0. Early in the search
+/// the D residual is large and briefly drags even unimportant masks
+/// upward; Adam's scale-invariant steps mean they climb as fast as the
+/// truly critical ones. Holding the determinism term off until the
+/// D-vs-λ₁ equilibrium settles prevents that transient from being frozen
+/// at the W=1 pole.
+const ENTROPY_WARMUP: f64 = 0.5;
+
+/// Hyperparameters (paper Table 4: λ₁ = 0.25, λ₂ = 1 for RouteNet*). The
+/// search's other settings are fixed: Adam at step size 0.05 on logits
+/// that start at 0 (every mask at 0.5), with λ₂ held at 0 for the first
+/// half of the steps.
 #[derive(Debug, Clone)]
 pub struct MaskConfig {
     pub lambda1: f64,
     pub lambda2: f64,
-    pub learning_rate: f64,
     pub steps: usize,
-    /// Initial logit for all connections. The default 0.0 (mask 0.5) sits
-    /// at the saddle of the entropy term, so the similarity and
-    /// conciseness terms pick each connection's direction before the
-    /// determinism term locks it toward 0 or 1. Starting near a pole
-    /// instead lets H(W) freeze every mask at that pole — the degenerate
-    /// interpretation the paper's Eq. 8 discussion warns about.
-    pub init_logit: f64,
-    /// Fraction of steps during which λ₂ is held at 0. Early in the search
-    /// the D residual is large and briefly drags even unimportant masks
-    /// upward; Adam's scale-invariant steps mean they climb as fast as the
-    /// truly critical ones. Holding the determinism term off until the
-    /// D-vs-λ₁ equilibrium settles prevents that transient from being
-    /// frozen at the W=1 pole.
-    pub entropy_warmup: f64,
     /// Worker threads for the per-iteration `D` gradient of systems that
     /// shard it, such as [`crate::nnmask::MaskedMlp`] (0 = all cores).
     /// Results are **identical for any value**: work is sharded by
@@ -136,10 +143,7 @@ impl Default for MaskConfig {
         MaskConfig {
             lambda1: 0.25,
             lambda2: 1.0,
-            learning_rate: 0.05,
             steps: 300,
-            init_logit: 0.0,
-            entropy_warmup: 0.5,
             threads: 0,
         }
     }
@@ -219,13 +223,13 @@ fn binary_entropy_grad(w: f64) -> f64 {
 pub fn optimize_mask<S: MaskedSystem>(system: &S, cfg: &MaskConfig) -> MaskResult {
     let n = system.n_connections();
     let reference = system.reference_output();
-    let mut logits = vec![cfg.init_logit; n];
-    let mut opt = Adam::new(cfg.learning_rate);
+    let mut logits = vec![INIT_LOGIT; n];
+    let mut opt = Adam::new(LEARNING_RATE);
     let mut loss_history = Vec::with_capacity(cfg.steps);
     let (mut final_d, mut final_l1, mut final_entropy) = (0.0, 0.0, 0.0);
 
     for step in 0..cfg.steps {
-        let warmup_steps = cfg.entropy_warmup * cfg.steps as f64;
+        let warmup_steps = ENTROPY_WARMUP * cfg.steps as f64;
         let l2_now = if (step as f64) < warmup_steps {
             0.0
         } else {
@@ -286,13 +290,13 @@ mod reference {
     ) -> MaskResult {
         let n = system.n_connections();
         let reference = system.reference_output();
-        let mut logits = vec![cfg.init_logit; n];
-        let mut opt = Adam::new(cfg.learning_rate);
+        let mut logits = vec![INIT_LOGIT; n];
+        let mut opt = Adam::new(LEARNING_RATE);
         let mut loss_history = Vec::with_capacity(cfg.steps);
         let (mut final_d, mut final_l1, mut final_entropy) = (0.0, 0.0, 0.0);
 
         for step in 0..cfg.steps {
-            let warmup_steps = cfg.entropy_warmup * cfg.steps as f64;
+            let warmup_steps = ENTROPY_WARMUP * cfg.steps as f64;
             let l2_now = if (step as f64) < warmup_steps {
                 0.0
             } else {

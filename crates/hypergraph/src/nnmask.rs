@@ -10,13 +10,13 @@
 //!
 //! Because rows (observations) are independent given the mask, the D term
 //! is **row-separable** — the property the batched gradient path exploits:
-//! observations are chunked into fixed-size blocks, each block replays the
+//! observations are chunked into 64-row blocks, each block replays the
 //! network on one [`BatchTape`] (a batched forward/backward: every tape
 //! node carries the whole block's rows), blocks fan out across threads,
 //! and per-row gradients merge back in global row order. The merge order
 //! depends on neither the block size nor the thread count, so the search
 //! is bit-identical to the per-obs oracle ([`MaskedMlp::d_value_grad_per_obs`],
-//! one scalar tape per observation) for any configuration — the §4
+//! one scalar tape per observation) for any thread count — the §4
 //! mirror of the conversion engine's batched-labelling parity contract.
 
 use crate::mask::{MaskedSystem, OutputKind};
@@ -24,9 +24,10 @@ use metis_nn::par::parallel_map_indexed;
 use metis_nn::tape::{sum, sum_batch, BVar, BatchTape, Tape, Var};
 use metis_nn::{softmax_rows, Matrix, Mlp};
 
-/// Rows per [`BatchTape`] block. A knob, not a contract: results are
-/// bit-identical for any value (see the module docs).
-const DEFAULT_BLOCK_ROWS: usize = 64;
+/// Rows per [`BatchTape`] block. Results are bit-identical for any
+/// value (see the module docs); it only sets how much work one tape and
+/// one pool stripe carry.
+const BLOCK_ROWS: usize = 64;
 
 /// An MLP policy under a per-input-feature mask, evaluated over a batch
 /// of observations. Implements [`MaskedSystem`], overriding the gradient
@@ -38,7 +39,6 @@ pub struct MaskedMlp<'a> {
     /// Unmasked per-row reference outputs (decision distributions for
     /// [`OutputKind::Discrete`], raw outputs otherwise).
     reference: Vec<Vec<f64>>,
-    block_rows: usize,
 }
 
 impl<'a> MaskedMlp<'a> {
@@ -64,16 +64,7 @@ impl<'a> MaskedMlp<'a> {
             obs,
             kind,
             reference,
-            block_rows: DEFAULT_BLOCK_ROWS,
         }
-    }
-
-    /// Override the rows-per-block batching knob (results are identical
-    /// for any value; this only tunes throughput).
-    pub fn block_rows(mut self, rows: usize) -> Self {
-        assert!(rows > 0, "MaskedMlp: block_rows must be positive");
-        self.block_rows = rows;
-        self
     }
 
     /// Observations in the batch.
@@ -274,14 +265,14 @@ impl MaskedSystem for MaskedMlp<'_> {
 
     /// Batched, thread-sharded D gradient: observation blocks on
     /// [`BatchTape`]s fan out across threads; per-row gradients merge in
-    /// global row order, so the result is bit-identical for any block
-    /// size and thread count — and to [`Self::d_value_grad_per_obs`].
+    /// global row order, so the result is bit-identical for any thread
+    /// count — and to [`Self::d_value_grad_per_obs`].
     fn d_value_grad(&self, mask: &[f64], _reference: &[f64], threads: usize) -> (f64, Vec<f64>) {
         let n_rows = self.obs.len();
-        let n_blocks = n_rows.div_ceil(self.block_rows);
+        let n_blocks = n_rows.div_ceil(BLOCK_ROWS);
         let blocks = parallel_map_indexed(n_blocks, threads, |b| {
-            let lo = b * self.block_rows;
-            let rows = self.block_rows.min(n_rows - lo);
+            let lo = b * BLOCK_ROWS;
+            let rows = BLOCK_ROWS.min(n_rows - lo);
             let bt = BatchTape::new(rows);
             let mask_vars = bt.broadcasts(mask);
             let output = self.masked_block(&bt, &mask_vars, lo);
@@ -314,6 +305,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Two full blocks and a ragged 23-row tail.
+    const ROWS: usize = 2 * BLOCK_ROWS + 23;
+
     fn setup(rows: usize) -> (Mlp, Vec<Vec<f64>>) {
         let mut rng = StdRng::seed_from_u64(77);
         let net = Mlp::new(&[6, 10, 4], Activation::Tanh, Activation::Linear, &mut rng);
@@ -324,31 +318,28 @@ mod tests {
     }
 
     /// The batched block gradient must be bit-identical to the per-obs
-    /// oracle for any block size and thread count.
+    /// oracle for any thread count, over full blocks and a ragged tail.
     #[test]
     fn batched_gradient_matches_per_obs_oracle_bitwise() {
-        let (net, obs) = setup(23);
+        let (net, obs) = setup(ROWS);
         let mask: Vec<f64> = (0..6).map(|i| 0.2 + 0.1 * i as f64).collect();
         for kind in [OutputKind::Discrete, OutputKind::Continuous] {
-            let reference_sys = MaskedMlp::new(&net, obs.clone(), kind);
-            let (d_oracle, g_oracle) = reference_sys.d_value_grad_per_obs(&mask);
-            for block_rows in [1usize, 4, 16, 64] {
-                for threads in [1usize, 3] {
-                    let sys = MaskedMlp::new(&net, obs.clone(), kind).block_rows(block_rows);
-                    let reference = sys.reference_output();
-                    let (d, g) = sys.d_value_grad(&mask, &reference, threads);
+            let sys = MaskedMlp::new(&net, obs.clone(), kind);
+            let reference = sys.reference_output();
+            let (d_oracle, g_oracle) = sys.d_value_grad_per_obs(&mask);
+            for threads in [1usize, 2, 3] {
+                let (d, g) = sys.d_value_grad(&mask, &reference, threads);
+                assert_eq!(
+                    d.to_bits(),
+                    d_oracle.to_bits(),
+                    "D diverges at threads={threads} ({kind:?})"
+                );
+                for (a, b) in g.iter().zip(g_oracle.iter()) {
                     assert_eq!(
-                        d.to_bits(),
-                        d_oracle.to_bits(),
-                        "D diverges at block={block_rows} threads={threads} ({kind:?})"
+                        a.to_bits(),
+                        b.to_bits(),
+                        "gradient diverges at threads={threads}: {a} vs {b}"
                     );
-                    for (a, b) in g.iter().zip(g_oracle.iter()) {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "gradient diverges at block={block_rows} threads={threads}: {a} vs {b}"
-                        );
-                    }
                 }
             }
         }
@@ -357,9 +348,9 @@ mod tests {
     /// Full search: identical masks for threads = 1 vs N.
     #[test]
     fn mask_search_thread_invariant() {
-        let (net, obs) = setup(40);
+        let (net, obs) = setup(ROWS);
         let run = |threads: usize| {
-            let sys = MaskedMlp::new(&net, obs.clone(), OutputKind::Discrete).block_rows(8);
+            let sys = MaskedMlp::new(&net, obs.clone(), OutputKind::Discrete);
             optimize_mask(
                 &sys,
                 &MaskConfig {
@@ -384,14 +375,14 @@ mod tests {
         let w1 = Matrix::from_fn(3, 2, |r, c| if r == c { 500.0 } else { -400.0 });
         let l1 = metis_nn::Dense::from_weights(w1, vec![0.0; 2], Activation::Linear);
         let net = Mlp::from_layers(vec![l1]);
-        let obs: Vec<Vec<f64>> = (0..8)
+        let obs: Vec<Vec<f64>> = (0..ROWS)
             .map(|r| {
                 (0..3)
                     .map(|c| 1.0 + ((r * 3 + c) as f64 * 0.21).sin())
                     .collect()
             })
             .collect();
-        let sys = MaskedMlp::new(&net, obs, OutputKind::Discrete).block_rows(4);
+        let sys = MaskedMlp::new(&net, obs, OutputKind::Discrete);
         let mask = vec![0.9; 3];
         let reference = sys.reference_output();
         let (d, g) = sys.d_value_grad(&mask, &reference, 2);

@@ -46,46 +46,9 @@
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-
-/// Helper tickets currently queued across every pool (updated under the
-/// queue lock, so the value is never negative). Instantaneous load
-/// signal for the telemetry plane / a future autoscaler — monitoring
-/// only, never consulted by scheduling.
-static QUEUED_TICKETS: AtomicI64 = AtomicI64::new(0);
-/// Striped jobs currently executing (submitted and not yet joined),
-/// including inline/sequential runs.
-static ACTIVE_JOBS: AtomicI64 = AtomicI64::new(0);
-
-/// Current queued helper-ticket count across every pool in the process.
-pub fn queued_tickets() -> i64 {
-    QUEUED_TICKETS.load(Ordering::Relaxed)
-}
-
-/// Current in-flight striped-job count across every pool in the process.
-pub fn active_jobs() -> i64 {
-    ACTIVE_JOBS.load(Ordering::Relaxed)
-}
-
-/// RAII guard pairing the [`ACTIVE_JOBS`] increment with its decrement,
-/// so a panicking stripe body (re-raised by `Job::wait`) still restores
-/// the gauge.
-struct ActiveJobGauge;
-
-impl ActiveJobGauge {
-    fn enter() -> Self {
-        ACTIVE_JOBS.fetch_add(1, Ordering::Relaxed);
-        ActiveJobGauge
-    }
-}
-
-impl Drop for ActiveJobGauge {
-    fn drop(&mut self) {
-        ACTIVE_JOBS.fetch_sub(1, Ordering::Relaxed);
-    }
-}
 
 /// Resolve a thread-count knob: 0 means "all available cores".
 pub fn resolve_threads(requested: usize) -> usize {
@@ -281,7 +244,6 @@ impl Queues {
         for _ in 0..tickets {
             queue.push_back(Arc::clone(job));
         }
-        QUEUED_TICKETS.fetch_add(tickets as i64, Ordering::Relaxed);
     }
 
     fn pop(&mut self) -> Option<Arc<Job>> {
@@ -293,7 +255,6 @@ impl Queues {
                 continue;
             }
             if let Some(job) = self.groups[idx].tickets.pop_front() {
-                QUEUED_TICKETS.fetch_sub(1, Ordering::Relaxed);
                 if self.groups[idx].tickets.is_empty() {
                     self.groups.remove(idx);
                     let remaining = self.groups.len();
@@ -375,7 +336,6 @@ impl WorkerPool {
     /// may borrow from the caller's stack. Panics in any stripe are
     /// re-raised here after the remaining stripes finish.
     pub fn run_stripes<F: Fn(usize) + Sync>(&self, stripes: usize, body: F) {
-        let _active = ActiveJobGauge::enter();
         if stripes <= 1 || self.handles.is_empty() {
             for w in 0..stripes {
                 body(w);
@@ -826,20 +786,6 @@ mod tests {
         // finishes even while urgent groups keep the helpers busy.
         let out = with_deadline_class(250, || parallel_map_indexed(64, 8, |i| i + 1));
         assert_eq!(out, (0..64).map(|i| i + 1).collect::<Vec<_>>());
-    }
-
-    /// The load gauges see a running job and never go negative. (They
-    /// are process-global and other tests run concurrently, so only
-    /// lower bounds are assertable here.)
-    #[test]
-    fn pool_load_gauges_observe_running_jobs() {
-        assert!(queued_tickets() >= 0);
-        let seen_active = parallel_map_indexed(8, 4, |_| active_jobs());
-        assert!(
-            seen_active.iter().all(|&a| a >= 1),
-            "a stripe body must observe its own job as active: {seen_active:?}"
-        );
-        assert!(queued_tickets() >= 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! let tape = Tape::new();
 //! let x = tape.var(2.0);
 //! let y = tape.var(3.0);
-//! let z = (x * y + x.sin_approx()).tanh();
+//! let z = (x * y + x.exp()).tanh();
 //! let grads = z.grad();
 //! let dz_dx = grads.wrt(x);
 //! # assert!(dz_dx.is_finite());
@@ -210,23 +210,6 @@ impl<'t> Var<'t> {
     pub fn recip(self) -> Var<'t> {
         let v = 1.0 / self.val;
         self.tape.unary(&self, v, -v * v)
-    }
-
-    /// A 7th-order polynomial sine approximation — present mostly so the doc
-    /// example shows a non-trivial composite; accurate on [-pi, pi].
-    pub fn sin_approx(self) -> Var<'t> {
-        let x = self;
-        let x3 = x * x * x;
-        let x5 = x3 * x * x;
-        let x7 = x5 * x * x;
-        x - x3 / 6.0 + x5 / 120.0 - x7 / 5040.0
-    }
-
-    /// Smooth maximum of (self, 0) via softplus-like construction is not
-    /// needed; for hard `max` against a constant use `relu` shifts:
-    /// `max(x, c) = relu(x - c) + c`.
-    pub fn max_const(self, c: f64) -> Var<'t> {
-        (self - c).relu() + c
     }
 
     /// Binary entropy `-(w ln w + (1-w) ln(1-w))` with clamping, the
@@ -737,12 +720,9 @@ mod tests {
         let x = t.var(-2.0);
         assert_eq!(x.relu().value(), 0.0);
         assert_eq!(x.relu().grad().wrt(x), 0.0);
-        let m = x.max_const(1.5);
-        assert_eq!(m.value(), 1.5);
         let y = t.var(3.0);
-        let m2 = y.max_const(1.5);
-        assert_eq!(m2.value(), 3.0);
-        assert_eq!(m2.grad().wrt(y), 1.0);
+        assert_eq!(y.relu().value(), 3.0);
+        assert_eq!(y.relu().grad().wrt(y), 1.0);
     }
 
     #[test]

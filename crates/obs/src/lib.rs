@@ -280,7 +280,7 @@ impl Observer {
             })
             .collect();
         for (track, scope) in st.scopes.iter_mut().zip(&scopes) {
-            let latency = scope.latency.cumulative().snapshot();
+            let latency = scope.latency.snapshot();
             let latency_delta = latency.saturating_delta(&track.prev_latency);
             track.prev_latency = latency;
             let mut stage_deltas = Vec::with_capacity(N_STAGES);
@@ -578,7 +578,7 @@ mod tests {
     fn serve(scope: &metis_telemetry::ShardTelemetry, t: f64, n: usize, latency_s: f64) {
         let latencies = vec![latency_s; n];
         let waits = vec![latency_s * 0.5; n];
-        scope.on_requests(t, &latencies, &waits);
+        scope.on_requests(&latencies, &waits);
         scope.on_batch_open();
         scope.record_flush(&metis_telemetry::FlushStamps {
             open_s: t - latency_s,
@@ -594,7 +594,7 @@ mod tests {
     #[test]
     fn burn_alert_fires_attributes_and_clears_with_hysteresis() {
         let plane = Telemetry::enabled();
-        let scope = plane.register_scope("s", 0, "gold", 1).unwrap();
+        let scope = plane.register("s", 0, "gold", 1).unwrap();
         let obs = Observer::new(plane, slo(0.010), fast_cfg());
         // Two healthy ticks: 1 ms latencies, far under the 10 ms budget.
         serve(&scope, 1.0, 100, 0.001);
@@ -649,7 +649,7 @@ mod tests {
     #[test]
     fn drift_fires_on_a_distribution_shift_without_budget_misses() {
         let plane = Telemetry::enabled();
-        let scope = plane.register_scope("s", 0, "gold", 1).unwrap();
+        let scope = plane.register("s", 0, "gold", 1).unwrap();
         // Budget is generous: nothing ever misses it, only the shape moves.
         let obs = Observer::new(plane, slo(10.0), fast_cfg());
         for k in 0..4 {
@@ -695,7 +695,7 @@ mod tests {
     #[test]
     fn rings_retain_windowed_deltas_and_count_evictions() {
         let plane = Telemetry::enabled();
-        let scope = plane.register_scope("s", 0, "gold", 0).unwrap();
+        let scope = plane.register("s", 0, "gold", 0).unwrap();
         let cfg = ObserverConfig {
             ring_capacity: 2,
             ..fast_cfg()
@@ -718,7 +718,7 @@ mod tests {
     #[test]
     fn trace_export_carries_alert_marks() {
         let plane = Telemetry::enabled();
-        let scope = plane.register_scope("s", 0, "gold", 1).unwrap();
+        let scope = plane.register("s", 0, "gold", 1).unwrap();
         let obs = Observer::new(plane, slo(0.001), fast_cfg());
         serve(&scope, 1.0, 100, 0.5);
         obs.tick(1.0);
@@ -740,7 +740,7 @@ mod tests {
     #[test]
     fn prometheus_text_exposes_burn_and_series() {
         let plane = Telemetry::enabled();
-        let scope = plane.register_scope("s", 0, "gold", 1).unwrap();
+        let scope = plane.register("s", 0, "gold", 1).unwrap();
         let obs = Observer::new(plane.clone(), slo(0.010), fast_cfg());
         serve(&scope, 1.0, 100, 0.5);
         obs.tick(1.0);

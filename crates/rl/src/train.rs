@@ -24,11 +24,10 @@ pub struct TrainConfig {
     pub episodes_per_epoch: usize,
     /// Hard cap on episode length.
     pub max_steps: usize,
-    /// Joint L2 gradient clip.
-    pub grad_clip: f64,
-    /// Standardize advantages within each epoch (variance reduction).
-    pub normalize_advantages: bool,
 }
+
+/// Joint L2 norm every actor and critic gradient is clipped to.
+const GRAD_CLIP: f64 = 5.0;
 
 impl Default for TrainConfig {
     fn default() -> Self {
@@ -39,8 +38,6 @@ impl Default for TrainConfig {
             entropy_coef: 0.01,
             episodes_per_epoch: 8,
             max_steps: 1000,
-            grad_clip: 5.0,
-            normalize_advantages: true,
         }
     }
 }
@@ -180,13 +177,14 @@ impl<N: Network> ActorCritic<N> {
         self.critic.backward(&critic_grad);
         {
             let mut params = self.critic.params();
-            clip_grad_norm(&mut params, self.config.grad_clip);
+            clip_grad_norm(&mut params, GRAD_CLIP);
             self.critic_opt.step(&mut params);
         }
 
-        // ---- advantages (from pre-update critic values) ----
+        // ---- advantages (from pre-update critic values), standardized
+        // within the epoch for variance reduction ----
         let mut advantages: Vec<f64> = (0..n).map(|i| returns[i] - values[(i, 0)]).collect();
-        if self.config.normalize_advantages && n > 1 {
+        if n > 1 {
             let mean = advantages.iter().sum::<f64>() / n as f64;
             let var = advantages
                 .iter()
@@ -226,7 +224,7 @@ impl<N: Network> ActorCritic<N> {
         self.policy.net.backward(&actor_grad);
         {
             let mut params = self.policy.net.params();
-            clip_grad_norm(&mut params, self.config.grad_clip);
+            clip_grad_norm(&mut params, GRAD_CLIP);
             self.actor_opt.step(&mut params);
         }
 

@@ -20,7 +20,7 @@
 //!    block-major ensemble of them — into a scratch buffer reused across
 //!    batches ([`metis_dt::Forest::predict_batch_into`]),
 //!    striping row chunks across [`metis_nn::par::parallel_map_indexed`]
-//!    under the engine's **dedicated pool group** (so serving shares the
+//!    under the batcher's own fresh **pool group** (so serving shares the
 //!    process-wide pool fairly with concurrently running conversion
 //!    pipelines),
 //! 3. stamps completion once for the whole batch and answers each run of
@@ -82,12 +82,6 @@ pub struct ServeConfig {
     /// Rows per pool stripe chunk; batches at or below this size execute
     /// inline on the batcher thread.
     pub stripe_rows: usize,
-    /// Pool scheduling group this server's flushes submit under. `None`
-    /// (the default) reserves a fresh group per batcher, making the
-    /// server its own fairness tenant; the fabric's shards pass explicit
-    /// groups so related batchers can share or split tenancy as the
-    /// tenant map dictates. Never affects results.
-    pub group: Option<u64>,
     /// Deadline class of this server's pool submissions (lower = more
     /// urgent; see [`metis_nn::par::with_deadline_class`]). The fabric
     /// maps per-tenant SLO tiers onto this. Never affects results.
@@ -108,7 +102,6 @@ impl Default for ServeConfig {
             max_delay: Duration::from_micros(500),
             threads: 0,
             stripe_rows: 64,
-            group: None,
             deadline_class: 0,
             telemetry: None,
         }
@@ -637,7 +630,14 @@ impl TreeServer {
         let batcher_clock = Arc::clone(&clock);
         let thread = std::thread::Builder::new()
             .name("metis-serve-batcher".into())
-            .spawn(move || batcher_loop(batcher_ingest, reg, cfg, batcher_clock))
+            // Every pool submission from the batcher carries its own fresh
+            // group, so the pool's scheduler treats each server as one
+            // fairness tenant.
+            .spawn(move || {
+                metis_nn::par::with_group(metis_nn::par::fresh_group(), || {
+                    batcher_loop(batcher_ingest, reg, cfg, batcher_clock)
+                })
+            })
             .expect("spawn serve batcher");
         TreeServer {
             ingest,
@@ -714,10 +714,6 @@ fn batcher_loop(
     clock: Arc<Clock>,
 ) -> EngineLog {
     let _exit = BatcherExit(&ingest);
-    // Pool submissions carry this server's group (its own fresh one by
-    // default), so the pool's scheduler treats the serving path as one
-    // tenant — or as part of a shared tenant when the config says so.
-    let group = cfg.group.unwrap_or_else(metis_nn::par::fresh_group);
     let scope = cfg.telemetry.clone();
     let scope = scope.as_deref();
     let mut log = EngineLog::default();
@@ -733,7 +729,6 @@ fn batcher_loop(
             &ingest,
             &registry,
             &cfg,
-            group,
             &clock,
             &page,
         );
@@ -743,14 +738,12 @@ fn batcher_loop(
     log
 }
 
-#[allow(clippy::too_many_arguments)]
 fn flush(
     log: &mut EngineLog,
     scratch: &mut FlushScratch,
     ingest: &Ingest,
     registry: &ModelRegistry,
     cfg: &ServeConfig,
-    group: u64,
     clock: &Clock,
     page: &Page,
 ) {
@@ -797,12 +790,10 @@ fn flush(
         // pick up first under contention; it never touches results.
         let rows = &page.rows;
         let chunked = metis_nn::par::with_deadline_class(cfg.deadline_class, || {
-            metis_nn::par::with_group(group, || {
-                metis_nn::par::parallel_map_indexed(chunks, cfg.threads, |c| {
-                    let lo = c * cfg.stripe_rows;
-                    let hi = ((c + 1) * cfg.stripe_rows).min(n);
-                    model.predict_batch(&rows[lo * n_features..hi * n_features])
-                })
+            metis_nn::par::parallel_map_indexed(chunks, cfg.threads, |c| {
+                let lo = c * cfg.stripe_rows;
+                let hi = ((c + 1) * cfg.stripe_rows).min(n);
+                model.predict_batch(&rows[lo * n_features..hi * n_features])
             })
         });
         for chunk in chunked {
@@ -852,7 +843,7 @@ fn flush(
             epoch: epoch_model.epoch,
             width: model.n_trees(),
         });
-        scope.on_requests(close_s, &scratch.latencies, &scratch.queue_waits);
+        scope.on_requests(&scratch.latencies, &scratch.queue_waits);
     }
     // One reply per run of same-handle rows.
     let replies = ingest
@@ -1010,7 +1001,7 @@ mod tests {
         let tree = staircase_tree(4);
         let clock = Clock::virtual_at(0.0);
         let telemetry = Telemetry::enabled();
-        let scope = telemetry.register("abr", 0, "gold").unwrap();
+        let scope = telemetry.register("abr", 0, "gold", 0).unwrap();
         let server = TreeServer::start_clocked(
             Arc::new(ModelRegistry::new(tree)),
             ServeConfig {
@@ -1052,7 +1043,7 @@ mod tests {
         assert_eq!(events[0].time_s, 0.0);
         assert_eq!(events[1].kind.name(), "flush");
         assert_eq!(events[1].time_s, 2.5);
-        assert_eq!(scope.latency.cumulative().count(), 9);
+        assert_eq!(scope.latency.count(), 9);
         assert_eq!(scope.stage_sketch(Stage::QueueWait).count(), 9);
     }
 
@@ -1239,16 +1230,15 @@ mod tests {
         }
     }
 
-    /// The drain-ordering audit: several servers sharing one pool group
-    /// (fabric shards under a single tenant), all with deep queues, shut
-    /// down while the others are still flushing. Every server must drain
-    /// its own queue completely — shared-group ticketing may reorder
-    /// helpers but can never starve a sibling's drain — and answers stay
-    /// bit-identical throughout.
+    /// The drain-ordering audit: several servers striping through the
+    /// one shared pool (like a fabric's shards), all with deep queues,
+    /// shut down while the others are still flushing. Every server must
+    /// drain its own queue completely — the pool's group round-robin may
+    /// reorder helpers but can never starve a sibling's drain — and
+    /// answers stay bit-identical throughout.
     #[test]
     fn shared_group_servers_drain_fully_on_shutdown() {
         let tree = staircase_tree(5);
-        let group = metis_nn::par::fresh_group();
         let servers: Vec<TreeServer> = (0..3)
             .map(|_| {
                 TreeServer::start(
@@ -1257,7 +1247,6 @@ mod tests {
                         max_batch: 32,
                         max_delay: Duration::from_secs(10), // drain path only
                         stripe_rows: 4,
-                        group: Some(group),
                         ..Default::default()
                     },
                 )
@@ -1270,7 +1259,7 @@ mod tests {
             }
         }
         // Shut all three down concurrently: each batcher flushes its
-        // backlog through the shared group at the same time.
+        // backlog through the shared pool at the same time.
         std::thread::scope(|scope| {
             let collectors: Vec<_> = handles
                 .into_iter()
@@ -1312,7 +1301,7 @@ mod tests {
         let registry = Arc::new(ModelRegistry::new(tree.clone()));
         let clock = Clock::real();
         let telemetry = metis_telemetry::Telemetry::enabled();
-        let scope = telemetry.register("abr", 0, "gold").unwrap();
+        let scope = telemetry.register("abr", 0, "gold", 0).unwrap();
         let cfg = ServeConfig {
             max_batch: 8,
             max_delay: Duration::from_secs(10),
@@ -1367,7 +1356,7 @@ mod tests {
     #[test]
     fn virtual_shutdown_ahead_of_the_marker_records_no_drain() {
         let telemetry = metis_telemetry::Telemetry::enabled();
-        let scope = telemetry.register("abr", 0, "gold").unwrap();
+        let scope = telemetry.register("abr", 0, "gold", 0).unwrap();
         let server = TreeServer::start_clocked(
             Arc::new(ModelRegistry::new(staircase_tree(4))),
             ServeConfig {

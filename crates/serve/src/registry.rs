@@ -269,7 +269,7 @@ mod tests {
         use metis_telemetry::{Stage, Telemetry, CONTROL_SHARD};
         let reg = ModelRegistry::new(tree(0.0));
         let telemetry = Telemetry::enabled();
-        let scope = telemetry.register("abr", CONTROL_SHARD, "gold").unwrap();
+        let scope = telemetry.register("abr", CONTROL_SHARD, "gold", 0).unwrap();
         let clock = Clock::virtual_at(3.0);
         reg.attach_telemetry(Arc::clone(&scope), Arc::clone(&clock));
         reg.publish(tree(0.1));

@@ -680,7 +680,7 @@ mod tests {
         for scope in scopes.iter().filter(|s| s.shard() != CONTROL_SHARD) {
             scoped_served += scope.served.get();
             let shard = &shard_reports[scope.shard()];
-            let live = scope.latency.cumulative().snapshot();
+            let live = scope.latency.snapshot();
             assert_eq!(live, shard.recorder.snapshot(), "scope and report diverge");
             assert_eq!(
                 live.total, shard.latency.count as u64,

@@ -11,9 +11,12 @@
 //!   serving stack's `Clock` so real and virtual time share one path,
 //! * [`metrics`] — lock-free counters and gauges (queue depth,
 //!   in-flight batches, served-per-epoch, ensemble width),
-//! * [`sketch`] — a windowed streaming percentile sketch (fixed
+//! * [`sketch`] — a cumulative streaming percentile sketch (fixed
 //!   log-spaced histogram, `γ = 2^(1/8)` ⇒ ≤ 9.05% relative error,
-//!   mergeable, bounded memory) for mid-run per-tenant p50/p99 reads,
+//!   mergeable, bounded memory) for mid-run per-tenant p50/p99 reads;
+//!   the health plane (`metis_obs`) gets its windows by diffing
+//!   cumulative snapshots taken at each tick
+//!   ([`SketchSnapshot::saturating_delta`]),
 //! * [`recorder`] — a flight recorder: bounded ring of structured
 //!   events (admission, flush, hot-swap, audit verdict, drain) with
 //!   per-scope sequence numbers,
@@ -43,7 +46,7 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge};
 pub use recorder::{EventKind, FlightEvent, FlightRecorder};
-pub use sketch::{bucket_edge, LogSketch, SketchSnapshot, WindowedSketch, GAMMA};
+pub use sketch::{bucket_edge, LogSketch, SketchSnapshot, GAMMA};
 pub use span::{SpanLog, SpanRecord, Stage};
 
 use std::collections::BTreeMap;
@@ -91,26 +94,23 @@ impl Default for Fnv1a {
     }
 }
 
-/// Sizing knobs for the per-scope instruments.
+/// Sizing of the per-scope span log.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Max spans retained per scope (head of run; overflow counted).
     pub span_capacity: usize,
-    /// Flight-recorder ring size per scope (tail of run; drops counted).
-    pub recorder_capacity: usize,
-    /// Width of the sketch's rotating window, in stamp seconds.
-    pub window_s: f64,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             span_capacity: 4096,
-            recorder_capacity: 1024,
-            window_s: 1.0,
         }
     }
 }
+
+/// Flight-recorder ring size per scope (tail of run; drops counted).
+const RECORDER_CAPACITY: usize = 1024;
 
 /// Shard index used when registering a control scope (registry/audit
 /// events for a scenario rather than one shard's serving lane).
@@ -136,8 +136,8 @@ pub struct ShardTelemetry {
     pub batches: Counter,
     /// Ensemble width of the last flushed epoch.
     pub ensemble_width: Gauge,
-    /// Windowed latency sketch (full request span, seconds).
-    pub latency: WindowedSketch,
+    /// Cumulative latency sketch (full request span, seconds).
+    pub latency: LogSketch,
     stage_sketches: [LogSketch; Stage::ALL.len()],
     per_epoch: Mutex<BTreeMap<u64, u64>>,
     /// Batch-level span timeline.
@@ -191,11 +191,11 @@ impl ShardTelemetry {
             served: Counter::new(),
             batches: Counter::new(),
             ensemble_width: Gauge::new(),
-            latency: WindowedSketch::new(cfg.window_s),
+            latency: LogSketch::new(),
             stage_sketches: Default::default(),
             per_epoch: Mutex::new(BTreeMap::new()),
             spans: SpanLog::new(cfg.span_capacity),
-            events: FlightRecorder::new(cfg.recorder_capacity),
+            events: FlightRecorder::new(RECORDER_CAPACITY),
         }
     }
 
@@ -212,8 +212,8 @@ impl ShardTelemetry {
         &self.tenant
     }
 
-    /// The tenant's deadline class at registration (0 when the caller
-    /// predates classes) — labels trace rows and health reports.
+    /// The tenant's deadline class at registration — labels trace rows
+    /// and health reports.
     pub fn deadline_class(&self) -> u8 {
         self.deadline_class
     }
@@ -243,21 +243,20 @@ impl ShardTelemetry {
     }
 
     /// One request completed: full-span latency plus its queue-wait
-    /// share, stamped at the batch close.
-    pub fn on_request(&self, close_s: f64, latency_s: f64, queue_wait_s: f64) {
-        self.latency.record(close_s, latency_s);
+    /// share.
+    pub fn on_request(&self, latency_s: f64, queue_wait_s: f64) {
+        self.latency.record(latency_s);
         self.stage_sketches[Stage::QueueWait.index()].record(queue_wait_s);
     }
 
     /// A whole flushed batch's request samples in one pass — the
     /// engine's hot path. Equivalent multiset to calling
-    /// [`Self::on_request`] per request with `close_s` as every stamp,
-    /// but run-length amortized: within a batch latencies and
-    /// queue-waits are monotone (earlier submits waited longer), so
-    /// each distinct sketch bucket costs one atomic add regardless of
-    /// batch size.
-    pub fn on_requests(&self, close_s: f64, latencies_s: &[f64], queue_waits_s: &[f64]) {
-        self.latency.record_all(close_s, latencies_s);
+    /// [`Self::on_request`] per request, but run-length amortized:
+    /// within a batch latencies and queue-waits are monotone (earlier
+    /// submits waited longer), so each distinct sketch bucket costs one
+    /// atomic add regardless of batch size.
+    pub fn on_requests(&self, latencies_s: &[f64], queue_waits_s: &[f64]) {
+        self.latency.record_all(latencies_s);
         self.stage_sketches[Stage::QueueWait.index()].record_all(queue_waits_s);
     }
 
@@ -352,7 +351,7 @@ impl ShardTelemetry {
             self.events.dropped(),
             self.served.get(),
             self.served_per_epoch(),
-            self.latency.cumulative().snapshot(),
+            self.latency.snapshot(),
         ));
         for stage in Stage::ALL {
             text.push_str(&format!(
@@ -405,21 +404,11 @@ impl Telemetry {
     }
 
     /// Register a scope (a serving shard, or a scenario control scope
-    /// with [`CONTROL_SHARD`]). `None` when the plane is disabled —
-    /// callers store the `Option` and skip all instrumentation on `None`.
-    /// Deadline class defaults to 0; see [`Telemetry::register_scope`].
-    pub fn register(
-        &self,
-        scenario: &str,
-        shard: usize,
-        tenant: &str,
-    ) -> Option<Arc<ShardTelemetry>> {
-        self.register_scope(scenario, shard, tenant, 0)
-    }
-
-    /// [`Telemetry::register`] carrying the tenant's deadline class, so
+    /// with [`CONTROL_SHARD`]) carrying the tenant's deadline class, so
     /// trace rows and health reports can label scopes by service tier.
-    pub fn register_scope(
+    /// `None` when the plane is disabled — callers store the `Option` and
+    /// skip all instrumentation on `None`.
+    pub fn register(
         &self,
         scenario: &str,
         shard: usize,
@@ -476,7 +465,7 @@ mod tests {
     fn disabled_plane_registers_nothing() {
         let t = Telemetry::off();
         assert!(!t.is_enabled());
-        assert!(t.register("abr", 0, "gold").is_none());
+        assert!(t.register("abr", 0, "gold", 0).is_none());
         assert!(t.scopes().is_empty());
         assert_eq!(t.digest(), 0);
         assert!(!Telemetry::default().is_enabled());
@@ -486,8 +475,8 @@ mod tests {
     fn scopes_register_in_order_and_clones_share_the_plane() {
         let t = Telemetry::enabled();
         let t2 = t.clone();
-        let a = t.register("abr", 0, "gold").unwrap();
-        let b = t2.register("abr", 1, "gold").unwrap();
+        let a = t.register("abr", 0, "gold", 0).unwrap();
+        let b = t2.register("abr", 1, "gold", 0).unwrap();
         let scopes = t.scopes();
         assert_eq!(scopes.len(), 2);
         assert!(Arc::ptr_eq(&scopes[0], &a));
@@ -498,10 +487,10 @@ mod tests {
     #[test]
     fn flush_accounting_feeds_every_surface() {
         let t = Telemetry::enabled();
-        let s = t.register("abr", 0, "gold").unwrap();
+        let s = t.register("abr", 0, "gold", 0).unwrap();
         s.on_batch_open();
-        s.on_request(2.0, 1.0, 0.5);
-        s.on_request(2.0, 0.25, 0.0);
+        s.on_request(1.0, 0.5);
+        s.on_request(0.25, 0.0);
         s.record_flush(&FlushStamps {
             open_s: 1.0,
             kernel_start_s: 2.0,
@@ -516,7 +505,7 @@ mod tests {
         assert_eq!(s.inflight_batches.get(), 0);
         assert_eq!(s.ensemble_width.get(), 3);
         assert_eq!(s.served_per_epoch(), vec![(5, 2)]);
-        assert_eq!(s.latency.cumulative().count(), 2);
+        assert_eq!(s.latency.count(), 2);
         assert_eq!(s.stage_sketch(Stage::QueueWait).count(), 2);
         assert_eq!(s.stage_sketch(Stage::BatchForm).count(), 1);
         assert_eq!(s.spans.len(), 3, "batch_form + kernel + collect spans");
@@ -530,8 +519,8 @@ mod tests {
     fn digest_is_stable_and_sensitive() {
         let run = |latency: f64| {
             let t = Telemetry::enabled();
-            let s = t.register("abr", 0, "gold").unwrap();
-            s.on_request(1.0, latency, 0.0);
+            let s = t.register("abr", 0, "gold", 0).unwrap();
+            s.on_request(latency, 0.0);
             s.on_hot_swap(1.5, 2, 4, 0.0);
             t.digest()
         };

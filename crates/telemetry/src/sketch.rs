@@ -35,7 +35,7 @@
 //! telemetry scope bucket the same samples identically.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Buckets per octave: `γ = 2^(1/8)`.
 const BUCKETS_PER_OCTAVE: f64 = 8.0;
@@ -134,7 +134,7 @@ const CHUNK: usize = 64;
 
 /// Classify each sample and hand `(slot, run length)` pairs to `sink`,
 /// one per run of adjacent samples in the same slot — the amortization
-/// behind [`LogSketch::record_all`] / [`WindowedSketch::record_all`]:
+/// behind [`LogSketch::record_all`]:
 /// a batch-sorted input (an engine flush's latencies are monotone
 /// within the batch) costs one add per bucket spanned, not per sample.
 /// Branch-free per sample, so spread batches (co-sim latencies span
@@ -215,19 +215,6 @@ impl LogSketch {
         }
     }
 
-    /// Reset to the contents of `other` (single-writer window rotation).
-    pub(crate) fn reset_from(&self, other: &LogSketch) {
-        for (dst, src) in self.counters.iter().zip(other.counters.iter()) {
-            dst.store(src.load(Relaxed), Relaxed);
-        }
-    }
-
-    pub(crate) fn clear(&self) {
-        for counter in self.counters.iter() {
-            counter.store(0, Relaxed);
-        }
-    }
-
     /// Sparse point-in-time copy of the contents.
     pub fn snapshot(&self) -> SketchSnapshot {
         let load = |slot: usize| self.counters[slot].load(Relaxed);
@@ -261,7 +248,7 @@ impl LogSketch {
 impl Clone for LogSketch {
     fn clone(&self) -> Self {
         let copy = LogSketch::new();
-        copy.reset_from(self);
+        copy.merge(self);
         copy
     }
 }
@@ -429,97 +416,6 @@ impl SketchSnapshot {
     }
 }
 
-/// A [`LogSketch`] tripled into cumulative + rotating time windows, so a
-/// scraper can read both all-of-run and recent percentiles mid-run.
-/// Window rotation keys off the **stamp** passed to [`Self::record`]
-/// (virtual or real seconds), so rotation is a pure function of the
-/// sample schedule. Recording is single-writer per sketch (the engine's
-/// batcher thread); reads may race a rotation and see a freshly cleared
-/// current window — the `window_quantile` read merges current + previous
-/// to smooth that seam.
-#[derive(Debug)]
-pub struct WindowedSketch {
-    /// `1 / window_s` when windowing is active, else 0.0 — the record
-    /// path multiplies instead of dividing.
-    inv_window_s: f64,
-    cumulative: LogSketch,
-    cur: LogSketch,
-    prev: LogSketch,
-    cur_window: AtomicI64,
-}
-
-impl WindowedSketch {
-    pub fn new(window_s: f64) -> Self {
-        WindowedSketch {
-            inv_window_s: if window_s.is_finite() && window_s > 0.0 {
-                window_s.recip()
-            } else {
-                0.0
-            },
-            cumulative: LogSketch::new(),
-            cur: LogSketch::new(),
-            prev: LogSketch::new(),
-            cur_window: AtomicI64::new(0),
-        }
-    }
-
-    /// Rotate the current window if `stamp_s` has crossed a boundary.
-    #[inline]
-    fn rotate_to(&self, stamp_s: f64) {
-        let w = if self.inv_window_s > 0.0 && stamp_s.is_finite() {
-            (stamp_s * self.inv_window_s).floor() as i64
-        } else {
-            0
-        };
-        if w != self.cur_window.load(Relaxed) {
-            self.prev.reset_from(&self.cur);
-            self.cur.clear();
-            self.cur_window.store(w, Relaxed);
-        }
-    }
-
-    /// Record `v` stamped at `stamp_s`. Single writer per sketch.
-    pub fn record(&self, stamp_s: f64, v: f64) {
-        self.rotate_to(stamp_s);
-        let slot = slot(v);
-        self.cumulative.add(slot, 1);
-        self.cur.add(slot, 1);
-    }
-
-    /// Record a batch of samples sharing one window stamp (an engine
-    /// flush's close): one rotation check, then run-length classified
-    /// adds into cumulative + current (see [`LogSketch::record_all`]).
-    /// Keying every sample off the batch stamp can shift a sample by at
-    /// most one flush interval at a window seam — windows are seconds,
-    /// flushes sub-millisecond, and under a virtual clock the per-batch
-    /// and per-sample stamps coincide exactly.
-    pub fn record_all(&self, stamp_s: f64, vs: &[f64]) {
-        self.rotate_to(stamp_s);
-        record_runs(vs, |slot, n| {
-            self.cumulative.add(slot, n);
-            self.cur.add(slot, n);
-        });
-    }
-
-    /// All-of-run sketch.
-    pub fn cumulative(&self) -> &LogSketch {
-        &self.cumulative
-    }
-
-    /// All-of-run quantile estimate.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.cumulative.quantile(q)
-    }
-
-    /// Recent quantile estimate over the current + previous windows.
-    pub fn window_quantile(&self, q: f64) -> Option<f64> {
-        self.cur
-            .snapshot()
-            .merged(&self.prev.snapshot())
-            .quantile(q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,32 +509,6 @@ mod tests {
         assert!(serde_json::from_str::<LogSketch>(&stray).is_err());
     }
 
-    #[test]
-    fn windows_rotate_on_the_stamp_and_cumulative_keeps_everything() {
-        let w = WindowedSketch::new(1.0);
-        for k in 0..100 {
-            w.record(0.5, 1e-3 * (k + 1) as f64); // window 0: 1ms..100ms
-        }
-        for k in 0..100 {
-            w.record(1.5, 1.0 + 1e-3 * k as f64); // window 1: ~1s
-        }
-        for _ in 0..100 {
-            w.record(2.5, 10.0); // window 2: 10s
-        }
-        // Cumulative p50 sits in the ~1s region (rank 149 of 0..=299).
-        let cum = w.quantile(0.5).unwrap();
-        assert!((1.0..=1.2 * GAMMA).contains(&cum), "cumulative p50 {cum}");
-        // Recent (windows 1+2 after rotation... window 0 aged out) median
-        // covers only the 1s/10s samples.
-        let recent = w.window_quantile(0.5).unwrap();
-        assert!(recent >= 1.0, "recent p50 {recent} must not see window 0");
-        let recent_p99 = w.window_quantile(0.99).unwrap();
-        assert!(
-            (10.0..=10.0 * GAMMA).contains(&recent_p99),
-            "recent p99 {recent_p99}"
-        );
-    }
-
     /// The branchless bit-twiddled bucket index must agree with the
     /// reference `ceil(8·log2(v))` everywhere in range — dense sweep
     /// plus every edge and its representable neighbours (at an exact
@@ -714,18 +584,12 @@ mod tests {
             singles.record(v);
         }
         assert_eq!(batched.snapshot(), singles.snapshot());
-
-        let windowed = WindowedSketch::new(1.0);
-        windowed.record_all(7.25, &vs);
-        assert_eq!(windowed.cumulative().snapshot(), singles.snapshot());
-        assert_eq!(windowed.cur.snapshot(), singles.snapshot());
     }
 
     #[test]
     fn bucket_edges_bound_single_samples() {
-        let sketch = LogSketch::new();
         for v in [1.19e-7, 1e-6, 0.003, 1.0, 42.0, 1023.9] {
-            sketch.clear();
+            let sketch = LogSketch::new();
             sketch.record(v);
             let est = sketch.quantile(0.5).unwrap();
             assert!(

@@ -164,8 +164,8 @@ mod tests {
     #[test]
     fn export_is_valid_trace_event_json() {
         let t = Telemetry::enabled();
-        let shard = t.register("abr", 0, "gold").unwrap();
-        let control = t.register("abr", CONTROL_SHARD, "gold").unwrap();
+        let shard = t.register("abr", 0, "gold", 0).unwrap();
+        let control = t.register("abr", CONTROL_SHARD, "gold", 0).unwrap();
         shard.on_batch_open();
         shard.record_flush(&FlushStamps {
             open_s: 1.0,
@@ -219,13 +219,10 @@ mod tests {
 
     #[test]
     fn rows_are_labeled_and_saturated_recorders_surface_drop_marks() {
-        let t = Telemetry::with_config(crate::TelemetryConfig {
-            span_capacity: 1,
-            recorder_capacity: 2,
-            ..Default::default()
-        });
-        let scope = t.register_scope("abr", 0, "gold", 2).unwrap();
-        for k in 0..5u64 {
+        let t = Telemetry::with_config(crate::TelemetryConfig { span_capacity: 1 });
+        let scope = t.register("abr", 0, "gold", 2).unwrap();
+        let swaps = crate::RECORDER_CAPACITY as u64 + 3;
+        for k in 0..swaps {
             scope.on_hot_swap(k as f64, k, 1, 0.0);
         }
         let json = t.chrome_trace_json();
@@ -246,8 +243,11 @@ mod tests {
             .expect("overflowed scope exports a drop mark");
         let args = field(drops, "args");
         assert_eq!(field(args, "events_dropped").as_f64(), Some(3.0));
-        assert_eq!(field(args, "events_recorded").as_f64(), Some(5.0));
-        assert_eq!(field(args, "spans_dropped").as_f64(), Some(4.0));
+        assert_eq!(field(args, "events_recorded").as_f64(), Some(swaps as f64));
+        assert_eq!(
+            field(args, "spans_dropped").as_f64(),
+            Some((swaps - 1) as f64)
+        );
     }
 
     #[test]

@@ -38,14 +38,11 @@ fn all_reexports_reachable() {
     assert!(metis::fabric::shard_for_session(7, 3) < 3);
     let _cfg: metis::serve::ServeConfig = Default::default();
     let _shadow = metis::fabric::ShadowConfig::default();
-    // core defaults (Table 4)
-    let d = metis::core::MetisDefaults::default();
-    assert_eq!(d.pensieve_leaves, 200);
 }
 
 #[test]
 fn table4_defaults_flow_into_mask_search() {
-    let d = metis::core::MetisDefaults::default();
-    assert_eq!(d.mask.lambda1, 0.25);
-    assert_eq!(d.mask.lambda2, 1.0);
+    let cfg = metis::hypergraph::MaskConfig::default();
+    assert_eq!(cfg.lambda1, 0.25);
+    assert_eq!(cfg.lambda2, 1.0);
 }

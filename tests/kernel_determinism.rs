@@ -8,15 +8,16 @@
 //! * `Forest::predict_batch_into` must equal the per-tree oracle reduce
 //!   (majority vote with lowest-class-index tie-break; mean in tree
 //!   order) computed from `DecisionTree::predict`.
-//! * `fit` with any `frontier`/`threads` setting must produce a tree
-//!   bit-identical to strictly sequential growth.
+//! * `fit` at any thread count (which is also the frontier width) must
+//!   produce a tree bit-identical to strictly sequential growth.
 //! * `fit` on real-valued (non-dyadic) data must reproduce pinned tree
 //!   digests: every node's split and statistics bits, for Gini, Entropy
 //!   and MSE fits. The builder's in-crate oracle only matches on dyadic
 //!   data, so these digests are what pins the fitter's floating-point
 //!   accumulation order on data shaped like the Eq.-1-weighted traces.
 //!
-//! Thread counts sweep 1/2/3/8/16.
+//! Thread counts sweep 1/2/3/8/16; the frontier property adds 0 (all
+//! cores), 5, 32 and 64.
 
 mod common;
 
@@ -229,9 +230,9 @@ proptest! {
         assert_bits_equal(&rgot, &rwant, "regression forest batched vs scalar");
     }
 
-    /// Frontier-parallel growth is bit-identical to strictly sequential
-    /// growth for every frontier width x thread count, with and without
-    /// a depth cap.
+    /// Frontier-parallel growth (one speculative expansion per thread) is
+    /// bit-identical to strictly sequential growth for every thread
+    /// count, with and without a depth cap.
     #[test]
     fn frontier_fit_matches_sequential(seed in 0u64..6, max_depth in 0usize..2) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x2545F4914F6CDD1D));
@@ -248,19 +249,10 @@ proptest! {
             max_depth: if max_depth == 0 { None } else { Some(4) },
             ..Default::default()
         };
-        let sequential = fit(&ds, &TreeConfig { threads: 1, frontier: 1, ..base.clone() }).unwrap();
-        for threads in THREAD_COUNTS {
-            for frontier in [0usize, 2, 5, 32] {
-                let grown = fit(
-                    &ds,
-                    &TreeConfig { threads, frontier, ..base.clone() },
-                )
-                .unwrap();
-                prop_assert_eq!(
-                    &grown, &sequential,
-                    "threads {} frontier {}", threads, frontier
-                );
-            }
+        let sequential = fit(&ds, &TreeConfig { threads: 1, ..base.clone() }).unwrap();
+        for threads in THREAD_COUNTS.into_iter().chain([0, 5, 32, 64]) {
+            let grown = fit(&ds, &TreeConfig { threads, ..base.clone() }).unwrap();
+            prop_assert_eq!(&grown, &sequential, "threads {}", threads);
         }
     }
 }
@@ -364,7 +356,7 @@ fn noisy_labels(rng: &mut StdRng, x: &[Vec<f64>], n_classes: usize) -> Vec<usize
         .collect()
 }
 
-/// Fit at threads 1 and 2 (frontier = threads) and return the digest,
+/// Fit at threads 1 and 2 and return the digest,
 /// asserting both thread counts grow the same tree.
 fn digest_at_threads_1_and_2(ds: &Dataset, cfg: &TreeConfig, name: &str) -> u64 {
     let fit_with = |threads: usize| {

@@ -28,20 +28,24 @@ fn collect_observations<E: Env>(
     obs
 }
 
+/// Rows per block of `MaskedMlp`'s batched gradient.
+const BLOCK_ROWS: usize = 64;
+
 fn assert_thread_invariant(net: &Mlp, observations: Vec<Vec<f64>>, label: &str) {
+    eprintln!("{label}: {} observations", observations.len());
     assert!(
-        observations.len() >= 16,
-        "{label}: need a real observation batch, got {}",
+        observations.len() > 2 * BLOCK_ROWS && !observations.len().is_multiple_of(BLOCK_ROWS),
+        "{label}: need two full {BLOCK_ROWS}-row blocks and a ragged tail, got {} rows",
         observations.len()
     );
     // Bitwise gradient parity against the per-obs oracle first.
-    let sys = MaskedMlp::new(net, observations.clone(), OutputKind::Discrete).block_rows(8);
+    let sys = MaskedMlp::new(net, observations.clone(), OutputKind::Discrete);
     let mask: Vec<f64> = (0..sys.n_connections())
         .map(|i| 0.3 + 0.4 * ((i % 3) as f64) / 3.0)
         .collect();
     let reference = sys.reference_output();
     let (d_oracle, g_oracle) = sys.d_value_grad_per_obs(&mask);
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 4] {
         let (d, g) = sys.d_value_grad(&mask, &reference, threads);
         assert_eq!(d.to_bits(), d_oracle.to_bits(), "{label}: D diverges");
         for (a, b) in g.iter().zip(g_oracle.iter()) {
@@ -89,7 +93,7 @@ fn abr_scenario_mask_search_is_thread_invariant() {
         &mut rng,
     );
     let video = Arc::new(VideoModel::standard(12, 3));
-    let traces: Vec<Arc<NetworkTrace>> = metis::abr::hsdpa_corpus(3, 5)
+    let traces: Vec<Arc<NetworkTrace>> = metis::abr::hsdpa_corpus(13, 5)
         .into_iter()
         .map(Arc::new)
         .collect();
@@ -122,7 +126,7 @@ fn flowsched_scenario_mask_search_is_thread_invariant() {
         decision_latency_s: 0.0,
     };
     let dist = SizeDistribution::web_search();
-    let pool: Vec<LrlaEnv> = (0..2)
+    let pool: Vec<LrlaEnv> = (0..6)
         .map(|i| {
             let mut wl = StdRng::seed_from_u64(300 + i);
             LrlaEnv::new(

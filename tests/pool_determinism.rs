@@ -86,14 +86,15 @@ impl CollectSetup {
     }
 }
 
-/// A small mask-search setup over an MLP feature mask.
+/// A small mask-search setup over an MLP feature mask: 151 observations,
+/// so the batched gradient runs two full 64-row blocks and a ragged tail.
 fn mask_search(seed: u64, threads: usize) -> MaskResult {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = Mlp::new(&[5, 8, 3], Activation::Tanh, Activation::Linear, &mut rng);
-    let obs: Vec<Vec<f64>> = (0..12)
+    let obs: Vec<Vec<f64>> = (0..151)
         .map(|r| (0..5).map(|c| ((r * 5 + c) as f64 * 0.17).sin()).collect())
         .collect();
-    let system = MaskedMlp::new(&net, obs, OutputKind::Discrete).block_rows(4);
+    let system = MaskedMlp::new(&net, obs, OutputKind::Discrete);
     let cfg = MaskConfig {
         steps: 4,
         threads,
