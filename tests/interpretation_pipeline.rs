@@ -100,12 +100,14 @@ fn figure5_worked_example_roundtrip() {
     assert_eq!(row_sum, 3.0);
 }
 
-/// A trained RouteNet, its reference routing distribution and the mask
-/// the §4 search finds on it, each pinned to a digest recorded before
-/// RouteNet's message passing was rewritten. The other tests here compare
-/// runs inside one binary, so only this one notices a RouteNet or mask
-/// result that moves between commits. A failure names the first stage
-/// that moved; fix the change, never re-pin.
+/// A trained RouteNet, its reference routing distribution, the mask the
+/// §4 search finds on it and its `predict` on the same sample, each
+/// pinned to a digest. The first three were recorded before RouteNet's
+/// message passing was rewritten onto the tape, the fourth before it
+/// moved onto flat state buffers. The other tests here compare runs
+/// inside one binary, so only this one notices a RouteNet or mask result
+/// that moves between commits. A failure names the first stage that
+/// moved; fix the change, never re-pin.
 #[test]
 fn mask_search_is_pinned() {
     let topo = Topology::nsfnet();
@@ -155,23 +157,39 @@ fn mask_search_is_pinned() {
         .chain(&result.loss_history)
         .for_each(|v| searched.write_u64(v.to_bits()));
 
-    let got = [trained.finish(), reference.finish(), searched.finish()];
+    let mut predicted = Fnv1a::new();
+    model
+        .predict(&topo, &sample.demands, &routing)
+        .iter()
+        .for_each(|v| predicted.write_u64(v.to_bits()));
+
+    let got = [
+        trained.finish(),
+        reference.finish(),
+        searched.finish(),
+        predicted.finish(),
+    ];
     eprintln!(
-        "{} connections, digests {:#018x} {:#018x} {:#018x}",
+        "{} connections, digests {:#018x} {:#018x} {:#018x} {:#018x}",
         system.n_connections(),
         got[0],
         got[1],
-        got[2]
+        got[2],
+        got[3]
     );
     let want = [
         0x939e_1a29_cfe9_ea49,
         0xbe44_7dd2_63b8_5a8e,
         0xf390_c6f8_9888_4f45,
+        0x4e27_fb5f_7cff_6ad4,
     ];
-    for (stage, (g, w)) in ["trained model", "reference output", "searched mask"]
-        .iter()
-        .zip(got.iter().zip(want.iter()))
-    {
+    let stages = [
+        "trained model",
+        "reference output",
+        "searched mask",
+        "predicted delays",
+    ];
+    for (stage, (g, w)) in stages.iter().zip(got.iter().zip(want.iter())) {
         assert_eq!(g, w, "{stage} moved: got {g:#018x}, pinned {w:#018x}");
     }
 }
