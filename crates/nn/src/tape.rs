@@ -17,7 +17,17 @@
 //!
 //! Nodes are appended to an append-only arena; `grad()` walks the arena in
 //! reverse. Each node has at most two parents, which covers every operator
-//! we need and keeps the node representation a flat POD.
+//! we need and keeps the node representation a flat POD. Both operands of
+//! a binary operator must live on the same tape (checked on every node).
+//!
+//! The recording path (`Tape::var`, the operators and the elementwise
+//! methods on [`Var`], [`sum`], [`Grads::wrt`]) is `#[inline]`: every
+//! caller is in another crate (`metis_routing`, `metis_hypergraph`,
+//! `metis_core`) and no build profile turns on LTO, so without the hint
+//! each recorded node is an out-of-line call into this crate. RouteNet's
+//! message passing records ~43k nodes per §4 search step, and losing the
+//! hint costs that search about 1.7×. Reusing a cleared, pre-sized arena
+//! measured no gain: the cost was the call, not the allocation.
 
 use std::cell::RefCell;
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -58,6 +68,7 @@ impl Tape {
     }
 
     /// Create a leaf variable.
+    #[inline]
     pub fn var(&self, val: f64) -> Var<'_> {
         let idx = self.push(NO_PARENT, 0.0, NO_PARENT, 0.0);
         Var {
@@ -68,10 +79,12 @@ impl Tape {
     }
 
     /// Create many leaf variables at once.
+    #[inline]
     pub fn vars(&self, vals: &[f64]) -> Vec<Var<'_>> {
         vals.iter().map(|&v| self.var(v)).collect()
     }
 
+    #[inline]
     fn push(&self, p0: usize, d0: f64, p1: usize, d1: f64) -> usize {
         let mut nodes = self.nodes.borrow_mut();
         nodes.push(Node {
@@ -81,6 +94,7 @@ impl Tape {
         nodes.len() - 1
     }
 
+    #[inline]
     fn unary(&self, a: &Var<'_>, val: f64, da: f64) -> Var<'_> {
         let idx = self.push(a.idx, da, NO_PARENT, 0.0);
         Var {
@@ -90,7 +104,14 @@ impl Tape {
         }
     }
 
+    #[inline]
     fn binary(&self, a: &Var<'_>, b: &Var<'_>, val: f64, da: f64, db: f64) -> Var<'_> {
+        // `a` is on `self` by construction; an index from another tape
+        // would name a node of the wrong arena.
+        assert!(
+            std::ptr::eq(self, b.tape),
+            "tape: binary operands recorded on two different tapes"
+        );
         let idx = self.push(a.idx, da, b.idx, db);
         Var {
             tape: self,
@@ -137,27 +158,32 @@ impl<'t> Var<'t> {
         Grads { adjoints }
     }
 
+    #[inline]
     pub fn exp(self) -> Var<'t> {
         let v = self.val.exp();
         self.tape.unary(&self, v, v)
     }
 
     /// Natural log; input is floored at 1e-300 to avoid -inf.
+    #[inline]
     pub fn ln(self) -> Var<'t> {
         let x = self.val.max(1e-300);
         self.tape.unary(&self, x.ln(), 1.0 / x)
     }
 
+    #[inline]
     pub fn sigmoid(self) -> Var<'t> {
         let s = 1.0 / (1.0 + (-self.val).exp());
         self.tape.unary(&self, s, s * (1.0 - s))
     }
 
+    #[inline]
     pub fn tanh(self) -> Var<'t> {
         let t = self.val.tanh();
         self.tape.unary(&self, t, 1.0 - t * t)
     }
 
+    #[inline]
     pub fn relu(self) -> Var<'t> {
         if self.val > 0.0 {
             self.tape.unary(&self, self.val, 1.0)
@@ -166,6 +192,7 @@ impl<'t> Var<'t> {
         }
     }
 
+    #[inline]
     pub fn leaky_relu(self) -> Var<'t> {
         if self.val > 0.0 {
             self.tape.unary(&self, self.val, 1.0)
@@ -177,6 +204,7 @@ impl<'t> Var<'t> {
     /// Apply one of the layer activations (mirrors
     /// [`crate::layer::Activation::apply`]; [`BVar::activation`] is the
     /// batched twin — both record the same node per row).
+    #[inline]
     pub fn activation(self, act: crate::layer::Activation) -> Var<'t> {
         use crate::layer::Activation;
         match act {
@@ -188,25 +216,30 @@ impl<'t> Var<'t> {
         }
     }
 
+    #[inline]
     pub fn sqrt(self) -> Var<'t> {
         let s = self.val.max(0.0).sqrt();
         self.tape.unary(&self, s, 0.5 / s.max(1e-12))
     }
 
+    #[inline]
     pub fn powi(self, n: i32) -> Var<'t> {
         let v = self.val.powi(n);
         self.tape.unary(&self, v, n as f64 * self.val.powi(n - 1))
     }
 
+    #[inline]
     pub fn square(self) -> Var<'t> {
         self.powi(2)
     }
 
+    #[inline]
     pub fn abs(self) -> Var<'t> {
         self.tape.unary(&self, self.val.abs(), self.val.signum())
     }
 
     /// Reciprocal `1/x`.
+    #[inline]
     pub fn recip(self) -> Var<'t> {
         let v = 1.0 / self.val;
         self.tape.unary(&self, v, -v * v)
@@ -214,6 +247,7 @@ impl<'t> Var<'t> {
 
     /// Binary entropy `-(w ln w + (1-w) ln(1-w))` with clamping, the
     /// determinism term of the Metis mask objective (Eq. 8).
+    #[inline]
     pub fn binary_entropy(self) -> Var<'t> {
         // Clamp via a pass-through node so gradients vanish smoothly at the
         // boundary instead of exploding.
@@ -237,6 +271,7 @@ impl Grads {
 }
 
 /// Sum a slice of vars (returns a fresh zero var for an empty slice).
+#[inline]
 pub fn sum<'t>(tape: &'t Tape, vars: &[Var<'t>]) -> Var<'t> {
     match vars.split_first() {
         None => tape.var(0.0),
@@ -248,6 +283,7 @@ pub fn sum<'t>(tape: &'t Tape, vars: &[Var<'t>]) -> Var<'t> {
 
 impl<'t> Add for Var<'t> {
     type Output = Var<'t>;
+    #[inline]
     fn add(self, rhs: Var<'t>) -> Var<'t> {
         self.tape.binary(&self, &rhs, self.val + rhs.val, 1.0, 1.0)
     }
@@ -255,6 +291,7 @@ impl<'t> Add for Var<'t> {
 
 impl<'t> Sub for Var<'t> {
     type Output = Var<'t>;
+    #[inline]
     fn sub(self, rhs: Var<'t>) -> Var<'t> {
         self.tape.binary(&self, &rhs, self.val - rhs.val, 1.0, -1.0)
     }
@@ -262,6 +299,7 @@ impl<'t> Sub for Var<'t> {
 
 impl<'t> Mul for Var<'t> {
     type Output = Var<'t>;
+    #[inline]
     fn mul(self, rhs: Var<'t>) -> Var<'t> {
         self.tape
             .binary(&self, &rhs, self.val * rhs.val, rhs.val, self.val)
@@ -270,6 +308,7 @@ impl<'t> Mul for Var<'t> {
 
 impl<'t> Div for Var<'t> {
     type Output = Var<'t>;
+    #[inline]
     fn div(self, rhs: Var<'t>) -> Var<'t> {
         let inv = 1.0 / rhs.val;
         self.tape
@@ -279,6 +318,7 @@ impl<'t> Div for Var<'t> {
 
 impl<'t> Neg for Var<'t> {
     type Output = Var<'t>;
+    #[inline]
     fn neg(self) -> Var<'t> {
         self.tape.unary(&self, -self.val, -1.0)
     }
@@ -286,6 +326,7 @@ impl<'t> Neg for Var<'t> {
 
 impl<'t> Add<f64> for Var<'t> {
     type Output = Var<'t>;
+    #[inline]
     fn add(self, rhs: f64) -> Var<'t> {
         self.tape.unary(&self, self.val + rhs, 1.0)
     }
@@ -293,6 +334,7 @@ impl<'t> Add<f64> for Var<'t> {
 
 impl<'t> Sub<f64> for Var<'t> {
     type Output = Var<'t>;
+    #[inline]
     fn sub(self, rhs: f64) -> Var<'t> {
         self.tape.unary(&self, self.val - rhs, 1.0)
     }
@@ -300,6 +342,7 @@ impl<'t> Sub<f64> for Var<'t> {
 
 impl<'t> Mul<f64> for Var<'t> {
     type Output = Var<'t>;
+    #[inline]
     fn mul(self, rhs: f64) -> Var<'t> {
         self.tape.unary(&self, self.val * rhs, rhs)
     }
@@ -307,6 +350,7 @@ impl<'t> Mul<f64> for Var<'t> {
 
 impl<'t> Div<f64> for Var<'t> {
     type Output = Var<'t>;
+    #[inline]
     fn div(self, rhs: f64) -> Var<'t> {
         self.tape.unary(&self, self.val / rhs, 1.0 / rhs)
     }
@@ -314,6 +358,7 @@ impl<'t> Div<f64> for Var<'t> {
 
 impl<'t> Add<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn add(self, rhs: Var<'t>) -> Var<'t> {
         rhs + self
     }
@@ -321,6 +366,7 @@ impl<'t> Add<Var<'t>> for f64 {
 
 impl<'t> Sub<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn sub(self, rhs: Var<'t>) -> Var<'t> {
         -rhs + self
     }
@@ -328,6 +374,7 @@ impl<'t> Sub<Var<'t>> for f64 {
 
 impl<'t> Mul<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn mul(self, rhs: Var<'t>) -> Var<'t> {
         rhs * self
     }
@@ -336,6 +383,7 @@ impl<'t> Mul<Var<'t>> for f64 {
 impl<'t> Div<Var<'t>> for f64 {
     type Output = Var<'t>;
     #[allow(clippy::suspicious_arithmetic_impl)] // a / b == recip(b) * a
+    #[inline]
     fn div(self, rhs: Var<'t>) -> Var<'t> {
         rhs.recip() * self
     }
@@ -749,6 +797,18 @@ mod tests {
         }
         let empty = sum(&t, &[]);
         assert_eq!(empty.value(), 0.0);
+    }
+
+    /// An operand from another tape would store a parent index into the
+    /// wrong arena and give silently wrong gradients.
+    #[test]
+    #[should_panic(expected = "two different tapes")]
+    fn operands_on_two_tapes_are_rejected() {
+        let t1 = Tape::new();
+        let t2 = Tape::new();
+        let x = t1.var(2.0);
+        let y = t2.var(3.0);
+        let _ = x * y;
     }
 
     #[test]
