@@ -96,7 +96,11 @@ impl RouteNetModel {
     /// search. With a mask, `mask[i]` damps both messages across the
     /// `i`-th connection of [`connections`] (path-major order) and
     /// gradients flow back to it (§4.2 / Eq. 9 of the paper). Returns the
-    /// final path and link states.
+    /// final path and link states, flat and `hidden` wide per row.
+    ///
+    /// States live in flat row-major buffers swapped between rounds, and
+    /// one input buffer is refilled per update, so a call allocates the
+    /// same few buffers whatever the routing's size.
     fn message_passing<'t>(
         &self,
         tape: &'t Tape,
@@ -105,74 +109,114 @@ impl RouteNetModel {
         demands: &[Demand],
         routing: &Routing,
         mask: Option<&[Var<'t>]>,
-    ) -> (Vec<Vec<Var<'t>>>, Vec<Vec<Var<'t>>>) {
+    ) -> (Vec<Var<'t>>, Vec<Var<'t>>) {
         let d = self.hidden;
         let layout = Self::layout(d);
         assert_eq!(param_vars.len(), layout.total);
-        let path_links: Vec<Vec<usize>> = routing.iter().map(|p| topo.path_links(p)).collect();
+        assert_eq!(
+            routing.len(),
+            demands.len(),
+            "RouteNet: routing has {} paths for {} demands",
+            routing.len(),
+            demands.len()
+        );
+        // Every connection's link, path-major; path `p`'s connections are
+        // `starts[p]..starts[p + 1]`.
+        let mut starts = Vec::with_capacity(routing.len() + 1);
+        let mut conn_links = Vec::new();
+        for path in routing {
+            starts.push(conn_links.len());
+            conn_links.extend(topo.links_along(path));
+        }
+        starts.push(conn_links.len());
         if let Some(m) = mask {
-            let n: usize = path_links.iter().map(|l| l.len()).sum();
-            assert_eq!(m.len(), n, "mask length must equal connection count");
+            assert_eq!(
+                m.len(),
+                conn_links.len(),
+                "mask length must equal connection count"
+            );
         }
 
-        let mut h_link: Vec<Vec<Var<'t>>> = (0..topo.n_links())
-            .map(|l| initial_state(tape, d, topo.link(l).capacity / 10.0))
-            .collect();
-        let mut h_path: Vec<Vec<Var<'t>>> = demands
-            .iter()
-            .map(|dm| initial_state(tape, d, dm.volume))
-            .collect();
+        let (n_paths, n_links) = (demands.len(), topo.n_links());
+        let mut h_link = Vec::with_capacity(n_links * d);
+        for l in 0..n_links {
+            push_initial_state(tape, d, topo.link(l).capacity / 10.0, &mut h_link);
+        }
+        let mut h_path = Vec::with_capacity(n_paths * d);
+        for dm in demands {
+            push_initial_state(tape, d, dm.volume, &mut h_path);
+        }
+        let mut next_link = Vec::with_capacity(n_links * d);
+        let mut next_path = Vec::with_capacity(n_paths * d);
+        let mut agg_link = Vec::with_capacity(n_links * d);
+        let mut input = Vec::with_capacity(2 * d + 1);
 
         for _ in 0..MP_ROUNDS {
-            // Path updates.
-            let mut conn = 0usize;
-            let mut new_paths = Vec::with_capacity(h_path.len());
-            for (p, links) in path_links.iter().enumerate() {
-                let mut agg = vec![tape.var(0.0); d];
-                for &l in links {
+            // Path updates: input = [h_path[p], Σ links' states, volume].
+            next_path.clear();
+            for p in 0..n_paths {
+                let zero = tape.var(0.0);
+                input.clear();
+                input.extend_from_slice(&h_path[p * d..][..d]);
+                input.resize(2 * d, zero);
+                for conn in starts[p]..starts[p + 1] {
                     let m = mask.map(|mm| mm[conn]);
-                    conn += 1;
-                    for k in 0..d {
+                    let h = &h_link[conn_links[conn] * d..][..d];
+                    for (a, &hk) in input[d..].iter_mut().zip(h) {
                         let term = match m {
-                            Some(mv) => mv * h_link[l][k],
-                            None => h_link[l][k],
+                            Some(mv) => mv * hk,
+                            None => hk,
                         };
-                        agg[k] = agg[k] + term;
+                        *a = *a + term;
                     }
                 }
-                let mut input = h_path[p].clone();
-                input.extend_from_slice(&agg);
                 input.push(tape.var(demands[p].volume));
-                new_paths.push(matvec(param_vars, d, layout.w_path, layout.b_path, &input));
+                matvec(
+                    param_vars,
+                    d,
+                    layout.w_path,
+                    layout.b_path,
+                    &input,
+                    &mut next_path,
+                );
             }
-            h_path = new_paths;
+            std::mem::swap(&mut h_path, &mut next_path);
 
             // Link updates. Every link's aggregate starts from one shared
             // zero var: gradients accumulate in tape-node order, so the
             // nodes and their order are part of the pinned results.
-            let mut agg_link = vec![vec![tape.var(0.0); d]; topo.n_links()];
-            let mut conn = 0usize;
-            for (p, links) in path_links.iter().enumerate() {
-                for &l in links {
+            agg_link.clear();
+            agg_link.resize(n_links * d, tape.var(0.0));
+            for p in 0..n_paths {
+                let h = &h_path[p * d..][..d];
+                for conn in starts[p]..starts[p + 1] {
                     let m = mask.map(|mm| mm[conn]);
-                    conn += 1;
-                    for k in 0..d {
+                    let agg = &mut agg_link[conn_links[conn] * d..][..d];
+                    for (a, &hk) in agg.iter_mut().zip(h) {
                         let term = match m {
-                            Some(mv) => mv * h_path[p][k],
-                            None => h_path[p][k],
+                            Some(mv) => mv * hk,
+                            None => hk,
                         };
-                        agg_link[l][k] = agg_link[l][k] + term;
+                        *a = *a + term;
                     }
                 }
             }
-            let mut new_links = Vec::with_capacity(h_link.len());
-            for l in 0..topo.n_links() {
-                let mut input = h_link[l].clone();
-                input.extend_from_slice(&agg_link[l]);
+            next_link.clear();
+            for l in 0..n_links {
+                input.clear();
+                input.extend_from_slice(&h_link[l * d..][..d]);
+                input.extend_from_slice(&agg_link[l * d..][..d]);
                 input.push(tape.var(topo.link(l).capacity / 10.0));
-                new_links.push(matvec(param_vars, d, layout.w_link, layout.b_link, &input));
+                matvec(
+                    param_vars,
+                    d,
+                    layout.w_link,
+                    layout.b_link,
+                    &input,
+                    &mut next_link,
+                );
             }
-            h_link = new_links;
+            std::mem::swap(&mut h_link, &mut next_link);
         }
         (h_path, h_link)
     }
@@ -191,7 +235,7 @@ impl RouteNetModel {
         let layout = Self::layout(self.hidden);
         let (h_path, _) = self.message_passing(tape, param_vars, topo, demands, routing, mask);
         h_path
-            .iter()
+            .chunks_exact(self.hidden)
             .map(|h| readout(param_vars, &layout, h))
             .collect()
     }
@@ -212,29 +256,46 @@ impl RouteNetModel {
         candidates: &[Vec<Vec<usize>>],
         mask: Option<&[Var<'t>]>,
     ) -> Vec<Vec<Var<'t>>> {
+        assert_eq!(
+            candidates.len(),
+            demands.len(),
+            "RouteNet: {} candidate lists for {} demands",
+            candidates.len(),
+            demands.len()
+        );
         let d = self.hidden;
         let layout = Self::layout(d);
         let (_, h_link) = self.message_passing(tape, param_vars, topo, demands, routing, mask);
 
         // Candidate scoring: one path update from scratch over the final
         // link states, then the readout.
+        let mut input = Vec::with_capacity(2 * d + 1);
+        let mut out = Vec::with_capacity(d);
         demands
             .iter()
-            .enumerate()
-            .map(|(i, dm)| {
-                candidates[i]
+            .zip(candidates)
+            .map(|(dm, cands)| {
+                cands
                     .iter()
                     .map(|cand| {
-                        let mut input = initial_state(tape, d, dm.volume);
-                        let mut agg = vec![tape.var(0.0); d];
-                        for l in topo.path_links(cand) {
-                            for k in 0..d {
-                                agg[k] = agg[k] + h_link[l][k];
+                        input.clear();
+                        push_initial_state(tape, d, dm.volume, &mut input);
+                        input.resize(2 * d, tape.var(0.0));
+                        for l in topo.links_along(cand) {
+                            for (a, &hk) in input[d..].iter_mut().zip(&h_link[l * d..][..d]) {
+                                *a = *a + hk;
                             }
                         }
-                        input.extend_from_slice(&agg);
                         input.push(tape.var(dm.volume));
-                        let out = matvec(param_vars, d, layout.w_path, layout.b_path, &input);
+                        out.clear();
+                        matvec(
+                            param_vars,
+                            d,
+                            layout.w_path,
+                            layout.b_path,
+                            &input,
+                            &mut out,
+                        );
                         readout(param_vars, &layout, &out)
                     })
                     .collect()
@@ -255,6 +316,13 @@ impl RouteNetModel {
         for _ in 0..epochs {
             let mut epoch_loss = 0.0;
             for (demands, routing, truth) in samples {
+                assert_eq!(
+                    truth.len(),
+                    demands.len(),
+                    "RouteNet: {} true delays for {} demands",
+                    truth.len(),
+                    demands.len()
+                );
                 let tape = Tape::new();
                 let param_vars = tape.vars(&self.params);
                 let pred = self.forward_tape(&tape, &param_vars, topo, demands, routing, None);
@@ -279,16 +347,17 @@ impl RouteNetModel {
     }
 }
 
-/// A fresh hidden state `[x0, 0, …, 0]`: one zero var shared by the
-/// zero entries, then a var for `x0`.
-fn initial_state(tape: &Tape, d: usize, x0: f64) -> Vec<Var<'_>> {
-    let mut h = vec![tape.var(0.0); d];
-    h[0] = tape.var(x0);
-    h
+/// Append a fresh hidden state `[x0, 0, …, 0]` to `out`: one zero var
+/// shared by the zero entries, recorded first, then a var for `x0`.
+fn push_initial_state<'t>(tape: &'t Tape, d: usize, x0: f64, out: &mut Vec<Var<'t>>) {
+    let zero = tape.var(0.0);
+    out.push(tape.var(x0));
+    out.extend(std::iter::repeat_n(zero, d - 1));
 }
 
 /// One update layer, `tanh(W·input + b)` with `W` at `w` and `b` at `b`
-/// in `param_vars`: each of the `d` rows sums left to right from its bias.
+/// in `param_vars`, appended to `out`: each of the `d` rows sums left to
+/// right from its bias.
 #[inline(always)]
 fn matvec<'t>(
     param_vars: &[Var<'t>],
@@ -296,17 +365,16 @@ fn matvec<'t>(
     w: usize,
     b: usize,
     input: &[Var<'t>],
-) -> Vec<Var<'t>> {
+    out: &mut Vec<Var<'t>>,
+) {
     let in_dim = 2 * d + 1;
-    (0..d)
-        .map(|r| {
-            let mut acc = param_vars[b + r];
-            for (c, x) in input.iter().enumerate() {
-                acc = acc + param_vars[w + r * in_dim + c] * *x;
-            }
-            acc.tanh()
-        })
-        .collect()
+    for r in 0..d {
+        let mut acc = param_vars[b + r];
+        for (&wv, &x) in param_vars[w + r * in_dim..][..in_dim].iter().zip(input) {
+            acc = acc + wv * x;
+        }
+        out.push(acc.tanh());
+    }
 }
 
 /// The delay readout of one path state, `((b + w₀h₀) + w₁h₁) + …`.
@@ -388,6 +456,39 @@ mod tests {
             .iter()
             .zip(zeroed.iter())
             .any(|(a, b)| (a - b).abs() > 1e-9));
+    }
+
+    /// Path states come from `routing` and volumes from `demands`, so a
+    /// short routing would silently drop demands from the prediction.
+    #[test]
+    #[should_panic(expected = "routing has 2 paths for 3 demands")]
+    fn predict_rejects_a_routing_shorter_than_its_demands() {
+        let (topo, demands, mut routing) = setup();
+        routing.pop();
+        let model = RouteNetModel::new(4, &mut StdRng::seed_from_u64(4));
+        model.predict(&topo, &demands, &routing);
+    }
+
+    #[test]
+    #[should_panic(expected = "2 candidate lists for 3 demands")]
+    fn candidate_scoring_rejects_missing_candidates() {
+        let (topo, demands, routing) = setup();
+        let model = RouteNetModel::new(4, &mut StdRng::seed_from_u64(4));
+        let candidates: Vec<_> = demands[..2]
+            .iter()
+            .map(|d| candidate_paths(&topo, d.src, d.dst))
+            .collect();
+        let tape = Tape::new();
+        let pv = tape.vars(model.params());
+        model.candidate_delays_tape(&tape, &pv, &topo, &demands, &routing, &candidates, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "2 true delays for 3 demands")]
+    fn train_rejects_a_truth_without_one_delay_per_demand() {
+        let (topo, demands, routing) = setup();
+        let mut model = RouteNetModel::new(4, &mut StdRng::seed_from_u64(4));
+        model.train(&topo, &[(demands, routing, vec![1.0, 2.0])], 1, 0.01);
     }
 
     #[test]

@@ -111,13 +111,21 @@ impl Topology {
     /// # Panics
     /// Panics if consecutive nodes are not adjacent.
     pub fn path_links(&self, node_path: &[usize]) -> Vec<usize> {
-        node_path
-            .windows(2)
-            .map(|w| {
-                self.link_index(w[0], w[1])
-                    .unwrap_or_else(|| panic!("no link {} -> {}", w[0], w[1]))
-            })
-            .collect()
+        self.links_along(node_path).collect()
+    }
+
+    /// [`Topology::path_links`] without the allocation.
+    ///
+    /// # Panics
+    /// The iterator panics on reaching two nodes that are not adjacent.
+    pub(crate) fn links_along<'a>(
+        &'a self,
+        node_path: &'a [usize],
+    ) -> impl Iterator<Item = usize> + 'a {
+        node_path.windows(2).map(|w| {
+            self.link_index(w[0], w[1])
+                .unwrap_or_else(|| panic!("no link {} -> {}", w[0], w[1]))
+        })
     }
 
     /// Human-readable link name like `"6->7"`.
