@@ -2,7 +2,8 @@
 //! seed (kept verbatim as the oracle) against the batched matrix-matrix
 //! engine, measured on the repo's heaviest local teacher (AuTO lRLA
 //! scale: 143 state features, 2×128 hidden, 108 actions), plus the
-//! throughput of one §4 mask-search gradient step. Emits
+//! throughput of one §4 mask-search gradient step on a masked MLP and on
+//! RouteNet (the scalar tape's recording path). Emits
 //! `BENCH_inference.json` at the workspace root — the artifact the CI
 //! regression guard (`bench_guard`) compares against the committed
 //! baseline.
@@ -20,6 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use metis_bench::measure::{median_rate, Windows};
+use metis_core::MaskedRouting;
 use metis_hypergraph::{MaskedMlp, MaskedSystem, OutputKind};
 use metis_nn::{argmax, softmax, Activation, Matrix, Mlp, Network};
 use metis_rl::{Policy, SoftmaxPolicy};
@@ -205,6 +207,15 @@ fn emit_report(_c: &mut Criterion) {
     let mask_batched = throughput(1, || {
         black_box(system.d_value_grad(&mask, &reference, 0));
     });
+    // One RouteNet search step on `mask_routenet`'s first sample: a
+    // ~43k-node scalar tape recorded and differentiated.
+    let s = metis_bench::setup::routing(0, 20, 4, 30);
+    let routing = MaskedRouting::new(&s.model, &s.topo, &s.samples[0].demands, &s.routings[0]);
+    let routing_mask = vec![0.5; routing.n_connections()];
+    let routing_reference = routing.reference_output();
+    let mask_routenet = throughput(1, || {
+        black_box(routing.d_value_grad(&routing_mask, &routing_reference, 0));
+    });
 
     let report = InferenceReport {
         host: metis_bench::measure::host_id(),
@@ -226,6 +237,7 @@ fn emit_report(_c: &mut Criterion) {
         speedup_batch256: label_batched[2] / label_per_obs[2].max(1e-12),
         mask_steps_per_sec_oracle: mask_per_obs,
         mask_steps_per_sec_batched: mask_batched,
+        mask_steps_per_sec_routenet: mask_routenet,
     };
     let json = serde_json::to_string(&report).expect("report serializes");
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -234,13 +246,14 @@ fn emit_report(_c: &mut Criterion) {
     std::fs::write(&path, &json).expect("write BENCH_inference.json");
     println!(
         "teacher labelling at batch 256: {:.0} obs/s per-obs vs {:.0} obs/s batched ({:.2}x); \
-         raw forward {:.2}x; mask step {:.1}/s oracle vs {:.1}/s batched -> {}",
+         raw forward {:.2}x; mask step {:.1}/s oracle vs {:.1}/s batched, {:.1}/s RouteNet -> {}",
         report.label_per_obs_per_sec_b256,
         report.label_batched_per_sec_b256,
         report.speedup_batch256,
         report.forward_speedup_batch256,
         report.mask_steps_per_sec_oracle,
         report.mask_steps_per_sec_batched,
+        report.mask_steps_per_sec_routenet,
         path.display()
     );
     // The acceptance bar (>= 3x at batch 256) is recorded in the JSON the
@@ -276,6 +289,7 @@ struct InferenceReport {
     speedup_batch256: f64,
     mask_steps_per_sec_oracle: f64,
     mask_steps_per_sec_batched: f64,
+    mask_steps_per_sec_routenet: f64,
 }
 
 criterion_group! {
