@@ -160,15 +160,8 @@ impl RouteNetModel {
                 input.extend_from_slice(&h_path[p * d..][..d]);
                 input.resize(2 * d, zero);
                 for conn in starts[p]..starts[p + 1] {
-                    let m = mask.map(|mm| mm[conn]);
                     let h = &h_link[conn_links[conn] * d..][..d];
-                    for (a, &hk) in input[d..].iter_mut().zip(h) {
-                        let term = match m {
-                            Some(mv) => mv * hk,
-                            None => hk,
-                        };
-                        *a = *a + term;
-                    }
+                    accumulate(&mut input[d..], h, mask.map(|mm| mm[conn]));
                 }
                 input.push(tape.var(demands[p].volume));
                 matvec(
@@ -190,15 +183,8 @@ impl RouteNetModel {
             for p in 0..n_paths {
                 let h = &h_path[p * d..][..d];
                 for conn in starts[p]..starts[p + 1] {
-                    let m = mask.map(|mm| mm[conn]);
                     let agg = &mut agg_link[conn_links[conn] * d..][..d];
-                    for (a, &hk) in agg.iter_mut().zip(h) {
-                        let term = match m {
-                            Some(mv) => mv * hk,
-                            None => hk,
-                        };
-                        *a = *a + term;
-                    }
+                    accumulate(agg, h, mask.map(|mm| mm[conn]));
                 }
             }
             next_link.clear();
@@ -282,9 +268,7 @@ impl RouteNetModel {
                         push_initial_state(tape, d, dm.volume, &mut input);
                         input.resize(2 * d, tape.var(0.0));
                         for l in topo.links_along(cand) {
-                            for (a, &hk) in input[d..].iter_mut().zip(&h_link[l * d..][..d]) {
-                                *a = *a + hk;
-                            }
+                            accumulate(&mut input[d..], &h_link[l * d..][..d], None);
                         }
                         input.push(tape.var(dm.volume));
                         out.clear();
@@ -353,6 +337,19 @@ fn push_initial_state<'t>(tape: &'t Tape, d: usize, x0: f64, out: &mut Vec<Var<'
     let zero = tape.var(0.0);
     out.push(tape.var(x0));
     out.extend(std::iter::repeat_n(zero, d - 1));
+}
+
+/// `agg += m·h` elementwise, or `agg += h` without a mask var: per
+/// element, the product node (if any), then the sum node.
+#[inline(always)]
+fn accumulate<'t>(agg: &mut [Var<'t>], h: &[Var<'t>], m: Option<Var<'t>>) {
+    for (a, &hk) in agg.iter_mut().zip(h) {
+        let term = match m {
+            Some(mv) => mv * hk,
+            None => hk,
+        };
+        *a = *a + term;
+    }
 }
 
 /// One update layer, `tanh(W·input + b)` with `W` at `w` and `b` at `b`
