@@ -241,6 +241,7 @@ pub fn fcc_corpus(count: usize, seed: u64) -> Vec<NetworkTrace> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metis_telemetry::Fnv1a;
 
     #[test]
     fn fixed_trace_constant() {
@@ -273,6 +274,64 @@ mod tests {
         // Start near the end; crosses the wrap boundary seamlessly.
         let dt = t.download_time(9.0, 5_000_000.0);
         assert!((dt - 5.0).abs() < 1e-6, "expected 5 s, got {dt}");
+    }
+
+    /// The bits of `download_time` pinned across commits, on every kind
+    /// of trace the crate builds or accepts: starts in the first lap, on
+    /// timestamps, at the wrap point, in the second lap, far beyond it and
+    /// just before zero (which wraps onto the last timestamp); zero, small
+    /// and multi-MB downloads. A moved digest means a
+    /// float op of the download walk changed: fix the change, never
+    /// re-pin.
+    #[test]
+    fn download_time_is_pinned() {
+        let traces = [
+            generate_trace(&TraceGenConfig::hsdpa_like(), "hsdpa", 3),
+            generate_trace(&TraceGenConfig::fcc_like(), "fcc", 4),
+            NetworkTrace::fixed(2500.0, 100.0),
+            NetworkTrace::new("one", vec![0.0], vec![1800.0]),
+            NetworkTrace::new(
+                "uneven",
+                vec![0.0, 0.25, 0.4, 1.7, 2.0, 5.5, 5.6, 9.0, 12.5],
+                vec![
+                    900.0, 4100.0, 300.0, 2200.0, 650.0, 5000.0, 1200.0, 350.0, 2600.0,
+                ],
+            ),
+            NetworkTrace::new(
+                "late-start",
+                vec![0.5, 0.75, 2.0, 2.1, 4.0, 7.5, 7.6, 11.0],
+                vec![1500.0, 250.0, 3300.0, 800.0, 4400.0, 210.0, 1900.0, 700.0],
+            ),
+        ];
+        let mut h = Fnv1a::new();
+        for trace in &traces {
+            let d = trace.duration_s();
+            let mut starts = vec![
+                0.0,
+                0.3,
+                0.5 * d + 0.123,
+                d,
+                d + 0.7,
+                1.5 * d + 0.01,
+                2.0 * d + 3.3,
+                7.25 * d + 0.37,
+                1e4 + 0.61,
+                -0.4,
+                -1e-17,
+            ];
+            starts.extend(
+                trace
+                    .timestamps_s
+                    .iter()
+                    .step_by(1 + trace.timestamps_s.len() / 10),
+            );
+            for &start in &starts {
+                for bytes in [0.0, 1234.5, 61_000.0, 3.2e6, 9.7e6] {
+                    h.write_u64(trace.download_time(start, bytes).to_bits());
+                }
+            }
+        }
+        assert_eq!(h.finish(), 0xf67a_fc70_6610_6c12);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   and across worker thread counts: same per-session outcomes, same
 //!   QoE digest, and the same fabric-side latency percentiles, epoch
 //!   swap counts, and served totals.
+//! * **Pin** — one fixed 500-session schedule's QoE digest, virtual end
+//!   time, decision and wave counts, recorded across commits, so a change
+//!   to the simulator itself (which the oracle shares) cannot pass.
 //!
 //! Thread counts sweep 1/2/8/16.
 
@@ -192,6 +195,58 @@ proptest! {
         prop_assert_eq!(fabric.served, report.decisions);
         prop_assert_eq!(fabric.scenarios[0].swaps, 1);
     }
+}
+
+/// The co-sim's result pinned across commits: 500 sessions of 24 chunks
+/// over eight HSDPA-like traces, offsets drawn over each whole trace (so
+/// sessions wrap past its end), a one-tree swap and a three-tree swap.
+/// The oracle property above compares the co-sim with a replay on the
+/// same `AbrEnv`; this pin is what notices a change to the env itself.
+/// A moved value means a float op of the simulator changed: fix the
+/// change, never re-pin.
+#[test]
+fn cosim_outcome_is_pinned() {
+    let video = Arc::new(VideoModel::standard(24, 7));
+    let classes = video.n_qualities();
+    let traces: Vec<Arc<NetworkTrace>> = hsdpa_corpus(8, 0).into_iter().map(Arc::new).collect();
+    let tree = |seed: u64| abr_tree(seed, classes);
+    let swaps = vec![
+        ModelSwap {
+            at_s: 12.0,
+            trees: vec![tree(2)],
+        },
+        ModelSwap {
+            at_s: 24.0,
+            trees: vec![tree(3), tree(4), tree(5)],
+        },
+    ];
+    let cfg = CosimConfig {
+        sessions: 500,
+        seed: 0,
+        start_window_s: 4.0,
+        decision_quantum_s: 2.0,
+        wave_cap: 4096,
+    };
+    // A session's download clock runs at least 24 × 4 s of video less
+    // the 60 s buffer cap, so every offset within 36 s of the end wraps.
+    let wrapping = session_plan(&cfg, &traces)
+        .iter()
+        .filter(|p| p.offset_s + 36.0 > traces[p.trace_idx].duration_s())
+        .count();
+    assert!(wrapping >= 20, "only {wrapping} sessions wrap the trace");
+
+    let router = virtual_router(tree(1), 2, 2, 16, 512);
+    let report = run_abr_cosim(&router, "pensieve", &video, &traces, &swaps, &cfg);
+    router.shutdown();
+    assert_eq!(
+        (
+            report.qoe_digest,
+            report.virtual_end_s.to_bits(),
+            report.decisions,
+            report.waves,
+        ),
+        (0x69c4_2e22_a494_2819, 0x405f_d3c7_1eaa_82e1, 12_000, 80)
+    );
 }
 
 /// The scale acceptance bar: 100 000 concurrent closed-loop sessions
