@@ -4,7 +4,7 @@
 //! buffer capped at 60 s (the client sleeps when it is full), rebuffering
 //! whenever a download outlasts the buffer.
 
-use crate::trace::NetworkTrace;
+use crate::trace::{NetworkTrace, NO_SEGMENT};
 use crate::video::VideoModel;
 use std::sync::Arc;
 
@@ -34,6 +34,10 @@ pub struct StreamingSession {
     time_s: f64,
     buffer_s: f64,
     next_chunk: usize,
+    /// The trace segment the last download ended in: where the next
+    /// download's cursor starts walking. A hint only, never an input to
+    /// the result.
+    seg: usize,
 }
 
 impl StreamingSession {
@@ -45,6 +49,7 @@ impl StreamingSession {
             time_s: trace_offset_s,
             buffer_s: 0.0,
             next_chunk: 0,
+            seg: NO_SEGMENT,
         }
     }
 
@@ -54,6 +59,7 @@ impl StreamingSession {
         self.time_s = trace_offset_s;
         self.buffer_s = 0.0;
         self.next_chunk = 0;
+        self.seg = NO_SEGMENT;
     }
 
     pub fn video(&self) -> &VideoModel {
@@ -99,7 +105,9 @@ impl StreamingSession {
         assert!(quality < self.video.n_qualities(), "quality out of range");
 
         let size = self.video.chunk_size_bytes(self.next_chunk, quality);
-        let dt = self.trace.download_time(self.time_s, size);
+        let dt = self
+            .trace
+            .download_time_from(&mut self.seg, self.time_s, size);
         self.time_s += dt;
 
         // Buffer drains while downloading; a stall occurs if it runs dry.

@@ -14,6 +14,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+/// Segments a download's cursor walks forward before it falls back to a
+/// binary search, so on a fine-grained trace a lookup costs at most this
+/// short walk more than a fresh search.
+const CURSOR_WALK: usize = 8;
+
+/// A cursor that holds no hint: its first lookup searches.
+pub(crate) const NO_SEGMENT: usize = usize::MAX;
+
 /// A piecewise-constant bandwidth trace. Between `timestamps_s[i]` and
 /// `timestamps_s[i+1]` the bandwidth is `bandwidths_kbps[i]`; playback
 /// wraps around at the end (like the Pensieve simulator).
@@ -67,37 +75,85 @@ impl NetworkTrace {
 
     /// Bandwidth at an absolute time (wraps around).
     pub fn bandwidth_at(&self, t: f64) -> f64 {
-        let d = self.duration_s();
-        // A single-point trace is constant.
-        if self.timestamps_s.len() == 1 || d <= 0.0 {
+        if self.is_constant() {
             return self.bandwidths_kbps[0];
         }
-        let t = t.rem_euclid(d);
-        // Find the segment containing t.
+        self.bandwidths_kbps[self.segment(t.rem_euclid(self.duration_s()))]
+    }
+
+    /// A single-point trace is constant.
+    fn is_constant(&self) -> bool {
+        self.timestamps_s.len() == 1 || self.duration_s() <= 0.0
+    }
+
+    /// The segment holding the wrapped time `t`: the last timestamp at or
+    /// before `t`, or the first segment when `t` precedes it.
+    fn segment(&self, t: f64) -> usize {
         match self
             .timestamps_s
             .binary_search_by(|ts| ts.partial_cmp(&t).unwrap())
         {
-            Ok(i) => self.bandwidths_kbps[i.min(self.bandwidths_kbps.len() - 1)],
-            Err(0) => self.bandwidths_kbps[0],
-            Err(i) => self.bandwidths_kbps[i - 1],
+            Ok(i) => i,
+            Err(i) => i.saturating_sub(1),
         }
     }
 
-    /// Time needed to download `bytes` starting at absolute time `start_s`,
-    /// integrating the piecewise-constant bandwidth (with wrap-around).
+    /// [`NetworkTrace::segment`], walked forward from the hint `seg`. A
+    /// hint that is out of range or past `t` (after a wrap-around), or a
+    /// walk longer than [`CURSOR_WALK`] segments, falls back to the
+    /// search, so every hint gives the same segment. A NaN `t` fails the
+    /// first comparison and panics in the search, as it always has.
+    fn segment_after(&self, seg: usize, t: f64) -> usize {
+        let ts = &self.timestamps_s;
+        if ts.get(seg).is_some_and(|&at| at <= t) {
+            let mut seg = seg;
+            for _ in 0..=CURSOR_WALK {
+                match ts.get(seg + 1) {
+                    Some(&next) if next <= t => seg += 1,
+                    _ => return seg,
+                }
+            }
+        }
+        self.segment(t)
+    }
+
+    /// Time needed to download `bytes` starting at absolute time `start_s`
+    /// over the piecewise-constant bandwidth (with wrap-around).
+    ///
+    /// The download advances in steps of at most 1 s, each starting where
+    /// the last one ended and charged at the bandwidth in effect at its
+    /// start. Steps are not clipped at segment edges: from t = 0.5 s on a
+    /// trace of 1-s segments, every step straddles an edge and runs its
+    /// second half at the earlier segment's rate. (Pensieve's simulator
+    /// clips at the edges; doing so here would change every result.)
     pub fn download_time(&self, start_s: f64, bytes: f64) -> f64 {
+        let mut seg = NO_SEGMENT;
+        self.download_time_from(&mut seg, start_s, bytes)
+    }
+
+    /// [`NetworkTrace::download_time`] with its segment cursor held in
+    /// `seg`, so a session's next download resumes the walk where its last
+    /// one ended instead of searching. The cursor is only a hint: any
+    /// value gives the same bits.
+    pub(crate) fn download_time_from(&self, seg: &mut usize, start_s: f64, bytes: f64) -> f64 {
         assert!(bytes >= 0.0);
         if bytes == 0.0 {
             return 0.0;
         }
+        let constant = self.is_constant();
+        let d = self.duration_s();
         let mut remaining = bytes;
         let mut t = start_s;
         let mut elapsed = 0.0;
-        // Advance in sub-second steps bounded by segment edges.
         let step_cap: f64 = 1.0; // seconds; matches the 1 s granularity of traces
         loop {
-            let bw_bytes_per_s = self.bandwidth_at(t) * 1000.0 / 8.0;
+            let kbps = if constant {
+                self.bandwidths_kbps[0]
+            } else {
+                *seg = self.segment_after(*seg, t.rem_euclid(d));
+                self.bandwidths_kbps[*seg]
+            };
+            let bw_bytes_per_s = kbps * 1000.0 / 8.0;
             let dt = step_cap.min(remaining / bw_bytes_per_s);
             let got = bw_bytes_per_s * dt;
             remaining -= got;
@@ -241,7 +297,11 @@ pub fn fcc_corpus(count: usize, seed: u64) -> Vec<NetworkTrace> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::StreamingSession;
+    use crate::video::VideoModel;
     use metis_telemetry::Fnv1a;
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     #[test]
     fn fixed_trace_constant() {
@@ -332,6 +392,80 @@ mod tests {
             }
         }
         assert_eq!(h.finish(), 0xf67a_fc70_6610_6c12);
+    }
+
+    /// The download walk with a fresh search at every step, as it ran
+    /// before the cursor: the oracle the cursor must match bit for bit.
+    fn searched_download_time(trace: &NetworkTrace, start_s: f64, bytes: f64) -> f64 {
+        if bytes == 0.0 {
+            return 0.0;
+        }
+        let (mut remaining, mut t, mut elapsed) = (bytes, start_s, 0.0);
+        loop {
+            let bw_bytes_per_s = trace.bandwidth_at(t) * 1000.0 / 8.0;
+            let dt = 1.0f64.min(remaining / bw_bytes_per_s);
+            remaining -= bw_bytes_per_s * dt;
+            t += dt;
+            elapsed += dt;
+            if remaining <= 1e-9 {
+                return elapsed;
+            }
+        }
+    }
+
+    proptest! {
+        /// The cursor is never a correctness input. On random traces of 1
+        /// to 39 points (1-s steps, uneven steps, and uneven steps after a
+        /// late first timestamp), a download gives the searched bits from
+        /// every hint: the first segment, mid-trace, the last, one past
+        /// the end, `usize::MAX` and one segment ahead of the start. A
+        /// session carrying its hint from download to download fetches
+        /// what fresh searches fetch.
+        #[test]
+        fn prop_any_hint_gives_the_searched_bits(
+            n in 1usize..40,
+            shape in 0usize..3,
+            first in 0.05f64..2.0,
+            gaps in collection::vec(0.05f64..3.0, 40),
+            kbps in collection::vec(200.0f64..6000.0, 40),
+            laps in collection::vec(0.0f64..4.0, 6),
+            sizes in collection::vec(0.0f64..4e6, 8),
+            actions in collection::vec(0usize..6, 24),
+        ) {
+            let mut timestamps = Vec::with_capacity(n);
+            let mut at = if shape == 2 { first } else { 0.0 };
+            for gap in &gaps[..n] {
+                timestamps.push(at);
+                at += if shape == 0 { 1.0 } else { *gap };
+            }
+            let trace = NetworkTrace::new("random", timestamps, kbps[..n].to_vec());
+            let d = trace.duration_s();
+            let mut starts: Vec<f64> = laps.iter().map(|lap| lap * d).collect();
+            starts.extend([trace.timestamps_s[n / 2], d]);
+            for (&start, &bytes) in starts.iter().zip(&sizes) {
+                let want = searched_download_time(&trace, start, bytes).to_bits();
+                let ahead = if trace.is_constant() {
+                    1
+                } else {
+                    trace.segment(start.rem_euclid(d)) + 1
+                };
+                for hint in [0, n / 2, n - 1, n, usize::MAX, ahead] {
+                    let mut seg = hint;
+                    let got = trace.download_time_from(&mut seg, start, bytes).to_bits();
+                    prop_assert_eq!(got, want, "hint {} from {} s, {} bytes", hint, start, bytes);
+                }
+            }
+
+            let video = Arc::new(VideoModel::standard(actions.len(), 7));
+            let mut session =
+                StreamingSession::new(Arc::clone(&video), Arc::new(trace.clone()), starts[0]);
+            for &q in &actions {
+                let (start, size) = (session.time_s(), video.chunk_size_bytes(session.next_chunk(), q));
+                let got = session.download_next(q).download_time_s.to_bits();
+                let want = searched_download_time(&trace, start, size).to_bits();
+                prop_assert_eq!(got, want, "session download from {} s", start);
+            }
+        }
     }
 
     #[test]
