@@ -7,14 +7,18 @@
 //! (complete sessions simulated per wall second). Every timed run also
 //! re-checks the determinism contract — same seed ⇒ same QoE digest —
 //! so a perf number can never come from a run that silently diverged.
+//! A third gated metric, `abr_env_steps_per_sec`, times the ABR
+//! environment's step alone (`AbrEnv::step_detailed`), the co-sim's
+//! largest layer and the Eq.-1 lookahead's inner loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use metis_abr::{hsdpa_corpus, NetworkTrace, VideoModel};
-use metis_bench::measure::{host_id, median};
+use metis_abr::{hsdpa_corpus, AbrEnv, NetworkTrace, VideoModel};
+use metis_bench::measure::{host_id, median, median_rate, Windows};
 use metis_dt::{fit, Dataset, DecisionTree, TreeConfig};
 use metis_fabric::{FabricConfig, Router, ScenarioSpec, TenantSpec};
+use metis_rl::Env;
 use metis_serve::{Clock, ServeConfig};
-use metis_sim::{run_abr_cosim, CosimConfig, CosimReport, ModelSwap};
+use metis_sim::{run_abr_cosim, session_plan, CosimConfig, CosimReport, ModelSwap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -22,6 +26,10 @@ use std::time::{Duration, Instant};
 
 const SESSIONS: usize = 50_000;
 const RUNS: usize = 3;
+/// The env-step workload: as many sessions and chunks as perfbench's
+/// `abr_cosim`, each session streaming to the end once per timed call.
+const ENV_SESSIONS: usize = 500;
+const ENV_CHUNKS: usize = 24;
 
 /// A fitted ABR policy tree over the 25-feature observation (labels key
 /// off buffer and throughput features, so the policy actually branches).
@@ -78,6 +86,41 @@ fn timed_run(
     (report, wall_s)
 }
 
+/// Env steps per second: `ENV_SESSIONS` environments on
+/// `hsdpa_corpus(8, 0)`, placed as a co-sim places its sessions, each
+/// reset and stepped through all `ENV_CHUNKS` chunks per call with the
+/// fixed action pattern `(session + chunk) % qualities`.
+fn env_steps_per_sec() -> f64 {
+    let video = Arc::new(VideoModel::standard(ENV_CHUNKS, 7));
+    let traces: Vec<Arc<NetworkTrace>> = hsdpa_corpus(8, 0).into_iter().map(Arc::new).collect();
+    let cfg = CosimConfig {
+        sessions: ENV_SESSIONS,
+        seed: 0,
+        ..Default::default()
+    };
+    let mut envs: Vec<AbrEnv> = session_plan(&cfg, &traces)
+        .iter()
+        .map(|p| {
+            AbrEnv::new(
+                Arc::clone(&video),
+                Arc::clone(&traces[p.trace_idx]),
+                p.offset_s,
+            )
+        })
+        .collect();
+    let qualities = video.n_qualities();
+    median_rate(Windows::serving(), ENV_SESSIONS * ENV_CHUNKS, || {
+        let mut reward = 0.0;
+        for (s, env) in envs.iter_mut().enumerate() {
+            env.reset();
+            for k in 0..ENV_CHUNKS {
+                reward += env.step_detailed((s + k) % qualities).0.reward;
+            }
+        }
+        std::hint::black_box(reward);
+    })
+}
+
 fn emit_report(_c: &mut Criterion) {
     let video = Arc::new(VideoModel::standard(8, 7));
     let classes = video.n_qualities();
@@ -112,6 +155,7 @@ fn emit_report(_c: &mut Criterion) {
     );
     let last = last.unwrap();
     assert_eq!(last.decisions, (SESSIONS * video.n_chunks()) as u64);
+    let abr_env_steps_per_sec = env_steps_per_sec();
 
     let report = SimReport {
         host: host_id(),
@@ -122,6 +166,7 @@ fn emit_report(_c: &mut Criterion) {
         sim_chunks_per_session: video.n_chunks(),
         sim_events_per_sec: median(events_rates),
         sim_sessions_per_sec: median(sessions_rates),
+        abr_env_steps_per_sec,
         sim_waves: last.waves,
         sim_mean_wave: last.decisions as f64 / last.waves.max(1) as f64,
         sim_virtual_end_s: last.virtual_end_s,
@@ -134,13 +179,14 @@ fn emit_report(_c: &mut Criterion) {
         .join("BENCH_sim.json");
     std::fs::write(&path, &json).expect("write BENCH_sim.json");
     println!(
-        "co-sim: {} sessions x {} chunks closed-loop -> {:.0} events/s, {:.0} sessions/s \
-         ({} waves, mean {:.0} decisions/wave, virtual end {:.0}s, mean QoE {:.2}, \
-         digest {}) -> {}",
+        "co-sim: {} sessions x {} chunks closed-loop -> {:.0} events/s, {:.0} sessions/s, \
+         {:.0} env steps/s ({} waves, mean {:.0} decisions/wave, virtual end {:.0}s, \
+         mean QoE {:.2}, digest {}) -> {}",
         report.sim_sessions,
         report.sim_chunks_per_session,
         report.sim_events_per_sec,
         report.sim_sessions_per_sec,
+        report.abr_env_steps_per_sec,
         report.sim_waves,
         report.sim_mean_wave,
         report.sim_virtual_end_s,
@@ -163,6 +209,9 @@ struct SimReport {
     sim_events_per_sec: f64,
     /// Gated: complete closed-loop sessions simulated per wall second.
     sim_sessions_per_sec: f64,
+    /// Gated: `AbrEnv::step_detailed` calls per wall second, outside the
+    /// co-sim (median of nine 100 ms windows).
+    abr_env_steps_per_sec: f64,
     sim_waves: u64,
     sim_mean_wave: f64,
     sim_virtual_end_s: f64,
