@@ -80,8 +80,8 @@ fn label_reference(net: &Mlp, row: &[f64]) -> (usize, Vec<f64>) {
     (action, probs)
 }
 
-/// Observations per second of `f` under this bench's historical schedule
-/// (one long window after warmup — see [`Windows::inference`]).
+/// Observations per second of `f`: the median of several windows after
+/// warmup (see [`Windows::inference`]).
 fn throughput(obs_per_run: usize, f: impl FnMut()) -> f64 {
     median_rate(Windows::inference(), obs_per_run, f)
 }
