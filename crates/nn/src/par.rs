@@ -596,79 +596,94 @@ mod tests {
 
     /// End-to-end class ordering on a real pool: with the only worker
     /// gated, a lax job queued *first* and an urgent job queued second,
-    /// the freed worker must help the urgent job first — so the urgent
-    /// job finishes before the earlier-queued lax one. Sleeping stripes
-    /// make the timing robust on any core count (threads sleep
-    /// concurrently), and the gate only opens once both tickets are
-    /// provably queued.
+    /// the freed worker must help the urgent job first. Every stripe logs
+    /// `(job, thread)`. The lax and urgent submitters hold in their own
+    /// first stripes until the worker takes a stripe after the gate, so
+    /// each job still has a stripe for the worker to pick and the log
+    /// shows which one it picked, however the host schedules the threads.
     #[test]
     fn urgent_class_gets_the_helper_before_an_earlier_lax_job() {
-        use std::time::{Duration, Instant};
+        use std::thread::{yield_now, ThreadId};
+        use std::time::Duration;
+        type Latch = (Mutex<bool>, Condvar);
+        // Bounded, so a pool that never hands the worker a ticket fails
+        // the assertion below instead of hanging the suite.
+        fn wait_for((lock, cv): &Latch) {
+            let open = lock.lock().unwrap();
+            drop(cv.wait_timeout_while(open, Duration::from_secs(20), |open| !*open));
+        }
+        fn open((lock, cv): &Latch) {
+            *lock.lock().unwrap() = true;
+            cv.notify_all();
+        }
         let pool = WorkerPool::new(1);
-        let waiters = AtomicUsize::new(0);
-        let gate = (Mutex::new(false), Condvar::new());
-        let queued_groups = |n: usize| {
-            let queues = pool.shared.queues.lock().unwrap();
-            queues.groups.len() >= n
+        let log: Mutex<Vec<(&str, ThreadId)>> = Mutex::new(Vec::new());
+        let gate: Latch = Default::default();
+        let picked: Latch = Default::default();
+        let worker: OnceLock<ThreadId> = OnceLock::new();
+        let queued_groups = |n: usize| pool.shared.queues.lock().unwrap().groups.len() >= n;
+        let stripe = |job: &'static str| {
+            let me = std::thread::current().id();
+            log.lock().unwrap().push((job, me));
+            if worker.get() == Some(&me) {
+                open(&picked);
+            }
+            wait_for(&picked);
         };
-        let (u_done, l_done) = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // Occupy the only worker (and this job's submitter) behind
             // the gate: both stripes block until it opens.
             let gate_job = scope.spawn(|| {
                 pool.run_stripes(2, |_| {
-                    waiters.fetch_add(1, Ordering::SeqCst);
-                    let (lock, cv) = &gate;
-                    let mut open = lock.lock().unwrap();
-                    while !*open {
-                        open = cv.wait(open).unwrap();
-                    }
+                    log.lock()
+                        .unwrap()
+                        .push(("gate", std::thread::current().id()));
+                    wait_for(&gate);
                 });
             });
-            while waiters.load(Ordering::SeqCst) < 2 {
-                std::thread::yield_now();
+            while log.lock().unwrap().len() < 2 {
+                yield_now();
             }
-            let t0 = Instant::now();
-            let pool = &pool;
+            let submitter = gate_job.thread().id();
+            let on_pool = log
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|&(_, t)| t)
+                .find(|&t| t != submitter);
+            worker.set(on_pool.unwrap()).unwrap();
+            let (pool, stripe) = (&pool, &stripe);
             // Lax job enqueues its helper ticket first…
-            let lax = scope.spawn(move || {
+            scope.spawn(move || {
                 with_group(fresh_group(), || {
-                    with_deadline_class(4, || {
-                        pool.run_stripes(2, |_| std::thread::sleep(Duration::from_millis(9)));
-                    })
-                });
-                t0.elapsed()
+                    with_deadline_class(4, || pool.run_stripes(2, |_| stripe("lax")))
+                })
             });
             while !queued_groups(1) {
-                std::thread::yield_now();
+                yield_now();
             }
             // …then the urgent job.
-            let urgent = scope.spawn(move || {
+            scope.spawn(move || {
                 with_group(fresh_group(), || {
-                    with_deadline_class(0, || {
-                        pool.run_stripes(2, |_| std::thread::sleep(Duration::from_millis(9)));
-                    })
-                });
-                t0.elapsed()
+                    with_deadline_class(0, || pool.run_stripes(2, |_| stripe("urgent")))
+                })
             });
             while !queued_groups(2) {
-                std::thread::yield_now();
+                yield_now();
             }
             // Open the gate: the worker frees up and must pick the
             // urgent ticket despite the lax one being queued longer.
-            {
-                let (lock, cv) = &gate;
-                *lock.lock().unwrap() = true;
-                cv.notify_all();
-            }
-            gate_job.join().unwrap();
-            (urgent.join().unwrap(), lax.join().unwrap())
+            open(&gate);
         });
-        // Urgent: own stripe + helped stripe run concurrently (~9ms).
-        // Lax: walks both stripes itself (~18ms) because its helper
-        // ticket is only honoured after the urgent job drains.
-        assert!(
-            u_done < l_done,
-            "urgent job ({u_done:?}) must finish before the earlier lax job ({l_done:?})"
+        let worker = *worker.get().unwrap();
+        let on_worker: Vec<&str> = (log.into_inner().unwrap().into_iter())
+            .filter(|&(_, t)| t == worker)
+            .map(|(job, _)| job)
+            .collect();
+        assert_eq!(
+            on_worker.get(..2),
+            Some(&["gate", "urgent"][..]),
+            "the freed worker must help the urgent job before the earlier lax one: {on_worker:?}"
         );
     }
 
