@@ -394,8 +394,8 @@ mod tests {
         assert_eq!(h.finish(), 0xf67a_fc70_6610_6c12);
     }
 
-    /// The download walk with a fresh search at every step, as it ran
-    /// before the cursor: the oracle the cursor must match bit for bit.
+    /// The download walk with a fresh search at every step: the oracle
+    /// the cursor must match bit for bit.
     fn searched_download_time(trace: &NetworkTrace, start_s: f64, bytes: f64) -> f64 {
         if bytes == 0.0 {
             return 0.0;
