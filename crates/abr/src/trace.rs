@@ -102,7 +102,7 @@ impl NetworkTrace {
     /// hint that is out of range or past `t` (after a wrap-around), or a
     /// walk longer than [`CURSOR_WALK`] segments, falls back to the
     /// search, so every hint gives the same segment. A NaN `t` fails the
-    /// first comparison and panics in the search, as it always has.
+    /// first comparison and panics in the search, as in `bandwidth_at`.
     fn segment_after(&self, seg: usize, t: f64) -> usize {
         let ts = &self.timestamps_s;
         if ts.get(seg).is_some_and(|&at| at <= t) {

@@ -49,9 +49,9 @@ impl Windows {
     }
 
     /// Five 100ms / ≥10-call windows after three warmup calls — the
-    /// inference bench's schedule. With one 200ms window, each of three
-    /// runs on a shared 2-vCPU host read one or two untouched metrics
-    /// 20–28% low; the median window rides out such a stall.
+    /// inference bench's schedule. The median drops a single outlier
+    /// window within a run; it does not absorb a drift in host speed
+    /// between runs, which moves every window of a run together.
     pub fn inference() -> Windows {
         Windows {
             count: 5,
