@@ -1,18 +1,15 @@
-//! Criterion benches behind Figure 31: CART fitting cost at several leaf
-//! budgets and the per-step cost of the hypergraph mask search — plus the
-//! end-to-end conversion-throughput benchmark of the unified
-//! `ConversionPipeline` (single-thread vs all-cores), the fine-granularity
-//! persistent-pool vs spawn-per-call comparison, and the cross-workload
-//! sharding benchmark (`WorkloadRunner` over a shared budget), whose
-//! results are emitted as `BENCH_conversion.json` at the workspace root.
+//! Conversion-throughput benchmark of the unified `ConversionPipeline`
+//! (single-thread vs all-cores), the fine-granularity persistent-pool vs
+//! spawn-per-call comparison, the frontier-parallel CART fit and the
+//! cross-workload sharding benchmark (`WorkloadRunner` over a shared
+//! budget). Emits `BENCH_conversion.json` at the workspace root for the
+//! `bench_guard` CI regression gate. Figure 31's fitting and mask-search
+//! costs are reported by the `fig31_overhead` experiment.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use metis_abr::{env_pool, hsdpa_corpus, pensieve_agent, NetworkTrace, PensieveArch, VideoModel};
 use metis_bench::measure::{median, median_rate, Windows};
 use metis_core::{ConversionConfig, ConversionPipeline, Workload, WorkloadRunner};
-use metis_dt::{fit, prune_to_leaves, Criterion as SplitCriterion, Dataset, TreeConfig};
-use metis_hypergraph::{MaskConfig, MaskedSystem};
-use metis_routing::{optimize_routing, LatencyModel, RouteNetModel, Topology};
+use metis_dt::{fit, Criterion as SplitCriterion, Dataset, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -32,57 +29,6 @@ fn pensieve_like_dataset(n: usize, rng: &mut StdRng) -> Dataset {
         .map(|xi| ((xi[0] * 3.0 + xi[1] * 2.0) as usize) % 6)
         .collect();
     Dataset::classification(x, y, 6).unwrap()
-}
-
-fn bench_tree_fit(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(3);
-    let ds = pensieve_like_dataset(5000, &mut rng);
-    let mut group = c.benchmark_group("tree_extraction");
-    for leaves in [10usize, 100, 1000] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(leaves),
-            &leaves,
-            |b, &leaves| {
-                b.iter(|| {
-                    let grown = fit(
-                        &ds,
-                        &TreeConfig {
-                            max_leaf_nodes: leaves * 2,
-                            criterion: SplitCriterion::Gini,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                    black_box(prune_to_leaves(&grown, leaves))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_mask_step(c: &mut Criterion) {
-    let topo = Topology::nsfnet();
-    let latency = LatencyModel::default();
-    let sample = metis_routing::demand_corpus(14, 12, 1, 5)[0].clone();
-    let routing = optimize_routing(&topo, &sample.demands, &latency, 1);
-    let mut rng = StdRng::seed_from_u64(4);
-    let model = RouteNetModel::new(6, &mut rng);
-    let system = metis_core::MaskedRouting::new(&model, &topo, &sample.demands, &routing);
-    let n = system.n_connections();
-
-    let mut group = c.benchmark_group("mask_search");
-    group.sample_size(10);
-    group.bench_function(format!("10_steps_{n}_connections"), |b| {
-        b.iter(|| {
-            let cfg = MaskConfig {
-                steps: 10,
-                ..Default::default()
-            };
-            black_box(metis_hypergraph::optimize_mask(&system, &cfg))
-        })
-    });
-    group.finish();
 }
 
 /// Fine-granularity fork/join rate: calls per second of a small (64-item,
@@ -215,7 +161,7 @@ fn workload_sharding_once(
 /// all-cores, on the ABR substrate — plus the pool-vs-spawn
 /// fine-granularity comparison and the cross-workload sharding run.
 /// Emits `BENCH_conversion.json`.
-fn bench_conversion_throughput(c: &mut Criterion) {
+fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let video = Arc::new(VideoModel::standard(24, 3));
     let traces: Vec<Arc<NetworkTrace>> = hsdpa_corpus(6, 31).into_iter().map(Arc::new).collect();
@@ -236,14 +182,6 @@ fn bench_conversion_throughput(c: &mut Criterion) {
             .run()
     };
 
-    let mut group = c.benchmark_group("conversion_throughput");
-    group.sample_size(5);
-    group.bench_function("pipeline_1_thread", |b| b.iter(|| black_box(run(1))));
-    group.bench_function("pipeline_all_cores", |b| b.iter(|| black_box(run(0))));
-    group.finish();
-
-    // Measured summary for the JSON artifact (one timed run per mode; the
-    // criterion samples above give the distribution).
     let single = run(1);
     let parallel = run(0);
     let cores = std::thread::available_parallelism()
@@ -362,10 +300,3 @@ struct ThroughputReport {
     /// Total labelled states over the sharded run's wall clock.
     workload_agg_per_sec: f64,
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_tree_fit, bench_mask_step, bench_conversion_throughput
-}
-criterion_main!(benches);

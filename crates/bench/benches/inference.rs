@@ -19,7 +19,6 @@
 //!   ([`metis_rl::Policy::probs_and_greedy_batch`]), bit-identically.
 //!   The headline `speedup_batch256` is this unit's ratio.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use metis_bench::measure::{median_rate, Windows};
 use metis_core::MaskedRouting;
 use metis_hypergraph::{MaskedMlp, MaskedSystem, OutputKind};
@@ -86,81 +85,8 @@ fn throughput(obs_per_run: usize, f: impl FnMut()) -> f64 {
     median_rate(Windows::inference(), obs_per_run, f)
 }
 
-fn bench_forward(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(5);
-    let net = teacher_net(&mut rng);
-    let mut group = c.benchmark_group("forward");
-    for batch in BATCH_SIZES {
-        let obs = random_obs(batch, net.in_dim(), &mut rng);
-        let matrix = Matrix::from_rows_vec(&obs);
-        group.bench_with_input(BenchmarkId::new("per_obs", batch), &obs, |b, obs| {
-            b.iter(|| {
-                for row in obs {
-                    black_box(predict_reference(&net, row));
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("batched", batch), &matrix, |b, m| {
-            b.iter(|| black_box(net.forward_inference(m)))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("batched_sharded", batch),
-            &matrix,
-            |b, m| b.iter(|| black_box(net.forward_batch_threads(m, 0))),
-        );
-    }
-    group.finish();
-}
-
-fn bench_labelling(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(5);
-    let net = teacher_net(&mut rng);
-    let policy = SoftmaxPolicy::new(net.clone());
-    let mut group = c.benchmark_group("teacher_labelling");
-    let obs = random_obs(256, net.in_dim(), &mut rng);
-    let matrix = Matrix::from_rows_vec(&obs);
-    group.bench_function("per_obs/256", |b| {
-        b.iter(|| {
-            for row in &obs {
-                black_box(label_reference(&net, row));
-            }
-        })
-    });
-    group.bench_function("batched/256", |b| {
-        b.iter(|| black_box(policy.probs_and_greedy_batch(&matrix)))
-    });
-    group.finish();
-}
-
-fn bench_mask_step(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(7);
-    let net = Mlp::new(
-        &[metis_abr::OBS_DIM, 32, 6],
-        Activation::Tanh,
-        Activation::Linear,
-        &mut rng,
-    );
-    let obs = random_obs(256, net.in_dim(), &mut rng);
-    let system = MaskedMlp::new(&net, obs, OutputKind::Discrete);
-    let mask = vec![0.5; system.n_connections()];
-    let reference = system.reference_output();
-
-    let mut group = c.benchmark_group("mask_grad_step");
-    group.sample_size(10);
-    group.bench_function("per_obs_oracle", |b| {
-        b.iter(|| black_box(system.d_value_grad_per_obs(&mask)))
-    });
-    group.bench_function("batched_1_thread", |b| {
-        b.iter(|| black_box(system.d_value_grad(&mask, &reference, 1)))
-    });
-    group.bench_function("batched_all_cores", |b| {
-        b.iter(|| black_box(system.d_value_grad(&mask, &reference, 0)))
-    });
-    group.finish();
-}
-
 /// Measured summary for the JSON artifact consumed by the CI guard.
-fn emit_report(_c: &mut Criterion) {
+fn main() {
     let mut rng = StdRng::seed_from_u64(5);
     let net = teacher_net(&mut rng);
     let policy = SoftmaxPolicy::new(net.clone());
@@ -291,10 +217,3 @@ struct InferenceReport {
     mask_steps_per_sec_batched: f64,
     mask_steps_per_sec_routenet: f64,
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_forward, bench_labelling, bench_mask_step, emit_report
-}
-criterion_main!(benches);

@@ -7,7 +7,6 @@
 //! regression gate (only the compute-bound `per_sec` metrics are gated;
 //! scheduling-sensitive engine/latency numbers are reported ungated).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use metis_bench::measure::{median, median_rate, Windows};
 use metis_dt::{
     fit, prune_to_leaves, CompiledTree, Dataset, DecisionTree, Forest, Prediction, TreeConfig,
@@ -22,100 +21,65 @@ use metis_telemetry::{LogSketch, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const BATCH_SIZES: [usize; 3] = [1, 32, 256];
 
-/// The shared bench fixture: a paper-scale serving tree, its compiled
+/// The bench fixture: a paper-scale serving tree, its compiled
 /// form, and a fixed pool of request feature vectors (request `k` uses
 /// `pool[k % len]`, so swap audits can regenerate any request's features
-/// from its id alone). Built once — the 2000-leaf CART fit is seconds of
-/// work and both criterion targets need the identical artifact.
+/// from its id alone).
 struct Fixture {
     tree: DecisionTree,
     compiled: CompiledTree,
     pool: Vec<Vec<f64>>,
 }
 
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let mut rng = StdRng::seed_from_u64(23);
-        // A 2000-leaf tree over the lRLA feature space (content does not
-        // affect traversal cost; only depth/branching does).
-        let n = 6000;
-        let x: Vec<Vec<f64>> = (0..n)
-            .map(|_| {
-                (0..LRLA_STATE_DIM)
-                    .map(|_| rng.gen_range(0.0..1.0))
-                    .collect()
-            })
-            .collect();
-        let y: Vec<usize> = x
-            .iter()
-            .map(|xi| ((xi[0] * 17.0 + xi[5] * 9.0 + xi[40] * 4.0) as usize) % 108)
-            .collect();
-        let ds = Dataset::classification(x, y, 108).unwrap();
-        let tree = fit(
-            &ds,
-            &TreeConfig {
-                max_leaf_nodes: 2000,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let compiled = CompiledTree::compile(&tree);
-        let pool = (0..1024)
-            .map(|_| {
-                (0..LRLA_STATE_DIM)
-                    .map(|_| rng.gen_range(0.0..1.0))
-                    .collect()
-            })
-            .collect();
-        Fixture {
-            tree,
-            compiled,
-            pool,
-        }
-    })
+fn fixture() -> Fixture {
+    let mut rng = StdRng::seed_from_u64(23);
+    // A 2000-leaf tree over the lRLA feature space (content does not
+    // affect traversal cost; only depth/branching does).
+    let n = 6000;
+    let x: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            (0..LRLA_STATE_DIM)
+                .map(|_| rng.gen_range(0.0..1.0))
+                .collect()
+        })
+        .collect();
+    let y: Vec<usize> = x
+        .iter()
+        .map(|xi| ((xi[0] * 17.0 + xi[5] * 9.0 + xi[40] * 4.0) as usize) % 108)
+        .collect();
+    let ds = Dataset::classification(x, y, 108).unwrap();
+    let tree = fit(
+        &ds,
+        &TreeConfig {
+            max_leaf_nodes: 2000,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let compiled = CompiledTree::compile(&tree);
+    let pool = (0..1024)
+        .map(|_| {
+            (0..LRLA_STATE_DIM)
+                .map(|_| rng.gen_range(0.0..1.0))
+                .collect()
+        })
+        .collect();
+    Fixture {
+        tree,
+        compiled,
+        pool,
+    }
 }
 
 /// Median rate over this bench's historical window schedule (nine 100ms
 /// windows, one warmup) through the shared [`metis_bench::measure`] loop.
 fn rows_per_sec(rows_per_call: usize, f: impl FnMut()) -> f64 {
     median_rate(Windows::serving(), rows_per_call, f)
-}
-
-fn bench_backend(c: &mut Criterion) {
-    let Fixture {
-        tree,
-        compiled,
-        pool,
-    } = fixture();
-
-    let mut group = c.benchmark_group("serving_backend");
-    group.bench_function("tree_single", |b| {
-        let mut k = 0usize;
-        b.iter(|| {
-            k = (k + 1) % pool.len();
-            black_box(tree.predict(black_box(&pool[k])))
-        })
-    });
-    group.bench_function("compiled_single", |b| {
-        let mut k = 0usize;
-        b.iter(|| {
-            k = (k + 1) % pool.len();
-            black_box(compiled.predict(black_box(&pool[k])))
-        })
-    });
-    for batch in BATCH_SIZES {
-        let flat: Vec<f64> = pool.iter().take(batch).flatten().copied().collect();
-        group.bench_with_input(BenchmarkId::new("batched", batch), &flat, |b, flat| {
-            b.iter(|| black_box(compiled.predict_batch(black_box(flat))))
-        });
-    }
-    group.finish();
 }
 
 /// Outcome of one open-loop engine run plus its response audit.
@@ -695,12 +659,12 @@ fn fabric_shadow_audit(
 }
 
 /// Measured summary for the JSON artifact consumed by the CI guard.
-fn emit_report(_c: &mut Criterion) {
+fn main() {
     let Fixture {
         tree,
         compiled,
         pool,
-    } = fixture();
+    } = &fixture();
 
     // Backend throughput: the arena walk the seed deployed vs the
     // compiled batch walk the serving engine flushes.
@@ -1201,10 +1165,3 @@ struct ServingReport {
     fabric_shadow_promotions: usize,
     fabric_shadow_rejected: u64,
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_backend, emit_report
-}
-criterion_main!(benches);

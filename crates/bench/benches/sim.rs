@@ -11,7 +11,6 @@
 //! environment's step alone (`AbrEnv::step_detailed`), the co-sim's
 //! largest layer and the Eq.-1 lookahead's inner loop.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use metis_abr::{hsdpa_corpus, AbrEnv, NetworkTrace, VideoModel};
 use metis_bench::measure::{host_id, median, median_rate, Windows};
 use metis_dt::{fit, Dataset, DecisionTree, TreeConfig};
@@ -121,7 +120,7 @@ fn env_steps_per_sec() -> f64 {
     })
 }
 
-fn emit_report(_c: &mut Criterion) {
+fn main() {
     let video = Arc::new(VideoModel::standard(8, 7));
     let classes = video.n_qualities();
     let traces: Vec<Arc<NetworkTrace>> = hsdpa_corpus(8, 5).into_iter().map(Arc::new).collect();
@@ -219,10 +218,3 @@ struct SimReport {
     /// Hex QoE digest of the timed run (determinism witness, ungated).
     sim_qoe_digest: String,
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = emit_report
-}
-criterion_main!(benches);

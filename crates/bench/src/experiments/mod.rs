@@ -1,6 +1,6 @@
 //! One module per paper table/figure; `registry()` lists them all for the
-//! `run_all` binary. Each experiment takes a writer so binaries can tee
-//! output into `results/`.
+//! `run_all` binary. Each experiment takes a writer so `run_all` can tee
+//! its output into `results/`.
 
 pub mod appendix_b;
 pub mod auto;

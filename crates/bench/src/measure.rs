@@ -1,10 +1,9 @@
-//! Shared throughput-measurement helpers for the criterion benches.
+//! Shared throughput-measurement helpers for the CI benches.
 //!
 //! Every gated `per_sec` metric in `BENCH_*.json` is summarized the same
 //! way: repeat a workload in fixed-minimum wall-clock windows and take
 //! the **median** window rate, so one preempted window cannot trip the
-//! 20% `bench_guard` regression gate. The three bench binaries used to
-//! carry their own copies of this loop; they now share this tested one.
+//! 20% `bench_guard` regression gate.
 
 use std::time::Instant;
 

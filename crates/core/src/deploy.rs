@@ -10,7 +10,7 @@
 //! ([`metis_serve::latency`]) — the same p50/p95/p99/max discipline the
 //! online engine accounts SLOs in.
 
-use metis_serve::latency::{summarize_sorted, LatencySummary};
+use metis_serve::latency::{summarize, LatencySummary};
 use std::time::Instant;
 
 /// Errors of the deployment cost model.
@@ -54,51 +54,22 @@ impl ArtifactCost {
     }
 }
 
-/// Latency sample summary (seconds): the raw samples plus the serving
-/// engine's percentile summary, flattened for callers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyStats {
-    /// Measured samples, sorted ascending (`total_cmp` order).
-    pub samples_s: Vec<f64>,
-    pub mean_s: f64,
-    pub p50_s: f64,
-    pub p95_s: f64,
-    pub p99_s: f64,
-    pub max_s: f64,
-}
-
-impl LatencyStats {
-    /// The full percentile summary in the serving engine's vocabulary
-    /// (`samples_s` is stored sorted, so no re-sort happens here).
-    pub fn summary(&self) -> LatencySummary {
-        summarize_sorted(&self.samples_s)
-    }
-}
-
 /// Measure per-call latency of `f` over `iters` calls (after `warmup`
-/// unmeasured calls). `f` should perform exactly one decision.
-pub fn measure_latency(mut f: impl FnMut(), iters: usize, warmup: usize) -> LatencyStats {
+/// unmeasured calls), summarized in seconds. `f` should perform exactly
+/// one decision.
+pub fn measure_latency(mut f: impl FnMut(), iters: usize, warmup: usize) -> LatencySummary {
     assert!(iters > 0);
     for _ in 0..warmup {
         f();
     }
-    let mut samples: Vec<f64> = (0..iters)
+    let samples: Vec<f64> = (0..iters)
         .map(|_| {
             let t0 = Instant::now();
             f();
             t0.elapsed().as_secs_f64()
         })
         .collect();
-    samples.sort_by(f64::total_cmp);
-    let summary = summarize_sorted(&samples);
-    LatencyStats {
-        samples_s: samples,
-        mean_s: summary.mean_s,
-        p50_s: summary.p50_s,
-        p95_s: summary.p95_s,
-        p99_s: summary.p99_s,
-        max_s: summary.max_s,
-    }
+    summarize(&samples)
 }
 
 #[cfg(test)]
@@ -155,23 +126,6 @@ mod tests {
         );
         assert!(cheap.p50_s <= cheap.p95_s && cheap.p95_s <= cheap.p99_s);
         assert!(cheap.p99_s <= cheap.max_s);
-        assert_eq!(cheap.samples_s.len(), 200);
-    }
-
-    #[test]
-    fn stats_agree_with_serve_summary() {
-        let stats = measure_latency(
-            || {
-                std::hint::black_box(2 * 2);
-            },
-            50,
-            5,
-        );
-        let summary = stats.summary();
-        assert_eq!(summary.count, 50);
-        assert_eq!(summary.p50_s, stats.p50_s);
-        assert_eq!(summary.p95_s, stats.p95_s);
-        assert_eq!(summary.p99_s, stats.p99_s);
-        assert_eq!(summary.max_s, stats.max_s);
+        assert_eq!(cheap.count, 200);
     }
 }

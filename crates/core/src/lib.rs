@@ -41,7 +41,7 @@ pub mod workload;
 pub use convert::{
     oversample_rare_actions, ConversionConfig, ConversionResult, MultiRegressor, TreePolicy,
 };
-pub use deploy::{measure_latency, ArtifactCost, DeployError, LatencyStats};
+pub use deploy::{measure_latency, ArtifactCost, DeployError};
 pub use interpret::{
     adhoc_points, classify_connection, interpret_policy_features, interpret_routing,
     mask_mass_per_link, routing_hypergraph, AdhocPoint, ConnectionReport, FeatureReport,

@@ -4,9 +4,9 @@
 //!
 //! Two ways to get a [`LatencySummary`]:
 //!
-//! * [`summarize`] / [`summarize_sorted`] — exact percentiles over a
-//!   finite sample slice (the §6.4 decision-latency measurements, the
-//!   serving bench, and the tests' oracle);
+//! * [`summarize`] — exact percentiles over a finite sample slice (the
+//!   §6.4 decision-latency measurements, the serving bench, and the
+//!   tests' oracle);
 //! * [`LatencyRecorder`] — the serving engine's accountant, in bounded
 //!   memory for a server that runs indefinitely: exact count, sum and
 //!   max, percentiles from a mergeable log-bucketed sketch.
@@ -56,21 +56,11 @@ impl LatencySummary {
 /// order last via `total_cmp`, so a poisoned sample inflates the tail
 /// percentiles instead of silently vanishing.
 pub fn summarize(samples: &[f64]) -> LatencySummary {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    summarize_sorted(&sorted)
-}
-
-/// [`summarize`] over samples the caller already sorted (`total_cmp`
-/// order) — skips the copy and re-sort.
-pub fn summarize_sorted(sorted: &[f64]) -> LatencySummary {
-    if sorted.is_empty() {
+    if samples.is_empty() {
         return LatencySummary::empty();
     }
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()),
-        "summarize_sorted: samples not in total_cmp order"
-    );
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
     let pct = |p: f64| sorted[floor_rank(p, sorted.len() as u64) as usize];
     LatencySummary {
         count: sorted.len(),
@@ -391,21 +381,6 @@ mod summarize_order_props {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Field-wise bitwise equality — `PartialEq` would reject the
-    /// NaN-poisoned summaries this property must also cover.
-    fn assert_summary_bits(a: LatencySummary, b: LatencySummary) {
-        assert_eq!(a.count, b.count);
-        for (x, y, field) in [
-            (a.mean_s, b.mean_s, "mean_s"),
-            (a.p50_s, b.p50_s, "p50_s"),
-            (a.p95_s, b.p95_s, "p95_s"),
-            (a.p99_s, b.p99_s, "p99_s"),
-            (a.max_s, b.max_s, "max_s"),
-        ] {
-            assert_eq!(x.to_bits(), y.to_bits(), "{field} diverges: {x} vs {y}");
-        }
-    }
-
     /// Deterministic Fisher–Yates shuffle.
     fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
         for i in (1..items.len()).rev() {
@@ -415,35 +390,6 @@ mod summarize_order_props {
     }
 
     proptest! {
-        /// `summarize(xs)` must equal `summarize_sorted` of the
-        /// `total_cmp`-sorted samples, bit for bit, for **any** capture
-        /// order — including NaN-salted sample sets, whose NaNs order
-        /// last and inflate the tail identically on both paths.
-        #[test]
-        fn prop_summarize_is_order_independent(
-            n in 1usize..120,
-            shuffle_seed in 0u64..10_000,
-            nan_every in 0usize..8,
-        ) {
-            let mut rng = StdRng::seed_from_u64(shuffle_seed ^ 0xA5A5);
-            let mut samples: Vec<f64> = (0..n)
-                .map(|k| {
-                    if nan_every > 0 && k % (nan_every + 2) == nan_every {
-                        f64::NAN
-                    } else {
-                        rng.gen_range(0.0..0.25)
-                    }
-                })
-                .collect();
-            shuffle(&mut samples, &mut rng);
-            let via_unsorted = summarize(&samples);
-            let mut sorted = samples.clone();
-            sorted.sort_by(f64::total_cmp);
-            let via_sorted = summarize_sorted(&sorted);
-            assert_summary_bits(via_unsorted, via_sorted);
-            prop_assert_eq!(via_unsorted.count, n);
-        }
-
         /// The recorder against the exact oracle: random in-range sample
         /// sets salted with zeros, duplicates, exact bucket edges and
         /// NaNs, recorded in random batch splits. `count` and `max_s` are

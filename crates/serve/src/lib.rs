@@ -63,6 +63,6 @@ pub mod traffic;
 
 pub use clock::Clock;
 pub use engine::{EngineReport, Response, ServeConfig, ServerHandle, TreeServer};
-pub use latency::{summarize, summarize_sorted, LatencyRecorder, LatencySummary};
+pub use latency::{summarize, LatencyRecorder, LatencySummary};
 pub use registry::{EpochModel, ModelRegistry};
 pub use traffic::{drive_open_loop, ArrivalProcess};

@@ -10,7 +10,7 @@
 //! land in dedicated under/overflow buckets and NaNs in an `invalid`
 //! count. A quantile estimate returns the **upper edge** of the bucket
 //! holding the exact order statistic at the same floor-index rank the
-//! exact recorder uses (`metis_serve::summarize_sorted`), so for
+//! exact recorder uses (`metis_serve::summarize`), so for
 //! in-range samples:
 //!
 //! ```text
@@ -310,7 +310,7 @@ impl SketchSnapshot {
     }
 
     /// Quantile estimate at the same floor-index rank as
-    /// `summarize_sorted`: the upper edge of the bucket containing the
+    /// `summarize`: the upper edge of the bucket containing the
     /// `floor(q·(n−1))`-th smallest sample. `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.total == 0 {
@@ -420,7 +420,7 @@ impl SketchSnapshot {
 mod tests {
     use super::*;
 
-    /// Exact floor-index percentile, the `summarize_sorted` rule.
+    /// Exact floor-index percentile, the `summarize` rule.
     fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
         sorted[((q * (sorted.len() - 1) as f64) as usize).min(sorted.len() - 1)]
     }
