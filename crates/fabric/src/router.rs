@@ -3,7 +3,7 @@
 //!
 //! A [`Router`] owns, per *scenario*, one
 //! [`metis_serve::ModelRegistry`] and `shards` independent
-//! [`metis_serve::TreeServer`] micro-batchers over it, each batcher on
+//! [`metis_serve::TreeServer`] micro-batchers over it, each shard on
 //! its own pool group. A request names its scenario and a **session id**;
 //! [`shard_for_session`] hashes the session to a shard, so a sticky
 //! client (an ABR session carrying per-client state) always flows through

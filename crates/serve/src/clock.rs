@@ -12,9 +12,11 @@
 //!   is a pure function of the event schedule rather than of the host.
 //!
 //! The virtual clock is a **monotone high-water mark**: `advance_to` is a
-//! `fetch_max`, so concurrent advancement from racing shards can never
-//! move time backwards, and reading threads (batchers stamping flushes)
+//! `fetch_max`, so concurrent advancement from racing drivers can never
+//! move time backwards, and reading threads (clients stamping submits)
 //! always see a time at least as late as every event already dispatched.
+//! A virtual-clock flush reads no clock at all: it closes its batch at
+//! the batch's latest submit stamp.
 //! Monotonicity relies on virtual times being non-negative finite `f64`s,
 //! whose IEEE-754 bit patterns order the same way the values do —
 //! [`Clock::advance_to`] rejects anything else.

@@ -9,9 +9,11 @@
 //! A page closes when it holds `max_batch` rows, when `max_delay` has
 //! passed since its first row, or at a flush or shutdown marker — the
 //! classic size-or-deadline micro-batching rule, applied where requests
-//! arrive. A closed page **is** the micro-batch: one long-lived **batcher
-//! thread**, woken per page rather than per request, takes closed pages
-//! in order and for each:
+//! arrive. A closed page **is** the micro-batch. On the real clock one
+//! long-lived **batcher thread**, woken per page rather than per request,
+//! takes closed pages in order; on a virtual clock the thread that closes
+//! a page serves it (see **Time** below). Either way each page is served
+//! by the one `flush`, which:
 //!
 //! 1. pins the live model epoch ([`crate::ModelRegistry::current`]) — a
 //!    concurrent hot swap never retroactively changes a dispatched batch,
@@ -20,7 +22,7 @@
 //!    block-major ensemble of them — into a scratch buffer reused across
 //!    batches ([`metis_dt::Forest::predict_batch_into`]),
 //!    striping row chunks across [`metis_nn::par::parallel_map_indexed`]
-//!    under the batcher's own fresh **pool group** (so serving shares the
+//!    under the server's own fresh **pool group** (so serving shares the
 //!    process-wide pool fairly with concurrently running conversion
 //!    pipelines),
 //! 3. stamps completion once for the whole batch and answers each run of
@@ -46,12 +48,18 @@
 //! **Time** comes from a [`Clock`]: [`TreeServer::start`] runs on the
 //! real clock (wall-time stamps and the deadline close), while
 //! [`TreeServer::start_clocked`] with a virtual clock turns the engine
-//! into a discrete-event component — no wall deadline at all (pages close
-//! on size, an explicit [`ServerHandle`] flush, or shutdown), and
-//! per-request latency is the batch's virtual close time minus the
-//! request's virtual submit stamp, a pure function of the event schedule.
-//! That is what lets `metis_sim` run millions of virtual sessions through
-//! this exact hot path with bit-identical reports for any thread count.
+//! into a discrete-event component. A virtual server has no wall deadline
+//! and **no batcher thread**: a page closes on size, on a collect's flush
+//! or at shutdown, and the thread that closes it serves it at once —
+//! [`ServerHandle::submit`] when the page fills, [`ServerHandle::collect`]
+//! after it closes the open page, [`TreeServer::shutdown`] (or a drop)
+//! for whatever is left. Virtual time does not move while a batch runs,
+//! so a handoff to another thread would buy nothing. Per-request latency
+//! is the batch's virtual close time (its latest submit stamp) minus the
+//! request's own stamp, a pure function of the event schedule. That is
+//! what lets `metis_sim` run millions of virtual sessions through this
+//! exact hot path, on one thread from event pop to env step, with
+//! bit-identical reports for any thread count.
 
 use crate::clock::Clock;
 use crate::latency::{LatencyRecorder, LatencySummary};
@@ -80,7 +88,7 @@ pub struct ServeConfig {
     /// identical for any value.
     pub threads: usize,
     /// Rows per pool stripe chunk; batches at or below this size execute
-    /// inline on the batcher thread.
+    /// inline on the thread that flushes them.
     pub stripe_rows: usize,
     /// Deadline class of this server's pool submissions (lower = more
     /// urgent; see [`metis_nn::par::with_deadline_class`]). The fabric
@@ -164,13 +172,13 @@ struct SlotKey {
     generation: u32,
 }
 
-/// Every live handle's reply sender. The batcher is the only sender: a
-/// handle keeps just the receiving end, so once the batcher drops the
-/// senders a waiting `collect` wakes instead of blocking forever.
+/// Every live handle's reply sender. Only a flush sends: a handle keeps
+/// just the receiving end, so once the server stops and drops the senders
+/// a waiting `collect` wakes instead of blocking forever.
 #[derive(Default)]
 struct ReplySlots {
     /// `(generation, sender)` per slot; `None` once the handle dropped or
-    /// the batcher exited.
+    /// the server stopped.
     slots: Vec<(u32, Option<Sender<Vec<Response>>>)>,
     free: Vec<u32>,
 }
@@ -210,7 +218,7 @@ impl ReplySlots {
 struct PageQueue {
     /// The page submits append to; `None` until the next submit opens one.
     open: Option<Page>,
-    /// Closed pages in close order: the batcher's work list.
+    /// Closed pages in close order: the work list a flush pops from.
     closed: VecDeque<Page>,
     free: Vec<Page>,
     /// Rows in `open` and `closed`.
@@ -225,7 +233,7 @@ struct PageQueue {
     shutdown: Option<usize>,
     /// The drain behind the shutdown marker has been reported.
     drain_seen: bool,
-    /// The batcher has exited: submits panic in their client.
+    /// The server has stopped: submits panic in their client.
     dead: bool,
 }
 
@@ -238,13 +246,18 @@ impl PageQueue {
         closed
     }
 
-    /// Latest submit stamp among the queued rows.
-    fn latest_stamp(&self) -> f64 {
-        self.closed
-            .iter()
-            .chain(&self.open)
-            .flat_map(|page| page.stamps.iter().copied())
-            .fold(0.0, f64::max)
+    /// Take the oldest closed page, and set the telemetry queue-depth
+    /// gauge to the rows still queued behind it.
+    fn pop_closed(&mut self, scope: Option<&ShardTelemetry>) -> Option<Page> {
+        let page = self.closed.pop_front()?;
+        self.queued -= page.len();
+        if let Some(ahead) = self.shutdown.as_mut() {
+            *ahead = ahead.saturating_sub(1);
+        }
+        if let Some(scope) = scope {
+            scope.queue_depth.set(self.queued as i64);
+        }
+        Some(page)
     }
 }
 
@@ -255,19 +268,24 @@ struct Ingest {
     wake: Condvar,
     replies: RwLock<ReplySlots>,
     max_batch: usize,
-    /// `max_delay` in seconds under the real clock; `None` under a
-    /// virtual one, where pages close only on size or a marker.
-    max_delay_s: Option<f64>,
+    /// How long the batcher lets an open page wait, in seconds.
+    max_delay_s: f64,
+    /// Virtual clock only: the flush state of a server with no batcher.
+    /// Whichever thread closes a page serves it under this lock, after
+    /// releasing the page queue's. Lock order: flush state → page queue
+    /// → reply slots. Boxed, so the real-clock fields keep their layout.
+    inline: Option<Box<Mutex<FlushState>>>,
 }
 
 impl Ingest {
-    fn new(cfg: &ServeConfig, clock: &Clock) -> Self {
+    fn new(cfg: &ServeConfig) -> Self {
         Ingest {
             queue: Mutex::default(),
             wake: Condvar::new(),
             replies: RwLock::default(),
             max_batch: cfg.max_batch,
-            max_delay_s: (!clock.is_virtual()).then_some(cfg.max_delay.as_secs_f64()),
+            max_delay_s: cfg.max_delay.as_secs_f64(),
+            inline: None,
         }
     }
 
@@ -277,7 +295,9 @@ impl Ingest {
             .expect("serve ingest poisoned: a thread panicked mid-update")
     }
 
-    /// Append one request to the open page, opening one if needed.
+    /// Append one request to the open page, opening one if needed. A
+    /// request that fills the page closes it, and on a virtual clock
+    /// serves it here.
     fn push(&self, features: &[f64], id: u64, stamp: f64, slot: SlotKey) {
         let mut guard = self.lock();
         let q = &mut *guard;
@@ -291,17 +311,51 @@ impl Ingest {
             .get_or_insert_with(|| q.free.pop().unwrap_or_default());
         page.push(features, id, stamp, slot);
         q.queued += 1;
-        let wake = if page.len() >= self.max_batch {
+        let full = page.len() >= self.max_batch;
+        if full {
             q.close_open();
-            q.asleep
-        } else {
-            // A sleeping real-clock batcher must arm the new page's deadline.
-            opened && self.max_delay_s.is_some() && q.asleep
-        };
+        }
+        // A sleeping batcher takes the full page, or arms the new page's
+        // deadline.
+        let wake = q.asleep && (full || opened);
         drop(guard);
         if wake {
             self.wake.notify_one();
         }
+        if full {
+            self.serve_closed();
+        }
+    }
+
+    /// Virtual clock: serve every closed page on the calling thread, in
+    /// close order. Pages are popped only under the flush-state lock, so
+    /// concurrent callers never reorder them, and a caller returns only
+    /// once every page closed before its call is answered. A no-op under
+    /// the real clock, where the batcher serves. Panics if an earlier
+    /// flush panicked (its pages are lost), rather than block a collect.
+    fn serve_closed(&self) {
+        if let Some(state) = &self.inline {
+            state
+                .lock()
+                .expect("serve flush state poisoned: a flush panicked")
+                .serve(self, false);
+        }
+    }
+
+    /// Virtual clock: stop the server. Closes the open page and marks the
+    /// ingest dead in one step, so a later submit panics in its client;
+    /// serves what is queued on this thread; then drops every reply
+    /// sender, as a batcher's exit does, so a collect returns what was
+    /// answered. `None` when a flush panicked.
+    fn finish(&self, state: &Mutex<FlushState>) -> Option<EngineLog> {
+        let _exit = BatcherExit(self);
+        let mut state = state.lock().ok()?;
+        let mut q = self.lock();
+        q.close_open();
+        q.dead = true;
+        drop(q);
+        state.serve(self, false);
+        Some(std::mem::take(&mut state.log))
     }
 
     /// A flush marker closes the open page now — a no-op when none is
@@ -324,14 +378,17 @@ impl Ingest {
         }
     }
 
-    /// Return the batcher's finished page to the free list and block until
-    /// the next page closes. `None` once a shutdown marker has arrived and
-    /// nothing is queued. Sets the telemetry queue-depth gauge once per
+    /// Return a flushed page to the free list and take the next closed
+    /// one: under the real clock (`wait`, the batcher) block until a page
+    /// closes, and return `None` once a shutdown marker has arrived and
+    /// nothing is queued; under a virtual clock return `None` when no
+    /// closed page is left. Sets the telemetry queue-depth gauge once per
     /// page, and records the drain when the batcher reaches the first
     /// shutdown marker.
     fn next_page(
         &self,
         done: Option<Page>,
+        wait: bool,
         clock: &Clock,
         scope: Option<&ShardTelemetry>,
     ) -> Option<Page> {
@@ -340,7 +397,11 @@ impl Ingest {
         if q.free.len() < FREE_PAGES {
             q.free.extend(surplus.take());
         }
-        let next = self.await_page(q, clock, scope);
+        let next = if wait {
+            self.await_page(q, clock, scope)
+        } else {
+            q.pop_closed(scope)
+        };
         // A page the free list had no room for is freed outside the lock.
         drop(surplus);
         next
@@ -355,36 +416,20 @@ impl Ingest {
         loop {
             if q.shutdown == Some(0) && !q.drain_seen {
                 // Every page ahead of the marker is taken: what is still
-                // queued arrived behind it. Counting from the marker, not
-                // from whenever the batcher notices it, keeps the event a
-                // function of the schedule under a virtual clock.
+                // queued arrived behind it.
                 q.drain_seen = true;
                 if let Some(scope) = scope.filter(|_| q.queued > 0) {
-                    // Virtual stamp: the latest queued submit stamp
-                    // (schedule-pure); real stamp: the wall drain time.
-                    let stamp_s = if clock.is_virtual() {
-                        q.latest_stamp()
-                    } else {
-                        clock.now_s()
-                    };
-                    scope.on_drain(stamp_s, q.queued);
+                    scope.on_drain(clock.now_s(), q.queued);
                 }
             }
-            if let Some(page) = q.closed.pop_front() {
-                q.queued -= page.len();
-                if let Some(ahead) = q.shutdown.as_mut() {
-                    *ahead = ahead.saturating_sub(1);
-                }
-                if let Some(scope) = scope {
-                    scope.queue_depth.set(q.queued as i64);
-                }
+            if let Some(page) = q.pop_closed(scope) {
                 return Some(page);
             }
-            // Real clock: how much longer the open page may wait.
-            let wait_s = match (&q.open, self.max_delay_s) {
-                (Some(page), Some(delay_s)) => Some(page.stamps[0] + delay_s - clock.now_s()),
-                _ => None,
-            };
+            // How much longer the open page may wait.
+            let wait_s = q
+                .open
+                .as_ref()
+                .map(|page| page.stamps[0] + self.max_delay_s - clock.now_s());
             if q.open.is_some() && (q.shutdown.is_some() || wait_s.is_some_and(|w| w <= 0.0)) {
                 q.close_open();
                 continue;
@@ -411,10 +456,11 @@ impl Ingest {
     }
 }
 
-/// Runs when the batcher exits, normally or by unwinding: marks the
-/// ingest dead (a later submit panics in its client) and drops every
-/// reply sender, so a handle waiting in `collect` receives what was
-/// answered and then panics instead of blocking forever.
+/// Runs when the batcher exits, or a virtual server stops, normally or
+/// by unwinding: marks the ingest dead (a later submit panics in its
+/// client) and drops every reply sender, so a handle waiting in `collect`
+/// receives what was answered and then panics instead of blocking
+/// forever.
 struct BatcherExit<'a>(&'a Ingest);
 
 impl Drop for BatcherExit<'_> {
@@ -435,7 +481,7 @@ impl Drop for BatcherExit<'_> {
     }
 }
 
-/// What the batcher thread accumulated over its lifetime.
+/// What a server's flushes accumulated over its lifetime.
 #[derive(Default)]
 struct EngineLog {
     served: u64,
@@ -448,7 +494,7 @@ struct EngineLog {
     per_width: BTreeMap<usize, LatencyRecorder>,
 }
 
-/// Buffers a batcher reuses across batches, so the steady-state flush
+/// Buffers a server reuses across batches, so the steady-state flush
 /// path allocates nothing but the replies.
 #[derive(Default)]
 struct FlushScratch {
@@ -458,6 +504,62 @@ struct FlushScratch {
     /// pass before any response is delivered.
     latencies: Vec<f64>,
     queue_waits: Vec<f64>,
+}
+
+/// Everything a flush reads and writes besides the page: owned by the
+/// batcher thread under the real clock, and held in the ingest behind one
+/// mutex under a virtual clock ([`Ingest::serve_closed`]).
+struct FlushState {
+    log: EngineLog,
+    scratch: FlushScratch,
+    registry: Arc<ModelRegistry>,
+    cfg: ServeConfig,
+    clock: Arc<Clock>,
+    /// This server's pool group: every flush's stripes carry it, so the
+    /// pool's scheduler treats each server as one fairness tenant.
+    group: u64,
+}
+
+impl FlushState {
+    fn new(registry: Arc<ModelRegistry>, cfg: ServeConfig, clock: Arc<Clock>) -> Self {
+        FlushState {
+            log: EngineLog::default(),
+            scratch: FlushScratch::default(),
+            registry,
+            cfg,
+            clock,
+            group: metis_nn::par::fresh_group(),
+        }
+    }
+
+    /// Flush closed pages in close order until [`Ingest::next_page`]
+    /// returns `None` (see there for `wait`).
+    fn serve(&mut self, ingest: &Ingest, wait: bool) {
+        metis_nn::par::with_group(self.group, || {
+            let mut done = None;
+            while let Some(mut page) = ingest.next_page(
+                done.take(),
+                wait,
+                &self.clock,
+                self.cfg.telemetry.as_deref(),
+            ) {
+                if let Some(scope) = &self.cfg.telemetry {
+                    scope.on_batch_open();
+                }
+                flush(
+                    &mut self.log,
+                    &mut self.scratch,
+                    ingest,
+                    &self.registry,
+                    &self.cfg,
+                    &self.clock,
+                    &page,
+                );
+                page.clear();
+                done = Some(page);
+            }
+        });
+    }
 }
 
 /// Lifetime summary of one [`TreeServer`], returned by
@@ -531,12 +633,14 @@ impl ServerHandle {
         self.n_features
     }
 
-    /// Enqueue one request and return its (per-handle) id. Never blocks on
-    /// the server beyond the ingest mutex: the features are copied into
-    /// the open page and `features` is freed here. A malformed request
-    /// panics **here**, in the submitting client's thread — the shared
-    /// batcher never sees it, so one bad client cannot take the engine
-    /// down for its neighbours.
+    /// Enqueue one request and return its (per-handle) id. The features
+    /// are copied into the open page and `features` is freed here. On the
+    /// real clock this never blocks on the server beyond the ingest mutex.
+    /// On a virtual clock, a request that fills its page serves that page
+    /// on this thread before returning, so its answers are in the reply
+    /// slots before any collect. A malformed request panics **here**, in
+    /// the submitting client's thread — no flush ever sees it, so one bad
+    /// client cannot take the engine down for its neighbours.
     pub fn submit(&mut self, features: Vec<f64>) -> u64 {
         assert_eq!(
             features.len(),
@@ -557,18 +661,20 @@ impl ServerHandle {
     /// responses in id order (deterministic regardless of batching: pages
     /// are answered in order and ids follow page order).
     ///
-    /// On a virtual-clock server there is no deadline close, so a partial
-    /// page would otherwise wait forever: collecting first places an
-    /// explicit flush marker (a no-op when no page is open). The real
-    /// clock path is untouched — the deadline does the closing there.
-    /// Panics if the server's batcher has exited with requests of this
-    /// handle unanswered.
+    /// On a virtual-clock server there is no deadline close and no
+    /// batcher: collecting first closes the open page (a no-op when none
+    /// is open) and serves every closed page on this thread, so the
+    /// answers are waiting when it reads them. The real clock path is
+    /// untouched — the deadline does the closing and the batcher the
+    /// serving there. Panics if the server stopped with requests of this
+    /// handle unanswered, or if a virtual flush panicked.
     pub fn collect(&mut self) -> Vec<Response> {
         if self.outstanding == 0 {
             return Vec::new();
         }
         if self.clock.is_virtual() {
             self.ingest.mark(false);
+            self.ingest.serve_closed();
         }
         let mut out: Vec<Response> = Vec::new();
         while out.len() < self.outstanding {
@@ -598,10 +704,11 @@ impl Drop for ServerHandle {
     }
 }
 
-/// The serving engine: spawn with [`TreeServer::start`], mint client
+/// The serving engine: start with [`TreeServer::start`], mint client
 /// handles with [`TreeServer::handle`], stop with [`TreeServer::shutdown`].
 pub struct TreeServer {
     ingest: Arc<Ingest>,
+    /// The batcher; `None` on a virtual clock, where clients serve.
     thread: Option<JoinHandle<EngineLog>>,
     registry: Arc<ModelRegistry>,
     clock: Arc<Clock>,
@@ -615,8 +722,9 @@ impl TreeServer {
 
     /// [`TreeServer::start`] on an explicit [`Clock`]. A virtual clock
     /// switches batching from size-or-deadline to size-or-explicit-flush
-    /// (see [`ServerHandle::collect`]) and makes every latency figure a
-    /// deterministic virtual-time span.
+    /// (see [`ServerHandle::collect`]), spawns no batcher thread (the
+    /// thread that closes a page serves it; see [`ServerHandle::submit`])
+    /// and makes every latency figure a deterministic virtual-time span.
     pub fn start_clocked(
         registry: Arc<ModelRegistry>,
         cfg: ServeConfig,
@@ -624,24 +732,26 @@ impl TreeServer {
     ) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         assert!(cfg.stripe_rows >= 1, "stripe_rows must be at least 1");
-        let ingest = Arc::new(Ingest::new(&cfg, &clock));
-        let batcher_ingest = Arc::clone(&ingest);
-        let reg = Arc::clone(&registry);
-        let batcher_clock = Arc::clone(&clock);
-        let thread = std::thread::Builder::new()
-            .name("metis-serve-batcher".into())
-            // Every pool submission from the batcher carries its own fresh
-            // group, so the pool's scheduler treats each server as one
-            // fairness tenant.
-            .spawn(move || {
-                metis_nn::par::with_group(metis_nn::par::fresh_group(), || {
-                    batcher_loop(batcher_ingest, reg, cfg, batcher_clock)
-                })
-            })
-            .expect("spawn serve batcher");
+        let mut ingest = Ingest::new(&cfg);
+        let mut state = Some(FlushState::new(
+            Arc::clone(&registry),
+            cfg,
+            Arc::clone(&clock),
+        ));
+        if clock.is_virtual() {
+            ingest.inline = state.take().map(|state| Box::new(Mutex::new(state)));
+        }
+        let ingest = Arc::new(ingest);
+        let thread = state.map(|state| {
+            let ingest = Arc::clone(&ingest);
+            std::thread::Builder::new()
+                .name("metis-serve-batcher".into())
+                .spawn(move || batcher_loop(ingest, state))
+                .expect("spawn serve batcher")
+        });
         TreeServer {
             ingest,
-            thread: Some(thread),
+            thread,
             registry,
             clock,
         }
@@ -664,15 +774,10 @@ impl TreeServer {
 
     /// Stop the engine: already-queued requests are drained and answered
     /// (zero drops for clients that finished submitting), then the batcher
-    /// exits and its lifetime report is returned.
+    /// exits — on a virtual clock this thread serves them — and the
+    /// lifetime report is returned.
     pub fn shutdown(mut self) -> EngineReport {
-        self.ingest.mark(true);
-        let log = self
-            .thread
-            .take()
-            .expect("shutdown called once")
-            .join()
-            .expect("serve batcher panicked");
+        let log = self.stop().expect("serve batcher or flush panicked");
         let batches = log.batches.max(1);
         let mut recorder = LatencyRecorder::new();
         for width in log.per_width.values() {
@@ -694,48 +799,33 @@ impl TreeServer {
                 .collect(),
         }
     }
+
+    /// Drain the queue and stop serving. `None` when the batcher or a
+    /// flush panicked, or the real-clock batcher was already stopped.
+    fn stop(&mut self) -> Option<EngineLog> {
+        if let Some(thread) = self.thread.take() {
+            self.ingest.mark(true);
+            return thread.join().ok();
+        }
+        let state = self.ingest.inline.as_deref()?;
+        self.ingest.finish(state)
+    }
 }
 
 impl Drop for TreeServer {
     /// A server dropped without [`TreeServer::shutdown`] still drains its
-    /// queue and stops its batcher; the report is discarded.
+    /// queue and stops serving; the report is discarded, and so is the
+    /// panic of a virtual flush run here, as a batcher's panic is.
     fn drop(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            self.ingest.mark(true);
-            let _ = thread.join();
-        }
+        let stop = std::panic::AssertUnwindSafe(|| self.stop());
+        let _ = std::panic::catch_unwind(stop);
     }
 }
 
-fn batcher_loop(
-    ingest: Arc<Ingest>,
-    registry: Arc<ModelRegistry>,
-    cfg: ServeConfig,
-    clock: Arc<Clock>,
-) -> EngineLog {
+fn batcher_loop(ingest: Arc<Ingest>, mut state: FlushState) -> EngineLog {
     let _exit = BatcherExit(&ingest);
-    let scope = cfg.telemetry.clone();
-    let scope = scope.as_deref();
-    let mut log = EngineLog::default();
-    let mut scratch = FlushScratch::default();
-    let mut done = None;
-    while let Some(mut page) = ingest.next_page(done.take(), &clock, scope) {
-        if let Some(scope) = scope {
-            scope.on_batch_open();
-        }
-        flush(
-            &mut log,
-            &mut scratch,
-            &ingest,
-            &registry,
-            &cfg,
-            &clock,
-            &page,
-        );
-        page.clear();
-        done = Some(page);
-    }
-    log
+    state.serve(&ingest, true);
+    state.log
 }
 
 fn flush(
@@ -1308,7 +1398,7 @@ mod tests {
             telemetry: Some(Arc::clone(&scope)),
             ..Default::default()
         };
-        let ingest = Arc::new(Ingest::new(&cfg, &clock));
+        let ingest = Arc::new(Ingest::new(&cfg));
         let mut handle = ServerHandle::new(&ingest, 2, &clock);
         for k in 0..30u64 {
             handle.submit(req_features(k));
@@ -1323,7 +1413,7 @@ mod tests {
                 ingest.mark(true);
             }
         }
-        let log = batcher_loop(Arc::clone(&ingest), registry, cfg, clock);
+        let log = batcher_loop(Arc::clone(&ingest), FlushState::new(registry, cfg, clock));
         assert_eq!(log.served, 30, "requests behind a marker were dropped");
         assert_eq!(log.batches, 5, "pages 0-7, 8-15, 16-19, 20-27, 28-29");
         let responses = handle.collect();
@@ -1392,7 +1482,7 @@ mod tests {
     fn a_dead_batcher_makes_collect_panic_instead_of_blocking() {
         let clock = Clock::real();
         let cfg = ServeConfig::default();
-        let ingest = Arc::new(Ingest::new(&cfg, &clock));
+        let ingest = Arc::new(Ingest::new(&cfg));
         let mut handle = ServerHandle::new(&ingest, 2, &clock);
         handle.submit(req_features(0));
         let unwound = std::panic::catch_unwind(|| {
@@ -1406,12 +1496,159 @@ mod tests {
         }));
         assert!(refused.is_err(), "submit to a dead server must panic");
         let collector = std::thread::spawn(move || handle.collect());
+        assert!(
+            join_within(collector, "collect on a dead batcher").is_err(),
+            "collect must panic"
+        );
+    }
+
+    /// Join `thread`, failing the test if it has not finished within 20 s
+    /// (a blocked collect or a lock-order deadlock) instead of hanging.
+    fn join_within<T>(thread: std::thread::JoinHandle<T>, what: &str) -> std::thread::Result<T> {
         let start = std::time::Instant::now();
-        while !collector.is_finished() && start.elapsed() < Duration::from_secs(20) {
+        while !thread.is_finished() {
+            assert!(
+                start.elapsed() < Duration::from_secs(20),
+                "{what} still running after 20 s"
+            );
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(collector.is_finished(), "collect blocked on a dead batcher");
-        assert!(collector.join().is_err(), "collect must panic");
+        thread.join()
+    }
+
+    /// A virtual-clock server holds no batcher thread: the submit that
+    /// fills a page serves it, so its answers are in the handle's reply
+    /// slot before any collect, while a partial page waits for the collect.
+    /// After shutdown a late submit panics in its client.
+    #[test]
+    fn virtual_server_serves_a_full_page_on_the_submitting_thread() {
+        let tree = staircase_tree(5);
+        let registry = Arc::new(ModelRegistry::new(tree.clone()));
+        let real = TreeServer::start(Arc::clone(&registry), ServeConfig::default());
+        assert!(real.thread.is_some(), "the real clock keeps its batcher");
+        drop(real);
+        let server = TreeServer::start_clocked(
+            registry,
+            ServeConfig {
+                max_batch: 4,
+                ..Default::default()
+            },
+            Clock::virtual_at(0.0),
+        );
+        assert!(server.thread.is_none(), "a virtual server spawns no thread");
+        let mut handle = server.handle();
+        for k in 0..4u64 {
+            handle.submit(req_features(k));
+        }
+        let page = handle
+            .replies
+            .try_recv()
+            .expect("the fourth submit served its page");
+        // Taken by hand, so the collect below does not wait for them.
+        handle.outstanding -= page.len();
+        let ids: Vec<u64> = page.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        for resp in &page {
+            assert_eq!(resp.batch_size, 4);
+            assert_eq!(resp.prediction, tree.predict(&req_features(resp.id)));
+        }
+        for k in 4..6u64 {
+            handle.submit(req_features(k));
+        }
+        assert!(handle.replies.try_recv().is_err(), "a partial page waits");
+        let rest = handle.collect();
+        assert_eq!(rest.iter().map(|r| r.id).collect::<Vec<u64>>(), [4, 5]);
+        assert!(rest.iter().all(|r| r.batch_size == 2));
+        let report = server.shutdown();
+        assert_eq!((report.served, report.batches), (6, 2));
+        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle.submit(req_features(6))
+        }));
+        assert!(late.is_err(), "submit to a stopped server must panic");
+    }
+
+    /// Three client threads share one virtual server and race to close
+    /// and serve its pages. Pages still flush in close order under the
+    /// one flush-state lock, so each collect returns exactly its own ids,
+    /// ascending, with oracle answers; a lock-order deadlock fails the
+    /// bounded joins instead of hanging the suite. The barrier and the
+    /// yields make the clients' rows share pages; without them the three
+    /// threads barely overlap.
+    #[test]
+    fn client_threads_share_a_virtual_server() {
+        const ROWS: u64 = 200;
+        let tree = staircase_tree(6);
+        let clock = Clock::virtual_at(0.0);
+        let server = TreeServer::start_clocked(
+            Arc::new(ModelRegistry::new(tree.clone())),
+            ServeConfig {
+                max_batch: 5,
+                ..Default::default()
+            },
+            Arc::clone(&clock),
+        );
+        let row = |t: u64, k: u64| req_features(k * 3 + t);
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let clients: Vec<_> = (0..3u64)
+            .map(|t| {
+                let mut handle = server.handle();
+                let (tree, clock) = (tree.clone(), Arc::clone(&clock));
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    let mut answered = Vec::new();
+                    start.wait();
+                    for k in 0..ROWS {
+                        // Hand the core over, so the clients' pages mix.
+                        std::thread::yield_now();
+                        clock.advance_to(k as f64);
+                        assert_eq!(handle.submit(row(t, k)), k);
+                        if k % (11 + 2 * t) == 0 {
+                            answered.extend(handle.collect());
+                        }
+                    }
+                    answered.extend(handle.collect());
+                    let ids: Vec<u64> = answered.iter().map(|r| r.id).collect();
+                    assert_eq!(ids, (0..ROWS).collect::<Vec<u64>>(), "client {t} ids");
+                    for resp in &answered {
+                        assert_eq!(resp.prediction, tree.predict(&row(t, resp.id)));
+                    }
+                })
+            })
+            .collect();
+        for (t, client) in clients.into_iter().enumerate() {
+            let joined = join_within(client, &format!("client {t}"));
+            assert!(joined.is_ok(), "client {t} failed");
+        }
+        let report = server.shutdown();
+        assert_eq!(report.served, 3 * ROWS);
+        assert_eq!(report.delivery_failures, 0);
+        assert!(report.max_batch_seen <= 5);
+    }
+
+    /// A flush that panics poisons the virtual flush state, and its pages
+    /// are lost: the next collect must panic rather than block on answers
+    /// that will never come. Dropping the server then still stops it.
+    #[test]
+    fn a_poisoned_flush_state_makes_collect_panic_instead_of_blocking() {
+        let server = TreeServer::start_clocked(
+            Arc::new(ModelRegistry::new(staircase_tree(3))),
+            ServeConfig::default(),
+            Clock::virtual_at(0.0),
+        );
+        let mut handle = server.handle();
+        handle.submit(req_features(0));
+        let state = server.ingest.inline.as_deref().expect("a virtual server");
+        let poisoned = std::panic::catch_unwind(|| {
+            let _state = state.lock().unwrap();
+            panic!("flush fault");
+        });
+        assert!(poisoned.is_err());
+        let collector = std::thread::spawn(move || handle.collect());
+        assert!(
+            join_within(collector, "collect on a poisoned server").is_err(),
+            "collect must panic"
+        );
+        drop(server);
     }
 
     /// A dropped handle frees its reply slot at once. The slot is reissued

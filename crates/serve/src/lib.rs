@@ -25,12 +25,13 @@
 //! * [`engine`] — the request engine, which serves by the batch: submits
 //!   append to a page of the server's ingest queue, a page closes on
 //!   batch size, deadline, or a flush/shutdown marker, and a closed page
-//!   *is* the micro-batch. The batcher walks each page in place through
-//!   the epoch's forest in the lane-vectorized kernel
-//!   ([`metis_dt::Forest::predict_batch_into`]), fanning across
-//!   [`metis_nn::par::global`] stripe jobs under a dedicated
-//!   pool group, stamps completion once per batch, and sends one reply
-//!   per (handle, batch),
+//!   *is* the micro-batch. A flush — on the batcher thread under the real
+//!   clock, on the thread that closed the page under a virtual one —
+//!   walks each page in place through the epoch's forest in the
+//!   lane-vectorized kernel ([`metis_dt::Forest::predict_batch_into`]),
+//!   fanning across [`metis_nn::par::global`] stripe jobs under a
+//!   dedicated pool group, stamps completion once per batch, and sends
+//!   one reply per (handle, batch),
 //! * [`traffic`] — open-loop load generation: ABR-trace replay
 //!   inter-arrivals and Poisson (flowsched-style) arrival processes, and
 //!   the one driver ([`drive_open_loop`]) that paces a schedule on a

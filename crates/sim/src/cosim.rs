@@ -78,6 +78,30 @@ impl Default for CosimConfig {
     }
 }
 
+impl CosimConfig {
+    /// Panic, naming the field, on a config the co-simulation would
+    /// otherwise run as something else: a NaN start window starting every
+    /// session at 0, a NaN or negative quantum giving one-decision waves,
+    /// or more sessions than the `u32` ids of [`CosimEvent::Decide`] hold.
+    fn check(&self) {
+        assert!(
+            self.start_window_s.is_finite() && self.start_window_s >= 0.0,
+            "CosimConfig::start_window_s must be finite and non-negative, got {}",
+            self.start_window_s
+        );
+        assert!(
+            self.decision_quantum_s >= 0.0,
+            "CosimConfig::decision_quantum_s must be non-negative, got {}",
+            self.decision_quantum_s
+        );
+        assert!(
+            u32::try_from(self.sessions).is_ok(),
+            "CosimConfig::sessions must fit a u32 session id, got {}",
+            self.sessions
+        );
+    }
+}
+
 /// A scheduled hot swap of the scenario's live model: the swap publishes
 /// [`Forest::from_trees`] over `trees`, so one tree serves as a one-tree
 /// forest and several as a majority-vote ensemble.
@@ -116,8 +140,10 @@ pub struct SessionPlan {
 }
 
 /// Draw every session's placement from the config seed. Deterministic:
-/// same config and trace pool ⇒ bitwise-identical plans.
+/// same config and trace pool ⇒ bitwise-identical plans. Panics on a
+/// malformed config, naming the field.
 pub fn session_plan(cfg: &CosimConfig, traces: &[Arc<NetworkTrace>]) -> Vec<SessionPlan> {
+    cfg.check();
     assert!(!traces.is_empty(), "session_plan needs at least one trace");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     (0..cfg.sessions)
@@ -284,6 +310,15 @@ pub fn run_abr_cosim_observed(
         "scenario `{scenario}` does not serve the {OBS_DIM}-feature ABR observation"
     );
     assert!(cfg.sessions > 0, "need at least one session");
+    cfg.check();
+    for (i, swap) in swaps.iter().enumerate() {
+        assert!(
+            swap.at_s.is_finite() && swap.at_s >= 0.0,
+            "swap {i}: ModelSwap::at_s must be finite and non-negative, got {}",
+            swap.at_s
+        );
+        assert!(!swap.trees.is_empty(), "swap {i} has no trees");
+    }
     let scen_idx = router
         .scenario_index(scenario)
         .unwrap_or_else(|| panic!("unknown scenario `{scenario}`"));
@@ -295,7 +330,6 @@ pub fn run_abr_cosim_observed(
     // giving the oracle rule "a decision at T sees the latest swap with
     // at_s <= T".
     for (i, swap) in swaps.iter().enumerate() {
-        assert!(!swap.trees.is_empty(), "swap {i} has no trees");
         sim.schedule_at(swap.at_s, CosimEvent::Swap(i as u32));
     }
     let plans = session_plan(cfg, traces);
@@ -740,6 +774,60 @@ mod tests {
         assert_eq!(ticks_off, 0, "disabled plane: observer ticks no-op");
         assert_eq!(alerts_off, 0, "disabled plane: observer stays inert");
         assert_ne!(digest_on, digest_off);
+    }
+
+    /// A one-shard virtual co-sim of `cfg` over the test pool, with
+    /// `swaps`: what a config check must stop before it runs.
+    fn run_with(cfg: CosimConfig, swaps: &[ModelSwap]) {
+        let (video, traces) = pool();
+        let router = virtual_router(constant_tree(0, video.n_qualities()), 1);
+        run_abr_cosim(&router, "pensieve", &video, &traces, swaps, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "CosimConfig::start_window_s")]
+    fn nan_start_window_is_rejected() {
+        let (_, traces) = pool();
+        let cfg = CosimConfig {
+            start_window_s: f64::NAN,
+            ..Default::default()
+        };
+        session_plan(&cfg, &traces);
+    }
+
+    #[test]
+    #[should_panic(expected = "CosimConfig::decision_quantum_s")]
+    fn negative_decision_quantum_is_rejected() {
+        run_with(
+            CosimConfig {
+                decision_quantum_s: -0.25,
+                ..Default::default()
+            },
+            &[],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "CosimConfig::sessions")]
+    fn sessions_beyond_u32_ids_are_rejected() {
+        run_with(
+            CosimConfig {
+                sessions: u32::MAX as usize + 1,
+                ..Default::default()
+            },
+            &[],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "swap 1: ModelSwap::at_s")]
+    fn nan_swap_time_is_rejected() {
+        let tree = constant_tree(1, VideoModel::standard(16, 7).n_qualities());
+        let swap = |at_s: f64| ModelSwap {
+            at_s,
+            trees: vec![tree.clone()],
+        };
+        run_with(CosimConfig::default(), &[swap(1.0), swap(f64::NAN)]);
     }
 
     #[test]
