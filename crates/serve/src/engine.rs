@@ -346,8 +346,9 @@ impl Ingest {
     /// ingest dead in one step, so a later submit panics in its client;
     /// serves what is queued on this thread; then drops every reply
     /// sender, as a batcher's exit does, so a collect returns what was
-    /// answered. `None` when a flush panicked.
-    fn finish(&self, state: &Mutex<FlushState>) -> Option<EngineLog> {
+    /// answered. `None` under the real clock or when a flush panicked.
+    fn finish(&self) -> Option<EngineLog> {
+        let state = self.inline.as_deref()?;
         let _exit = BatcherExit(self);
         let mut state = state.lock().ok()?;
         let mut q = self.lock();
@@ -733,22 +734,19 @@ impl TreeServer {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         assert!(cfg.stripe_rows >= 1, "stripe_rows must be at least 1");
         let mut ingest = Ingest::new(&cfg);
-        let mut state = Some(FlushState::new(
-            Arc::clone(&registry),
-            cfg,
-            Arc::clone(&clock),
-        ));
-        if clock.is_virtual() {
-            ingest.inline = state.take().map(|state| Box::new(Mutex::new(state)));
-        }
-        let ingest = Arc::new(ingest);
-        let thread = state.map(|state| {
-            let ingest = Arc::clone(&ingest);
-            std::thread::Builder::new()
+        let state = FlushState::new(Arc::clone(&registry), cfg, Arc::clone(&clock));
+        let (ingest, thread) = if clock.is_virtual() {
+            ingest.inline = Some(Box::new(Mutex::new(state)));
+            (Arc::new(ingest), None)
+        } else {
+            let ingest = Arc::new(ingest);
+            let batcher = Arc::clone(&ingest);
+            let thread = std::thread::Builder::new()
                 .name("metis-serve-batcher".into())
-                .spawn(move || batcher_loop(ingest, state))
-                .expect("spawn serve batcher")
-        });
+                .spawn(move || batcher_loop(batcher, state))
+                .expect("spawn serve batcher");
+            (ingest, Some(thread))
+        };
         TreeServer {
             ingest,
             thread,
@@ -807,8 +805,7 @@ impl TreeServer {
             self.ingest.mark(true);
             return thread.join().ok();
         }
-        let state = self.ingest.inline.as_deref()?;
-        self.ingest.finish(state)
+        self.ingest.finish()
     }
 }
 
