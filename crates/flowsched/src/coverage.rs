@@ -22,16 +22,22 @@ pub fn coverage(flows: &[CompletedFlow], decision_latency_s: f64) -> Coverage {
             byte_fraction: 0.0,
         };
     }
-    let total_bytes: f64 = flows.iter().map(|f| f.size_bytes).sum();
+    let total_bytes = bytes(flows.iter());
     let covered: Vec<&CompletedFlow> = flows
         .iter()
         .filter(|f| f.fct_s > decision_latency_s)
         .collect();
-    let covered_bytes: f64 = covered.iter().map(|f| f.size_bytes).sum();
+    let covered_bytes = bytes(covered.iter().copied());
     Coverage {
         flow_fraction: covered.len() as f64 / flows.len() as f64,
         byte_fraction: covered_bytes / total_bytes.max(1e-12),
     }
+}
+
+/// Bytes carried by `flows`, summed from +0.0: `Sum` over no `f64` gives
+/// -0.0, which printed an uncovered population as "-0.0% bytes".
+fn bytes<'a>(flows: impl Iterator<Item = &'a CompletedFlow>) -> f64 {
+    flows.fold(0.0, |b, f| b + f.size_bytes)
 }
 
 #[cfg(test)]
@@ -78,6 +84,15 @@ mod tests {
             assert!(c.byte_fraction <= last.byte_fraction);
             last = c;
         }
+    }
+
+    /// No flow outlives the latency: the byte fraction is +0.0, not the
+    /// -0.0 an empty `Sum` gives.
+    #[test]
+    fn uncovered_population_has_positive_zero_bytes() {
+        let c = coverage(&[flow(100.0, 0.001), flow(1e6, 0.1)], 1.0);
+        assert_eq!(c.flow_fraction.to_bits(), 0.0f64.to_bits());
+        assert_eq!(c.byte_fraction.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

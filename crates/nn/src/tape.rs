@@ -16,33 +16,100 @@
 //! ```
 //!
 //! Nodes are appended to an append-only arena; `grad()` walks the arena in
-//! reverse. Each node has at most two parents, which covers every operator
-//! we need and keeps the node representation a flat POD. Both operands of
-//! a binary operator must live on the same tape (checked on every node).
+//! reverse. An operator node has at most two parents, kept with their
+//! partials in a flat 24-byte record. One kind has more:
+//! [`Tape::affine_tanh`] records a whole affine row `tanh(b + Σₖ wₖxₖ)` as
+//! one node, whose bias, weight and input indices live in a side array
+//! and whose backward reads their values from a per-node value array. A
+//! fused row is bit-identical to the 2n + 1 nodes of its scalar chain
+//! `((b + w₀x₀) + w₁x₁ + …).tanh()`: its forward is the chain's
+//! arithmetic, and since the chain's nodes sit next to each other on the
+//! tape with one consumer each, its backward can make the chain's adjoint
+//! updates in the chain's order (see the method). Every operand of a node
+//! must live on the node's tape, and [`Grads::wrt`] answers only for vars
+//! of its own tape; both are checked.
 //!
-//! The recording path (`Tape::var`, the operators and the elementwise
-//! methods on [`Var`], [`sum`], [`Grads::wrt`]) is `#[inline]`: every
-//! caller is in another crate (`metis_routing`, `metis_hypergraph`,
-//! `metis_core`) and no build profile turns on LTO, so without the hint
-//! each recorded node is an out-of-line call into this crate. RouteNet's
-//! message passing records ~43k nodes per §4 search step, and losing the
-//! hint costs that search about 1.7×. Reusing a cleared, pre-sized arena
-//! measured no gain: the cost was the call, not the allocation.
+//! The recording path (`Tape::var`, `Tape::affine_tanh`, the operators
+//! and the elementwise methods on [`Var`], [`sum`], [`Grads::wrt`]) is
+//! `#[inline]`: every caller is in another crate (`metis_routing`,
+//! `metis_hypergraph`, `metis_core`) and no build profile turns on LTO, so
+//! without the hint each recorded node is an out-of-line call into this
+//! crate. A §4 search step on `mask_routenet`'s first sample records 7,039
+//! nodes (43,231 before RouteNet's affine rows were fused), and losing the
+//! hint costs that search about 1.3× (it cost 1.7× before the fusion). A
+//! dropped tape hands its cleared arena to the next tape on its thread
+//! (see [`Tape`]).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
-const NO_PARENT: usize = usize::MAX;
+const NO_PARENT: u32 = u32::MAX;
+/// `parents[0]` of a fused affine row ([`Tape::affine_tanh`]); its
+/// `parents[1]` is then the row's offset in [`Arena::terms`] and its
+/// `partials[0]` the `tanh` derivative `1 - t²`.
+const AFFINE_ROW: u32 = u32::MAX - 1;
 
 #[derive(Clone, Copy)]
 struct Node {
-    parents: [usize; 2],
+    parents: [u32; 2],
     partials: [f64; 2],
 }
 
+/// What a tape records. Indices are `u32`, which keeps a node at 24 bytes.
+#[derive(Default)]
+struct Arena {
+    nodes: Vec<Node>,
+    /// Every node's value, indexed like `nodes`: a fused row's backward
+    /// reads its weights' and inputs' values here.
+    vals: Vec<f64>,
+    /// Operand indices of the fused rows. Per [`Tape::affine_tanh`] call:
+    /// the input count, then the input indices. Per row: the offset of
+    /// its call's input count, the bias index, then the weight indices.
+    terms: Vec<u32>,
+}
+
+impl Arena {
+    #[inline]
+    fn push(&mut self, parents: [u32; 2], partials: [f64; 2], val: f64) -> usize {
+        let idx = self.nodes.len();
+        assert!(
+            idx < AFFINE_ROW as usize,
+            "tape: too many nodes for u32 indices"
+        );
+        self.nodes.push(Node { parents, partials });
+        self.vals.push(val);
+        idx
+    }
+
+    /// The next offset in `terms`.
+    #[inline]
+    fn terms_end(&self) -> u32 {
+        u32::try_from(self.terms.len()).expect("tape: too many fused-row terms for u32 offsets")
+    }
+}
+
+/// A var's index as stored on the tape: it is below the node count, which
+/// [`Arena::push`] keeps below [`AFFINE_ROW`].
+#[inline]
+fn at(v: &Var<'_>) -> u32 {
+    v.idx as u32
+}
+
+thread_local! {
+    /// The cleared arena of the last tape dropped on this thread, which
+    /// the next [`Tape::new`] on it takes over.
+    static SPARE: Cell<Option<Arena>> = const { Cell::new(None) };
+}
+
 /// Arena of computation nodes. Create [`Var`]s with [`Tape::var`].
+///
+/// A dropped tape hands its cleared arena to the next tape created on the
+/// same thread, so a loop that records one tape per step (the §4 search,
+/// RouteNet training) reuses one allocation instead of growing a fresh one
+/// every step, which read about 7% slower on the §4 search. A thread keeps
+/// at most one spare: the last dropped tape's.
 pub struct Tape {
-    nodes: RefCell<Vec<Node>>,
+    arena: RefCell<Arena>,
 }
 
 impl Default for Tape {
@@ -51,16 +118,29 @@ impl Default for Tape {
     }
 }
 
+impl Drop for Tape {
+    fn drop(&mut self) {
+        let arena = self.arena.get_mut();
+        arena.nodes.clear();
+        arena.vals.clear();
+        arena.terms.clear();
+        let arena = std::mem::take(arena);
+        // Fails only while the thread's locals are being torn down.
+        let _ = SPARE.try_with(|spare| spare.set(Some(arena)));
+    }
+}
+
 impl Tape {
     pub fn new() -> Self {
+        let arena = SPARE.try_with(Cell::take).ok().flatten();
         Tape {
-            nodes: RefCell::new(Vec::new()),
+            arena: RefCell::new(arena.unwrap_or_default()),
         }
     }
 
     /// Number of nodes recorded so far.
     pub fn len(&self) -> usize {
-        self.nodes.borrow().len()
+        self.arena.borrow().nodes.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -70,7 +150,7 @@ impl Tape {
     /// Create a leaf variable.
     #[inline]
     pub fn var(&self, val: f64) -> Var<'_> {
-        let idx = self.push(NO_PARENT, 0.0, NO_PARENT, 0.0);
+        let idx = self.push([NO_PARENT; 2], [0.0; 2], val);
         Var {
             tape: self,
             idx,
@@ -84,19 +164,79 @@ impl Tape {
         vals.iter().map(|&v| self.var(v)).collect()
     }
 
+    /// One layer `tanh(b + W·x)`, one node per row appended to `out`:
+    /// row `r` is `tanh(bias[r] + Σₖ weights[r·n + k]·x[k])` with
+    /// `n = x.len()`, and its value and every adjoint it passes back are
+    /// bit-identical to the scalar chain
+    /// `(((bias[r] + w₀·x₀) + w₁·x₁) + …).tanh()`, which records 2n + 1
+    /// nodes. Inputs may repeat (a shared zero var) and may be any var on
+    /// this tape, bias and weights included.
+    ///
+    /// The forward sums left to right from the bias with separate multiply
+    /// and add (no `mul_add`), then calls `f64::tanh`, as the chain does.
+    /// In the chain's backward every internal node's adjoint is
+    /// `g = 0.0 + a·(1 − t²)`, where `a` is the row's adjoint, because each
+    /// has one consumer, and the chain's nodes are adjacent on the tape, so
+    /// no other node's update falls between them. The fused backward makes
+    /// the chain's updates in the chain's order: for k = n−1 down to 1,
+    /// weight k then input k; then the bias; then weight 0 and input 0.
+    /// It skips the row wherever the chain skips every node: `a` or `g` is
+    /// zero (`0.0 + -0.0` is `+0.0`).
+    ///
+    /// # Panics
+    /// If `x` is empty, if `weights.len() != bias.len() * x.len()`, or if
+    /// any operand was recorded on another tape.
     #[inline]
-    fn push(&self, p0: usize, d0: f64, p1: usize, d1: f64) -> usize {
-        let mut nodes = self.nodes.borrow_mut();
-        nodes.push(Node {
-            parents: [p0, p1],
-            partials: [d0, d1],
-        });
-        nodes.len() - 1
+    pub fn affine_tanh<'t>(
+        &'t self,
+        bias: &[Var<'t>],
+        weights: &[Var<'t>],
+        x: &[Var<'t>],
+        out: &mut Vec<Var<'t>>,
+    ) {
+        let n = x.len();
+        assert!(n > 0, "tape: affine_tanh needs at least one input");
+        assert_eq!(
+            weights.len(),
+            bias.len() * n,
+            "tape: affine_tanh needs one weight per (row, input)"
+        );
+        let foreign = |vs: &[Var<'t>]| vs.iter().any(|v| !std::ptr::eq(self, v.tape));
+        assert!(
+            !(foreign(bias) || foreign(weights) || foreign(x)),
+            "tape: affine_tanh operands recorded on another tape"
+        );
+        let mut arena = self.arena.borrow_mut();
+        let arena = &mut *arena;
+        let inputs = arena.terms_end();
+        arena.terms.push(n as u32);
+        arena.terms.extend(x.iter().map(at));
+        for (b, w) in bias.iter().zip(weights.chunks_exact(n)) {
+            let row = arena.terms_end();
+            arena.terms.extend([inputs, at(b)]);
+            arena.terms.extend(w.iter().map(at));
+            let mut acc = b.val;
+            for (wk, xk) in w.iter().zip(x) {
+                acc += wk.val * xk.val;
+            }
+            let t = acc.tanh();
+            let idx = arena.push([AFFINE_ROW, row], [1.0 - t * t, 0.0], t);
+            out.push(Var {
+                tape: self,
+                idx,
+                val: t,
+            });
+        }
+    }
+
+    #[inline]
+    fn push(&self, parents: [u32; 2], partials: [f64; 2], val: f64) -> usize {
+        self.arena.borrow_mut().push(parents, partials, val)
     }
 
     #[inline]
     fn unary(&self, a: &Var<'_>, val: f64, da: f64) -> Var<'_> {
-        let idx = self.push(a.idx, da, NO_PARENT, 0.0);
+        let idx = self.push([at(a), NO_PARENT], [da, 0.0], val);
         Var {
             tape: self,
             idx,
@@ -112,7 +252,7 @@ impl Tape {
             std::ptr::eq(self, b.tape),
             "tape: binary operands recorded on two different tapes"
         );
-        let idx = self.push(a.idx, da, b.idx, db);
+        let idx = self.push([at(a), at(b)], [da, db], val);
         Var {
             tape: self,
             idx,
@@ -138,8 +278,9 @@ impl<'t> Var<'t> {
     }
 
     /// Run the backward pass from this variable and collect all adjoints.
-    pub fn grad(&self) -> Grads {
-        let nodes = self.tape.nodes.borrow();
+    pub fn grad(&self) -> Grads<'t> {
+        let arena = self.tape.arena.borrow();
+        let (nodes, vals, terms) = (&arena.nodes, &arena.vals, &arena.terms);
         let mut adjoints = vec![0.0; nodes.len()];
         adjoints[self.idx] = 1.0;
         for i in (0..=self.idx).rev() {
@@ -148,14 +289,39 @@ impl<'t> Var<'t> {
                 continue;
             }
             let node = nodes[i];
+            if node.parents[0] == AFFINE_ROW {
+                // The scalar chain's updates, in its order (see
+                // `Tape::affine_tanh`).
+                let g = 0.0 + a * node.partials[0];
+                if g == 0.0 {
+                    continue;
+                }
+                let row = &terms[node.parents[1] as usize..];
+                let (inputs, bias) = (row[0] as usize, row[1] as usize);
+                let n = terms[inputs] as usize;
+                let (xs, ws) = (&terms[inputs + 1..][..n], &row[2..][..n]);
+                for k in (1..n).rev() {
+                    let (w, x) = (ws[k] as usize, xs[k] as usize);
+                    adjoints[w] += g * vals[x];
+                    adjoints[x] += g * vals[w];
+                }
+                adjoints[bias] += g; // the chain's `g · 1.0`
+                let (w, x) = (ws[0] as usize, xs[0] as usize);
+                adjoints[w] += g * vals[x];
+                adjoints[x] += g * vals[w];
+                continue;
+            }
             for k in 0..2 {
                 let p = node.parents[k];
                 if p != NO_PARENT {
-                    adjoints[p] += a * node.partials[k];
+                    adjoints[p as usize] += a * node.partials[k];
                 }
             }
         }
-        Grads { adjoints }
+        Grads {
+            tape: self.tape,
+            adjoints,
+        }
     }
 
     #[inline]
@@ -258,14 +424,23 @@ impl<'t> Var<'t> {
 }
 
 /// Adjoints produced by [`Var::grad`].
-pub struct Grads {
+pub struct Grads<'t> {
+    tape: &'t Tape,
     adjoints: Vec<f64>,
 }
 
-impl Grads {
+impl Grads<'_> {
     /// Gradient of the root with respect to `v`.
+    ///
+    /// # Panics
+    /// If `v` was recorded on another tape: its index would name an
+    /// unrelated node's adjoint.
     #[inline]
     pub fn wrt(&self, v: Var<'_>) -> f64 {
+        assert!(
+            std::ptr::eq(self.tape, v.tape),
+            "tape: gradient asked for a var of another tape"
+        );
         self.adjoints[v.idx]
     }
 }
@@ -391,6 +566,8 @@ impl<'t> Div<Var<'t>> for f64 {
 
 // ---- batched tape ----
 
+const NO_BATCH_PARENT: usize = usize::MAX;
+
 struct BatchNode {
     parents: [usize; 2],
     /// Per-row partial derivatives towards each parent (empty when the
@@ -458,7 +635,7 @@ impl BatchTape {
     fn push_leaf(&self, vals: Vec<f64>) -> BVar<'_> {
         let mut nodes = self.nodes.borrow_mut();
         nodes.push(BatchNode {
-            parents: [NO_PARENT, NO_PARENT],
+            parents: [NO_BATCH_PARENT, NO_BATCH_PARENT],
             partials: [Vec::new(), Vec::new()],
             vals,
         });
@@ -472,7 +649,7 @@ impl BatchTape {
         let mut nodes = self.nodes.borrow_mut();
         let (vals, da): (Vec<f64>, Vec<f64>) = nodes[a.idx].vals.iter().map(|&x| f(x)).unzip();
         nodes.push(BatchNode {
-            parents: [a.idx, NO_PARENT],
+            parents: [a.idx, NO_BATCH_PARENT],
             partials: [da, Vec::new()],
             vals,
         });
@@ -540,7 +717,7 @@ impl<'t> BVar<'t> {
         for i in (0..=self.idx).rev() {
             for k in 0..2 {
                 let p = nodes[i].parents[k];
-                if p == NO_PARENT {
+                if p == NO_BATCH_PARENT {
                     continue;
                 }
                 let (head, tail) = adjoints.split_at_mut(i);
@@ -811,6 +988,186 @@ mod tests {
         let _ = x * y;
     }
 
+    /// A var of another tape would read an unrelated node's adjoint.
+    #[test]
+    #[should_panic(expected = "var of another tape")]
+    fn grads_reject_a_var_of_another_tape() {
+        let t1 = Tape::new();
+        let t2 = Tape::new();
+        let x = t1.var(2.0);
+        let y = t2.var(3.0);
+        (x * 2.0).grad().wrt(y);
+    }
+
+    /// One fused row whose `operand`-th argument (bias, weights, inputs)
+    /// holds a var of another tape.
+    fn affine_row_with_a_foreign(operand: usize) {
+        let t1 = Tape::new();
+        let t2 = Tape::new();
+        let mut args = [t1.vars(&[0.1]), t1.vars(&[0.2, 0.3]), t1.vars(&[0.4, 0.5])];
+        args[operand][0] = t2.var(1.0);
+        t1.affine_tanh(&args[0], &args[1], &args[2], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "affine_tanh operands recorded on another tape")]
+    fn affine_row_rejects_a_bias_of_another_tape() {
+        affine_row_with_a_foreign(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "affine_tanh operands recorded on another tape")]
+    fn affine_row_rejects_a_weight_of_another_tape() {
+        affine_row_with_a_foreign(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "affine_tanh operands recorded on another tape")]
+    fn affine_row_rejects_an_input_of_another_tape() {
+        affine_row_with_a_foreign(2);
+    }
+
+    /// Upstream adjoints a fused row must pass back exactly as its scalar
+    /// chain does: zeros of both signs, subnormals, NaN and infinities.
+    const SPECIAL_ADJOINTS: [f64; 8] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -1e-310,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.0,
+    ];
+
+    /// A random fused-row layer over a small pool of vars: bias, weight
+    /// and input indices into the pool, so vars repeat within and across
+    /// the three roles, and the input list always repeats one var (as
+    /// RouteNet's shared zero var does).
+    struct AffineCase {
+        pool: Vec<f64>,
+        bias: Vec<usize>,
+        weights: Vec<usize>,
+        inputs: Vec<usize>,
+        /// The adjoint each row's output receives.
+        upstream: Vec<f64>,
+        /// Each pool var's direct coefficient in the root, so adjoints are
+        /// already nonzero when the rows' updates land.
+        direct: Vec<f64>,
+    }
+
+    impl AffineCase {
+        fn new(seed: u64) -> Self {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (rows, n) = (rng.gen_range(1..4), rng.gen_range(2..9));
+            let pool_len = rng.gen_range(2..8);
+            // Moderate values, values that saturate `tanh`, and specials.
+            let value = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..10) {
+                0 => 40.0 * rng.gen_range(-1.0..1.0),
+                1 => [0.0, -0.0, 1e-310, f64::NAN, f64::INFINITY][rng.gen_range(0..5)],
+                _ => rng.gen_range(-2.0..2.0),
+            };
+            let pool = (0..pool_len).map(|_| value(&mut rng)).collect();
+            let mut pick = |count: usize| -> Vec<usize> {
+                (0..count).map(|_| rng.gen_range(0..pool_len)).collect()
+            };
+            let (bias, weights, mut inputs) = (pick(rows), pick(rows * n), pick(n));
+            inputs[n - 1] = inputs[0];
+            let upstream = (0..rows)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => rng.gen_range(-3.0..3.0),
+                    _ => SPECIAL_ADJOINTS[rng.gen_range(0..SPECIAL_ADJOINTS.len())],
+                })
+                .collect();
+            let direct = (0..pool_len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            AffineCase {
+                pool,
+                bias,
+                weights,
+                inputs,
+                upstream,
+                direct,
+            }
+        }
+
+        /// Output bits, the pool vars' gradient bits and the node count,
+        /// with the rows recorded fused or as their scalar chains.
+        fn run(&self, fused: bool) -> (Vec<u64>, Vec<u64>, usize) {
+            let tape = Tape::new();
+            let vars = tape.vars(&self.pool);
+            let pick = |ix: &[usize]| ix.iter().map(|&i| vars[i]).collect::<Vec<_>>();
+            let (b, w, x) = (pick(&self.bias), pick(&self.weights), pick(&self.inputs));
+            let mut out = Vec::new();
+            if fused {
+                tape.affine_tanh(&b, &w, &x, &mut out);
+            } else {
+                for (&bias, w) in b.iter().zip(w.chunks_exact(x.len())) {
+                    let mut acc = bias;
+                    for (&wk, &xk) in w.iter().zip(&x) {
+                        acc = acc + wk * xk;
+                    }
+                    out.push(acc.tanh());
+                }
+            }
+            let rows = out.iter().zip(&self.upstream).map(|(&o, &u)| o * u);
+            let direct = vars.iter().zip(&self.direct).map(|(&v, &c)| v * c);
+            let terms: Vec<Var<'_>> = rows.chain(direct).collect();
+            let grads = sum(&tape, &terms).grad();
+            (
+                out.iter().map(|o| bits(o.value())).collect(),
+                vars.iter().map(|&v| bits(grads.wrt(v))).collect(),
+                tape.len(),
+            )
+        }
+    }
+
+    /// `x`'s bits, with every NaN as one: Rust leaves a NaN result's sign
+    /// and payload unspecified, so they depend on register allocation.
+    fn bits(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
+    /// Rows where the chain skips every node, so no `0 · inf` may reach an
+    /// adjoint: a zero upstream adjoint over a NaN row, and a row that an
+    /// infinite input saturates (`t = 1`, so `g = 0`) under a finite one.
+    #[test]
+    fn affine_row_skips_where_the_chain_skips() {
+        for (bad, upstream) in [(f64::NAN, 0.0), (f64::INFINITY, 1.0)] {
+            let case = AffineCase {
+                pool: vec![1.0, bad, 0.5],
+                bias: vec![0],
+                weights: vec![2, 0, 1],
+                inputs: vec![1, 2, 1],
+                upstream: vec![upstream],
+                direct: vec![0.5, -0.25, 1.0],
+            };
+            let (fused, chain) = (case.run(true), case.run(false));
+            assert_eq!(fused.1, chain.1, "gradients with {bad} inputs");
+            assert!(fused.1.iter().all(|&g| !f64::from_bits(g).is_nan()));
+        }
+    }
+
+    /// The generator reaches every special upstream adjoint within as many
+    /// seeds as the proptest runs cases.
+    #[test]
+    fn affine_row_cases_cover_the_special_adjoints() {
+        let upstream: Vec<u64> = (0..64)
+            .flat_map(|seed| AffineCase::new(seed).upstream)
+            .map(f64::to_bits)
+            .collect();
+        for a in SPECIAL_ADJOINTS {
+            assert!(
+                upstream.contains(&a.to_bits()),
+                "no case with upstream {a:?}"
+            );
+        }
+    }
+
     #[test]
     fn unused_vars_have_zero_grad() {
         let t = Tape::new();
@@ -904,6 +1261,19 @@ mod tests {
             prop_assert!((z.value() - f(x0)).abs() < 1e-9);
             let g = z.grad().wrt(x);
             prop_assert!((g - fd(f, x0)).abs() < 1e-4, "grad {} vs fd {}", g, fd(f, x0));
+        }
+
+        /// A fused affine row is its scalar chain, bit for bit: every
+        /// row's value and every pool var's gradient, so every bias,
+        /// weight and input gradient, however the vars repeat.
+        #[test]
+        fn prop_affine_row_matches_scalar_chain(seed in 0u64..u64::MAX) {
+            let case = AffineCase::new(seed);
+            let (fused, chain) = (case.run(true), case.run(false));
+            prop_assert_eq!(&fused.0, &chain.0, "row values");
+            prop_assert_eq!(&fused.1, &chain.1, "gradients");
+            let rows = case.bias.len();
+            prop_assert_eq!(fused.2 + rows * 2 * case.inputs.len(), chain.2);
         }
 
         #[test]

@@ -165,6 +165,7 @@ impl RouteNetModel {
                 }
                 input.push(tape.var(demands[p].volume));
                 matvec(
+                    tape,
                     param_vars,
                     d,
                     layout.w_path,
@@ -194,6 +195,7 @@ impl RouteNetModel {
                 input.extend_from_slice(&agg_link[l * d..][..d]);
                 input.push(tape.var(topo.link(l).capacity / 10.0));
                 matvec(
+                    tape,
                     param_vars,
                     d,
                     layout.w_link,
@@ -273,6 +275,7 @@ impl RouteNetModel {
                         input.push(tape.var(dm.volume));
                         out.clear();
                         matvec(
+                            tape,
                             param_vars,
                             d,
                             layout.w_path,
@@ -354,9 +357,10 @@ fn accumulate<'t>(agg: &mut [Var<'t>], h: &[Var<'t>], m: Option<Var<'t>>) {
 
 /// One update layer, `tanh(W·input + b)` with `W` at `w` and `b` at `b`
 /// in `param_vars`, appended to `out`: each of the `d` rows sums left to
-/// right from its bias.
+/// right from its bias, one fused tape node per row.
 #[inline(always)]
 fn matvec<'t>(
+    tape: &'t Tape,
     param_vars: &[Var<'t>],
     d: usize,
     w: usize,
@@ -364,14 +368,8 @@ fn matvec<'t>(
     input: &[Var<'t>],
     out: &mut Vec<Var<'t>>,
 ) {
-    let in_dim = 2 * d + 1;
-    for r in 0..d {
-        let mut acc = param_vars[b + r];
-        for (&wv, &x) in param_vars[w + r * in_dim..][..in_dim].iter().zip(input) {
-            acc = acc + wv * x;
-        }
-        out.push(acc.tanh());
-    }
+    let weights = &param_vars[w..][..d * (2 * d + 1)];
+    tape.affine_tanh(&param_vars[b..][..d], weights, input, out);
 }
 
 /// The delay readout of one path state, `((b + w₀h₀) + w₁h₁) + …`.
