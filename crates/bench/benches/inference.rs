@@ -127,9 +127,6 @@ fn main() {
     let system = MaskedMlp::new(&mask_net, obs, OutputKind::Discrete);
     let mask = vec![0.5; system.n_connections()];
     let reference = system.reference_output();
-    let mask_per_obs = throughput(1, || {
-        black_box(system.d_value_grad_per_obs(&mask));
-    });
     let mask_batched = throughput(1, || {
         black_box(system.d_value_grad(&mask, &reference, 0));
     });
@@ -162,7 +159,6 @@ fn main() {
         label_batched_per_sec_b256: label_batched[2],
         speedup_batch32: label_batched[1] / label_per_obs[1].max(1e-12),
         speedup_batch256: label_batched[2] / label_per_obs[2].max(1e-12),
-        mask_steps_per_sec_oracle: mask_per_obs,
         mask_steps_per_sec_batched: mask_batched,
         mask_steps_per_sec_routenet: mask_routenet,
     };
@@ -173,12 +169,11 @@ fn main() {
     std::fs::write(&path, &json).expect("write BENCH_inference.json");
     println!(
         "teacher labelling at batch 256: {:.0} obs/s per-obs vs {:.0} obs/s batched ({:.2}x); \
-         raw forward {:.2}x; mask step {:.1}/s oracle vs {:.1}/s batched, {:.1}/s RouteNet -> {}",
+         raw forward {:.2}x; mask step {:.1}/s masked MLP, {:.1}/s RouteNet -> {}",
         report.label_per_obs_per_sec_b256,
         report.label_batched_per_sec_b256,
         report.speedup_batch256,
         report.forward_speedup_batch256,
-        report.mask_steps_per_sec_oracle,
         report.mask_steps_per_sec_batched,
         report.mask_steps_per_sec_routenet,
         path.display()
@@ -214,7 +209,6 @@ struct InferenceReport {
     label_batched_per_sec_b256: f64,
     speedup_batch32: f64,
     speedup_batch256: f64,
-    mask_steps_per_sec_oracle: f64,
     mask_steps_per_sec_batched: f64,
     mask_steps_per_sec_routenet: f64,
 }

@@ -4,7 +4,7 @@
 //! mask mass with link traffic (Figure 9b), and drive ad-hoc rerouting
 //! decisions (Figure 18). Also the local-system instance of the same
 //! search ([`interpret_policy_features`]): a feature mask on an MLP policy
-//! over recorded observations, evaluated through the batched block
+//! over recorded observations, evaluated through the thread-sharded
 //! gradient of [`metis_hypergraph::MaskedMlp`].
 
 use metis_hypergraph::{
@@ -269,10 +269,10 @@ pub struct FeatureReport {
 /// Run the §4 critical-connection search over a **local** system: mask
 /// the observation features of an MLP policy (ABR, flow scheduling)
 /// against a batch of recorded observations, and report the ranked
-/// critical features. The gradient evaluation batches observations into
-/// [`metis_hypergraph::MaskedMlp`] blocks and shards them across
-/// `mask_cfg.threads` workers; results are identical for any thread
-/// count and bit-identical to the per-obs oracle.
+/// critical features. The gradient evaluation records each observation
+/// on its own tape and shards [`metis_hypergraph::MaskedMlp`]'s blocks of
+/// observations across `mask_cfg.threads` workers; results are
+/// bit-identical for any thread count.
 pub fn interpret_policy_features(
     net: &Mlp,
     observations: Vec<Vec<f64>>,

@@ -14,8 +14,9 @@
 //!   closed-form, and a unit test checks the result against a single-tape
 //!   optimizer,
 //! * [`nnmask::MaskedMlp`] — the local-system instance: a feature mask on
-//!   an MLP policy over a batch of observations, with a batched
-//!   block-parallel gradient path pinned bit-for-bit to a per-obs oracle.
+//!   an MLP policy over a batch of observations, each recorded on a tape of
+//!   its own, with a thread-sharded gradient that gives the same bits for
+//!   any thread count.
 //!
 //! Domain formulations (which system maps to which hypergraph) live in
 //! `metis-core::formulate`; this crate is domain-agnostic.

@@ -60,8 +60,8 @@ pub trait MaskedSystem {
     /// whose output couples every connection (RouteNet message passing).
     /// Row-separable systems (one independent output block per
     /// observation, e.g. [`crate::nnmask::MaskedMlp`]) override this with
-    /// a batched, thread-sharded evaluation whose result is **bit-identical
-    /// for any thread count** (per-row gradients merged in row order).
+    /// a thread-sharded evaluation whose result is **bit-identical for any
+    /// thread count** (per-row gradients merged in row order).
     fn d_value_grad(&self, mask: &[f64], reference: &[f64], _threads: usize) -> (f64, Vec<f64>) {
         let tape = Tape::new();
         let mask_vars = tape.vars(mask);

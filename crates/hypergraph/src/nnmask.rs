@@ -9,31 +9,33 @@
 //! outputs) against the unmasked one, summed over the observation batch.
 //!
 //! Because rows (observations) are independent given the mask, the D term
-//! is **row-separable** — the property the batched gradient path exploits:
-//! observations are chunked into 64-row blocks, each block replays the
-//! network on one [`BatchTape`] (a batched forward/backward: every tape
-//! node carries the whole block's rows), blocks fan out across threads,
-//! and per-row gradients merge back in global row order. The merge order
-//! depends on neither the block size nor the thread count, so the search
-//! is bit-identical to the per-obs oracle ([`MaskedMlp::d_value_grad_per_obs`],
-//! one scalar tape per observation) for any thread count — the §4
-//! mirror of the conversion engine's batched-labelling parity contract.
+//! is **row-separable**, and the gradient exploits it: each observation is
+//! recorded on its own scalar [`Tape`] (the mask gates, one fused
+//! [`Tape::affine`] row per unit of each layer, the softmax head and the
+//! row's D), 64-row blocks of observations fan out across threads, and the
+//! per-row D values and gradients are summed in global row order. That
+//! order depends on neither the block size nor the thread count, so the
+//! search is bit-identical for any thread count — the §4 mirror of the
+//! conversion engine's batched-labelling parity contract.
 
 use crate::mask::{MaskedSystem, OutputKind};
 use metis_nn::par::parallel_map_indexed;
-use metis_nn::tape::{sum, sum_batch, BVar, BatchTape, Tape, Var};
+use metis_nn::tape::{sum, Tape, Var};
 use metis_nn::{softmax_rows, Matrix, Mlp};
 
-/// Rows per [`BatchTape`] block. Results are bit-identical for any
-/// value (see the module docs); it only sets how much work one tape and
-/// one pool stripe carry.
+/// Observations per pool work item. Results are bit-identical for any
+/// value (see the module docs); it only sets how much work one stripe
+/// takes at a time.
 const BLOCK_ROWS: usize = 64;
 
 /// An MLP policy under a per-input-feature mask, evaluated over a batch
 /// of observations. Implements [`MaskedSystem`], overriding the gradient
-/// path with the batched block evaluation.
+/// path with the thread-sharded per-observation evaluation.
 pub struct MaskedMlp<'a> {
     net: &'a Mlp,
+    /// Each layer's weights transposed to `out × in`, the row-major layout
+    /// [`Tape::affine`] takes.
+    weights_t: Vec<Matrix>,
     obs: Vec<Vec<f64>>,
     kind: OutputKind,
     /// Unmasked per-row reference outputs (decision distributions for
@@ -61,38 +63,42 @@ impl<'a> MaskedMlp<'a> {
         };
         MaskedMlp {
             net,
+            weights_t: net
+                .layers()
+                .iter()
+                .map(|l| l.weights().transpose())
+                .collect(),
             obs,
             kind,
             reference,
         }
     }
 
-    /// Observations in the batch.
-    pub fn n_rows(&self) -> usize {
-        self.obs.len()
+    /// # Panics
+    /// Unless the mask has one value per input feature.
+    fn check_mask_len(&self, len: usize) {
+        assert_eq!(
+            len,
+            self.n_connections(),
+            "MaskedMlp: mask length must equal the network's input feature count"
+        );
     }
 
-    /// Masked network output of one observation on a scalar tape.
-    ///
-    /// This and [`Self::masked_block`] are deliberate op-for-op mirrors:
-    /// each records the same node sequence (leaf mask gates, per-layer
-    /// weighted sums, activations, optional softmax head), which is what
-    /// makes the batched path bit-identical per row.
+    /// Masked network output of one observation: the mask gates, one
+    /// [`Tape::affine`] call per layer with its bias and transposed
+    /// weights as leaf vars, then the optional softmax head.
     fn masked_row<'t>(&self, tape: &'t Tape, mask: &[Var<'t>], row: usize) -> Vec<Var<'t>> {
-        let x = &self.obs[row];
-        let mut h: Vec<Var<'t>> = mask.iter().zip(x.iter()).map(|(m, &xi)| *m * xi).collect();
-        for layer in self.net.layers() {
-            let w = layer.weights();
-            let b = layer.bias();
-            h = (0..layer.out_dim())
-                .map(|j| {
-                    let mut acc = tape.var(b[j]);
-                    for (k, hk) in h.iter().enumerate() {
-                        acc = acc + *hk * w[(k, j)];
-                    }
-                    acc.activation(layer.activation())
-                })
-                .collect();
+        let mut h: Vec<Var<'t>> = mask
+            .iter()
+            .zip(&self.obs[row])
+            .map(|(m, &xi)| *m * xi)
+            .collect();
+        let mut next = Vec::new();
+        for (layer, w) in self.net.layers().iter().zip(&self.weights_t) {
+            let (bias, weights) = (tape.vars(layer.bias()), tape.vars(w.data()));
+            tape.affine(layer.activation(), &bias, &weights, &h, &mut next);
+            std::mem::swap(&mut h, &mut next);
+            next.clear();
         }
         match self.kind {
             OutputKind::Continuous => h,
@@ -113,75 +119,10 @@ impl<'a> MaskedMlp<'a> {
         }
     }
 
-    /// Masked network output of rows `lo..hi` on a batch tape — the
-    /// batched twin of [`Self::masked_row`].
-    fn masked_block<'t>(&self, bt: &'t BatchTape, mask: &[BVar<'t>], lo: usize) -> Vec<BVar<'t>> {
-        let rows = bt.batch();
-        let column = |f: usize| -> Vec<f64> { (lo..lo + rows).map(|r| self.obs[r][f]).collect() };
-        let mut h: Vec<BVar<'t>> = mask
-            .iter()
-            .enumerate()
-            .map(|(f, m)| *m * bt.var(&column(f)))
-            .collect();
-        for layer in self.net.layers() {
-            let w = layer.weights();
-            let b = layer.bias();
-            h = (0..layer.out_dim())
-                .map(|j| {
-                    let mut acc = bt.broadcast(b[j]);
-                    for (k, hk) in h.iter().enumerate() {
-                        acc = acc + *hk * w[(k, j)];
-                    }
-                    acc.activation(layer.activation())
-                })
-                .collect();
-        }
-        match self.kind {
-            OutputKind::Continuous => h,
-            OutputKind::Discrete => {
-                // Stable softmax, batched twin of the per-row path: the
-                // per-row logit max enters as a leaf (its adjoint is
-                // discarded), so each row computes exactly the scalar
-                // path's `(v - max).exp()`.
-                let maxes: Vec<f64> = (0..rows)
-                    .map(|r| {
-                        h.iter()
-                            .map(|v| v.value(r))
-                            .fold(f64::NEG_INFINITY, f64::max)
-                    })
-                    .collect();
-                let max_var = bt.var(&maxes);
-                let exps: Vec<BVar<'t>> = h.iter().map(|v| (*v - max_var).exp()).collect();
-                let total = sum_batch(bt, &exps);
-                exps.into_iter().map(|e| e / total).collect()
-            }
-        }
-    }
-
-    /// Per-obs oracle for the D term: one scalar tape per observation,
-    /// values and gradients accumulated in row order — the reference the
-    /// batched path is pinned against, bit for bit.
-    pub fn d_value_grad_per_obs(&self, mask: &[f64]) -> (f64, Vec<f64>) {
-        let mut d_total = 0.0;
-        let mut grad = vec![0.0; mask.len()];
-        for row in 0..self.obs.len() {
-            let tape = Tape::new();
-            let mask_vars = tape.vars(mask);
-            let output = self.masked_row(&tape, &mask_vars, row);
-            let d = self.row_d_scalar(&tape, &output, row);
-            d_total += d.value();
-            let grads = d.grad();
-            for (g, v) in grad.iter_mut().zip(mask_vars.iter()) {
-                *g += grads.wrt(*v);
-            }
-        }
-        (d_total, grad)
-    }
-
-    /// Eq.-6 D term of one row on a scalar tape. The reference enters as a
-    /// tape var (mirroring the batch path's per-row leaf) so both record
-    /// the identical division node.
-    fn row_d_scalar<'t>(&self, tape: &'t Tape, output: &[Var<'t>], row: usize) -> Var<'t> {
+    /// Eq.-6 D term of one row. The reference enters as a tape var:
+    /// dividing by it as a constant would record a different node and
+    /// give other bits.
+    fn row_d<'t>(&self, tape: &'t Tape, output: &[Var<'t>], row: usize) -> Var<'t> {
         let reference = &self.reference[row];
         let terms: Vec<Var<'t>> = match self.kind {
             OutputKind::Discrete => output
@@ -205,41 +146,15 @@ impl<'a> MaskedMlp<'a> {
         sum(tape, &terms)
     }
 
-    /// Eq.-6 D term of a block on a batch tape (per-row values).
-    fn block_d<'t>(&self, bt: &'t BatchTape, output: &[BVar<'t>], lo: usize) -> BVar<'t> {
-        let rows = bt.batch();
-        let ref_column = |c: usize, clamp: bool| -> Vec<f64> {
-            (lo..lo + rows)
-                .map(|r| {
-                    let yi = self.reference[r][c];
-                    if clamp {
-                        yi.max(1e-12)
-                    } else {
-                        yi
-                    }
-                })
-                .collect()
-        };
-        let terms: Vec<BVar<'t>> = match self.kind {
-            OutputKind::Discrete => output
-                .iter()
-                .enumerate()
-                .map(|(c, yw)| {
-                    let yr = bt.var(&ref_column(c, true));
-                    let ratio = *yw / yr;
-                    *yw * ratio.ln()
-                })
-                .collect(),
-            OutputKind::Continuous => output
-                .iter()
-                .enumerate()
-                .map(|(c, yw)| {
-                    let yr = bt.var(&ref_column(c, false));
-                    (*yw - yr).square()
-                })
-                .collect(),
-        };
-        sum_batch(bt, &terms)
+    /// One observation's D value and its gradient with respect to `mask`,
+    /// on a tape of its own.
+    fn row_d_grad(&self, mask: &[f64], row: usize) -> (f64, Vec<f64>) {
+        let tape = Tape::new();
+        let mask_vars = tape.vars(mask);
+        let output = self.masked_row(&tape, &mask_vars, row);
+        let d = self.row_d(&tape, &output, row);
+        let grads = d.grad();
+        (d.value(), mask_vars.iter().map(|&v| grads.wrt(v)).collect())
     }
 }
 
@@ -253,7 +168,11 @@ impl MaskedSystem for MaskedMlp<'_> {
     }
 
     /// Monolithic scalar-tape output (all rows on one tape, concatenated).
+    ///
+    /// # Panics
+    /// Unless `mask` has one var per input feature.
     fn masked_output<'t>(&self, tape: &'t Tape, mask: &[Var<'t>]) -> Vec<Var<'t>> {
+        self.check_mask_len(mask.len());
         (0..self.obs.len())
             .flat_map(|row| self.masked_row(tape, mask, row))
             .collect()
@@ -263,34 +182,27 @@ impl MaskedSystem for MaskedMlp<'_> {
         self.kind
     }
 
-    /// Batched, thread-sharded D gradient: observation blocks on
-    /// [`BatchTape`]s fan out across threads; per-row gradients merge in
-    /// global row order, so the result is bit-identical for any thread
-    /// count — and to [`Self::d_value_grad_per_obs`].
+    /// Thread-sharded D gradient: blocks of observations fan out across
+    /// threads, each observation on a tape of its own, and the per-row D
+    /// values and gradients are summed in global row order, so the result
+    /// is bit-identical for any thread count.
+    ///
+    /// # Panics
+    /// Unless `mask` has one value per input feature.
     fn d_value_grad(&self, mask: &[f64], _reference: &[f64], threads: usize) -> (f64, Vec<f64>) {
+        self.check_mask_len(mask.len());
         let n_rows = self.obs.len();
-        let n_blocks = n_rows.div_ceil(BLOCK_ROWS);
-        let blocks = parallel_map_indexed(n_blocks, threads, |b| {
-            let lo = b * BLOCK_ROWS;
-            let rows = BLOCK_ROWS.min(n_rows - lo);
-            let bt = BatchTape::new(rows);
-            let mask_vars = bt.broadcasts(mask);
-            let output = self.masked_block(&bt, &mask_vars, lo);
-            let d = self.block_d(&bt, &output, lo);
-            let grads = d.grad();
-            let per_conn: Vec<Vec<f64>> =
-                mask_vars.iter().map(|v| grads.wrt(*v).to_vec()).collect();
-            (d.values(), per_conn)
+        let blocks = parallel_map_indexed(n_rows.div_ceil(BLOCK_ROWS), threads, |b| {
+            (b * BLOCK_ROWS..n_rows.min((b + 1) * BLOCK_ROWS))
+                .map(|row| self.row_d_grad(mask, row))
+                .collect::<Vec<_>>()
         });
-
         let mut d_total = 0.0;
         let mut grad = vec![0.0; mask.len()];
-        for (d_rows, per_conn) in blocks {
-            for r in 0..d_rows.len() {
-                d_total += d_rows[r];
-                for (g, rows) in grad.iter_mut().zip(per_conn.iter()) {
-                    *g += rows[r];
-                }
+        for (d, row_grad) in blocks.iter().flatten() {
+            d_total += d;
+            for (g, r) in grad.iter_mut().zip(row_grad) {
+                *g += r;
             }
         }
         (d_total, grad)
@@ -317,7 +229,31 @@ mod tests {
         (net, obs)
     }
 
-    /// The batched block gradient must be bit-identical to the per-obs
+    /// The per-obs oracle: one observation's tape after another on this
+    /// thread, D values and gradients summed in row order.
+    fn per_obs_oracle(sys: &MaskedMlp<'_>, mask: &[f64]) -> (f64, Vec<f64>) {
+        let mut d_total = 0.0;
+        let mut grad = vec![0.0; mask.len()];
+        for row in 0..sys.obs.len() {
+            let (d, row_grad) = sys.row_d_grad(mask, row);
+            d_total += d;
+            grad.iter_mut().zip(&row_grad).for_each(|(g, r)| *g += r);
+        }
+        (d_total, grad)
+    }
+
+    fn assert_same_bits(got: &(f64, Vec<f64>), want: &(f64, Vec<f64>), label: &str) {
+        assert_eq!(got.0.to_bits(), want.0.to_bits(), "D diverges {label}");
+        for (a, b) in got.1.iter().zip(want.1.iter()) {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "gradient diverges {label}: {a} vs {b}"
+            );
+        }
+    }
+
+    /// The block-sharded gradient must be bit-identical to the per-obs
     /// oracle for any thread count, over full blocks and a ragged tail.
     #[test]
     fn batched_gradient_matches_per_obs_oracle_bitwise() {
@@ -326,23 +262,33 @@ mod tests {
         for kind in [OutputKind::Discrete, OutputKind::Continuous] {
             let sys = MaskedMlp::new(&net, obs.clone(), kind);
             let reference = sys.reference_output();
-            let (d_oracle, g_oracle) = sys.d_value_grad_per_obs(&mask);
+            let oracle = per_obs_oracle(&sys, &mask);
             for threads in [1usize, 2, 3] {
-                let (d, g) = sys.d_value_grad(&mask, &reference, threads);
-                assert_eq!(
-                    d.to_bits(),
-                    d_oracle.to_bits(),
-                    "D diverges at threads={threads} ({kind:?})"
-                );
-                for (a, b) in g.iter().zip(g_oracle.iter()) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "gradient diverges at threads={threads}: {a} vs {b}"
-                    );
-                }
+                let got = sys.d_value_grad(&mask, &reference, threads);
+                assert_same_bits(&got, &oracle, &format!("at threads={threads} ({kind:?})"));
             }
         }
+    }
+
+    /// A short mask would silently drop the trailing features and return
+    /// a short gradient; a long one would index past the first layer.
+    fn gradient_with_mask_len(len: usize) {
+        let (net, obs) = setup(3);
+        let sys = MaskedMlp::new(&net, obs, OutputKind::Discrete);
+        let reference = sys.reference_output();
+        sys.d_value_grad(&vec![0.5; len], &reference, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "mask length must equal the network's input feature count")]
+    fn a_short_mask_is_rejected() {
+        gradient_with_mask_len(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "mask length must equal the network's input feature count")]
+    fn a_long_mask_is_rejected() {
+        gradient_with_mask_len(7);
     }
 
     /// Full search: identical masks for threads = 1 vs N.
@@ -368,7 +314,7 @@ mod tests {
     }
 
     /// Policies with huge logits must not overflow the masked softmax
-    /// (stable max-subtraction on the tape), and the batched path must
+    /// (stable max-subtraction on the tape), and the sharded gradient must
     /// still match the per-obs oracle bitwise.
     #[test]
     fn large_logits_stay_finite() {
@@ -391,11 +337,7 @@ mod tests {
             g.iter().all(|x| x.is_finite()),
             "gradient overflowed: {g:?}"
         );
-        let (d_oracle, g_oracle) = sys.d_value_grad_per_obs(&mask);
-        assert_eq!(d.to_bits(), d_oracle.to_bits());
-        for (a, b) in g.iter().zip(g_oracle.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_same_bits(&(d, g), &per_obs_oracle(&sys, &mask), "with large logits");
     }
 
     /// A feature the network ignores must be pruned; a dominant feature

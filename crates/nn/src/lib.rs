@@ -4,22 +4,26 @@
 //! this crate is the from-scratch Rust replacement. It provides:
 //!
 //! * [`matrix::Matrix`] — a dense row-major `f64` matrix,
-//! * [`layer`] — `Dense` and `Conv1D` layers with explicit, finite-difference
-//!   checked forward/backward passes,
+//! * [`layer`] — the `Dense` layer with explicit, finite-difference checked
+//!   forward/backward passes,
 //! * [`tanh`](mod@tanh) — the layers' `tanh`: an eight-lane kernel
 //!   bit-identical to glibc 2.36's, so network outputs depend on this
 //!   crate rather than on the host's libm,
 //! * [`net::Mlp`] — a sequential network sufficient for every plain model in
 //!   the reproduction (critics, sRLA, lRLA, readouts),
-//! * [`optim`] — SGD / Momentum / Adam + gradient clipping,
-//! * [`loss`] — MSE, Huber, softmax cross-entropy, KL divergence, binary
-//!   entropy (the building blocks of the paper's Eq. 1 and Eqs. 4–8),
-//! * [`tape`] — a scalar reverse-mode autodiff tape for ad-hoc differentiable
-//!   programs (the hypergraph mask search and the RouteNet message-passing
-//!   surrogate).
+//! * [`optim`] — Adam + gradient clipping,
+//! * [`loss`] — softmax cross-entropy and binary entropy (the mask
+//!   objective's Eq. 8),
+//! * [`par`] — the persistent worker pool behind every thread-sharded
+//!   loop, with results identical for any thread count,
+//! * [`tape`] — the scalar reverse-mode autodiff tape for ad-hoc
+//!   differentiable programs (the hypergraph mask search on RouteNet's
+//!   message passing and on an MLP's feature mask), with one fused node
+//!   per affine row.
 //!
 //! Design notes: everything is deterministic under a caller-supplied
-//! [`rand::rngs::StdRng`]; shapes are validated eagerly; no `unsafe`.
+//! [`rand::rngs::StdRng`]; shapes are validated eagerly; the only `unsafe`
+//! is the worker pool's, in [`par`].
 
 pub mod init;
 pub mod layer;
@@ -33,9 +37,9 @@ pub mod tanh;
 pub mod tape;
 
 pub use init::Init;
-pub use layer::{Activation, Conv1D, Dense, ParamGrad};
+pub use layer::{Activation, Dense, ParamGrad};
 pub use matrix::Matrix;
-pub use net::{argmax, argmax_rows, softmax, softmax_rows, Mlp};
+pub use net::{argmax, softmax, softmax_rows, Mlp};
 pub use network::Network;
-pub use optim::{clip_grad_norm, Adam, Momentum, Optimizer, Sgd};
-pub use tape::{BVar, BatchGrads, BatchTape, Grads, Tape, Var};
+pub use optim::{clip_grad_norm, Adam, Optimizer};
+pub use tape::{Grads, Tape, Var};

@@ -1,8 +1,9 @@
 //! Scalar reverse-mode automatic differentiation on a tape.
 //!
-//! This is the engine behind the hypergraph mask search (§4.2 of the paper)
-//! and the RouteNet message-passing model: ad-hoc differentiable programs
-//! whose structure does not fit the layered MLP API. Usage:
+//! This is the one engine behind the hypergraph mask search (§4.2 of the
+//! paper), on RouteNet's message passing and on an MLP policy's feature
+//! mask alike: ad-hoc differentiable programs whose structure does not fit
+//! the layered MLP API. Usage:
 //!
 //! ```
 //! use metis_nn::tape::Tape;
@@ -17,20 +18,25 @@
 //!
 //! Nodes are appended to an append-only arena; `grad()` walks the arena in
 //! reverse. An operator node has at most two parents, kept with their
-//! partials in a flat 24-byte record. One kind has more:
-//! [`Tape::affine_tanh`] records a whole affine row `tanh(b + Σₖ wₖxₖ)` as
-//! one node, whose bias, weight and input indices live in a side array
-//! and whose backward reads their values from a per-node value array. A
-//! fused row is bit-identical to the 2n + 1 nodes of its scalar chain
-//! `((b + w₀x₀) + w₁x₁ + …).tanh()`: its forward is the chain's
-//! arithmetic, and since the chain's nodes sit next to each other on the
-//! tape with one consumer each, its backward can make the chain's adjoint
-//! updates in the chain's order (see the method). Every operand of a node
-//! must live on the node's tape, and [`Grads::wrt`] answers only for vars
-//! of its own tape; both are checked.
+//! partials in a flat 24-byte record. One kind has more: [`Tape::affine`]
+//! records a whole affine row `f(b + Σₖ wₖxₖ)`, for a layer
+//! [`Activation`] `f`, as one node, whose bias, weight and input indices
+//! live in a side array and whose backward reads their values from a
+//! per-node value array. A fused row is bit-identical to the 2n + 1 nodes
+//! of its scalar chain `((b + w₀x₀) + w₁x₁ + …).activation(f)`: its
+//! forward is the chain's arithmetic, its value and partial come from the
+//! one helper [`Var::activation`] also calls, and since the chain's nodes
+//! sit next to each other on the tape with one consumer each, its backward
+//! can make the chain's adjoint updates in the chain's order (see the
+//! method). Every operand of a node must live on the node's tape, and
+//! [`Grads::wrt`] answers only for vars of its own tape; both are checked.
 //!
-//! The recording path (`Tape::var`, `Tape::affine_tanh`, the operators
-//! and the elementwise methods on [`Var`], [`sum`], [`Grads::wrt`]) is
+//! A batch of independent rows, such as the observations under an MLP's
+//! feature mask, records each row on a tape of its own; the tapes of one
+//! thread reuse one arena (see [`Tape`]).
+//!
+//! The recording path (`Tape::var`, `Tape::affine`, the operators and the
+//! elementwise methods on [`Var`], [`sum`], [`Grads::wrt`]) is
 //! `#[inline]`: every caller is in another crate (`metis_routing`,
 //! `metis_hypergraph`, `metis_core`) and no build profile turns on LTO, so
 //! without the hint each recorded node is an out-of-line call into this
@@ -40,13 +46,14 @@
 //! dropped tape hands its cleared arena to the next tape on its thread
 //! (see [`Tape`]).
 
+use crate::layer::Activation;
 use std::cell::{Cell, RefCell};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 const NO_PARENT: u32 = u32::MAX;
-/// `parents[0]` of a fused affine row ([`Tape::affine_tanh`]); its
+/// `parents[0]` of a fused affine row ([`Tape::affine`]); its
 /// `parents[1]` is then the row's offset in [`Arena::terms`] and its
-/// `partials[0]` the `tanh` derivative `1 - t²`.
+/// `partials[0]` the activation's derivative at the row's sum.
 const AFFINE_ROW: u32 = u32::MAX - 1;
 
 #[derive(Clone, Copy)]
@@ -62,7 +69,7 @@ struct Arena {
     /// Every node's value, indexed like `nodes`: a fused row's backward
     /// reads its weights' and inputs' values here.
     vals: Vec<f64>,
-    /// Operand indices of the fused rows. Per [`Tape::affine_tanh`] call:
+    /// Operand indices of the fused rows. Per [`Tape::affine`] call:
     /// the input count, then the input indices. Per row: the offset of
     /// its call's input count, the bias index, then the weight indices.
     terms: Vec<u32>,
@@ -93,6 +100,27 @@ impl Arena {
 #[inline]
 fn at(v: &Var<'_>) -> u32 {
     v.idx as u32
+}
+
+/// `act` at `x` and its derivative there, the value and partial of the
+/// node that [`Var::activation`] and each row of [`Tape::affine`] record.
+#[inline]
+fn activate(act: Activation, x: f64) -> (f64, f64) {
+    match act {
+        Activation::Relu if x > 0.0 => (x, 1.0),
+        Activation::Relu => (0.0, 0.0),
+        Activation::LeakyRelu if x > 0.0 => (x, 1.0),
+        Activation::LeakyRelu => (0.01 * x, 0.01),
+        Activation::Tanh => {
+            let t = x.tanh();
+            (t, 1.0 - t * t)
+        }
+        Activation::Sigmoid => {
+            let s = 1.0 / (1.0 + (-x).exp());
+            (s, s * (1.0 - s))
+        }
+        Activation::Linear => (x, 1.0),
+    }
 }
 
 thread_local! {
@@ -167,47 +195,50 @@ impl Tape {
         vals.iter().map(|&v| self.var(v)).collect()
     }
 
-    /// One layer `tanh(b + W·x)`, one node per row appended to `out`:
-    /// row `r` is `tanh(bias[r] + Σₖ weights[r·n + k]·x[k])` with
+    /// One layer `act(b + W·x)`, one node per row appended to `out`:
+    /// row `r` is `act(bias[r] + Σₖ weights[r·n + k]·x[k])` with
     /// `n = x.len()`, and its value and every adjoint it passes back are
     /// bit-identical to the scalar chain
-    /// `(((bias[r] + w₀·x₀) + w₁·x₁) + …).tanh()`, which records 2n + 1
-    /// nodes. Inputs may repeat (a shared zero var) and may be any var on
-    /// this tape, bias and weights included.
+    /// `(((bias[r] + w₀·x₀) + w₁·x₁) + …).activation(act)`, which records
+    /// 2n + 1 nodes. Inputs may repeat (a shared zero var) and may be any
+    /// var on this tape, bias and weights included.
     ///
     /// The forward sums left to right from the bias with separate multiply
-    /// and add (no `mul_add`), then calls `f64::tanh`, as the chain does.
-    /// In the chain's backward every internal node's adjoint is
-    /// `g = 0.0 + a·(1 − t²)`, where `a` is the row's adjoint, because each
-    /// has one consumer, and the chain's nodes are adjacent on the tape, so
-    /// no other node's update falls between them. The fused backward makes
-    /// the chain's updates in the chain's order: for k = n−1 down to 1,
-    /// weight k then input k; then the bias; then weight 0 and input 0.
-    /// It skips the row wherever the chain skips every node: `a` or `g` is
-    /// zero (`0.0 + -0.0` is `+0.0`).
+    /// and add (no `mul_add`), as the chain does, and takes the row's value
+    /// and partial `f′` from the helper [`Var::activation`] calls. In the
+    /// chain's backward every internal node's adjoint is `g = 0.0 + a·f′`,
+    /// where `a` is the row's adjoint, because each has one consumer, and
+    /// the chain's nodes are adjacent on the tape, so no other node's
+    /// update falls between them. The fused backward makes the chain's
+    /// updates in the chain's order: for k = n−1 down to 1, weight k then
+    /// input k; then the bias; then weight 0 and input 0. It skips the row
+    /// wherever the chain skips every node: `a` or `g` is zero
+    /// (`0.0 + -0.0` is `+0.0`), as under a saturated `tanh` or a ReLU row
+    /// that is not above zero.
     ///
     /// # Panics
     /// If `x` is empty, if `weights.len() != bias.len() * x.len()`, or if
     /// any operand was recorded on another tape.
     #[inline]
-    pub fn affine_tanh<'t>(
+    pub fn affine<'t>(
         &'t self,
+        act: Activation,
         bias: &[Var<'t>],
         weights: &[Var<'t>],
         x: &[Var<'t>],
         out: &mut Vec<Var<'t>>,
     ) {
         let n = x.len();
-        assert!(n > 0, "tape: affine_tanh needs at least one input");
+        assert!(n > 0, "tape: affine needs at least one input");
         assert_eq!(
             weights.len(),
             bias.len() * n,
-            "tape: affine_tanh needs one weight per (row, input)"
+            "tape: affine needs one weight per (row, input)"
         );
         let foreign = |vs: &[Var<'t>]| vs.iter().any(|v| !std::ptr::eq(self, v.tape));
         assert!(
             !(foreign(bias) || foreign(weights) || foreign(x)),
-            "tape: affine_tanh operands recorded on another tape"
+            "tape: affine operands recorded on another tape"
         );
         let mut arena = self.arena.borrow_mut();
         let arena = &mut *arena;
@@ -222,12 +253,12 @@ impl Tape {
             for (wk, xk) in w.iter().zip(x) {
                 acc += wk.val * xk.val;
             }
-            let t = acc.tanh();
-            let idx = arena.push([AFFINE_ROW, row], [1.0 - t * t, 0.0], t);
+            let (val, partial) = activate(act, acc);
+            let idx = arena.push([AFFINE_ROW, row], [partial, 0.0], val);
             out.push(Var {
                 tape: self,
                 idx,
-                val: t,
+                val,
             });
         }
     }
@@ -294,7 +325,7 @@ impl<'t> Var<'t> {
             let node = nodes[i];
             if node.parents[0] == AFFINE_ROW {
                 // The scalar chain's updates, in its order (see
-                // `Tape::affine_tanh`).
+                // `Tape::affine`).
                 let g = 0.0 + a * node.partials[0];
                 if g == 0.0 {
                     continue;
@@ -342,47 +373,31 @@ impl<'t> Var<'t> {
 
     #[inline]
     pub fn sigmoid(self) -> Var<'t> {
-        let s = 1.0 / (1.0 + (-self.val).exp());
-        self.tape.unary(&self, s, s * (1.0 - s))
+        self.activation(Activation::Sigmoid)
     }
 
     #[inline]
     pub fn tanh(self) -> Var<'t> {
-        let t = self.val.tanh();
-        self.tape.unary(&self, t, 1.0 - t * t)
+        self.activation(Activation::Tanh)
     }
 
     #[inline]
     pub fn relu(self) -> Var<'t> {
-        if self.val > 0.0 {
-            self.tape.unary(&self, self.val, 1.0)
-        } else {
-            self.tape.unary(&self, 0.0, 0.0)
-        }
+        self.activation(Activation::Relu)
     }
 
     #[inline]
     pub fn leaky_relu(self) -> Var<'t> {
-        if self.val > 0.0 {
-            self.tape.unary(&self, self.val, 1.0)
-        } else {
-            self.tape.unary(&self, 0.01 * self.val, 0.01)
-        }
+        self.activation(Activation::LeakyRelu)
     }
 
-    /// Apply one of the layer activations (mirrors
-    /// [`crate::layer::Activation::apply`]; [`BVar::activation`] is the
-    /// batched twin — both record the same node per row).
+    /// Apply one of the layer activations: [`Activation::apply`]'s value
+    /// (its `tanh` is libm's here) with [`Activation::derivative`] as the
+    /// partial. A fused row of [`Tape::affine`] stores the same pair.
     #[inline]
-    pub fn activation(self, act: crate::layer::Activation) -> Var<'t> {
-        use crate::layer::Activation;
-        match act {
-            Activation::Relu => self.relu(),
-            Activation::LeakyRelu => self.leaky_relu(),
-            Activation::Tanh => self.tanh(),
-            Activation::Sigmoid => self.sigmoid(),
-            Activation::Linear => self.tape.unary(&self, self.val, 1.0),
-        }
+    pub fn activation(self, act: Activation) -> Var<'t> {
+        let (val, partial) = activate(act, self.val);
+        self.tape.unary(&self, val, partial)
     }
 
     #[inline]
@@ -567,306 +582,6 @@ impl<'t> Div<Var<'t>> for f64 {
     }
 }
 
-// ---- batched tape ----
-
-const NO_BATCH_PARENT: usize = usize::MAX;
-
-struct BatchNode {
-    parents: [usize; 2],
-    /// Per-row partial derivatives towards each parent (empty when the
-    /// parent slot is unused).
-    partials: [Vec<f64>; 2],
-    vals: Vec<f64>,
-}
-
-/// A reverse-mode tape where every node carries **one value per batch
-/// row** and elementwise semantics across rows: recording one program
-/// evaluates it for N independent rows at once, and a single backward
-/// sweep yields per-row gradients ([`BatchGrads::wrt`]).
-///
-/// Each row's value and partials are produced by exactly the scalar
-/// formulas of [`Var`], so row `r` of a batched program is bit-identical
-/// to running the same program on a scalar [`Tape`] with row `r`'s
-/// inputs — the oracle relationship the §4 mask-search parity tests pin.
-pub struct BatchTape {
-    batch: usize,
-    nodes: RefCell<Vec<BatchNode>>,
-}
-
-impl BatchTape {
-    /// A tape whose vars all carry `batch` rows.
-    pub fn new(batch: usize) -> Self {
-        assert!(batch > 0, "BatchTape: batch must be positive");
-        BatchTape {
-            batch,
-            nodes: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Rows carried by every var on this tape.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Number of nodes recorded so far.
-    pub fn len(&self) -> usize {
-        self.nodes.borrow().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Leaf variable with one value per row.
-    pub fn var(&self, vals: &[f64]) -> BVar<'_> {
-        assert_eq!(vals.len(), self.batch, "BatchTape::var: row count mismatch");
-        self.push_leaf(vals.to_vec())
-    }
-
-    /// Leaf variable with the same value in every row (e.g. a mask weight
-    /// shared by the whole batch); its per-row gradients are summed by the
-    /// consumer via [`BatchGrads::sum_wrt`].
-    pub fn broadcast(&self, val: f64) -> BVar<'_> {
-        self.push_leaf(vec![val; self.batch])
-    }
-
-    /// Broadcast many scalars at once (mask vectors).
-    pub fn broadcasts(&self, vals: &[f64]) -> Vec<BVar<'_>> {
-        vals.iter().map(|&v| self.broadcast(v)).collect()
-    }
-
-    fn push_leaf(&self, vals: Vec<f64>) -> BVar<'_> {
-        let mut nodes = self.nodes.borrow_mut();
-        nodes.push(BatchNode {
-            parents: [NO_BATCH_PARENT, NO_BATCH_PARENT],
-            partials: [Vec::new(), Vec::new()],
-            vals,
-        });
-        BVar {
-            tape: self,
-            idx: nodes.len() - 1,
-        }
-    }
-
-    fn unary(&self, a: BVar<'_>, f: impl Fn(f64) -> (f64, f64)) -> BVar<'_> {
-        let mut nodes = self.nodes.borrow_mut();
-        let (vals, da): (Vec<f64>, Vec<f64>) = nodes[a.idx].vals.iter().map(|&x| f(x)).unzip();
-        nodes.push(BatchNode {
-            parents: [a.idx, NO_BATCH_PARENT],
-            partials: [da, Vec::new()],
-            vals,
-        });
-        BVar {
-            tape: self,
-            idx: nodes.len() - 1,
-        }
-    }
-
-    fn binary(
-        &self,
-        a: BVar<'_>,
-        b: BVar<'_>,
-        f: impl Fn(f64, f64) -> (f64, f64, f64),
-    ) -> BVar<'_> {
-        let mut nodes = self.nodes.borrow_mut();
-        let n = self.batch;
-        let mut vals = Vec::with_capacity(n);
-        let mut da = Vec::with_capacity(n);
-        let mut db = Vec::with_capacity(n);
-        for r in 0..n {
-            let (v, ga, gb) = f(nodes[a.idx].vals[r], nodes[b.idx].vals[r]);
-            vals.push(v);
-            da.push(ga);
-            db.push(gb);
-        }
-        nodes.push(BatchNode {
-            parents: [a.idx, b.idx],
-            partials: [da, db],
-            vals,
-        });
-        BVar {
-            tape: self,
-            idx: nodes.len() - 1,
-        }
-    }
-}
-
-/// A batched value tracked on a [`BatchTape`]. Copyable; the row values
-/// live on the tape.
-#[derive(Clone, Copy)]
-pub struct BVar<'t> {
-    tape: &'t BatchTape,
-    idx: usize,
-}
-
-impl<'t> BVar<'t> {
-    /// Value of row `r`.
-    pub fn value(&self, r: usize) -> f64 {
-        self.tape.nodes.borrow()[self.idx].vals[r]
-    }
-
-    /// All row values.
-    pub fn values(&self) -> Vec<f64> {
-        self.tape.nodes.borrow()[self.idx].vals.clone()
-    }
-
-    /// Backward pass from this variable: every row's adjoints in one
-    /// sweep over the arena.
-    pub fn grad(&self) -> BatchGrads {
-        let nodes = self.tape.nodes.borrow();
-        let n = self.tape.batch;
-        let mut adjoints = vec![vec![0.0; n]; self.idx + 1];
-        adjoints[self.idx].iter_mut().for_each(|a| *a = 1.0);
-        for i in (0..=self.idx).rev() {
-            for k in 0..2 {
-                let p = nodes[i].parents[k];
-                if p == NO_BATCH_PARENT {
-                    continue;
-                }
-                let (head, tail) = adjoints.split_at_mut(i);
-                let (up, part) = (&tail[0], &nodes[i].partials[k]);
-                for (pa, (&a, &d)) in head[p].iter_mut().zip(up.iter().zip(part.iter())) {
-                    *pa += a * d;
-                }
-            }
-        }
-        BatchGrads { adjoints }
-    }
-
-    pub fn exp(self) -> BVar<'t> {
-        self.tape.unary(self, |x| {
-            let v = x.exp();
-            (v, v)
-        })
-    }
-
-    /// Natural log; input floored at 1e-300 (mirrors [`Var::ln`]).
-    pub fn ln(self) -> BVar<'t> {
-        self.tape.unary(self, |x| {
-            let x = x.max(1e-300);
-            (x.ln(), 1.0 / x)
-        })
-    }
-
-    pub fn sigmoid(self) -> BVar<'t> {
-        self.tape.unary(self, |x| {
-            let s = 1.0 / (1.0 + (-x).exp());
-            (s, s * (1.0 - s))
-        })
-    }
-
-    pub fn tanh(self) -> BVar<'t> {
-        self.tape.unary(self, |x| {
-            let t = x.tanh();
-            (t, 1.0 - t * t)
-        })
-    }
-
-    pub fn relu(self) -> BVar<'t> {
-        self.tape
-            .unary(self, |x| if x > 0.0 { (x, 1.0) } else { (0.0, 0.0) })
-    }
-
-    pub fn square(self) -> BVar<'t> {
-        self.tape.unary(self, |x| (x * x, 2.0 * x))
-    }
-
-    /// Apply one of the layer activations (the batched mirror of
-    /// [`crate::layer::Activation::apply`] and its derivative).
-    pub fn activation(self, act: crate::layer::Activation) -> BVar<'t> {
-        use crate::layer::Activation;
-        match act {
-            Activation::Relu => self.relu(),
-            Activation::LeakyRelu => {
-                self.tape
-                    .unary(self, |x| if x > 0.0 { (x, 1.0) } else { (0.01 * x, 0.01) })
-            }
-            Activation::Tanh => self.tanh(),
-            Activation::Sigmoid => self.sigmoid(),
-            Activation::Linear => self.tape.unary(self, |x| (x, 1.0)),
-        }
-    }
-}
-
-/// Per-row adjoints produced by [`BVar::grad`].
-pub struct BatchGrads {
-    adjoints: Vec<Vec<f64>>,
-}
-
-impl BatchGrads {
-    /// Gradient of the root with respect to `v`, one entry per row.
-    pub fn wrt(&self, v: BVar<'_>) -> &[f64] {
-        &self.adjoints[v.idx]
-    }
-
-    /// Row-order sum of the per-row gradients (the total gradient for a
-    /// broadcast leaf): `((g_0 + g_1) + g_2) + …` — the same order a
-    /// per-obs loop accumulates in, preserving bit-parity.
-    pub fn sum_wrt(&self, v: BVar<'_>) -> f64 {
-        self.adjoints[v.idx].iter().fold(0.0, |acc, &g| acc + g)
-    }
-}
-
-/// Sum a slice of batched vars (fresh zero var for an empty slice).
-pub fn sum_batch<'t>(tape: &'t BatchTape, vars: &[BVar<'t>]) -> BVar<'t> {
-    match vars.split_first() {
-        None => tape.broadcast(0.0),
-        Some((&first, rest)) => rest.iter().fold(first, |acc, &v| acc + v),
-    }
-}
-
-impl<'t> Add for BVar<'t> {
-    type Output = BVar<'t>;
-    fn add(self, rhs: BVar<'t>) -> BVar<'t> {
-        self.tape.binary(self, rhs, |a, b| (a + b, 1.0, 1.0))
-    }
-}
-
-impl<'t> Sub for BVar<'t> {
-    type Output = BVar<'t>;
-    fn sub(self, rhs: BVar<'t>) -> BVar<'t> {
-        self.tape.binary(self, rhs, |a, b| (a - b, 1.0, -1.0))
-    }
-}
-
-impl<'t> Mul for BVar<'t> {
-    type Output = BVar<'t>;
-    fn mul(self, rhs: BVar<'t>) -> BVar<'t> {
-        self.tape.binary(self, rhs, |a, b| (a * b, b, a))
-    }
-}
-
-impl<'t> Div for BVar<'t> {
-    type Output = BVar<'t>;
-    fn div(self, rhs: BVar<'t>) -> BVar<'t> {
-        self.tape.binary(self, rhs, |a, b| {
-            let inv = 1.0 / b;
-            (a * inv, inv, -a * inv * inv)
-        })
-    }
-}
-
-impl<'t> Neg for BVar<'t> {
-    type Output = BVar<'t>;
-    fn neg(self) -> BVar<'t> {
-        self.tape.unary(self, |x| (-x, -1.0))
-    }
-}
-
-impl<'t> Add<f64> for BVar<'t> {
-    type Output = BVar<'t>;
-    fn add(self, rhs: f64) -> BVar<'t> {
-        self.tape.unary(self, |x| (x + rhs, 1.0))
-    }
-}
-
-impl<'t> Mul<f64> for BVar<'t> {
-    type Output = BVar<'t>;
-    fn mul(self, rhs: f64) -> BVar<'t> {
-        self.tape.unary(self, |x| (x * rhs, rhs))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1009,26 +724,40 @@ mod tests {
         let t2 = Tape::new();
         let mut args = [t1.vars(&[0.1]), t1.vars(&[0.2, 0.3]), t1.vars(&[0.4, 0.5])];
         args[operand][0] = t2.var(1.0);
-        t1.affine_tanh(&args[0], &args[1], &args[2], &mut Vec::new());
+        t1.affine(
+            Activation::Tanh,
+            &args[0],
+            &args[1],
+            &args[2],
+            &mut Vec::new(),
+        );
     }
 
     #[test]
-    #[should_panic(expected = "affine_tanh operands recorded on another tape")]
+    #[should_panic(expected = "affine operands recorded on another tape")]
     fn affine_row_rejects_a_bias_of_another_tape() {
         affine_row_with_a_foreign(0);
     }
 
     #[test]
-    #[should_panic(expected = "affine_tanh operands recorded on another tape")]
+    #[should_panic(expected = "affine operands recorded on another tape")]
     fn affine_row_rejects_a_weight_of_another_tape() {
         affine_row_with_a_foreign(1);
     }
 
     #[test]
-    #[should_panic(expected = "affine_tanh operands recorded on another tape")]
+    #[should_panic(expected = "affine operands recorded on another tape")]
     fn affine_row_rejects_an_input_of_another_tape() {
         affine_row_with_a_foreign(2);
     }
+
+    const ACTIVATIONS: [Activation; 5] = [
+        Activation::Relu,
+        Activation::LeakyRelu,
+        Activation::Tanh,
+        Activation::Sigmoid,
+        Activation::Linear,
+    ];
 
     /// Upstream adjoints a fused row must pass back exactly as its scalar
     /// chain does: zeros of both signs, subnormals, NaN and infinities.
@@ -1048,6 +777,7 @@ mod tests {
     /// the three roles, and the input list always repeats one var (as
     /// RouteNet's shared zero var does).
     struct AffineCase {
+        act: Activation,
         pool: Vec<f64>,
         bias: Vec<usize>,
         weights: Vec<usize>,
@@ -1063,9 +793,11 @@ mod tests {
         fn new(seed: u64) -> Self {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let act = ACTIVATIONS[rng.gen_range(0..ACTIVATIONS.len())];
             let (rows, n) = (rng.gen_range(1..4), rng.gen_range(2..9));
             let pool_len = rng.gen_range(2..8);
-            // Moderate values, values that saturate `tanh`, and specials.
+            // Moderate values, values that saturate `tanh` and the sigmoid,
+            // and specials.
             let value = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..10) {
                 0 => 40.0 * rng.gen_range(-1.0..1.0),
                 1 => [0.0, -0.0, 1e-310, f64::NAN, f64::INFINITY][rng.gen_range(0..5)],
@@ -1085,6 +817,7 @@ mod tests {
                 .collect();
             let direct = (0..pool_len).map(|_| rng.gen_range(-1.0..1.0)).collect();
             AffineCase {
+                act,
                 pool,
                 bias,
                 weights,
@@ -1103,14 +836,14 @@ mod tests {
             let (b, w, x) = (pick(&self.bias), pick(&self.weights), pick(&self.inputs));
             let mut out = Vec::new();
             if fused {
-                tape.affine_tanh(&b, &w, &x, &mut out);
+                tape.affine(self.act, &b, &w, &x, &mut out);
             } else {
                 for (&bias, w) in b.iter().zip(w.chunks_exact(x.len())) {
                     let mut acc = bias;
                     for (&wk, &xk) in w.iter().zip(&x) {
                         acc = acc + wk * xk;
                     }
-                    out.push(acc.tanh());
+                    out.push(acc.activation(self.act));
                 }
             }
             let rows = out.iter().zip(&self.upstream).map(|(&o, &u)| o * u);
@@ -1135,43 +868,58 @@ mod tests {
         }
     }
 
-    /// Rows where the chain skips every node, so no `0 · inf` may reach an
-    /// adjoint: a zero upstream adjoint over a NaN row, and a row that an
-    /// infinite input saturates (`t = 1`, so `g = 0`) under a finite one.
+    /// Rows where the chain skips every node, so no `0 · inf` or `0 · NaN`
+    /// may reach an adjoint: a zero upstream adjoint over a NaN row under
+    /// every activation, and a zero partial under a finite one: ReLU of a
+    /// NaN row (`NaN > 0` is false), and `tanh` and the sigmoid of a row
+    /// that an infinite input saturates (the value is 1, so `g = 0`).
     #[test]
     fn affine_row_skips_where_the_chain_skips() {
-        for (bad, upstream) in [(f64::NAN, 0.0), (f64::INFINITY, 1.0)] {
-            let case = AffineCase {
-                pool: vec![1.0, bad, 0.5],
-                bias: vec![0],
-                weights: vec![2, 0, 1],
-                inputs: vec![1, 2, 1],
-                upstream: vec![upstream],
-                direct: vec![0.5, -0.25, 1.0],
-            };
-            let (fused, chain) = (case.run(true), case.run(false));
-            assert_eq!(fused.1, chain.1, "gradients with {bad} inputs");
-            assert!(fused.1.iter().all(|&g| !f64::from_bits(g).is_nan()));
+        use Activation::{Relu, Sigmoid, Tanh};
+        let cases: [(f64, f64, &[Activation]); 3] = [
+            (f64::NAN, 0.0, &ACTIVATIONS),
+            (f64::NAN, 1.0, &[Relu]),
+            (f64::INFINITY, 1.0, &[Tanh, Sigmoid]),
+        ];
+        for (bad, upstream, acts) in cases {
+            for &act in acts {
+                let case = AffineCase {
+                    act,
+                    pool: vec![1.0, bad, 0.5],
+                    bias: vec![0],
+                    weights: vec![2, 0, 1],
+                    inputs: vec![1, 2, 1],
+                    upstream: vec![upstream],
+                    direct: vec![0.5, -0.25, 1.0],
+                };
+                let (fused, chain) = (case.run(true), case.run(false));
+                assert_eq!(fused.1, chain.1, "{act:?} gradients with {bad} inputs");
+                assert!(fused.1.iter().all(|&g| !f64::from_bits(g).is_nan()));
+            }
         }
     }
 
-    /// Each special upstream adjoint through two rows that share the zero
-    /// var among their inputs: a moderate row and one that saturates
-    /// `tanh` (`t = 1`, so `1 − t² = 0`).
+    /// Each special upstream adjoint under every activation, through three
+    /// rows that share the zero var among their inputs: a moderate row, one
+    /// that saturates `tanh` and the sigmoid (value 1, so the partial is
+    /// 0) and one below zero, where ReLU's partial is 0.
     #[test]
     fn affine_row_passes_special_adjoints_as_the_chain_does() {
-        for upstream in SPECIAL_ADJOINTS {
-            let case = AffineCase {
-                pool: vec![0.75, -1.5, 0.25, 0.0, 30.0],
-                bias: vec![2, 4],
-                weights: vec![0, 1, 2, 0, 1, 0, 4, 2],
-                inputs: vec![3, 1, 0, 3],
-                upstream: vec![upstream; 2],
-                direct: vec![0.5, -0.25, 1.0, 0.125, -2.0],
-            };
-            let (fused, chain) = (case.run(true), case.run(false));
-            assert_eq!(fused.0, chain.0, "row values under {upstream:?}");
-            assert_eq!(fused.1, chain.1, "gradients under {upstream:?}");
+        for act in ACTIVATIONS {
+            for upstream in SPECIAL_ADJOINTS {
+                let case = AffineCase {
+                    act,
+                    pool: vec![0.75, -1.5, 0.25, 0.0, 30.0],
+                    bias: vec![2, 4, 1],
+                    weights: vec![0, 1, 2, 0, 1, 0, 4, 2, 1, 1, 1, 1],
+                    inputs: vec![3, 1, 0, 3],
+                    upstream: vec![upstream; 3],
+                    direct: vec![0.5, -0.25, 1.0, 0.125, -2.0],
+                };
+                let (fused, chain) = (case.run(true), case.run(false));
+                assert_eq!(fused.0, chain.0, "{act:?} row values under {upstream:?}");
+                assert_eq!(fused.1, chain.1, "{act:?} gradients under {upstream:?}");
+            }
         }
     }
 
@@ -1184,76 +932,30 @@ mod tests {
         assert_eq!(z.grad().wrt(y), 0.0);
     }
 
-    /// Every row of a batched program must be bit-identical to the same
-    /// program replayed on a scalar tape with that row's inputs — values
-    /// and gradients both.
+    /// `Var::activation` and a one-input fused row `act(0 + 1·x)` give
+    /// `Activation::apply`'s value and `derivative`'s gradient. The tape's
+    /// `tanh` is libm's and `Activation::apply`'s is `crate::tanh`; on
+    /// glibc 2.36 with FMA the two agree bit for bit.
     #[test]
-    fn batch_tape_rows_match_scalar_tape() {
-        let xs = [0.3, -1.2, 0.0, 2.5];
-        let ws = [0.7, 0.2];
-        let bt = BatchTape::new(xs.len());
-        let x = bt.var(&xs);
-        let w = bt.broadcasts(&ws);
-        let z = (x * w[0] + w[1].sigmoid() * x.square()).tanh() + (x * w[1]).exp().ln();
-        let g = z.grad();
-        let mut w0_sum = 0.0;
-        for (r, &x0) in xs.iter().enumerate() {
-            let t = Tape::new();
-            let sx = t.var(x0);
-            let sw0 = t.var(ws[0]);
-            let sw1 = t.var(ws[1]);
-            let sz = (sx * sw0 + sw1.sigmoid() * sx.square()).tanh() + (sx * sw1).exp().ln();
-            assert_eq!(z.value(r), sz.value(), "row {r} value diverges");
-            let sg = sz.grad();
-            assert_eq!(g.wrt(x)[r], sg.wrt(sx), "row {r} d/dx diverges");
-            assert_eq!(g.wrt(w[0])[r], sg.wrt(sw0), "row {r} d/dw0 diverges");
-            w0_sum += sg.wrt(sw0);
-        }
-        assert_eq!(g.sum_wrt(w[0]), w0_sum, "broadcast gradient sum order");
-    }
-
-    /// The tape's `tanh` is libm's and `Activation::apply`'s is
-    /// `crate::tanh`; on glibc 2.36 with FMA the two agree bit for bit.
-    #[test]
-    fn batch_tape_activations_match_scalar_apply() {
-        use crate::layer::Activation;
-        let xs = [-2.0, -0.5, 0.0, 0.5, 2.0];
-        for act in [
-            Activation::Relu,
-            Activation::LeakyRelu,
-            Activation::Tanh,
-            Activation::Sigmoid,
-            Activation::Linear,
-        ] {
-            let bt = BatchTape::new(xs.len());
-            let x = bt.var(&xs);
-            let y = x.activation(act);
-            for (r, &x0) in xs.iter().enumerate() {
-                assert_eq!(y.value(r), act.apply(x0), "{act:?} value row {r}");
+    fn tape_activations_match_activation_apply() {
+        for act in ACTIVATIONS {
+            for x0 in [-2.0, -0.5, 0.0, 0.5, 2.0] {
+                let (value, derivative) = (act.apply(x0), act.derivative(x0, act.apply(x0)));
+                let t = Tape::new();
+                let x = t.var(x0);
+                let y = x.activation(act);
+                assert_eq!(y.value(), value, "{act:?} value at {x0}");
+                assert_eq!(y.grad().wrt(x), derivative, "{act:?} gradient at {x0}");
+                let mut row = Vec::new();
+                t.affine(act, &[t.var(0.0)], &[t.var(1.0)], &[x], &mut row);
+                assert_eq!(row[0].value(), value, "{act:?} fused value at {x0}");
                 assert_eq!(
-                    y.grad().wrt(x)[r],
-                    act.derivative(x0, act.apply(x0)),
-                    "{act:?} grad row {r}"
+                    row[0].grad().wrt(x),
+                    derivative,
+                    "{act:?} fused gradient at {x0}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn sum_batch_helper() {
-        let bt = BatchTape::new(2);
-        let vs = vec![
-            bt.var(&[1.0, 4.0]),
-            bt.var(&[2.0, 5.0]),
-            bt.var(&[3.0, 6.0]),
-        ];
-        let s = sum_batch(&bt, &vs);
-        assert_eq!(s.values(), vec![6.0, 15.0]);
-        let g = s.grad();
-        for v in &vs {
-            assert_eq!(g.wrt(*v), &[1.0, 1.0]);
-        }
-        assert_eq!(sum_batch(&bt, &[]).values(), vec![0.0, 0.0]);
     }
 
     proptest! {
@@ -1270,9 +972,10 @@ mod tests {
             prop_assert!((g - fd(f, x0)).abs() < 1e-4, "grad {} vs fd {}", g, fd(f, x0));
         }
 
-        /// A fused affine row is its scalar chain, bit for bit: every
-        /// row's value and every pool var's gradient, so every bias,
-        /// weight and input gradient, however the vars repeat.
+        /// A fused affine row is its scalar chain, bit for bit, under
+        /// every activation: every row's value and every pool var's
+        /// gradient, so every bias, weight and input gradient, however the
+        /// vars repeat.
         #[test]
         fn prop_affine_row_matches_scalar_chain(seed in 0u64..u64::MAX) {
             let case = AffineCase::new(seed);

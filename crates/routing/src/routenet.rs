@@ -13,7 +13,7 @@ use crate::demand::Demand;
 use crate::latency::Routing;
 use crate::topo::Topology;
 use metis_nn::tape::{Tape, Var};
-use metis_nn::{Adam, Optimizer, ParamGrad};
+use metis_nn::{Activation, Adam, Optimizer, ParamGrad};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -369,7 +369,7 @@ fn matvec<'t>(
     out: &mut Vec<Var<'t>>,
 ) {
     let weights = &param_vars[w..][..d * (2 * d + 1)];
-    tape.affine_tanh(&param_vars[b..][..d], weights, input, out);
+    tape.affine(Activation::Tanh, &param_vars[b..][..d], weights, input, out);
 }
 
 /// The delay readout of one path state, `((b + w₀h₀) + w₁h₁) + …`.

@@ -3,7 +3,6 @@
 //! matrix-vector oracles — for random networks, random inputs, and the
 //! full seeded collection loop.
 
-use metis::nn::tape::{sum_batch, BatchTape, Tape};
 use metis::nn::{Activation, Matrix, Mlp, Network};
 use metis::rl::env::test_envs::BanditEnv;
 use metis::rl::{
@@ -77,33 +76,6 @@ proptest! {
         for (r, gr) in gin_rows.iter().enumerate() {
             prop_assert_eq!(gin_batched.row(r), gr.row(0), "input grad row {} diverges", r);
         }
-    }
-
-    /// Batched tape gradients == per-obs scalar-tape gradients for a
-    /// random program evaluated over a batch of rows.
-    #[test]
-    fn batch_tape_matches_scalar_tapes(seed in 0u64..300, rows in 1usize..20) {
-        let xs = random_rows(seed ^ 0xAB, 1, rows).pop().unwrap();
-        let w0 = (seed as f64 * 0.37).sin();
-        let bt = BatchTape::new(rows);
-        let x = bt.var(&xs);
-        let w = bt.broadcast(w0);
-        let terms = vec![(x * w).tanh(), x.square() * 0.5, (w.sigmoid() * x).exp().ln()];
-        let z = sum_batch(&bt, &terms);
-        let g = z.grad();
-        let mut w_total = 0.0;
-        for (r, &x0) in xs.iter().enumerate() {
-            let t = Tape::new();
-            let sx = t.var(x0);
-            let sw = t.var(w0);
-            let sterms = vec![(sx * sw).tanh(), sx.square() * 0.5, (sw.sigmoid() * sx).exp().ln()];
-            let sz = metis::nn::tape::sum(&t, &sterms);
-            prop_assert_eq!(z.value(r).to_bits(), sz.value().to_bits());
-            let sg = sz.grad();
-            prop_assert_eq!(g.wrt(x)[r].to_bits(), sg.wrt(sx).to_bits());
-            w_total += sg.wrt(sw);
-        }
-        prop_assert_eq!(g.sum_wrt(w).to_bits(), w_total.to_bits());
     }
 
     /// `collect_seeded` (batched labelling) == the per-obs oracle, bit for
