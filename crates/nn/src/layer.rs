@@ -2,8 +2,8 @@
 //!
 //! Each layer caches whatever it needs from the forward pass; `backward`
 //! accumulates parameter gradients (callers reset them via
-//! [`Dense::zero_grad`] / [`Conv1D::zero_grad`]) and returns the gradient with respect to the input,
-//! so layers compose by simple chaining.
+//! [`Dense::zero_grad`]) and returns the gradient with respect to the
+//! input, so layers compose by simple chaining.
 
 use crate::init::Init;
 use crate::matrix::Matrix;
@@ -261,182 +261,6 @@ impl Dense {
     }
 }
 
-/// A 1-D convolution over a fixed-length sequence, as used by Pensieve's
-/// feature towers (e.g. 128 filters of kernel 4 over the last 8 throughput
-/// samples). Single input channel, `valid` padding, stride 1.
-///
-/// Input shape: `(batch, seq_len)`; output shape:
-/// `(batch, filters * (seq_len - kernel + 1))`, i.e. the feature map is
-/// flattened filter-major so it can feed straight into a [`Dense`] layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Conv1D {
-    seq_len: usize,
-    kernel: usize,
-    filters: usize,
-    /// Shape `(filters, kernel)`.
-    w: Matrix,
-    b: Vec<f64>,
-    activation: Activation,
-    #[serde(skip)]
-    gw: Option<Matrix>,
-    #[serde(skip)]
-    gb: Vec<f64>,
-    #[serde(skip)]
-    cache_input: Option<Matrix>,
-    #[serde(skip)]
-    cache_pre: Option<Matrix>,
-    #[serde(skip)]
-    cache_out: Option<Matrix>,
-}
-
-impl Conv1D {
-    pub fn new(
-        seq_len: usize,
-        kernel: usize,
-        filters: usize,
-        activation: Activation,
-        init: Init,
-        rng: &mut rand::rngs::StdRng,
-    ) -> Self {
-        assert!(kernel <= seq_len, "Conv1D: kernel larger than sequence");
-        Conv1D {
-            seq_len,
-            kernel,
-            filters,
-            w: init.sample(filters, kernel, rng),
-            b: vec![0.0; filters],
-            activation,
-            gw: None,
-            gb: vec![],
-            cache_input: None,
-            cache_pre: None,
-            cache_out: None,
-        }
-    }
-
-    /// Length of one filter's output map.
-    pub fn out_positions(&self) -> usize {
-        self.seq_len - self.kernel + 1
-    }
-
-    /// Total flattened output width.
-    pub fn out_dim(&self) -> usize {
-        self.filters * self.out_positions()
-    }
-
-    pub fn param_count(&self) -> usize {
-        self.filters * self.kernel + self.b.len()
-    }
-
-    fn ensure_grads(&mut self) {
-        if self.gw.is_none() {
-            self.gw = Some(Matrix::zeros(self.filters, self.kernel));
-        }
-        if self.gb.len() != self.b.len() {
-            self.gb = vec![0.0; self.b.len()];
-        }
-    }
-
-    /// Forward pass over a `(batch, seq_len)` input.
-    pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        let out = self.forward_inference(input);
-        // Recompute pre-activation for the cache (cheap at these sizes).
-        let pre = self.convolve(input);
-        self.cache_input = Some(input.clone());
-        self.cache_pre = Some(pre);
-        self.cache_out = Some(out.clone());
-        out
-    }
-
-    fn convolve(&self, input: &Matrix) -> Matrix {
-        assert_eq!(
-            input.cols(),
-            self.seq_len,
-            "Conv1D::forward: input width {} != seq_len {}",
-            input.cols(),
-            self.seq_len
-        );
-        let positions = self.out_positions();
-        let mut pre = Matrix::zeros(input.rows(), self.out_dim());
-        for r in 0..input.rows() {
-            let x = input.row(r);
-            for f in 0..self.filters {
-                let wf = self.w.row(f);
-                for p in 0..positions {
-                    let mut acc = self.b[f];
-                    for k in 0..self.kernel {
-                        acc += wf[k] * x[p + k];
-                    }
-                    pre[(r, f * positions + p)] = acc;
-                }
-            }
-        }
-        pre
-    }
-
-    /// Inference-only forward pass.
-    pub fn forward_inference(&self, input: &Matrix) -> Matrix {
-        let mut pre = self.convolve(input);
-        self.activation.apply_in_place(pre.data_mut());
-        pre
-    }
-
-    /// Backward pass; returns dL/d(input) of shape `(batch, seq_len)`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        self.ensure_grads();
-        let input = self
-            .cache_input
-            .as_ref()
-            .expect("Conv1D::backward called before forward");
-        let pre = self.cache_pre.as_ref().unwrap();
-        let out = self.cache_out.as_ref().unwrap();
-        let positions = self.out_positions();
-        let act = self.activation;
-
-        let mut grad_in = Matrix::zeros(input.rows(), self.seq_len);
-        let gw = self.gw.as_mut().unwrap();
-        for r in 0..input.rows() {
-            let x = input.row(r);
-            for f in 0..self.filters {
-                for p in 0..positions {
-                    let idx = (r, f * positions + p);
-                    let g = grad_out[idx] * act.derivative(pre[idx], out[idx]);
-                    if g == 0.0 {
-                        continue;
-                    }
-                    self.gb[f] += g;
-                    for k in 0..self.kernel {
-                        gw[(f, k)] += g * x[p + k];
-                        grad_in[(r, p + k)] += g * self.w[(f, k)];
-                    }
-                }
-            }
-        }
-        grad_in
-    }
-
-    pub fn zero_grad(&mut self) {
-        if let Some(gw) = &mut self.gw {
-            gw.fill_zero();
-        }
-        self.gb.iter_mut().for_each(|x| *x = 0.0);
-    }
-
-    pub fn params(&mut self) -> Vec<ParamGrad<'_>> {
-        self.ensure_grads();
-        vec![
-            ParamGrad {
-                param: self.w.data_mut(),
-                grad: self.gw.as_mut().unwrap().data_mut(),
-            },
-            ParamGrad {
-                param: &mut self.b,
-                grad: &mut self.gb,
-            },
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,59 +396,6 @@ mod tests {
         assert!((g2[(0, 0)] - 2.0 * g1[(0, 0)]).abs() < 1e-12);
         layer.zero_grad();
         assert_eq!(layer.gw.unwrap().max_abs(), 0.0);
-    }
-
-    #[test]
-    fn conv1d_shapes() {
-        let mut rng = rng();
-        let c = Conv1D::new(8, 4, 3, Activation::Relu, Init::HeUniform, &mut rng);
-        assert_eq!(c.out_positions(), 5);
-        assert_eq!(c.out_dim(), 15);
-    }
-
-    #[test]
-    fn conv1d_known_values() {
-        let mut rng = rng();
-        let mut c = Conv1D::new(4, 2, 1, Activation::Linear, Init::Zeros, &mut rng);
-        // filter = [1, -1], bias = 0 => output is backward difference
-        c.w = Matrix::from_rows(&[&[1.0, -1.0]]);
-        let x = Matrix::row_vector(&[1.0, 3.0, 6.0, 10.0]);
-        let y = c.forward(&x);
-        assert_eq!(y, Matrix::row_vector(&[-2.0, -3.0, -4.0]));
-    }
-
-    #[test]
-    fn conv1d_gradcheck() {
-        let mut rng = rng();
-        let mut layer = Conv1D::new(6, 3, 2, Activation::Tanh, Init::XavierUniform, &mut rng);
-        let x = Matrix::from_rows(&[&[0.1, -0.3, 0.5, 0.7, -0.2, 0.4]]);
-        let y = layer.forward(&x);
-        let gin = layer.backward(&y.clone());
-        let eps = 1e-6;
-        for c in 0..x.cols() {
-            let mut xp = x.clone();
-            xp[(0, c)] += eps;
-            let mut xm = x.clone();
-            xm[(0, c)] -= eps;
-            let lp: f64 = layer
-                .forward_inference(&xp)
-                .data()
-                .iter()
-                .map(|v| 0.5 * v * v)
-                .sum();
-            let lm: f64 = layer
-                .forward_inference(&xm)
-                .data()
-                .iter()
-                .map(|v| 0.5 * v * v)
-                .sum();
-            let fd = (lp - lm) / (2.0 * eps);
-            assert!(
-                (fd - gin[(0, c)]).abs() < 1e-5,
-                "conv input grad mismatch at {c}: fd={fd}, got={}",
-                gin[(0, c)]
-            );
-        }
     }
 
     #[test]

@@ -1,40 +1,8 @@
-//! Loss functions. Each returns `(loss, gradient-wrt-prediction)` so
-//! callers can feed the gradient straight into `Mlp::backward`.
+//! Loss functions: softmax cross-entropy, which returns `(loss,
+//! gradient-wrt-logits)` so callers can feed the gradient straight into
+//! `Mlp::backward`, and the mask objective's binary entropy.
 
 use crate::net::softmax;
-
-/// Mean squared error over a slice pair: `mean((pred - target)^2)`.
-pub fn mse(pred: &[f64], target: &[f64]) -> (f64, Vec<f64>) {
-    assert_eq!(pred.len(), target.len(), "mse: length mismatch");
-    let n = pred.len() as f64;
-    let mut loss = 0.0;
-    let mut grad = Vec::with_capacity(pred.len());
-    for (&p, &t) in pred.iter().zip(target.iter()) {
-        let d = p - t;
-        loss += d * d;
-        grad.push(2.0 * d / n);
-    }
-    (loss / n, grad)
-}
-
-/// Huber loss with threshold `delta` (robust regression; used by critics).
-pub fn huber(pred: &[f64], target: &[f64], delta: f64) -> (f64, Vec<f64>) {
-    assert_eq!(pred.len(), target.len(), "huber: length mismatch");
-    let n = pred.len() as f64;
-    let mut loss = 0.0;
-    let mut grad = Vec::with_capacity(pred.len());
-    for (&p, &t) in pred.iter().zip(target.iter()) {
-        let d = p - t;
-        if d.abs() <= delta {
-            loss += 0.5 * d * d;
-            grad.push(d / n);
-        } else {
-            loss += delta * (d.abs() - 0.5 * delta);
-            grad.push(delta * d.signum() / n);
-        }
-    }
-    (loss / n, grad)
-}
 
 /// Softmax cross-entropy against a one-hot target class.
 ///
@@ -50,38 +18,6 @@ pub fn softmax_cross_entropy(logits: &[f64], target: usize) -> (f64, Vec<f64>) {
     let mut grad = probs;
     grad[target] -= 1.0;
     (loss, grad)
-}
-
-/// Weighted softmax cross-entropy (sample weight multiplies loss and grad).
-pub fn weighted_softmax_cross_entropy(
-    logits: &[f64],
-    target: usize,
-    weight: f64,
-) -> (f64, Vec<f64>) {
-    let (loss, mut grad) = softmax_cross_entropy(logits, target);
-    for g in &mut grad {
-        *g *= weight;
-    }
-    (loss * weight, grad)
-}
-
-/// KL divergence `KL(p || q)` between two discrete distributions.
-///
-/// Zero entries in `p` contribute zero; entries of `q` are floored at 1e-12
-/// for numerical safety. This is the `D` similarity term of Metis'
-/// hypergraph mask objective for discrete outputs (Eq. 6).
-pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "kl_divergence: length mismatch");
-    p.iter()
-        .zip(q.iter())
-        .map(|(&pi, &qi)| {
-            if pi <= 0.0 {
-                0.0
-            } else {
-                pi * (pi / qi.max(1e-12)).ln()
-            }
-        })
-        .sum()
 }
 
 /// Binary entropy `H(w) = -(w ln w + (1-w) ln(1-w))`, summed over the slice.
@@ -100,34 +36,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mse_zero_when_equal() {
-        let (l, g) = mse(&[1.0, 2.0], &[1.0, 2.0]);
-        assert_eq!(l, 0.0);
-        assert_eq!(g, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn mse_known_value() {
-        let (l, g) = mse(&[2.0, 0.0], &[0.0, 0.0]);
-        assert!((l - 2.0).abs() < 1e-12); // (4 + 0)/2
-        assert!((g[0] - 2.0).abs() < 1e-12); // 2*2/2
-    }
-
-    #[test]
-    fn huber_matches_mse_inside_delta() {
-        let (l, g) = huber(&[0.5], &[0.0], 1.0);
-        assert!((l - 0.125).abs() < 1e-12);
-        assert!((g[0] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn huber_linear_outside_delta() {
-        let (l, g) = huber(&[10.0], &[0.0], 1.0);
-        assert!((l - 9.5).abs() < 1e-12);
-        assert!((g[0] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn cross_entropy_gradient_is_softmax_minus_onehot() {
         let logits = [1.0, 2.0, 3.0];
         let (loss, grad) = softmax_cross_entropy(&logits, 2);
@@ -143,31 +51,6 @@ mod tests {
     fn cross_entropy_perfect_prediction_small_loss() {
         let (loss, _) = softmax_cross_entropy(&[100.0, 0.0], 0);
         assert!(loss < 1e-9);
-    }
-
-    #[test]
-    fn weighted_ce_scales() {
-        let (l1, g1) = softmax_cross_entropy(&[0.3, 0.7], 1);
-        let (l2, g2) = weighted_softmax_cross_entropy(&[0.3, 0.7], 1, 2.5);
-        assert!((l2 - 2.5 * l1).abs() < 1e-12);
-        assert!((g2[0] - 2.5 * g1[0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_zero_for_identical() {
-        let p = [0.2, 0.3, 0.5];
-        assert!(kl_divergence(&p, &p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_positive_and_asymmetric() {
-        let p = [0.9, 0.1];
-        let q = [0.5, 0.5];
-        let kl_pq = kl_divergence(&p, &q);
-        let kl_qp = kl_divergence(&q, &p);
-        assert!(kl_pq > 0.0);
-        assert!(kl_qp > 0.0);
-        assert!((kl_pq - kl_qp).abs() > 1e-6);
     }
 
     #[test]

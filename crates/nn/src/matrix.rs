@@ -55,22 +55,6 @@ impl Matrix {
         }
     }
 
-    /// Create a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "Matrix::from_vec: data length {} does not match shape {}x{}",
-            data.len(),
-            rows,
-            cols
-        );
-        Matrix { rows, cols, data }
-    }
-
     /// Create a matrix from nested row slices (convenient in tests).
     pub fn from_rows(rows: &[&[f64]]) -> Self {
         let r = rows.len();
@@ -415,34 +399,11 @@ impl Matrix {
         }
     }
 
-    /// Elementwise combination of two same-shape matrices.
-    pub fn zip_map(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "zip_map: shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
-    }
-
     /// `self += other` elementwise.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign: shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += b;
-        }
-    }
-
-    /// `self += scale * other` elementwise.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f64) {
-        assert_eq!(self.shape(), other.shape(), "add_scaled: shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += scale * b;
         }
     }
 
@@ -500,11 +461,6 @@ impl Matrix {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute element (0.0 for an empty matrix).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
@@ -542,21 +498,6 @@ mod tests {
         let m = Matrix::zeros(2, 3);
         assert_eq!(m.shape(), (2, 3));
         assert!(m.data().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn from_vec_roundtrip() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(0, 1)], 2.0);
-        assert_eq!(m[(1, 0)], 3.0);
-        assert_eq!(m[(1, 1)], 4.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match shape")]
-    fn from_vec_bad_len_panics() {
-        let _ = Matrix::from_vec(2, 2, vec![1.0]);
     }
 
     #[test]
@@ -707,18 +648,15 @@ mod tests {
     }
 
     #[test]
-    fn map_and_zip_map() {
+    fn map_is_elementwise() {
         let a = Matrix::from_rows(&[&[1.0, -2.0]]);
         let b = a.map(f64::abs);
         assert_eq!(b, Matrix::from_rows(&[&[1.0, 2.0]]));
-        let c = a.zip_map(&b, |x, y| x + y);
-        assert_eq!(c, Matrix::from_rows(&[&[2.0, 0.0]]));
     }
 
     #[test]
     fn norms() {
         let a = Matrix::from_rows(&[&[3.0, -4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
         assert!(a.is_finite());
         let b = Matrix::from_rows(&[&[f64::NAN]]);

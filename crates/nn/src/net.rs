@@ -68,10 +68,6 @@ impl Mlp {
         self.layers.last().unwrap().out_dim()
     }
 
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total learnable parameter count.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(|l| l.param_count()).sum()
@@ -164,11 +160,6 @@ pub fn softmax_rows(m: &Matrix) -> Matrix {
     out
 }
 
-/// Row-wise argmax of a `(batch, n)` matrix (first on ties).
-pub fn argmax_rows(m: &Matrix) -> Vec<usize> {
-    (0..m.rows()).map(|r| argmax(m.row(r))).collect()
-}
-
 /// Index of the maximum element (first on ties).
 pub fn argmax(xs: &[f64]) -> usize {
     let mut best = 0;
@@ -194,7 +185,6 @@ mod tests {
         let mlp = Mlp::new(&[4, 8, 3], Activation::Tanh, Activation::Linear, &mut rng);
         assert_eq!(mlp.in_dim(), 4);
         assert_eq!(mlp.out_dim(), 3);
-        assert_eq!(mlp.layer_count(), 2);
         assert_eq!(mlp.param_count(), 4 * 8 + 8 + 8 * 3 + 3);
     }
 

@@ -1,6 +1,6 @@
 //! First-order optimizers operating on flat (param, grad) slice pairs.
 //!
-//! Optimizers are stateful (momentum/Adam moments) and identify parameter
+//! Optimizers are stateful (Adam's moments) and identify parameter
 //! tensors positionally: callers must pass the same tensor list, in the same
 //! order, on every step — which `Mlp::params()` guarantees.
 
@@ -14,82 +14,6 @@ pub trait Optimizer {
     fn learning_rate(&self) -> f64;
     /// Replace the learning rate (e.g. for decay schedules).
     fn set_learning_rate(&mut self, lr: f64);
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-}
-
-impl Sgd {
-    pub fn new(lr: f64) -> Self {
-        assert!(lr > 0.0, "Sgd: learning rate must be positive");
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [ParamGrad<'_>]) {
-        for pg in params {
-            for (p, &g) in pg.param.iter_mut().zip(pg.grad.iter()) {
-                *p -= self.lr * g;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-}
-
-/// SGD with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    lr: f64,
-    beta: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Momentum {
-    pub fn new(lr: f64, beta: f64) -> Self {
-        assert!(lr > 0.0 && (0.0..1.0).contains(&beta));
-        Momentum {
-            lr,
-            beta,
-            velocity: Vec::new(),
-        }
-    }
-
-    fn ensure_state(&mut self, params: &[ParamGrad<'_>]) {
-        if self.velocity.len() != params.len() {
-            self.velocity = params.iter().map(|pg| vec![0.0; pg.param.len()]).collect();
-        }
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step(&mut self, params: &mut [ParamGrad<'_>]) {
-        self.ensure_state(params);
-        for (pg, vel) in params.iter_mut().zip(self.velocity.iter_mut()) {
-            for ((p, &g), v) in pg.param.iter_mut().zip(pg.grad.iter()).zip(vel.iter_mut()) {
-                *v = self.beta * *v + g;
-                *p -= self.lr * *v;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -182,7 +106,7 @@ pub fn clip_grad_norm(params: &mut [ParamGrad<'_>], max_norm: f64) -> f64 {
 mod tests {
     use super::*;
 
-    /// Minimize f(x) = (x - 3)^2 with each optimizer; all must converge.
+    /// Minimize f(x) = (x - 3)^2 with `opt`; it must converge.
     fn run_quadratic(opt: &mut dyn Optimizer, steps: usize) -> f64 {
         let mut x = [0.0_f64];
         let mut g = [0.0_f64];
@@ -195,18 +119,6 @@ mod tests {
             opt.step(&mut params);
         }
         x[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let x = run_quadratic(&mut Sgd::new(0.1), 200);
-        assert!((x - 3.0).abs() < 1e-6, "sgd ended at {x}");
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        let x = run_quadratic(&mut Momentum::new(0.05, 0.9), 300);
-        assert!((x - 3.0).abs() < 1e-4, "momentum ended at {x}");
     }
 
     #[test]
