@@ -74,8 +74,7 @@ impl<'a> MaskedMlp<'a> {
         }
     }
 
-    /// # Panics
-    /// Unless the mask has one value per input feature.
+    /// Panics unless a mask of `len` values has one per input feature.
     fn check_mask_len(&self, len: usize) {
         assert_eq!(
             len,
