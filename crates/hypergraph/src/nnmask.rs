@@ -269,8 +269,9 @@ mod tests {
         }
     }
 
-    /// A short mask would silently drop the trailing features and return
-    /// a short gradient; a long one would index past the first layer.
+    /// `d_value_grad` of a six-feature network under a mask of `len`
+    /// values. Unchecked, a short mask drops the trailing features and a
+    /// long one returns a gradient for features that do not exist.
     fn gradient_with_mask_len(len: usize) {
         let (net, obs) = setup(3);
         let sys = MaskedMlp::new(&net, obs, OutputKind::Discrete);
