@@ -131,8 +131,8 @@ fn main() {
         black_box(system.d_value_grad(&mask, &reference, 0));
     });
     // One RouteNet search step on `mask_routenet`'s first sample: a
-    // 7,039-node scalar tape (1,392 of them fused affine rows) recorded
-    // and differentiated.
+    // 6,358-node scalar tape (1,438 of them fused affine rows, which read
+    // the model's parameters from one block) recorded and differentiated.
     let s = metis_bench::setup::routing(0, 20, 4, 30);
     let routing = MaskedRouting::new(&s.model, &s.topo, &s.samples[0].demands, &s.routings[0]);
     let routing_mask = vec![0.5; routing.n_connections()];

@@ -96,10 +96,9 @@ impl MaskedSystem for MaskedRouting<'_> {
     fn reference_output(&self) -> Vec<f64> {
         // Unmasked candidate delays -> per-demand softmax, concatenated.
         let tape = Tape::new();
-        let pv = tape.vars(self.model.params());
         let delays = self.model.candidate_delays_tape(
             &tape,
-            &pv,
+            tape.params(self.model.params()),
             self.topo,
             self.demands,
             self.routing,
@@ -115,10 +114,9 @@ impl MaskedSystem for MaskedRouting<'_> {
     }
 
     fn masked_output<'t>(&self, tape: &'t Tape, mask: &[Var<'t>]) -> Vec<Var<'t>> {
-        let pv = tape.vars(self.model.params());
         let delays = self.model.candidate_delays_tape(
             tape,
-            &pv,
+            tape.params(self.model.params()),
             self.topo,
             self.demands,
             self.routing,

@@ -16,11 +16,14 @@
 //! per-row D values and gradients are summed in global row order. That
 //! order depends on neither the block size nor the thread count, so the
 //! search is bit-identical for any thread count — the §4 mirror of the
-//! conversion engine's batched-labelling parity contract.
+//! conversion engine's batched-labelling parity contract. The network's
+//! parameters are one flat block that each observation's tape copies once
+//! ([`Tape::params`]), so a tape records no node per parameter and its
+//! backward updates no parameter adjoint.
 
 use crate::mask::{MaskedSystem, OutputKind};
 use metis_nn::par::parallel_map_indexed;
-use metis_nn::tape::{sum, Tape, Var};
+use metis_nn::tape::{sum, Params, Tape, Var};
 use metis_nn::{softmax_rows, Matrix, Mlp};
 
 /// Observations per pool work item. Results are bit-identical for any
@@ -33,14 +36,16 @@ const BLOCK_ROWS: usize = 64;
 /// path with the thread-sharded per-observation evaluation.
 pub struct MaskedMlp<'a> {
     net: &'a Mlp,
-    /// Each layer's weights transposed to `out × in`, the row-major layout
-    /// [`Tape::affine`] takes.
-    weights_t: Vec<Matrix>,
+    /// Layer after layer, its bias, then its weights transposed to
+    /// `out × in`, the row-major layout [`Tape::affine`] takes: the
+    /// parameter block each observation's tape copies once.
+    params: Vec<f64>,
     obs: Vec<Vec<f64>>,
     kind: OutputKind,
-    /// Unmasked per-row reference outputs (decision distributions for
-    /// [`OutputKind::Discrete`], raw outputs otherwise).
-    reference: Vec<Vec<f64>>,
+    /// Unmasked reference outputs (decision distributions for
+    /// [`OutputKind::Discrete`], raw outputs otherwise), one row of the
+    /// network's output width per observation.
+    reference: Vec<f64>,
 }
 
 impl<'a> MaskedMlp<'a> {
@@ -55,22 +60,20 @@ impl<'a> MaskedMlp<'a> {
         );
         let out = net.forward_inference(&Matrix::from_rows_vec(&obs));
         let reference = match kind {
-            OutputKind::Discrete => {
-                let p = softmax_rows(&out);
-                (0..p.rows()).map(|r| p.row(r).to_vec()).collect()
-            }
-            OutputKind::Continuous => (0..out.rows()).map(|r| out.row(r).to_vec()).collect(),
+            OutputKind::Discrete => softmax_rows(&out),
+            OutputKind::Continuous => out,
         };
+        let mut params = Vec::new();
+        for layer in net.layers() {
+            params.extend_from_slice(layer.bias());
+            params.extend_from_slice(layer.weights().transpose().data());
+        }
         MaskedMlp {
             net,
-            weights_t: net
-                .layers()
-                .iter()
-                .map(|l| l.weights().transpose())
-                .collect(),
+            params,
             obs,
             kind,
-            reference,
+            reference: reference.data().to_vec(),
         }
     }
 
@@ -84,18 +87,28 @@ impl<'a> MaskedMlp<'a> {
     }
 
     /// Masked network output of one observation: the mask gates, one
-    /// [`Tape::affine`] call per layer with its bias and transposed
-    /// weights as leaf vars, then the optional softmax head.
-    fn masked_row<'t>(&self, tape: &'t Tape, mask: &[Var<'t>], row: usize) -> Vec<Var<'t>> {
+    /// [`Tape::affine`] call per layer over `params`, this system's
+    /// parameter block on `tape`, then the optional softmax head.
+    fn masked_row<'t>(
+        &self,
+        tape: &'t Tape,
+        params: Params<'t>,
+        mask: &[Var<'t>],
+        row: usize,
+    ) -> Vec<Var<'t>> {
         let mut h: Vec<Var<'t>> = mask
             .iter()
             .zip(&self.obs[row])
             .map(|(m, &xi)| *m * xi)
             .collect();
         let mut next = Vec::new();
-        for (layer, w) in self.net.layers().iter().zip(&self.weights_t) {
-            let (bias, weights) = (tape.vars(layer.bias()), tape.vars(w.data()));
-            tape.affine(layer.activation(), &bias, &weights, &h, &mut next);
+        let mut at = 0;
+        for layer in self.net.layers() {
+            let (outs, len) = (layer.out_dim(), layer.out_dim() * (1 + layer.in_dim()));
+            let bias = params.range(at..at + outs);
+            let weights = params.range(at + outs..at + len);
+            at += len;
+            tape.affine(layer.activation(), bias, weights, &h, &mut next);
             std::mem::swap(&mut h, &mut next);
             next.clear();
         }
@@ -118,11 +131,10 @@ impl<'a> MaskedMlp<'a> {
         }
     }
 
-    /// Eq.-6 D term of one row. The reference enters as a tape var:
-    /// dividing by it as a constant would record a different node and
-    /// give other bits.
-    fn row_d<'t>(&self, tape: &'t Tape, output: &[Var<'t>], row: usize) -> Var<'t> {
-        let reference = &self.reference[row];
+    /// Eq.-6 D term of one row against that row's `reference`. The
+    /// reference enters as a tape var: dividing by it as a constant would
+    /// record a different node and give other bits.
+    fn row_d<'t>(&self, tape: &'t Tape, output: &[Var<'t>], reference: &[f64]) -> Var<'t> {
         let terms: Vec<Var<'t>> = match self.kind {
             OutputKind::Discrete => output
                 .iter()
@@ -145,13 +157,13 @@ impl<'a> MaskedMlp<'a> {
         sum(tape, &terms)
     }
 
-    /// One observation's D value and its gradient with respect to `mask`,
-    /// on a tape of its own.
-    fn row_d_grad(&self, mask: &[f64], row: usize) -> (f64, Vec<f64>) {
+    /// One observation's D value against its `reference` row and its
+    /// gradient with respect to `mask`, on a tape of its own.
+    fn row_d_grad(&self, mask: &[f64], reference: &[f64], row: usize) -> (f64, Vec<f64>) {
         let tape = Tape::new();
         let mask_vars = tape.vars(mask);
-        let output = self.masked_row(&tape, &mask_vars, row);
-        let d = self.row_d(&tape, &output, row);
+        let output = self.masked_row(&tape, tape.params(&self.params), &mask_vars, row);
+        let d = self.row_d(&tape, &output, reference);
         let grads = d.grad();
         (d.value(), mask_vars.iter().map(|&v| grads.wrt(v)).collect())
     }
@@ -163,7 +175,7 @@ impl MaskedSystem for MaskedMlp<'_> {
     }
 
     fn reference_output(&self) -> Vec<f64> {
-        self.reference.iter().flatten().copied().collect()
+        self.reference.clone()
     }
 
     /// Monolithic scalar-tape output (all rows on one tape, concatenated).
@@ -172,8 +184,9 @@ impl MaskedSystem for MaskedMlp<'_> {
     /// Unless `mask` has one var per input feature.
     fn masked_output<'t>(&self, tape: &'t Tape, mask: &[Var<'t>]) -> Vec<Var<'t>> {
         self.check_mask_len(mask.len());
+        let params = tape.params(&self.params);
         (0..self.obs.len())
-            .flat_map(|row| self.masked_row(tape, mask, row))
+            .flat_map(|row| self.masked_row(tape, params, mask, row))
             .collect()
     }
 
@@ -184,16 +197,25 @@ impl MaskedSystem for MaskedMlp<'_> {
     /// Thread-sharded D gradient: blocks of observations fan out across
     /// threads, each observation on a tape of its own, and the per-row D
     /// values and gradients are summed in global row order, so the result
-    /// is bit-identical for any thread count.
+    /// is bit-identical for any thread count. Row `r`'s D is taken against
+    /// `reference[r·w..][..w]`, where `w` is the network's output width.
     ///
     /// # Panics
-    /// Unless `mask` has one value per input feature.
-    fn d_value_grad(&self, mask: &[f64], _reference: &[f64], threads: usize) -> (f64, Vec<f64>) {
+    /// Unless `mask` has one value per input feature and `reference` one
+    /// row of `w` values per observation.
+    fn d_value_grad(&self, mask: &[f64], reference: &[f64], threads: usize) -> (f64, Vec<f64>) {
         self.check_mask_len(mask.len());
-        let n_rows = self.obs.len();
+        let (n_rows, width) = (self.obs.len(), self.net.out_dim());
+        assert_eq!(
+            reference.len(),
+            n_rows * width,
+            "MaskedMlp: reference has {} values, not {} ({n_rows} rows of {width} outputs)",
+            reference.len(),
+            n_rows * width
+        );
         let blocks = parallel_map_indexed(n_rows.div_ceil(BLOCK_ROWS), threads, |b| {
             (b * BLOCK_ROWS..n_rows.min((b + 1) * BLOCK_ROWS))
-                .map(|row| self.row_d_grad(mask, row))
+                .map(|row| self.row_d_grad(mask, &reference[row * width..][..width], row))
                 .collect::<Vec<_>>()
         });
         let mut d_total = 0.0;
@@ -229,12 +251,14 @@ mod tests {
     }
 
     /// The per-obs oracle: one observation's tape after another on this
-    /// thread, D values and gradients summed in row order.
-    fn per_obs_oracle(sys: &MaskedMlp<'_>, mask: &[f64]) -> (f64, Vec<f64>) {
+    /// thread, each against its row of `reference`, D values and gradients
+    /// summed in row order.
+    fn per_obs_oracle(sys: &MaskedMlp<'_>, mask: &[f64], reference: &[f64]) -> (f64, Vec<f64>) {
         let mut d_total = 0.0;
         let mut grad = vec![0.0; mask.len()];
-        for row in 0..sys.obs.len() {
-            let (d, row_grad) = sys.row_d_grad(mask, row);
+        let width = reference.len() / sys.obs.len();
+        for (row, reference) in reference.chunks_exact(width).enumerate() {
+            let (d, row_grad) = sys.row_d_grad(mask, reference, row);
             d_total += d;
             grad.iter_mut().zip(&row_grad).for_each(|(g, r)| *g += r);
         }
@@ -261,7 +285,7 @@ mod tests {
         for kind in [OutputKind::Discrete, OutputKind::Continuous] {
             let sys = MaskedMlp::new(&net, obs.clone(), kind);
             let reference = sys.reference_output();
-            let oracle = per_obs_oracle(&sys, &mask);
+            let oracle = per_obs_oracle(&sys, &mask, &reference);
             for threads in [1usize, 2, 3] {
                 let got = sys.d_value_grad(&mask, &reference, threads);
                 assert_same_bits(&got, &oracle, &format!("at threads={threads} ({kind:?})"));
@@ -289,6 +313,59 @@ mod tests {
     #[should_panic(expected = "mask length must equal the network's input feature count")]
     fn a_long_mask_is_rejected() {
         gradient_with_mask_len(7);
+    }
+
+    /// D is taken against the reference the caller passes, not the one
+    /// the constructor computed: with one row of it reversed, the sharded
+    /// gradient equals the per-obs oracle on that reference.
+    #[test]
+    fn d_uses_the_given_reference() {
+        let (net, obs) = setup(ROWS);
+        let mask: Vec<f64> = (0..6).map(|i| 0.2 + 0.1 * i as f64).collect();
+        for kind in [OutputKind::Discrete, OutputKind::Continuous] {
+            let sys = MaskedMlp::new(&net, obs.clone(), kind);
+            let unmasked = sys.reference_output();
+            let mut reference = unmasked.clone();
+            reference[70 * 4..][..4].reverse();
+            let oracle = per_obs_oracle(&sys, &mask, &reference);
+            let label = format!("against a perturbed reference ({kind:?})");
+            assert_same_bits(&sys.d_value_grad(&mask, &reference, 2), &oracle, &label);
+            let (d, _) = per_obs_oracle(&sys, &mask, &unmasked);
+            assert_ne!(oracle.0.to_bits(), d.to_bits(), "the perturbation moves D");
+        }
+    }
+
+    /// A reference short of one value would leave the last row's D
+    /// against a short slice.
+    #[test]
+    #[should_panic(expected = "reference has 11 values, not 12 (3 rows of 4 outputs)")]
+    fn a_short_reference_is_rejected() {
+        let (net, obs) = setup(3);
+        let sys = MaskedMlp::new(&net, obs, OutputKind::Discrete);
+        let mut reference = sys.reference_output();
+        reference.pop();
+        sys.d_value_grad(&[0.5; 6], &reference, 1);
+    }
+
+    /// An observation's tape records no node per parameter: eight more
+    /// hidden units add eight nodes, one fused row each (96 while the
+    /// biases and weights were leaf vars).
+    #[test]
+    fn a_tape_records_no_node_per_parameter() {
+        let nodes = |hidden: usize| {
+            let mut rng = StdRng::seed_from_u64(77);
+            let net = Mlp::new(
+                &[6, hidden, 4],
+                Activation::Tanh,
+                Activation::Linear,
+                &mut rng,
+            );
+            let sys = MaskedMlp::new(&net, vec![vec![0.5; 6]], OutputKind::Discrete);
+            let tape = Tape::new();
+            sys.masked_output(&tape, &tape.vars(&[0.5; 6]));
+            tape.len()
+        };
+        assert_eq!(nodes(16) - nodes(8), 8);
     }
 
     /// Full search: identical masks for threads = 1 vs N.
@@ -337,7 +414,8 @@ mod tests {
             g.iter().all(|x| x.is_finite()),
             "gradient overflowed: {g:?}"
         );
-        assert_same_bits(&(d, g), &per_obs_oracle(&sys, &mask), "with large logits");
+        let oracle = per_obs_oracle(&sys, &mask, &reference);
+        assert_same_bits(&(d, g), &oracle, "with large logits");
     }
 
     /// A feature the network ignores must be pruned; a dominant feature

@@ -42,4 +42,4 @@ pub use matrix::Matrix;
 pub use net::{argmax, softmax, softmax_rows, Mlp};
 pub use network::Network;
 pub use optim::{clip_grad_norm, Adam, Optimizer};
-pub use tape::{Grads, Tape, Var};
+pub use tape::{Grads, Params, Tape, Var};

@@ -20,35 +20,43 @@
 //! reverse. An operator node has at most two parents, kept with their
 //! partials in a flat 24-byte record. One kind has more: [`Tape::affine`]
 //! records a whole affine row `f(b + Σₖ wₖxₖ)`, for a layer
-//! [`Activation`] `f`, as one node, whose bias, weight and input indices
-//! live in a side array and whose backward reads their values from a
-//! per-node value array. A fused row is bit-identical to the 2n + 1 nodes
-//! of its scalar chain `((b + w₀x₀) + w₁x₁ + …).activation(f)`: its
-//! forward is the chain's arithmetic, its value and partial come from the
-//! one helper [`Var::activation`] also calls, and since the chain's nodes
-//! sit next to each other on the tape with one consumer each, its backward
-//! can make the chain's adjoint updates in the chain's order (see the
-//! method). Every operand of a node must live on the node's tape, and
-//! [`Grads::wrt`] answers only for vars of its own tape; both are checked.
+//! [`Activation`] `f`, as one node. Its bias and weights are not nodes but
+//! a range of a parameter block, a model's parameters that
+//! [`Tape::params`] copies onto the tape once; the row records its input
+//! list, its bias's index and its first weight's index, and its forward
+//! and backward read the weights' values from the block. A fused row is
+//! bit-identical to the 2n + 1 nodes of its scalar chain
+//! `((b + w₀x₀) + w₁x₁ + …).activation(f)` over leaf vars holding the
+//! block's values: its forward is the chain's arithmetic, its value and
+//! partial come from the one helper [`Var::activation`] also calls, and
+//! since the chain's nodes sit next to each other on the tape with one
+//! consumer each, its backward can make the chain's adjoint updates in
+//! the chain's order (see the method). [`Var::grad`] makes only the
+//! updates to vars; [`Var::grad_with_params`], which training calls, also
+//! makes the chain's updates to the parameters, into an array of their
+//! own. Every operand of a node must live on the node's tape, and
+//! [`Grads`] answers only for vars and blocks of its own tape; both are
+//! checked.
 //!
 //! A batch of independent rows, such as the observations under an MLP's
 //! feature mask, records each row on a tape of its own; the tapes of one
 //! thread reuse one arena (see [`Tape`]).
 //!
-//! The recording path (`Tape::var`, `Tape::affine`, the operators and the
-//! elementwise methods on [`Var`], [`sum`], [`Grads::wrt`]) is
-//! `#[inline]`: every caller is in another crate (`metis_routing`,
-//! `metis_hypergraph`, `metis_core`) and no build profile turns on LTO, so
-//! without the hint each recorded node is an out-of-line call into this
-//! crate. A §4 search step on `mask_routenet`'s first sample records 7,039
-//! nodes (43,231 before RouteNet's affine rows were fused), and losing the
-//! hint costs that search about 1.3× (it cost 1.7× before the fusion). A
-//! dropped tape hands its cleared arena to the next tape on its thread
-//! (see [`Tape`]).
+//! The recording path (`Tape::var`, `Tape::params`, `Tape::affine`, the
+//! operators and the elementwise methods on [`Var`], [`sum`],
+//! [`Grads::wrt`]) is `#[inline]`: every caller is in another crate
+//! (`metis_routing`, `metis_hypergraph`, `metis_core`) and no build
+//! profile turns on LTO, so without the hint each recorded node is an
+//! out-of-line call into this crate. A §4 search step on
+//! `mask_routenet`'s first sample records 6,358 nodes (7,039 while
+//! RouteNet's parameters were leaf vars and its readout a scalar chain,
+//! 43,231 before its affine rows were fused), and losing the hint costs
+//! that search 1.25–1.38× (1.7× before the fusion). A dropped tape hands
+//! its cleared arena to the next tape on its thread (see [`Tape`]).
 
 use crate::layer::Activation;
 use std::cell::{Cell, RefCell};
-use std::ops::{Add, Div, Mul, Neg, Sub};
+use std::ops::{Add, Div, Mul, Neg, Range, Sub};
 
 const NO_PARENT: u32 = u32::MAX;
 /// `parents[0]` of a fused affine row ([`Tape::affine`]); its
@@ -67,11 +75,15 @@ struct Node {
 struct Arena {
     nodes: Vec<Node>,
     /// Every node's value, indexed like `nodes`: a fused row's backward
-    /// reads its weights' and inputs' values here.
+    /// reads its inputs' values here.
     vals: Vec<f64>,
+    /// The values of every parameter block ([`Tape::params`]), one block
+    /// after another.
+    params: Vec<f64>,
     /// Operand indices of the fused rows. Per [`Tape::affine`] call:
     /// the input count, then the input indices. Per row: the offset of
-    /// its call's input count, the bias index, then the weight indices.
+    /// its call's input count, then its bias's and its first weight's
+    /// index in `params`.
     terms: Vec<u32>,
 }
 
@@ -154,6 +166,7 @@ impl Drop for Tape {
         let arena = self.arena.get_mut();
         arena.nodes.clear();
         arena.vals.clear();
+        arena.params.clear();
         arena.terms.clear();
         let arena = std::mem::take(arena);
         // Fails only while the thread's locals are being torn down.
@@ -195,13 +208,39 @@ impl Tape {
         vals.iter().map(|&v| self.var(v)).collect()
     }
 
+    /// Copy a model's parameters onto the tape as one block, whose ranges
+    /// [`Tape::affine`] takes as a layer's bias and weights. A block
+    /// records no node: only [`Var::grad_with_params`] computes its
+    /// gradients.
+    ///
+    /// # Panics
+    /// If the tape's blocks would hold more values than `u32` indexes.
+    #[inline]
+    pub fn params(&self, values: &[f64]) -> Params<'_> {
+        let mut arena = self.arena.borrow_mut();
+        let start = arena.params.len();
+        assert!(
+            u32::try_from(start + values.len()).is_ok(),
+            "tape: too many parameters for u32 indices"
+        );
+        arena.params.extend_from_slice(values);
+        Params {
+            tape: self,
+            start,
+            len: values.len(),
+        }
+    }
+
     /// One layer `act(b + W·x)`, one node per row appended to `out`:
     /// row `r` is `act(bias[r] + Σₖ weights[r·n + k]·x[k])` with
-    /// `n = x.len()`, and its value and every adjoint it passes back are
-    /// bit-identical to the scalar chain
-    /// `(((bias[r] + w₀·x₀) + w₁·x₁) + …).activation(act)`, which records
-    /// 2n + 1 nodes. Inputs may repeat (a shared zero var) and may be any
-    /// var on this tape, bias and weights included.
+    /// `n = x.len()`, where `bias` and `weights` are ranges of parameter
+    /// blocks ([`Tape::params`]). Its value and every adjoint it passes
+    /// back are bit-identical to the scalar chain
+    /// `(((bias[r] + w₀·x₀) + w₁·x₁) + …).activation(act)` over leaf vars
+    /// holding the block's values, which records 2n + 1 nodes. Inputs may
+    /// repeat (a shared zero var). A row records three `u32`s beside its
+    /// node: its call's input list, its bias's index and its first
+    /// weight's index.
     ///
     /// The forward sums left to right from the bias with separate multiply
     /// and add (no `mul_add`), as the chain does, and takes the row's value
@@ -211,8 +250,10 @@ impl Tape {
     /// the chain's nodes are adjacent on the tape, so no other node's
     /// update falls between them. The fused backward makes the chain's
     /// updates in the chain's order: for k = n−1 down to 1, weight k then
-    /// input k; then the bias; then weight 0 and input 0. It skips the row
-    /// wherever the chain skips every node: `a` or `g` is zero
+    /// input k; then the bias; then weight 0 and input 0. [`Var::grad`]
+    /// makes only the input updates; [`Var::grad_with_params`] also makes
+    /// the bias and weight updates, into its parameter adjoints. It skips
+    /// the row wherever the chain skips every node: `a` or `g` is zero
     /// (`0.0 + -0.0` is `+0.0`), as under a saturated `tanh` or a ReLU row
     /// that is not above zero.
     ///
@@ -223,21 +264,21 @@ impl Tape {
     pub fn affine<'t>(
         &'t self,
         act: Activation,
-        bias: &[Var<'t>],
-        weights: &[Var<'t>],
+        bias: Params<'t>,
+        weights: Params<'t>,
         x: &[Var<'t>],
         out: &mut Vec<Var<'t>>,
     ) {
         let n = x.len();
         assert!(n > 0, "tape: affine needs at least one input");
         assert_eq!(
-            weights.len(),
-            bias.len() * n,
+            weights.len,
+            bias.len * n,
             "tape: affine needs one weight per (row, input)"
         );
-        let foreign = |vs: &[Var<'t>]| vs.iter().any(|v| !std::ptr::eq(self, v.tape));
+        let ours = |t: &Tape| std::ptr::eq(self, t);
         assert!(
-            !(foreign(bias) || foreign(weights) || foreign(x)),
+            ours(bias.tape) && ours(weights.tape) && x.iter().all(|v| ours(v.tape)),
             "tape: affine operands recorded on another tape"
         );
         let mut arena = self.arena.borrow_mut();
@@ -245,13 +286,15 @@ impl Tape {
         let inputs = arena.terms_end();
         arena.terms.push(n as u32);
         arena.terms.extend(x.iter().map(at));
-        for (b, w) in bias.iter().zip(weights.chunks_exact(n)) {
+        for r in 0..bias.len {
+            let (b, w) = (bias.start + r, weights.start + r * n);
             let row = arena.terms_end();
-            arena.terms.extend([inputs, at(b)]);
-            arena.terms.extend(w.iter().map(at));
-            let mut acc = b.val;
-            for (wk, xk) in w.iter().zip(x) {
-                acc += wk.val * xk.val;
+            // Both below the blocks' length, which `Tape::params` keeps
+            // within `u32`.
+            arena.terms.extend([inputs, b as u32, w as u32]);
+            let mut acc = arena.params[b];
+            for (wk, xk) in arena.params[w..][..n].iter().zip(x) {
+                acc += wk * xk.val;
             }
             let (val, partial) = activate(act, acc);
             let idx = arena.push([AFFINE_ROW, row], [partial, 0.0], val);
@@ -295,6 +338,46 @@ impl Tape {
     }
 }
 
+/// A parameter block on a [`Tape`] ([`Tape::params`]), or a range of one:
+/// constants of the forward, whose gradients only
+/// [`Var::grad_with_params`] computes. Copyable.
+#[derive(Clone, Copy)]
+pub struct Params<'t> {
+    tape: &'t Tape,
+    /// The block's first index in [`Arena::params`].
+    start: usize,
+    len: usize,
+}
+
+impl<'t> Params<'t> {
+    /// Number of parameters in the block.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The parameters at `range` of this block, as a block of their own.
+    ///
+    /// # Panics
+    /// If `range` is reversed or ends past the block's end.
+    #[inline]
+    pub fn range(&self, range: Range<usize>) -> Params<'t> {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "tape: parameter range {range:?} out of a block of {}",
+            self.len
+        );
+        Params {
+            tape: self.tape,
+            start: self.start + range.start,
+            len: range.len(),
+        }
+    }
+}
+
 /// A value tracked on a [`Tape`]. Copyable; arithmetic operators record
 /// nodes onto the owning tape.
 #[derive(Clone, Copy)]
@@ -311,11 +394,27 @@ impl<'t> Var<'t> {
         self.val
     }
 
-    /// Run the backward pass from this variable and collect all adjoints.
+    /// Run the backward pass from this variable and collect every var's
+    /// adjoint. Parameter blocks get none (see [`Var::grad_with_params`]).
     pub fn grad(&self) -> Grads<'t> {
+        self.backward::<false>()
+    }
+
+    /// [`Var::grad`], plus every parameter's adjoint for
+    /// [`Grads::wrt_params`]: the fused rows' bias and weight updates,
+    /// in the order their scalar chains make them (see [`Tape::affine`]).
+    /// The vars' adjoints are the same bits as `grad`'s.
+    pub fn grad_with_params(&self) -> Grads<'t> {
+        self.backward::<true>()
+    }
+
+    /// The backward pass; with `PARAMS`, fused rows also update the
+    /// parameter adjoints.
+    fn backward<const PARAMS: bool>(&self) -> Grads<'t> {
         let arena = self.tape.arena.borrow();
-        let (nodes, vals, terms) = (&arena.nodes, &arena.vals, &arena.terms);
+        let (nodes, vals, params, terms) = (&arena.nodes, &arena.vals, &arena.params, &arena.terms);
         let mut adjoints = vec![0.0; nodes.len()];
+        let mut param_adjoints = vec![0.0; if PARAMS { params.len() } else { 0 }];
         adjoints[self.idx] = 1.0;
         for i in (0..=self.idx).rev() {
             let a = adjoints[i];
@@ -330,19 +429,25 @@ impl<'t> Var<'t> {
                 if g == 0.0 {
                     continue;
                 }
-                let row = &terms[node.parents[1] as usize..];
-                let (inputs, bias) = (row[0] as usize, row[1] as usize);
+                let row = &terms[node.parents[1] as usize..][..3];
+                let (inputs, bias, w) = (row[0] as usize, row[1] as usize, row[2] as usize);
                 let n = terms[inputs] as usize;
-                let (xs, ws) = (&terms[inputs + 1..][..n], &row[2..][..n]);
+                let (xs, ws) = (&terms[inputs + 1..][..n], &params[w..][..n]);
                 for k in (1..n).rev() {
-                    let (w, x) = (ws[k] as usize, xs[k] as usize);
-                    adjoints[w] += g * vals[x];
-                    adjoints[x] += g * vals[w];
+                    let x = xs[k] as usize;
+                    if PARAMS {
+                        param_adjoints[w + k] += g * vals[x];
+                    }
+                    adjoints[x] += g * ws[k];
                 }
-                adjoints[bias] += g; // the chain's `g · 1.0`
-                let (w, x) = (ws[0] as usize, xs[0] as usize);
-                adjoints[w] += g * vals[x];
-                adjoints[x] += g * vals[w];
+                if PARAMS {
+                    param_adjoints[bias] += g; // the chain's `g · 1.0`
+                }
+                let x = xs[0] as usize;
+                if PARAMS {
+                    param_adjoints[w] += g * vals[x];
+                }
+                adjoints[x] += g * ws[0];
                 continue;
             }
             for k in 0..2 {
@@ -355,6 +460,7 @@ impl<'t> Var<'t> {
         Grads {
             tape: self.tape,
             adjoints,
+            param_adjoints: PARAMS.then_some(param_adjoints),
         }
     }
 
@@ -441,10 +547,13 @@ impl<'t> Var<'t> {
     }
 }
 
-/// Adjoints produced by [`Var::grad`].
+/// Adjoints produced by [`Var::grad`] or [`Var::grad_with_params`].
 pub struct Grads<'t> {
     tape: &'t Tape,
     adjoints: Vec<f64>,
+    /// Every parameter's adjoint, indexed like [`Arena::params`]; `None`
+    /// after [`Var::grad`], which computes none.
+    param_adjoints: Option<Vec<f64>>,
 }
 
 impl Grads<'_> {
@@ -460,6 +569,23 @@ impl Grads<'_> {
             "tape: gradient asked for a var of another tape"
         );
         self.adjoints[v.idx]
+    }
+
+    /// Gradient of the root with respect to each parameter of `block`.
+    ///
+    /// # Panics
+    /// If these adjoints come from [`Var::grad`], which computes no
+    /// parameter gradient, or if `block` was recorded on another tape.
+    pub fn wrt_params(&self, block: Params<'_>) -> &[f64] {
+        let adjoints = self
+            .param_adjoints
+            .as_deref()
+            .expect("tape: parameter gradients need `Var::grad_with_params`");
+        assert!(
+            std::ptr::eq(self.tape, block.tape),
+            "tape: gradient asked for a parameter block of another tape"
+        );
+        &adjoints[block.start..][..block.len]
     }
 }
 
@@ -718,17 +844,22 @@ mod tests {
     }
 
     /// One fused row whose `operand`-th argument (bias, weights, inputs)
-    /// holds a var of another tape.
+    /// was recorded on another tape: a parameter block for the first two,
+    /// a var for the inputs.
     fn affine_row_with_a_foreign(operand: usize) {
         let t1 = Tape::new();
         let t2 = Tape::new();
-        let mut args = [t1.vars(&[0.1]), t1.vars(&[0.2, 0.3]), t1.vars(&[0.4, 0.5])];
-        args[operand][0] = t2.var(1.0);
+        let (ours, theirs) = (t1.params(&[0.1, 0.2, 0.3]), t2.params(&[0.1, 0.2, 0.3]));
+        let block = |k: usize| if k == operand { theirs } else { ours };
+        let mut x = t1.vars(&[0.4, 0.5]);
+        if operand == 2 {
+            x[0] = t2.var(1.0);
+        }
         t1.affine(
             Activation::Tanh,
-            &args[0],
-            &args[1],
-            &args[2],
+            block(0).range(0..1),
+            block(1).range(1..3),
+            &x,
             &mut Vec::new(),
         );
     }
@@ -749,6 +880,34 @@ mod tests {
     #[should_panic(expected = "affine operands recorded on another tape")]
     fn affine_row_rejects_an_input_of_another_tape() {
         affine_row_with_a_foreign(2);
+    }
+
+    /// A block of another tape would read an unrelated block's adjoints.
+    #[test]
+    #[should_panic(expected = "parameter block of another tape")]
+    fn grads_reject_a_block_of_another_tape() {
+        let t1 = Tape::new();
+        let t2 = Tape::new();
+        let mut row = Vec::new();
+        let block = t1.params(&[0.1, 0.2]);
+        t1.affine(
+            Activation::Tanh,
+            block.range(0..1),
+            block.range(1..2),
+            &[t1.var(0.3)],
+            &mut row,
+        );
+        row[0].grad_with_params().wrt_params(t2.params(&[0.1, 0.2]));
+    }
+
+    /// `Var::grad` makes no parameter update, so it has no parameter
+    /// gradient to give.
+    #[test]
+    #[should_panic(expected = "parameter gradients need `Var::grad_with_params`")]
+    fn var_grad_has_no_parameter_gradients() {
+        let t = Tape::new();
+        let block = t.params(&[0.1, 0.2]);
+        (t.var(1.0) * 2.0).grad().wrt_params(block);
     }
 
     const ACTIVATIONS: [Activation; 5] = [
@@ -772,15 +931,19 @@ mod tests {
         1.0,
     ];
 
-    /// A random fused-row layer over a small pool of vars: bias, weight
-    /// and input indices into the pool, so vars repeat within and across
-    /// the three roles, and the input list always repeats one var (as
+    /// A fused-row layer: its bias and weights are ranges of a parameter
+    /// block, which may overlap, and its inputs index a small pool of vars,
+    /// so inputs repeat, and the input list always repeats one var (as
     /// RouteNet's shared zero var does).
     struct AffineCase {
         act: Activation,
+        block: Vec<f64>,
+        /// Where the `rows` biases and the `rows × inputs.len()` weights
+        /// start in `block`.
+        bias: usize,
+        weights: usize,
+        rows: usize,
         pool: Vec<f64>,
-        bias: Vec<usize>,
-        weights: Vec<usize>,
         inputs: Vec<usize>,
         /// The adjoint each row's output receives.
         upstream: Vec<f64>,
@@ -789,12 +952,37 @@ mod tests {
         direct: Vec<f64>,
     }
 
+    /// How [`AffineCase::run`] records the layer.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Record {
+        Fused,
+        /// Each row as its scalar chain, over leaf vars holding the
+        /// block's values.
+        Chain,
+        /// [`Record::Chain`] without the activation node: RouteNet's
+        /// readout.
+        Readout,
+    }
+
+    /// What one recording of an [`AffineCase`] gives, as bits.
+    struct Recorded {
+        values: Vec<u64>,
+        /// The pool vars' gradients from `Var::grad` and from
+        /// `Var::grad_with_params`.
+        inputs: Vec<u64>,
+        inputs_with_params: Vec<u64>,
+        /// The block's gradients from `Var::grad_with_params`.
+        params: Vec<u64>,
+        nodes: usize,
+    }
+
     impl AffineCase {
         fn new(seed: u64) -> Self {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let act = ACTIVATIONS[rng.gen_range(0..ACTIVATIONS.len())];
             let (rows, n) = (rng.gen_range(1..4), rng.gen_range(2..9));
+            let block_len = rows * n + rng.gen_range(0..rows + 2);
             let pool_len = rng.gen_range(2..8);
             // Moderate values, values that saturate `tanh` and the sigmoid,
             // and specials.
@@ -803,11 +991,11 @@ mod tests {
                 1 => [0.0, -0.0, 1e-310, f64::NAN, f64::INFINITY][rng.gen_range(0..5)],
                 _ => rng.gen_range(-2.0..2.0),
             };
+            let block = (0..block_len).map(|_| value(&mut rng)).collect();
             let pool = (0..pool_len).map(|_| value(&mut rng)).collect();
-            let mut pick = |count: usize| -> Vec<usize> {
-                (0..count).map(|_| rng.gen_range(0..pool_len)).collect()
-            };
-            let (bias, weights, mut inputs) = (pick(rows), pick(rows * n), pick(n));
+            let bias = rng.gen_range(0..=block_len - rows);
+            let weights = rng.gen_range(0..=block_len - rows * n);
+            let mut inputs: Vec<usize> = (0..n).map(|_| rng.gen_range(0..pool_len)).collect();
             inputs[n - 1] = inputs[0];
             let upstream = (0..rows)
                 .map(|_| match rng.gen_range(0..3) {
@@ -818,43 +1006,75 @@ mod tests {
             let direct = (0..pool_len).map(|_| rng.gen_range(-1.0..1.0)).collect();
             AffineCase {
                 act,
-                pool,
+                block,
                 bias,
                 weights,
+                rows,
+                pool,
                 inputs,
                 upstream,
                 direct,
             }
         }
 
-        /// Output bits, the pool vars' gradient bits and the node count,
-        /// with the rows recorded fused or as their scalar chains.
-        fn run(&self, fused: bool) -> (Vec<u64>, Vec<u64>, usize) {
+        fn run(&self, how: Record) -> Recorded {
             let tape = Tape::new();
             let vars = tape.vars(&self.pool);
-            let pick = |ix: &[usize]| ix.iter().map(|&i| vars[i]).collect::<Vec<_>>();
-            let (b, w, x) = (pick(&self.bias), pick(&self.weights), pick(&self.inputs));
+            let x: Vec<Var<'_>> = self.inputs.iter().map(|&i| vars[i]).collect();
+            let n = x.len();
             let mut out = Vec::new();
-            if fused {
-                tape.affine(self.act, &b, &w, &x, &mut out);
+            // The block, as a parameter block or as leaf vars.
+            let (mut block, mut leaves) = (None, Vec::new());
+            if how == Record::Fused {
+                let params = tape.params(&self.block);
+                let bias = params.range(self.bias..self.bias + self.rows);
+                let weights = params.range(self.weights..self.weights + self.rows * n);
+                tape.affine(self.act, bias, weights, &x, &mut out);
+                block = Some(params);
             } else {
-                for (&bias, w) in b.iter().zip(w.chunks_exact(x.len())) {
-                    let mut acc = bias;
-                    for (&wk, &xk) in w.iter().zip(&x) {
+                leaves = tape.vars(&self.block);
+                for r in 0..self.rows {
+                    let mut acc = leaves[self.bias + r];
+                    for (&wk, &xk) in leaves[self.weights + r * n..][..n].iter().zip(&x) {
                         acc = acc + wk * xk;
                     }
-                    out.push(acc.activation(self.act));
+                    out.push(match how {
+                        Record::Readout => acc,
+                        _ => acc.activation(self.act),
+                    });
                 }
             }
             let rows = out.iter().zip(&self.upstream).map(|(&o, &u)| o * u);
             let direct = vars.iter().zip(&self.direct).map(|(&v, &c)| v * c);
             let terms: Vec<Var<'_>> = rows.chain(direct).collect();
-            let grads = sum(&tape, &terms).grad();
-            (
-                out.iter().map(|o| bits(o.value())).collect(),
-                vars.iter().map(|&v| bits(grads.wrt(v))).collect(),
-                tape.len(),
-            )
+            let root = sum(&tape, &terms);
+            let (grads, with_params) = (root.grad(), root.grad_with_params());
+            let on_pool = |g: &Grads<'_>| vars.iter().map(|&v| bits(g.wrt(v))).collect();
+            let params = match block {
+                Some(block) => with_params
+                    .wrt_params(block)
+                    .iter()
+                    .map(|&g| bits(g))
+                    .collect(),
+                None => leaves.iter().map(|&v| bits(with_params.wrt(v))).collect(),
+            };
+            Recorded {
+                values: out.iter().map(|o| bits(o.value())).collect(),
+                inputs: on_pool(&grads),
+                inputs_with_params: on_pool(&with_params),
+                params,
+                nodes: tape.len(),
+            }
+        }
+
+        /// Record the layer fused and as `oracle`, and assert the same
+        /// row values, input gradients and parameter gradients.
+        fn assert_fused_matches(&self, oracle: Record, label: &str) -> Recorded {
+            let (fused, chain) = (self.run(Record::Fused), self.run(oracle));
+            assert_eq!(fused.values, chain.values, "row values {label}");
+            assert_eq!(fused.inputs, chain.inputs, "input gradients {label}");
+            assert_eq!(fused.params, chain.params, "parameter gradients {label}");
+            fused
         }
     }
 
@@ -885,40 +1105,65 @@ mod tests {
             for &act in acts {
                 let case = AffineCase {
                     act,
+                    block: vec![1.0, 0.5, 1.0, bad],
+                    bias: 0,
+                    weights: 1,
+                    rows: 1,
                     pool: vec![1.0, bad, 0.5],
-                    bias: vec![0],
-                    weights: vec![2, 0, 1],
                     inputs: vec![1, 2, 1],
                     upstream: vec![upstream],
                     direct: vec![0.5, -0.25, 1.0],
                 };
-                let (fused, chain) = (case.run(true), case.run(false));
-                assert_eq!(fused.1, chain.1, "{act:?} gradients with {bad} inputs");
-                assert!(fused.1.iter().all(|&g| !f64::from_bits(g).is_nan()));
+                let fused = case.assert_fused_matches(Record::Chain, &format!("{act:?}, {bad}"));
+                let grads = fused.inputs.iter().chain(&fused.params);
+                assert!(grads.map(|&g| f64::from_bits(g)).all(|g| !g.is_nan()));
             }
         }
     }
 
-    /// Each special upstream adjoint under every activation, through three
-    /// rows that share the zero var among their inputs: a moderate row, one
-    /// that saturates `tanh` and the sigmoid (value 1, so the partial is
-    /// 0) and one below zero, where ReLU's partial is 0.
+    /// A fixed three-row layer that shares the zero var among its inputs
+    /// (a moderate row, one that saturates `tanh` and the sigmoid, value
+    /// 1 and partial 0, and one below zero, where ReLU's partial is 0),
+    /// under each special upstream adjoint.
+    fn special_adjoint_case(act: Activation, upstream: f64) -> AffineCase {
+        AffineCase {
+            act,
+            block: vec![
+                0.25, 30.0, -1.5, // biases
+                0.75, -1.5, 0.25, 0.75, // weights, row 0
+                -1.5, 0.75, 30.0, 0.25, // row 1
+                -1.5, -1.5, -1.5, -1.5, // row 2
+            ],
+            bias: 0,
+            weights: 3,
+            rows: 3,
+            pool: vec![0.75, -1.5, 0.25, 0.0, 30.0],
+            inputs: vec![3, 1, 0, 3],
+            upstream: vec![upstream; 3],
+            direct: vec![0.5, -0.25, 1.0, 0.125, -2.0],
+        }
+    }
+
     #[test]
     fn affine_row_passes_special_adjoints_as_the_chain_does() {
         for act in ACTIVATIONS {
             for upstream in SPECIAL_ADJOINTS {
-                let case = AffineCase {
-                    act,
-                    pool: vec![0.75, -1.5, 0.25, 0.0, 30.0],
-                    bias: vec![2, 4, 1],
-                    weights: vec![0, 1, 2, 0, 1, 0, 4, 2, 1, 1, 1, 1],
-                    inputs: vec![3, 1, 0, 3],
-                    upstream: vec![upstream; 3],
-                    direct: vec![0.5, -0.25, 1.0, 0.125, -2.0],
-                };
-                let (fused, chain) = (case.run(true), case.run(false));
-                assert_eq!(fused.0, chain.0, "{act:?} row values under {upstream:?}");
-                assert_eq!(fused.1, chain.1, "{act:?} gradients under {upstream:?}");
+                special_adjoint_case(act, upstream)
+                    .assert_fused_matches(Record::Chain, &format!("{act:?}, {upstream:?}"));
+            }
+        }
+    }
+
+    /// RouteNet's readout `((b + w₀h₀) + w₁h₁) + …` has no activation
+    /// node; a one-row `Linear` fused row stands for it, bit for bit.
+    #[test]
+    fn linear_row_is_the_readout_chain() {
+        for upstream in SPECIAL_ADJOINTS {
+            let mut case = special_adjoint_case(Activation::Linear, upstream);
+            case.rows = 1;
+            for weights in [3, 7, 11] {
+                case.weights = weights;
+                case.assert_fused_matches(Record::Readout, &format!("{upstream:?}, {weights}"));
             }
         }
     }
@@ -947,7 +1192,8 @@ mod tests {
                 assert_eq!(y.value(), value, "{act:?} value at {x0}");
                 assert_eq!(y.grad().wrt(x), derivative, "{act:?} gradient at {x0}");
                 let mut row = Vec::new();
-                t.affine(act, &[t.var(0.0)], &[t.var(1.0)], &[x], &mut row);
+                let block = t.params(&[0.0, 1.0]);
+                t.affine(act, block.range(0..1), block.range(1..2), &[x], &mut row);
                 assert_eq!(row[0].value(), value, "{act:?} fused value at {x0}");
                 assert_eq!(
                     row[0].grad().wrt(x),
@@ -973,17 +1219,26 @@ mod tests {
         }
 
         /// A fused affine row is its scalar chain, bit for bit, under
-        /// every activation: every row's value and every pool var's
-        /// gradient, so every bias, weight and input gradient, however the
-        /// vars repeat.
+        /// every activation: every row's value, every input var's
+        /// gradient and every bias and weight gradient, however the
+        /// inputs repeat and the bias and weights overlap.
         #[test]
         fn prop_affine_row_matches_scalar_chain(seed in 0u64..u64::MAX) {
             let case = AffineCase::new(seed);
-            let (fused, chain) = (case.run(true), case.run(false));
-            prop_assert_eq!(&fused.0, &chain.0, "row values");
-            prop_assert_eq!(&fused.1, &chain.1, "gradients");
-            let rows = case.bias.len();
-            prop_assert_eq!(fused.2 + rows * 2 * case.inputs.len(), chain.2);
+            let (fused, chain) = (case.run(Record::Fused), case.run(Record::Chain));
+            prop_assert_eq!(&fused.values, &chain.values, "row values");
+            prop_assert_eq!(&fused.inputs, &chain.inputs, "input gradients");
+            prop_assert_eq!(&fused.params, &chain.params, "parameter gradients");
+            let chain_nodes = case.block.len() + case.rows * 2 * case.inputs.len();
+            prop_assert_eq!(fused.nodes + chain_nodes, chain.nodes);
+        }
+
+        /// The parameter-gradient backward gives every var the bits the
+        /// plain one does.
+        #[test]
+        fn prop_both_backwards_give_the_same_input_gradients(seed in 0u64..u64::MAX) {
+            let fused = AffineCase::new(seed).run(Record::Fused);
+            prop_assert_eq!(fused.inputs, fused.inputs_with_params);
         }
 
         #[test]

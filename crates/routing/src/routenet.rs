@@ -12,7 +12,7 @@
 use crate::demand::Demand;
 use crate::latency::Routing;
 use crate::topo::Topology;
-use metis_nn::tape::{Tape, Var};
+use metis_nn::tape::{Params, Tape, Var};
 use metis_nn::{Activation, Adam, Optimizer, ParamGrad};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -74,8 +74,8 @@ impl RouteNetModel {
         self.params.len()
     }
 
-    /// Flat parameter vector (used by the mask search, which replays the
-    /// forward pass on a tape with the parameters as constants).
+    /// Flat parameter vector, the block the tape forward reads
+    /// ([`Tape::params`]).
     pub fn params(&self) -> &[f64] {
         &self.params
     }
@@ -83,20 +83,21 @@ impl RouteNetModel {
     /// Per-demand predicted delays: the tape forward's values, unmasked.
     pub fn predict(&self, topo: &Topology, demands: &[Demand], routing: &Routing) -> Vec<f64> {
         let tape = Tape::new();
-        let param_vars = tape.vars(&self.params);
-        self.forward_tape(&tape, &param_vars, topo, demands, routing, None)
+        let params = tape.params(&self.params);
+        self.forward_tape(&tape, params, topo, demands, routing, None)
             .iter()
             .map(|v| v.value())
             .collect()
     }
 
     /// The `MP_ROUNDS` rounds of path↔link message passing over `routing`,
-    /// recorded on `tape` with the parameters as tape vars, so the same
-    /// code trains the model and drives the Metis critical-connection
-    /// search. With a mask, `mask[i]` damps both messages across the
-    /// `i`-th connection of [`connections`] (path-major order) and
-    /// gradients flow back to it (§4.2 / Eq. 9 of the paper). Returns the
-    /// final path and link states, flat and `hidden` wide per row.
+    /// recorded on `tape` over `params`, this model's parameter block
+    /// ([`Tape::params`]), so the same code trains the model and drives
+    /// the Metis critical-connection search. With a mask, `mask[i]` damps
+    /// both messages across the `i`-th connection of [`connections`]
+    /// (path-major order) and gradients flow back to it (§4.2 / Eq. 9 of
+    /// the paper). Returns the final path and link states, flat and
+    /// `hidden` wide per row.
     ///
     /// States live in flat row-major buffers swapped between rounds, and
     /// one input buffer is refilled per update, so a call allocates the
@@ -104,7 +105,7 @@ impl RouteNetModel {
     fn message_passing<'t>(
         &self,
         tape: &'t Tape,
-        param_vars: &[Var<'t>],
+        params: Params<'t>,
         topo: &Topology,
         demands: &[Demand],
         routing: &Routing,
@@ -112,7 +113,7 @@ impl RouteNetModel {
     ) -> (Vec<Var<'t>>, Vec<Var<'t>>) {
         let d = self.hidden;
         let layout = Self::layout(d);
-        assert_eq!(param_vars.len(), layout.total);
+        assert_eq!(params.len(), layout.total);
         assert_eq!(
             routing.len(),
             demands.len(),
@@ -166,7 +167,7 @@ impl RouteNetModel {
                 input.push(tape.var(demands[p].volume));
                 matvec(
                     tape,
-                    param_vars,
+                    params,
                     d,
                     layout.w_path,
                     layout.b_path,
@@ -196,7 +197,7 @@ impl RouteNetModel {
                 input.push(tape.var(topo.link(l).capacity / 10.0));
                 matvec(
                     tape,
-                    param_vars,
+                    params,
                     d,
                     layout.w_link,
                     layout.b_link,
@@ -214,18 +215,19 @@ impl RouteNetModel {
     fn forward_tape<'t>(
         &self,
         tape: &'t Tape,
-        param_vars: &[Var<'t>],
+        params: Params<'t>,
         topo: &Topology,
         demands: &[Demand],
         routing: &Routing,
         mask: Option<&[Var<'t>]>,
     ) -> Vec<Var<'t>> {
         let layout = Self::layout(self.hidden);
-        let (h_path, _) = self.message_passing(tape, param_vars, topo, demands, routing, mask);
-        h_path
-            .chunks_exact(self.hidden)
-            .map(|h| readout(param_vars, &layout, h))
-            .collect()
+        let (h_path, _) = self.message_passing(tape, params, topo, demands, routing, mask);
+        let mut delays = Vec::with_capacity(demands.len());
+        for h in h_path.chunks_exact(self.hidden) {
+            readout(tape, params, &layout, h, &mut delays);
+        }
+        delays
     }
 
     /// Differentiable candidate scoring for the closed-loop mask search:
@@ -233,11 +235,13 @@ impl RouteNetModel {
     /// every candidate path of every demand by one path-update over the
     /// final (mask-shaped) link states plus the readout. Element `[i][c]`
     /// is the predicted delay of demand `i` on its `c`-th candidate.
+    /// `params` is this model's parameter block on `tape`
+    /// ([`Tape::params`] of [`RouteNetModel::params`]).
     #[allow(clippy::too_many_arguments)] // message passing's arguments plus the candidates
     pub fn candidate_delays_tape<'t>(
         &self,
         tape: &'t Tape,
-        param_vars: &[Var<'t>],
+        params: Params<'t>,
         topo: &Topology,
         demands: &[Demand],
         routing: &Routing,
@@ -253,12 +257,13 @@ impl RouteNetModel {
         );
         let d = self.hidden;
         let layout = Self::layout(d);
-        let (_, h_link) = self.message_passing(tape, param_vars, topo, demands, routing, mask);
+        let (_, h_link) = self.message_passing(tape, params, topo, demands, routing, mask);
 
         // Candidate scoring: one path update from scratch over the final
         // link states, then the readout.
         let mut input = Vec::with_capacity(2 * d + 1);
         let mut out = Vec::with_capacity(d);
+        let mut delay = Vec::with_capacity(1);
         demands
             .iter()
             .zip(candidates)
@@ -276,14 +281,16 @@ impl RouteNetModel {
                         out.clear();
                         matvec(
                             tape,
-                            param_vars,
+                            params,
                             d,
                             layout.w_path,
                             layout.b_path,
                             &input,
                             &mut out,
                         );
-                        readout(param_vars, &layout, &out)
+                        delay.clear();
+                        readout(tape, params, &layout, &out, &mut delay);
+                        delay[0]
                     })
                     .collect()
             })
@@ -311,8 +318,8 @@ impl RouteNetModel {
                     demands.len()
                 );
                 let tape = Tape::new();
-                let param_vars = tape.vars(&self.params);
-                let pred = self.forward_tape(&tape, &param_vars, topo, demands, routing, None);
+                let params = tape.params(&self.params);
+                let pred = self.forward_tape(&tape, params, topo, demands, routing, None);
                 // MSE over the sample's demands.
                 let mut loss = tape.var(0.0);
                 for (p, &t) in pred.iter().zip(truth.iter()) {
@@ -320,8 +327,8 @@ impl RouteNetModel {
                 }
                 loss = loss / truth.len() as f64;
                 epoch_loss += loss.value();
-                let grads = loss.grad();
-                let mut grad_vec: Vec<f64> = param_vars.iter().map(|v| grads.wrt(*v)).collect();
+                let grads = loss.grad_with_params();
+                let mut grad_vec = grads.wrt_params(params).to_vec();
                 let mut pg = [ParamGrad {
                     param: &mut self.params,
                     grad: &mut grad_vec,
@@ -356,30 +363,42 @@ fn accumulate<'t>(agg: &mut [Var<'t>], h: &[Var<'t>], m: Option<Var<'t>>) {
 }
 
 /// One update layer, `tanh(W·input + b)` with `W` at `w` and `b` at `b`
-/// in `param_vars`, appended to `out`: each of the `d` rows sums left to
+/// in `params`, appended to `out`: each of the `d` rows sums left to
 /// right from its bias, one fused tape node per row.
 #[inline(always)]
 fn matvec<'t>(
     tape: &'t Tape,
-    param_vars: &[Var<'t>],
+    params: Params<'t>,
     d: usize,
     w: usize,
     b: usize,
     input: &[Var<'t>],
     out: &mut Vec<Var<'t>>,
 ) {
-    let weights = &param_vars[w..][..d * (2 * d + 1)];
-    tape.affine(Activation::Tanh, &param_vars[b..][..d], weights, input, out);
+    let weights = params.range(w..w + d * (2 * d + 1));
+    tape.affine(
+        Activation::Tanh,
+        params.range(b..b + d),
+        weights,
+        input,
+        out,
+    );
 }
 
-/// The delay readout of one path state, `((b + w₀h₀) + w₁h₁) + …`.
+/// The delay readout of one path state, `((b + w₀h₀) + w₁h₁) + …`,
+/// appended to `out`: one fused `Linear` row, bit-identical to that chain
+/// (see [`Tape::affine`]).
 #[inline(always)]
-fn readout<'t>(param_vars: &[Var<'t>], layout: &Layout, h: &[Var<'t>]) -> Var<'t> {
-    let mut acc = param_vars[layout.b_out];
-    for (k, hk) in h.iter().enumerate() {
-        acc = acc + param_vars[layout.w_out + k] * *hk;
-    }
-    acc
+fn readout<'t>(
+    tape: &'t Tape,
+    params: Params<'t>,
+    layout: &Layout,
+    h: &[Var<'t>],
+    out: &mut Vec<Var<'t>>,
+) {
+    let (b, w) = (layout.b_out, layout.w_out);
+    let weights = params.range(w..w + h.len());
+    tape.affine(Activation::Linear, params.range(b..b + 1), weights, h, out);
 }
 
 /// The (path, link) connection list of a routing in the canonical
@@ -437,9 +456,9 @@ mod tests {
         let unmasked = model.predict(&topo, &demands, &routing);
         let masked = |value: f64| -> Vec<f64> {
             let tape = Tape::new();
-            let pv = tape.vars(&model.params);
+            let params = tape.params(&model.params);
             let mask = tape.vars(&vec![value; n_conn]);
-            let out = model.forward_tape(&tape, &pv, &topo, &demands, &routing, Some(&mask));
+            let out = model.forward_tape(&tape, params, &topo, &demands, &routing, Some(&mask));
             out.iter().map(|v| v.value()).collect()
         };
         // Each damped term is 1.0·h, so an all-ones mask changes no bit.
@@ -474,8 +493,8 @@ mod tests {
             .map(|d| candidate_paths(&topo, d.src, d.dst))
             .collect();
         let tape = Tape::new();
-        let pv = tape.vars(model.params());
-        model.candidate_delays_tape(&tape, &pv, &topo, &demands, &routing, &candidates, None);
+        let params = tape.params(model.params());
+        model.candidate_delays_tape(&tape, params, &topo, &demands, &routing, &candidates, None);
     }
 
     #[test]
