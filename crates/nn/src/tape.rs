@@ -146,7 +146,8 @@ thread_local! {
 /// A dropped tape hands its cleared arena to the next tape created on the
 /// same thread, so a loop that records one tape per step (the §4 search,
 /// RouteNet training) reuses one allocation. Freed every step instead, a
-/// `mask_routenet` step's ~0.4 MB arena sits at the top of glibc's heap,
+/// `mask_routenet` step's arena (~0.3 MB of capacity; ~0.4 MB when this
+/// was measured, before parameter blocks) sits at the top of glibc's heap,
 /// which trims it and faults it back in on the next step: ~86 minor faults
 /// a step, and half the search's step rate in a process whose allocator has
 /// not raised its trim threshold for some larger free. A thread keeps at
