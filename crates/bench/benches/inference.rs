@@ -3,7 +3,9 @@
 //! engine, measured on the repo's heaviest local teacher (AuTO lRLA
 //! scale: 143 state features, 2×128 hidden, 108 actions), plus the
 //! throughput of one §4 mask-search gradient step on a masked MLP and on
-//! RouteNet (the scalar tape's recording path). Emits
+//! RouteNet (the scalar tape's recording path), and of the Eq.-1 critic's
+//! batched forward, whose 1-wide head is the matrix kernel's narrowest
+//! panel. Emits
 //! `BENCH_inference.json` at the workspace root — the artifact the CI
 //! regression guard (`bench_guard`) compares against the committed
 //! baseline.
@@ -23,7 +25,7 @@ use metis_bench::measure::{median_rate, Windows};
 use metis_core::MaskedRouting;
 use metis_hypergraph::{MaskedMlp, MaskedSystem, OutputKind};
 use metis_nn::{argmax, softmax, Activation, Matrix, Mlp, Network};
-use metis_rl::{Policy, SoftmaxPolicy};
+use metis_rl::{NetworkValue, Policy, SoftmaxPolicy, ValueEstimate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -116,6 +118,21 @@ fn main() {
         }));
     }
 
+    // The conversion's Eq.-1 critic, [25, 32, 1] with tanh, over one
+    // Pensieve episode's 288 afterstates: a 1-wide head after a 32-wide
+    // hidden layer, which no lRLA-scale key above reaches.
+    let mut critic_rng = StdRng::seed_from_u64(11);
+    let critic = NetworkValue::new(Mlp::new(
+        &[metis_abr::OBS_DIM, 32, 1],
+        Activation::Tanh,
+        Activation::Linear,
+        &mut critic_rng,
+    ));
+    let afterstates = Matrix::from_rows_vec(&random_obs(288, metis_abr::OBS_DIM, &mut critic_rng));
+    let critic_rows = throughput(288, || {
+        black_box(critic.value_batch(&afterstates));
+    });
+
     let mut mask_rng = StdRng::seed_from_u64(7);
     let mask_net = Mlp::new(
         &[metis_abr::OBS_DIM, 32, 6],
@@ -161,6 +178,7 @@ fn main() {
         speedup_batch256: label_batched[2] / label_per_obs[2].max(1e-12),
         mask_steps_per_sec_batched: mask_batched,
         mask_steps_per_sec_routenet: mask_routenet,
+        critic_rows_per_sec_b288: critic_rows,
     };
     let json = serde_json::to_string(&report).expect("report serializes");
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -169,13 +187,15 @@ fn main() {
     std::fs::write(&path, &json).expect("write BENCH_inference.json");
     println!(
         "teacher labelling at batch 256: {:.0} obs/s per-obs vs {:.0} obs/s batched ({:.2}x); \
-         raw forward {:.2}x; mask step {:.1}/s masked MLP, {:.1}/s RouteNet -> {}",
+         raw forward {:.2}x; mask step {:.1}/s masked MLP, {:.1}/s RouteNet; \
+         critic {:.0} rows/s -> {}",
         report.label_per_obs_per_sec_b256,
         report.label_batched_per_sec_b256,
         report.speedup_batch256,
         report.forward_speedup_batch256,
         report.mask_steps_per_sec_batched,
         report.mask_steps_per_sec_routenet,
+        report.critic_rows_per_sec_b288,
         path.display()
     );
     // The acceptance bar (>= 3x at batch 256) is recorded in the JSON the
@@ -211,4 +231,5 @@ struct InferenceReport {
     speedup_batch256: f64,
     mask_steps_per_sec_batched: f64,
     mask_steps_per_sec_routenet: f64,
+    critic_rows_per_sec_b288: f64,
 }

@@ -90,6 +90,49 @@ impl Default for ConversionConfig {
     }
 }
 
+impl ConversionConfig {
+    /// Panic, naming the field, on a config the conversion cannot run or
+    /// would run as something else: a zero leaf budget, episode count,
+    /// step limit or resample size (each would fail later inside the fit
+    /// or the resampler with a message about neither), a NaN or
+    /// out-of-[0, 1] discount (a NaN one zeroes every Eq.-1 weight, so
+    /// resampling falls back to uniform) or takeover probability (a NaN
+    /// one never takes over), and an oversampling floor outside [0, 1),
+    /// which [`oversample_rare_actions`] would never reach.
+    pub(crate) fn check(&self) {
+        for (field, value) in [
+            ("max_leaf_nodes", self.max_leaf_nodes),
+            ("episodes_per_round", self.episodes_per_round),
+            ("max_steps", self.max_steps),
+            ("resample_size", self.resample_size.unwrap_or(1)),
+        ] {
+            assert!(
+                value > 0,
+                "ConversionConfig::{field} must be positive, got 0"
+            );
+        }
+        for (field, value) in [("gamma", self.gamma), ("takeover_prob", self.takeover_prob)] {
+            assert!(
+                (0.0..=1.0).contains(&value),
+                "ConversionConfig::{field} must be in [0, 1], got {value}"
+            );
+        }
+        if let Some(frac) = self.oversample_min_frac {
+            check_min_frac(frac);
+        }
+    }
+}
+
+/// The oversampling floor must be a fraction below 1: every duplicate adds
+/// one state to both the action's count and the total, so a floor of 1 or
+/// more is never reached while another action holds a state.
+fn check_min_frac(min_frac: f64) {
+    assert!(
+        (0.0..1.0).contains(&min_frac),
+        "ConversionConfig::oversample_min_frac must be in [0, 1), got {min_frac}"
+    );
+}
+
 /// Conversion output.
 #[derive(Debug, Clone)]
 pub struct ConversionResult {
@@ -105,6 +148,9 @@ pub struct ConversionResult {
 /// §6.3: duplicate states of rare actions until every action present in
 /// the dataset reaches `min_frac` of the total (missing actions cannot be
 /// conjured, matching the paper — oversampling only rebalances).
+///
+/// # Panics
+/// Panics unless `min_frac` is finite and in [0, 1).
 pub fn oversample_rare_actions(
     states: &mut Vec<SampledState>,
     n_actions: usize,
@@ -112,6 +158,7 @@ pub fn oversample_rare_actions(
     rng: &mut StdRng,
 ) {
     use rand::Rng;
+    check_min_frac(min_frac);
     let total0 = states.len();
     if total0 == 0 {
         return;

@@ -166,6 +166,12 @@ where
 
     /// Run the full conversion loop: teacher round, DAgger rounds with
     /// takeover, Eq.-1 resampling, fitting, and CCP pruning.
+    ///
+    /// # Panics
+    /// Panics, naming the field, on a [`ConversionConfig`] the loop cannot
+    /// run: a zero `max_leaf_nodes`, `episodes_per_round`, `max_steps` or
+    /// `resample_size`, a `gamma` or `takeover_prob` that is NaN or outside
+    /// [0, 1], or an `oversample_min_frac` outside [0, 1).
     pub fn run(&self) -> ConversionResult {
         self.run_publishing(|_, _| {})
     }
@@ -178,6 +184,7 @@ where
     /// results are bit-identical to [`ConversionPipeline::run`].
     pub fn run_publishing(&self, mut publish: impl FnMut(usize, &TreePolicy)) -> ConversionResult {
         let cfg = &self.conversion;
+        cfg.check();
         let n_actions = self.pool[0].n_actions();
         let collect_cfg = self.collect_cfg();
         let mut stats = PipelineStats {
@@ -263,7 +270,9 @@ where
 
     /// §3.2 Steps 2–3 on an explicit dataset: Eq.-1 resampling (when
     /// enabled), CART fit past the leaf budget, then CCP pruning back.
+    /// Panics on the configs [`ConversionPipeline::run`] rejects.
     pub fn fit_states(&self, states: &[SampledState], n_actions: usize, round: u64) -> TreePolicy {
+        self.conversion.check();
         self.resample_fit_prune(states, n_actions, round, &mut PipelineStats::default())
     }
 
@@ -468,6 +477,85 @@ mod tests {
             .threads(1)
             .evaluate_per_env(&Oracle, 20);
         assert_eq!(per_env, seq);
+    }
+
+    /// A one-round conversion under `cfg` with one field overridden.
+    fn run_with(edit: impl FnOnce(&mut ConversionConfig)) {
+        let pool = pool();
+        let mut cfg = ConversionConfig {
+            max_leaf_nodes: 4,
+            dagger_rounds: 0,
+            episodes_per_round: 2,
+            max_steps: 5,
+            ..Default::default()
+        };
+        edit(&mut cfg);
+        ConversionPipeline::new(&pool, &Oracle, |_| 0.0)
+            .conversion(cfg)
+            .threads(1)
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "ConversionConfig::oversample_min_frac must be in [0, 1), got 1")]
+    fn rejects_an_oversampling_floor_of_one() {
+        run_with(|c| c.oversample_min_frac = Some(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "ConversionConfig::oversample_min_frac must be in [0, 1), got NaN")]
+    fn rejects_a_nan_oversampling_floor_in_the_pub_function() {
+        let mut states = Vec::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        oversample_rare_actions(&mut states, 3, f64::NAN, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "ConversionConfig::max_leaf_nodes must be positive")]
+    fn rejects_a_zero_leaf_budget() {
+        run_with(|c| c.max_leaf_nodes = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ConversionConfig::episodes_per_round must be positive")]
+    fn rejects_zero_episodes_per_round() {
+        run_with(|c| c.episodes_per_round = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ConversionConfig::max_steps must be positive")]
+    fn rejects_zero_max_steps() {
+        run_with(|c| c.max_steps = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ConversionConfig::resample_size must be positive")]
+    fn rejects_a_zero_resample_size() {
+        run_with(|c| c.resample_size = Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "ConversionConfig::gamma must be in [0, 1], got NaN")]
+    fn rejects_a_nan_gamma() {
+        run_with(|c| c.gamma = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "ConversionConfig::takeover_prob must be in [0, 1], got NaN")]
+    fn rejects_a_nan_takeover_prob() {
+        run_with(|c| c.takeover_prob = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "ConversionConfig::takeover_prob must be in [0, 1], got 1.5")]
+    fn fit_states_checks_the_config_too() {
+        let pool = pool();
+        let cfg = ConversionConfig {
+            takeover_prob: 1.5,
+            ..Default::default()
+        };
+        let p = ConversionPipeline::new(&pool, &Oracle, |_| 0.0).conversion(cfg);
+        p.fit_states(&[], 3, 0);
     }
 
     #[test]

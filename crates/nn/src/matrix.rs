@@ -11,11 +11,11 @@ use std::ops::{Index, IndexMut};
 /// The kernels' one multiply-accumulate step. With the `fma` target
 /// feature this is a fused multiply-add (one rounding); otherwise a plain
 /// mul + add (`mul_add` without hardware FMA falls back to a soft-float
-/// libm call, which would be ruinously slow). Every matmul code path —
-/// register tile, edge loop, and the transpose-fused kernels — funnels
-/// through this helper, so per-element results are identical across paths
-/// within any one build, which is what the batched-vs-per-obs bit-parity
-/// contract requires.
+/// libm call, which would be ruinously slow). [`Matrix::matmul`]'s tile
+/// and [`Matrix::matmul_tb`] both funnel through this helper, so
+/// per-element results are identical across panel widths, row blocks and
+/// kernels within any one build, which is what the batched-vs-per-obs
+/// bit-parity contract requires.
 #[inline(always)]
 fn fmadd(acc: f64, a: f64, b: f64) -> f64 {
     #[cfg(target_feature = "fma")]
@@ -169,100 +169,114 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Register-tile shape of the blocked matmul kernel: `IT × JT`
-    /// accumulators live in registers across the whole `k` loop, so the
-    /// inner loop is pure FMA/mul-add on registers (one RHS vector load
-    /// and `IT` LHS broadcasts per `k`) instead of a load–modify–store per
-    /// element. 4×16 gives 8 independent accumulator vectors on AVX-512
-    /// (4 on AVX2) — enough to hide the FMA latency chain without
-    /// spilling.
-    const MATMUL_IT: usize = 4;
-    const MATMUL_JT: usize = 16;
+    /// Width of the kernel's full column panels: 16 lanes are four 256-bit
+    /// vectors, so a 4-row block keeps 16 independent accumulator vectors
+    /// in registers, enough to hide the FMA latency chain.
+    const PANEL: usize = 16;
 
     /// Matrix product `self * other`.
     ///
-    /// Cache/register-blocked kernel. Element `(i, j)` is always a single
-    /// accumulator summed in increasing-`k` order, **independent of the
-    /// LHS row count and of which code path (register tile or edge loop)
-    /// computes it** — the invariant behind the batched-vs-per-obs
-    /// bit-parity guarantees throughout the workspace: a batched forward's
-    /// row `i` is bit-identical to the per-obs forward of row `i`.
+    /// Register-blocked panel kernel. The columns of `other` are cut into
+    /// 16-wide panels, read in place, and one edge panel for the last
+    /// `n mod 16` columns, packed into the narrowest zero-padded panel of
+    /// width 1, 2, 4, 8 or 16 that holds it, so a 1-wide critic head runs
+    /// one lane and a 6-wide policy head eight. Each panel is swept by
+    /// 4-row blocks, then one row at a time, and a block's accumulators
+    /// stay in registers across the whole `k` loop.
+    ///
+    /// Element `(i, j)` is always a single accumulator summed in
+    /// increasing-`k` order, **independent of the LHS row count, of the
+    /// block that computes its row and of its panel's width**: the
+    /// invariant behind the batched-vs-per-obs bit-parity guarantees
+    /// throughout the workspace. A batched forward's row `i` is
+    /// bit-identical to the per-obs forward of row `i`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul: inner dimensions mismatch ({}x{}) * ({}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-        const IT: usize = Matrix::MATMUL_IT;
-        const JT: usize = Matrix::MATMUL_JT;
-        let (rows, cols, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(rows, n);
-        let j_full = (n / JT) * JT;
-        // Full-width register tiles.
-        let mut i0 = 0;
-        while i0 < rows {
-            let it = IT.min(rows - i0);
-            let mut j0 = 0;
-            while j0 < j_full {
-                let mut acc = [[0.0f64; JT]; IT];
-                for k in 0..cols {
-                    let b_vec = &other.data[k * n + j0..k * n + j0 + JT];
-                    for (t, acc_row) in acc.iter_mut().enumerate().take(it) {
-                        let a = self.data[(i0 + t) * cols + k];
-                        for (c, &b) in acc_row.iter_mut().zip(b_vec.iter()) {
-                            *c = fmadd(*c, a, b);
-                        }
-                    }
-                }
-                for (t, acc_row) in acc.iter().enumerate().take(it) {
-                    out.data[(i0 + t) * n + j0..(i0 + t) * n + j0 + JT].copy_from_slice(acc_row);
-                }
-                j0 += JT;
-            }
-            i0 += it;
+        const W: usize = Matrix::PANEL;
+        let n = other.cols;
+        let mut out = Matrix::zeros(self.rows, n);
+        let j_edge = n - n % W;
+        for j0 in (0..j_edge).step_by(W) {
+            self.panel::<W>(&other.data[j0..], n, j0, W, &mut out);
         }
-        // Edge columns (width < JT): packed once into a zero-padded
-        // fixed-width scratch so the inner loop stays the fully-unrolled
-        // JT-wide tile (a variable-width slice would fall back to scalar
-        // code — ruinous for narrow output layers like 6-wide policy
-        // heads). Lanes beyond `jt` compute against zeros and are
-        // discarded; per-element accumulation order is unchanged.
-        if j_full < n {
-            self.matmul_edge(other, j_full, &mut out);
+        match n - j_edge {
+            0 => {}
+            1 => self.edge_panel::<1>(other, j_edge, &mut out),
+            2 => self.edge_panel::<2>(other, j_edge, &mut out),
+            3..=4 => self.edge_panel::<4>(other, j_edge, &mut out),
+            5..=8 => self.edge_panel::<8>(other, j_edge, &mut out),
+            _ => self.edge_panel::<W>(other, j_edge, &mut out),
         }
         out
     }
 
-    /// The padded edge-column pass of [`Matrix::matmul`] (kept out of the
-    /// main function so the hot tile loop stays small enough for clean
-    /// register allocation).
-    fn matmul_edge(&self, other: &Matrix, j0: usize, out: &mut Matrix) {
-        const IT: usize = Matrix::MATMUL_IT;
-        const JT: usize = Matrix::MATMUL_JT;
-        let (rows, cols, n) = (self.rows, self.cols, other.cols);
-        let jt = n - j0;
-        let mut edge = vec![0.0; cols * JT];
-        for k in 0..cols {
-            edge[k * JT..k * JT + jt].copy_from_slice(&other.data[k * n + j0..k * n + j0 + jt]);
-        }
-        let mut i0 = 0;
-        while i0 < rows {
-            let it = IT.min(rows - i0);
-            let mut acc = [[0.0f64; JT]; IT];
-            for (k, b_vec) in edge.chunks_exact(JT).enumerate() {
-                // Fixed-size view so the lane loop fully unrolls.
-                let b_arr: &[f64; JT] = b_vec.try_into().expect("chunked to JT");
-                for (t, acc_row) in acc.iter_mut().enumerate().take(it) {
-                    let a = self.data[(i0 + t) * cols + k];
-                    for (c, &b) in acc_row.iter_mut().zip(b_arr.iter()) {
-                        *c = fmadd(*c, a, b);
-                    }
+    /// Columns `j0..` of `other` (at most `W`) packed into a zero-padded
+    /// `W`-wide panel, then run through [`Matrix::panel`]. The copy is a
+    /// lane loop: a `copy_from_slice` per `k` would be a `memcpy` call per
+    /// panel row on every one-row query.
+    fn edge_panel<const W: usize>(&self, other: &Matrix, j0: usize, out: &mut Matrix) {
+        let (n, w) = (other.cols, other.cols - j0);
+        let mut packed = vec![0.0; self.cols * W];
+        for (k, dst) in packed.chunks_exact_mut(W).enumerate() {
+            let src = &other.data[k * n + j0..(k + 1) * n];
+            for (c, d) in dst.iter_mut().enumerate() {
+                if c < w {
+                    *d = src[c];
                 }
             }
-            for (t, acc_row) in acc.iter().enumerate().take(it) {
-                out.data[(i0 + t) * n + j0..(i0 + t) * n + j0 + jt].copy_from_slice(&acc_row[..jt]);
+        }
+        self.panel::<W>(&packed, W, j0, w, out);
+    }
+
+    /// Columns `j0..j0 + w` of `self * other`, where row `k` of the
+    /// `W`-wide panel of `other` is `b[k * ldb..][..W]`: 4-row blocks, then
+    /// the remaining rows one at a time. Lanes past `w` are computed and
+    /// dropped. Inlined so that a full panel's `w` is the constant `W`:
+    /// behind a run-time width the write-back keeps the accumulators in
+    /// memory, and full panels ran about 1.2× slower.
+    #[inline(always)]
+    fn panel<const W: usize>(&self, b: &[f64], ldb: usize, j0: usize, w: usize, out: &mut Matrix) {
+        let mut i0 = 0;
+        while i0 + 4 <= self.rows {
+            self.block::<4, W>(i0, b, ldb, j0, w, out);
+            i0 += 4;
+        }
+        for i in i0..self.rows {
+            self.block::<1, W>(i, b, ldb, j0, w, out);
+        }
+    }
+
+    /// The kernel's one tile: rows `i0..i0 + R` against a `W`-wide panel,
+    /// `R × W` accumulators each updated once per `k` by [`fmadd`].
+    #[inline(always)]
+    fn block<const R: usize, const W: usize>(
+        &self,
+        i0: usize,
+        b: &[f64],
+        ldb: usize,
+        j0: usize,
+        w: usize,
+        out: &mut Matrix,
+    ) {
+        let cols = self.cols;
+        let a = &self.data[i0 * cols..(i0 + R) * cols];
+        let mut acc = [[0.0f64; W]; R];
+        for k in 0..cols {
+            let b_row: &[f64; W] = b[k * ldb..][..W].try_into().expect("a panel row is W wide");
+            for (t, acc_row) in acc.iter_mut().enumerate() {
+                let x = a[t * cols + k];
+                for (c, &y) in acc_row.iter_mut().zip(b_row) {
+                    *c = fmadd(*c, x, y);
+                }
             }
-            i0 += it;
+        }
+        let n = out.cols;
+        for (t, acc_row) in acc.iter().enumerate() {
+            out.data[(i0 + t) * n + j0..][..w].copy_from_slice(&acc_row[..w]);
         }
     }
 
@@ -523,9 +537,12 @@ mod tests {
         let _ = a.matmul(&b);
     }
 
-    /// The tiled kernel must agree bitwise with a plain per-element dot —
+    /// The panel kernel must agree bitwise with a plain per-element dot,
     /// and each batch row must equal the same row multiplied on its own
-    /// (the parity invariant the batched inference engine relies on).
+    /// (the parity invariant the batched inference engine relies on), at
+    /// every edge-panel width (1, 2, 4, 8 and 16 lanes, full and padded),
+    /// with and without full panels beside the edge, and for row counts
+    /// that end on a 4-row block and on each length of one-row tail.
     #[test]
     fn matmul_tile_boundaries_and_row_parity() {
         let mut seed = 42u64;
@@ -535,22 +552,31 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
-        for rows in [1usize, 7, 8, 9, 17] {
-            let a = Matrix::from_fn(rows, 13, |_, _| next());
-            let b = Matrix::from_fn(13, 11, |_, _| next());
-            let c = a.matmul(&b);
-            // Reference: single-accumulator dot in increasing-k order.
-            for i in 0..rows {
-                for j in 0..11 {
-                    let mut acc = 0.0;
-                    for k in 0..13 {
-                        acc = fmadd(acc, a[(i, k)], b[(k, j)]);
+        for n in [1usize, 2, 3, 4, 5, 6, 8, 9, 15, 16, 17, 22, 32, 33] {
+            let b = Matrix::from_fn(13, n, |_, _| next());
+            for rows in (1usize..=9).chain([17]) {
+                let a = Matrix::from_fn(rows, 13, |_, _| next());
+                let c = a.matmul(&b);
+                for i in 0..rows {
+                    for j in 0..n {
+                        // Reference: single-accumulator dot in increasing-k order.
+                        let mut acc = 0.0;
+                        for k in 0..13 {
+                            acc = fmadd(acc, a[(i, k)], b[(k, j)]);
+                        }
+                        assert_eq!(
+                            c[(i, j)].to_bits(),
+                            acc.to_bits(),
+                            "{rows}x13 * 13x{n} diverges at ({i},{j})"
+                        );
                     }
-                    assert_eq!(c[(i, j)], acc, "tiled kernel diverges at ({i},{j})");
+                    let solo = Matrix::row_vector(a.row(i)).matmul(&b);
+                    assert_eq!(
+                        solo.row(0),
+                        c.row(i),
+                        "{rows}x13 * 13x{n}: row {i} not batch-invariant"
+                    );
                 }
-                // Row-parity: multiplying row i alone gives bitwise the same row.
-                let solo = Matrix::row_vector(a.row(i)).matmul(&b);
-                assert_eq!(solo.row(0), c.row(i), "row {i} not batch-invariant");
             }
         }
     }
